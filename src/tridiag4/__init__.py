@@ -13,7 +13,6 @@ bound of 12 on flag-producing points).
 from .errors import (
     ConvergenceFailure,
     DegenerateResultant,
-    DependentInput,
     FlagDegenerate,
     NoSectionZero,
     ParseError,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceFailure",
     "DegenerateResultant",
-    "DependentInput",
     "FlagDegenerate",
     "NoSectionZero",
     "ParseError",

@@ -12,12 +12,13 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .degrees import run_experiments
-from .errors import ParseError, Unsolved
+from .errors import NoSectionZero, ParseError, RankDeficientPencil, Unsolved
 from .generate import KINDS, make_matrix
 from .genericity import check_distinct_eigenvalues, check_nonsingular, classify
 from .pencil import Pencil, SectionOptions, section_zeros
@@ -105,7 +106,7 @@ def parse_json_matrix(text: str) -> np.ndarray:
 
 
 def _read_input(path: str, text_format: bool) -> np.ndarray:
-    raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     if text_format:
         return parse_text_matrix(raw)
     stripped = raw.lstrip()
@@ -150,12 +151,7 @@ def cmd_tridiag(args) -> int:
     genericity = _genericity_block(a, args.seed)
     timings["classify"] = 1e3 * (time.perf_counter() - t0)
 
-    opts = Options(
-        tol=args.tol,
-        seed=args.seed,
-        sweep_samples=args.sweep_samples,
-        max_restarts=args.max_restarts,
-    )
+    opts = Options(tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
     try:
         result = tridiagonalize(a, opts)
@@ -181,11 +177,8 @@ def cmd_tridiag(args) -> int:
     if args.all_flags and a.shape[0] == 4:
         t0 = time.perf_counter()
         try:
-            zeros = section_zeros(
-                Pencil(a),
-                SectionOptions(samples=args.sweep_samples, restarts=args.max_restarts, seed=args.seed, stop_on_shortcut=False),
-            )
-        except Exception:
+            zeros = section_zeros(Pencil(a), SectionOptions(seed=args.seed, stop_on_shortcut=False))
+        except (NoSectionZero, RankDeficientPencil):
             zeros = []
         payload["flags"] = [
             {
@@ -297,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tridiag", help="compute U with U A U* tridiagonal")
     add_io(p)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--sweep-samples", type=int, default=720)
-    p.add_argument("--max-restarts", type=int, default=16)
     p.add_argument("--all-flags", action="store_true", help="emit every certified flag point")
     p.add_argument("--verify", action="store_true", help="recompute residuals and spectrum match")
     p.set_defaults(func=cmd_tridiag)

@@ -3,8 +3,10 @@
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
 meets the kernel curve in 6 points, and the certified flag points are
-at most 12 in number.  Counts come from the same sweep-and-polish
-machinery the solver uses, so they double as an end-to-end stress test.
+at most 12 in number.  The last two counts come from the one curve
+search the solver uses (``pencil._search``), with the hyperplane value
+or the flag-point certificate as its objective, so they double as an
+end-to-end stress test.
 """
 
 from __future__ import annotations
@@ -20,23 +22,21 @@ from . import linalg, polyroots
 from .errors import RankDeficientPencil, UnstableCountWarning
 from .genericity import classify
 from .pencil import (
+    CERT_TOL,
+    RANK_TOL,
     Pencil,
+    PencilPoint,
+    SectionCandidate,
     SectionOptions,
     _certify_on_curve,
-    _dedupe_pits,
-    _fiber_table,
-    _kernel_values,
-    _polish,
-    _random_bases,
-    _refine_seeds,
-    _ring_bases,
-    _ring_minima,
-    _seed_order,
+    _chart_setup,
+    _Objective,
+    _search,
     curve_residual,
-    kernel_vector,
     pencil_matrix,
+    section_zeros,
 )
-from .linalg import adjugate, canonical_projective, projective_distance
+from .linalg import adjugate
 
 
 @dataclass
@@ -121,8 +121,6 @@ def _tangent_multiplicity(pencil: Pencil, t, ell, tol: float = 1e-6) -> int:
     direction (the kernel of the determinant gradient in the chart)
     vanishes at a tangential intersection.
     """
-    from .pencil import _chart_setup
-
     t = np.asarray(t, dtype=complex)
     k, free, s0, pk, pa, pb = _chart_setup(pencil, t)
     m = pk + s0[0] * pa + s0[1] * pb
@@ -137,7 +135,6 @@ def _tangent_multiplicity(pencil: Pencil, t, ell, tol: float = 1e-6) -> int:
         return 1
     tau = np.array([-grad[1], grad[0]]) / gn
     dv = (linalg.adjugate_directional(m, tau[0] * pa + tau[1] * pb)) @ w
-    v = adj @ w
     num = abs(np.dot(ell, dv))
     den = np.linalg.norm(ell) * np.linalg.norm(dv)
     if den <= 1e-300:
@@ -148,102 +145,28 @@ def _tangent_multiplicity(pencil: Pencil, t, ell, tol: float = 1e-6) -> int:
 def _kernel_curve_zeros(pencil: Pencil, ell: np.ndarray, opts: SectionOptions):
     """Certified intersection points of the kernel curve with a hyperplane.
 
-    Same search skeleton as the flag-point hunt: tiered seeds, batched
-    descent of the objective toward its pits, Newton polish, and a
-    cluster pass ringing every accepted intersection.
+    Runs the flag-point search engine with the hyperplane value
+    ``ell . v`` as its objective.  Returns ``(t, v, multiplicity)`` per
+    intersection point.
     """
-    rng = np.random.default_rng(opts.seed)
-    second = _hyperplane_second(ell)
     ell_norm = np.linalg.norm(ell)
-    found: list[tuple[np.ndarray, np.ndarray, int]] = []
 
-    def score_table(bases):
-        flat_t, v, bad = _kernel_values(pencil, bases)
-        vals = np.abs(v @ ell) / ell_norm
-        return flat_t, np.where(bad, np.inf, vals)
+    def score(v, s):
+        rank_bad = s[:, 2] <= RANK_TOL * s[:, 0]
+        return np.where(rank_bad, np.inf, np.abs(v @ ell) / ell_norm)
 
     def certify(t):
-        ok = _certify_on_curve(pencil, t)
-        if ok is None:
+        on_curve = _certify_on_curve(pencil, t)
+        if on_curve is None:
             return None
-        t_c, v = ok
-        if curve_residual(pencil, v) > opts.tol:
+        t_c, v = on_curve
+        value = complex(np.dot(ell, v) / ell_norm)
+        if curve_residual(pencil, v) > CERT_TOL or abs(value) > CERT_TOL:
             return None
-        if abs(np.dot(ell, v)) / ell_norm > opts.tol:
-            return None
-        return t_c, v
+        return SectionCandidate(point=PencilPoint(t=t_c, v=v), span_det=value, sigma4=abs(value), accepted=True)
 
-    def add(t):
-        got = certify(t)
-        if got is None:
-            return False
-        t_c, v = got
-        for other_t, _, _ in found:
-            if projective_distance(t_c, other_t) < opts.dedupe_tol:
-                return False
-        mult = _tangent_multiplicity(pencil, t_c, ell)
-        found.append((t_c, v, mult))
-        return True
-
-    def polish_pits(seed_ts):
-        if len(seed_ts) == 0:
-            return
-        refined, s_ref = _refine_seeds(pencil, np.asarray(seed_ts), score_table=score_table)
-        for tcur in _dedupe_pits(refined, s_ref, [f[0] for f in found]):
-            if len(found) >= opts.max_zeros:
-                return
-            t_pol = _polish(pencil, tcur, second, opts)
-            if t_pol is not None:
-                add(t_pol)
-
-    n_struct = opts.samples // 2
-    n_angles = 60
-    n_rings = max(1, n_struct // n_angles)
-    ring = _ring_bases(n_rings, n_angles)
-    rand = _random_bases(max(0, opts.samples - ring.shape[0]), rng)
-    bases = np.vstack([ring, rand])
-
-    table = _fiber_table(pencil, bases, opts.gap_tol)
-    vflat = table["v"].reshape(-1, 4)
-    score = (np.abs(vflat @ ell) / ell_norm).reshape(-1, 4)
-    extra = _ring_minima(table, n_rings, n_angles, opts.tol, score=score)
-    seeds, tflat = _seed_order(table, opts.max_seeds, extra, score=score)
-    polish_pits([tflat[i] for i in seeds])
-
-    if opts.restarts > 0:
-        flat_t, vals = score_table(_random_bases(opts.restarts, rng))
-        vals = vals.reshape(-1, 4)
-        picks = []
-        for row in range(vals.shape[0]):
-            idx = int(np.argmin(vals[row]))
-            if np.isfinite(vals[row, idx]):
-                picks.append(flat_t[row * 4 + idx])
-        polish_pits(picks)
-
-    # cluster pass: ring each intersection for close neighbours
-    frontier = list(found)
-    for _ in range(3):
-        new_pts = []
-        for t_c, _, _ in frontier:
-            k = int(np.argmax(np.abs(t_c)))
-            ts = t_c / t_c[k]
-            free = [i for i in range(3) if i != k]
-            for radius in (0.05, 0.11, 0.18):
-                for j in range(6):
-                    phase = np.exp(2j * np.pi * (j + 0.3) / 6)
-                    d = np.zeros(3, dtype=complex)
-                    d[free[0]] = radius * phase
-                    d[free[1]] = radius * np.conj(phase) * (1j) ** j
-                    t_start = ts + d
-                    t_pol = _polish(pencil, t_start / np.linalg.norm(t_start), second, opts)
-                    if t_pol is None:
-                        continue
-                    if add(t_pol):
-                        new_pts.append(found[-1])
-        if not new_pts or len(found) >= opts.max_zeros:
-            break
-        frontier = new_pts
-    return found
+    found = _search(pencil, _Objective(score, _hyperplane_second(ell), certify), opts)
+    return [(c.point.t, c.point.v, _tangent_multiplicity(pencil, c.point.t, ell)) for c in found]
 
 
 def degree_of_kernel_curve(
@@ -255,7 +178,7 @@ def degree_of_kernel_curve(
 ) -> int:
     """Intersection count of the kernel curve with a hyperplane.
 
-    Runs the sweep-and-polish search on ``(det curve, hyperplane value)``
+    Runs the curve search on ``(det curve, hyperplane value)``
     and counts certified intersection points, with tangential contacts
     counted twice.  With ``hyperplane=None`` a random one is drawn per
     retry; disagreeing retries raise an :class:`UnstableCountWarning`
@@ -286,8 +209,6 @@ def degree_of_kernel_curve(
 
 def section_zero_count(pencil: Pencil, opts: SectionOptions | None = None) -> int:
     """Number of certified flag points under exhaustive sweep settings."""
-    from .pencil import section_zeros
-
     if opts is None:
         opts = SectionOptions(
             samples=2880,

@@ -9,10 +9,6 @@ class ConvergenceFailure(SolverError):
     """An iteration did not reach its tolerance within the step budget."""
 
 
-class DependentInput(SolverError):
-    """Input vectors are linearly dependent up to tolerance."""
-
-
 class DegenerateResultant(SolverError):
     """The resultant vanished identically: the two polynomials share a factor."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, polyroots
 from .errors import ConvergenceFailure, DegenerateResultant
-from .pencil import Pencil, pencil_matrix
+from .pencil import Pencil, _fibers, _refine_seeds, _sweep_bases, pencil_matrix
 
 RANK_CERT_TOL = 1e-8
 
@@ -157,73 +157,26 @@ def _chart_candidates(p: np.ndarray, q: np.ndarray, match_tol: float = 1e-6):
     return out
 
 
-def _grid_fallback(pencil: Pencil, tol: float, seed: int = 0):
+def _grid_fallback(pencil: Pencil, seed: int = 0):
     """Heuristic minimum of sigma3/sigma1 over the determinant curve.
 
     Used when the resultant route degenerates (the two forms share a
     whole component, e.g. for normal matrices with repeated
-    eigenvalues).  Samples the curve through its base-line fibration and
-    refines the best base point locally.
+    eigenvalues).  Samples the curve through its base-line fibration,
+    the two coordinate axes included, and descends from the best sample
+    with the curve search's seed refinement.
     """
-    rng = np.random.default_rng(seed)
+    floor = max(pencil.norm, 1.0)
 
-    def ratio_at(bases):
-        t1 = bases[:, 0]
-        t2 = bases[:, 1]
-        n = t1[:, None, None] * pencil.a + t2[:, None, None] * pencil.astar
-        lam = np.linalg.eigvals(n)
-        t = np.empty((bases.shape[0], 4, 3), dtype=complex)
-        t[:, :, 0] = -lam
-        t[:, :, 1] = t1[:, None]
-        t[:, :, 2] = t2[:, None]
-        nrm = np.linalg.norm(t, axis=2, keepdims=True)
-        t /= np.where(nrm > 0, nrm, 1.0)
-        flat = t.reshape(-1, 3)
-        eye = np.eye(4, dtype=complex)
-        pm = (
-            flat[:, 0, None, None] * eye
-            + flat[:, 1, None, None] * pencil.a
-            + flat[:, 2, None, None] * pencil.astar
-        )
-        s = np.linalg.svd(pm, compute_uv=False)
-        ratios = s[:, 2] / np.maximum(s[:, 0], 1e-300 * max(pencil.norm, 1.0))
-        ratios = np.where(s[:, 0] <= 1e-14 * max(pencil.norm, 1.0), 0.0, ratios)
-        return ratios, flat
+    def ratio(v, s):
+        r = s[:, 2] / np.maximum(s[:, 0], 1e-300 * floor)
+        return np.where(s[:, 0] <= 1e-14 * floor, 0.0, r)
 
-    angles = np.exp(2j * np.pi * np.arange(48) / 48)
-    radii = np.logspace(-1.5, 1.5, 13)
-    ring = np.column_stack(
-        [np.ones(48 * 13, dtype=complex), (radii[:, None] * angles[None, :]).reshape(-1)]
-    )
-    ring /= np.linalg.norm(ring, axis=1, keepdims=True)
-    z = rng.standard_normal((400, 2)) + 1j * rng.standard_normal((400, 2))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    bases = np.vstack([ring, z, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)])
-
-    ratios, flat = ratio_at(bases)
-    best = int(np.argmin(ratios))
-    best_ratio = float(ratios[best])
-    best_t = flat[best]
-    mu = bases[best // 4]
-
-    radius = 0.3
-    for _ in range(30):
-        if best_ratio <= tol:
-            break
-        jitter = radius * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
-        if abs(mu[0]) >= abs(mu[1]):
-            local = np.column_stack([np.ones(24, dtype=complex), mu[1] / mu[0] + jitter])
-        else:
-            local = np.column_stack([mu[0] / mu[1] + jitter, np.ones(24, dtype=complex)])
-        local /= np.linalg.norm(local, axis=1, keepdims=True)
-        ratios, flat = ratio_at(local)
-        idx = int(np.argmin(ratios))
-        if ratios[idx] < best_ratio:
-            best_ratio = float(ratios[idx])
-            best_t = flat[idx]
-            mu = local[idx // 4]
-        radius *= 0.5
-    return best_ratio, linalg.canonical_projective(best_t)
+    bases, _ = _sweep_bases(1024, np.random.default_rng(seed))
+    t, v, s, _ = _fibers(pencil, np.vstack([bases, np.eye(2, dtype=complex)]))
+    best = int(np.argmin(ratio(v, s)))
+    t_best, r_best = _refine_seeds(pencil, t[best : best + 1], ratio, rounds=30, radius=0.3)
+    return float(r_best[0]), linalg.canonical_projective(t_best[0])
 
 
 def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
@@ -253,7 +206,7 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
             break
 
     if degenerate:
-        ratio, witness = _grid_fallback(pencil, tol, seed)
+        ratio, witness = _grid_fallback(pencil, seed)
         if ratio <= tol:
             return False, witness
         return True, None

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DependentInput, RepeatedEigenvalueWarning
+from .errors import ConvergenceFailure, RepeatedEigenvalueWarning
 
 #: Default relative tolerance for rank/dependence decisions.
 DEFAULT_TOL = 1e-10
@@ -110,61 +110,19 @@ def eigen(m, tol: float = 1e-8):
     return pairs
 
 
-def rank_svd(m, tol: float = DEFAULT_TOL):
-    """Numerical rank and singular values.
+def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical nullspace.
 
-    Rank counts singular values above ``tol * sigma_max``; the zero
-    matrix has rank 0.  Singular values come back nonincreasing.
+    The rank counts singular values above ``tol * sigma_max``, so the zero
+    matrix has a full nullspace.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > tol * s[0])), s
-
-
-def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace."""
     a = as_matrix(m)
     _, s, vh = np.linalg.svd(a)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
     return np.conj(vh[rank:]).T.copy()
-
-
-def orthonormalize(vectors, tol: float = DEFAULT_TOL):
-    """Gram-Schmidt with re-orthogonalization.
-
-    Preserves the span of every prefix of the input list.  Raises
-    :class:`DependentInput` when a vector's residual after projection is
-    below ``tol`` relative to its original norm.
-    """
-    out: list[np.ndarray] = []
-    for k, v in enumerate(vectors):
-        u = as_vector(v)
-        norm0 = np.linalg.norm(u)
-        if norm0 == 0.0:
-            raise DependentInput(f"vector {k} is zero")
-        # two projection passes: classical Gram-Schmidt loses orthogonality
-        # for nearly dependent inputs, twice is enough at these sizes
-        for _ in range(2):
-            for q in out:
-                u = u - np.vdot(q, u) * q
-        norm1 = np.linalg.norm(u)
-        if norm1 <= tol * norm0:
-            raise DependentInput(f"vector {k} is dependent on its predecessors (residual {norm1:.2e})")
-        out.append(u / norm1)
-    return out
-
-
-def det(m) -> complex:
-    """Determinant via LU; exact degree behaviour for n <= 4."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("det expects a square matrix")
-    return complex(np.linalg.det(a))
 
 
 def canonical_projective(v) -> np.ndarray:

@@ -7,20 +7,28 @@ one-dimensional kernel (for suitably generic A), and the kernel vector
 ``{v, Av, A*v}`` is linearly dependent.  A tridiagonalizing flag comes
 from the finitely many points where the two enlarged spans
 ``span(v, Av, A*v) + A span(...)`` and ``... + A* span(...)`` coincide;
-that coincidence is what :func:`section_residual` measures and what
-:func:`section_zeros` hunts down by sweeping the base line and polishing
-candidates with Newton.
+that coincidence is what :func:`section_residual` measures.
+
+Every search over the curve runs on one engine.  :func:`_fibers`
+evaluates the curve over a batch of base points ``[t1 : t2]``, and
+:func:`_search` sweeps the base line, descends to the pits of an
+objective, Newton-polishes them and certifies what it finds.
+:func:`section_zeros` hunts flag points with it, the degree experiments
+count hyperplane sections of the kernel curve with it, and the
+genericity screen's fallback samples and descends with the same pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NoSectionZero, RankDeficientPencil, SingularJacobian
-from .linalg import adjugate, adjugate_directional, canonical_projective, projective_distance
+from .linalg import adjugate, canonical_projective, projective_distance
 from .polyroots import newton_system
 
 #: Relative threshold below which the pencil counts as rank-deficient (<= 2).
@@ -28,6 +36,25 @@ RANK_TOL = 1e-8
 
 #: Relative threshold for "this point lies on the determinant curve".
 ON_CURVE_TOL = 1e-8
+
+#: Certification tolerance: the dependence residual, sigma4, the span and
+#: closure ranks and the hyperplane value are all tested against it.
+CERT_TOL = 1e-8
+
+#: Projective distance below which two certified points count as one.
+DEDUPE_TOL = 1e-6
+
+#: Relative eigenvalue gap below which a fiber point is near a branch point.
+GAP_TOL = 1e-6
+
+#: Stopping tolerance and step budget of every Newton polish run.
+NEWTON_TOL = 1e-11
+NEWTON_STEPS = 50
+
+#: Base points per fiber batch when the search stops at its first zero.
+QUICK_CHUNK = 240
+
+_RING_ANGLES = 60
 
 
 @dataclass(frozen=True)
@@ -81,7 +108,9 @@ class SectionCandidate:
     ``[v, Av, A^2 v, A*^2 v]`` (the holomorphic proxy that Newton
     polishes) and ``sigma4`` the normalized fourth singular value of the
     seven-column matrix ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]``
-    (the rank condition that actually certifies acceptance).
+    (the rank condition that actually certifies acceptance).  For a
+    hyperplane section of the kernel curve the two fields hold the
+    normalized hyperplane value and its modulus instead.
     """
 
     point: PencilPoint
@@ -93,22 +122,24 @@ class SectionCandidate:
 
 @dataclass
 class SectionOptions:
-    """Knobs for the sweep in :func:`section_zeros`."""
+    """Knobs for the curve search behind :func:`section_zeros`.
+
+    ``samples`` base points are swept, half on rings and half uniform,
+    and ``restarts`` random bases are tried after the sweep.
+    ``stop_after_first`` returns at the first certified point (the
+    solver's quick pass); ``stop_on_shortcut`` returns at the first point
+    whose forward closure already closes up.  ``max_seeds``,
+    ``stagnation`` and ``max_zeros`` bound the polish runs.
+    """
 
     samples: int = 720
     restarts: int = 16
-    tol: float = 1e-8
-    dedupe_tol: float = 1e-6
-    gap_tol: float = 1e-6
     seed: int = 0
     stop_after_first: bool = False
     stop_on_shortcut: bool = True
     max_seeds: int = 900
     stagnation: int = 120
     max_zeros: int = 60
-    newton_tol: float = 1e-11
-    newton_steps: int = 50
-    chunk: int = 240
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
@@ -137,33 +168,79 @@ def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
     return canonical_projective(np.conj(vh[-1]))
 
 
-def fiber_points(pencil: Pencil, base, gap_tol: float = 1e-6):
+def _fiber_curve_points(pencil: Pencil, bases: np.ndarray):
+    """Unit curve points over a batch of base points, and ``near_branch``.
+
+    Over a base ``[t1 : t2]`` the curve is cut out by ``-t0`` running
+    through the eigenvalues of ``N = t1*A + t2*A*``, listed by (real,
+    imag) with multiplicity.  Row ``4*i + k`` is sheet ``k`` over base
+    ``i``; ``near_branch`` marks an eigenvalue within
+    ``GAP_TOL * ||N||`` of another one.
+    """
+    t1 = bases[:, 0]
+    t2 = bases[:, 1]
+    n = t1[:, None, None] * pencil.a + t2[:, None, None] * pencil.astar
+    lam = np.linalg.eigvals(n)
+    order = np.lexsort((lam.imag, lam.real), axis=1)
+    lam = np.take_along_axis(lam, order, axis=1)
+
+    diff = np.abs(lam[:, :, None] - lam[:, None, :])
+    diff[:, np.arange(4), np.arange(4)] = np.inf
+    near_branch = diff.min(axis=2) < GAP_TOL * np.linalg.norm(n, axis=(1, 2))[:, None]
+
+    t = np.empty((bases.shape[0], 4, 3), dtype=complex)
+    t[:, :, 0] = -lam
+    t[:, :, 1] = t1[:, None]
+    t[:, :, 2] = t2[:, None]
+    t /= np.linalg.norm(t, axis=2, keepdims=True)
+    return t.reshape(-1, 3), near_branch.reshape(-1)
+
+
+def _fibers(pencil: Pencil, bases: np.ndarray):
+    """The curve over a batch of base points: the search engine's evaluator.
+
+    Returns ``(t, v, s, near_branch)`` with one row per curve point, laid
+    out as in :func:`_fiber_curve_points`: the unit point ``t``, the
+    kernel vector ``v`` and the singular values ``s`` of the pencil there.
+    """
+    t, near_branch = _fiber_curve_points(pencil, bases)
+    pm = (
+        t[:, 0, None, None] * np.eye(4, dtype=complex)
+        + t[:, 1, None, None] * pencil.a
+        + t[:, 2, None, None] * pencil.astar
+    )
+    _, s, vh = np.linalg.svd(pm)
+    return t, np.conj(vh[:, -1, :]), s, near_branch
+
+
+def fiber_points(pencil: Pencil, base):
     """The four points of the determinant curve over a base point [t1 : t2].
 
     Over the base the curve is cut out by ``-t0`` running through the
     eigenvalues of ``t1*A + t2*A*``; each eigenvalue contributes one
     point (repeated eigenvalues are listed with multiplicity).
     ``near_branch`` is set on a point when its eigenvalue sits within
-    ``gap_tol * ||t1*A + t2*A*||`` of another one.
+    ``GAP_TOL * ||t1*A + t2*A*||`` of another one.
 
-    Raises whatever :func:`kernel_vector` raises at rank-deficient points.
+    Raises :class:`RankDeficientPencil` at rank-deficient points.
     """
     b = canonical_projective(linalg.as_vector(base))
     if b.size != 2:
         raise ValueError("base point must have 2 coordinates")
-    n = b[0] * pencil.a + b[1] * pencil.astar
-    lam = np.linalg.eigvals(n)
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    scale = max(float(np.linalg.norm(n)), 1e-300)
-    points = []
-    for sheet, ev in enumerate(lam):
-        gap = min(abs(ev - other) for j, other in enumerate(lam) if j != sheet)
-        t = canonical_projective(np.array([-ev, b[0], b[1]]))
-        v = kernel_vector(pencil, t)
-        points.append(
-            PencilPoint(t=t, v=v, sheet=sheet, base=b, near_branch=bool(gap < gap_tol * scale))
+    t, v, s, near_branch = _fibers(pencil, b[None, :])
+    for k in range(4):
+        if s[k, 2] <= RANK_TOL * s[k, 0]:
+            raise RankDeficientPencil(f"pencil rank <= 2 at t={np.round(t[k], 6)}")
+    return [
+        PencilPoint(
+            t=canonical_projective(t[k]),
+            v=canonical_projective(v[k]),
+            sheet=k,
+            base=b,
+            near_branch=bool(near_branch[k]),
         )
-    return points
+        for k in range(4)
+    ]
 
 
 def curve_residual(pencil: Pencil, v) -> float:
@@ -184,10 +261,27 @@ def curve_residual(pencil: Pencil, v) -> float:
 
 
 def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
-    a, astar = pencil.a, pencil.astar
-    av = a @ v
-    asv = astar @ v
-    return np.column_stack([v, av, asv, a @ av, a @ asv, astar @ av, astar @ asv])
+    """``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]`` for kernel vectors v (k, 4).
+
+    Returns the (k, 4, 7) stack of seven-column matrices.
+    """
+    a_t, astar_t = pencil.a.T, pencil.astar.T
+    av = v @ a_t
+    asv = v @ astar_t
+    return np.stack([v, av, asv, av @ a_t, asv @ a_t, av @ astar_t, asv @ astar_t], axis=2)
+
+
+def _span_residuals(seven: np.ndarray):
+    """``(h, sigma4)`` of :func:`section_residual` from the seven columns."""
+    cols = seven[:, [0, 1, 3, 6]]  # v, Av, A^2 v, A*^2 v
+    norms = np.linalg.norm(cols, axis=0)
+    if np.min(norms) <= 1e-300:
+        h = 0j
+    else:
+        h = complex(np.linalg.det(cols) / np.prod(norms))
+    s = np.linalg.svd(seven, compute_uv=False)
+    sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
+    return h, sigma4
 
 
 def section_residual(pencil: Pencil, v):
@@ -202,29 +296,52 @@ def section_residual(pencil: Pencil, v):
     the authoritative certificate: it also rejects the degenerate zeros
     of ``h`` at eigenvectors.
     """
-    v = linalg.as_vector(v)
-    av = pencil.a @ v
-    cols = np.column_stack([v, av, pencil.a @ av, pencil.astar2 @ v])
-    norms = np.linalg.norm(cols, axis=0)
-    if np.min(norms) <= 1e-300:
-        h = 0j
-    else:
-        h = complex(np.linalg.det(cols) / np.prod(norms))
-    s = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
-    sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
-    return h, sigma4
+    return _span_residuals(_seven_columns(pencil, linalg.as_vector(v)[None, :])[0])
+
+
+def _section_score(pencil: Pencil, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The flag-point search score: ``sigma4`` of kernel vectors ``v`` (k, 4).
+
+    ``inf`` where the pencil singular values ``s`` (k, 4) show rank <= 2.
+    """
+    s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
+    return np.where(s[:, 2] <= RANK_TOL * s[:, 0], np.inf, s7[:, 3] / np.maximum(s7[:, 0], 1e-300))
+
+
+def _closure_shortcuts(pencil: Pencil, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Points whose forward closure is 2-dimensional, at rank-3 pencils.
+
+    The closure ``[v, Av, A*v, A^2 v, A A* v]`` (or its mirror
+    ``[v, Av, A*v, A*^2 v, A* A v]``) of rank 2 means the point yields a
+    flag without any zero-finding.
+    """
+    seven = _seven_columns(pencil, v)
+    sa = np.linalg.svd(seven[:, :, [0, 1, 2, 3, 4]], compute_uv=False)
+    sb = np.linalg.svd(seven[:, :, [0, 1, 2, 6, 5]], compute_uv=False)
+    short_a = sa[:, 2] / np.maximum(sa[:, 0], 1e-300)
+    short_b = sb[:, 2] / np.maximum(sb[:, 0], 1e-300)
+    return (s[:, 2] > RANK_TOL * s[:, 0]) & ((short_a <= CERT_TOL) | (short_b <= CERT_TOL))
 
 
 # ---------------------------------------------------------------------------
-# sweep machinery
+# the curve search
 
 
-def _ring_bases(n_rings: int, n_angles: int):
+def _sweep_bases(samples: int, rng: np.random.Generator):
+    """Base points for a sweep: rings of 60 angles, then uniform random ones.
+
+    Half of ``samples`` go on rings ``t2/t1 = r e^{i phi}`` with radii
+    log-spaced over [1e-2, 1e2], the rest are drawn from ``rng``.
+    Returns the unit bases (m, 2) and the number of rings.
+    """
+    n_rings = max(1, samples // 2 // _RING_ANGLES)
     radii = np.logspace(-2.0, 2.0, n_rings)
-    angles = np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
+    angles = np.exp(2j * np.pi * np.arange(_RING_ANGLES) / _RING_ANGLES)
     t2 = (radii[:, None] * angles[None, :]).reshape(-1)
-    bases = np.column_stack([np.ones_like(t2), t2])
-    return bases / np.linalg.norm(bases, axis=1, keepdims=True)
+    ring = np.column_stack([np.ones_like(t2), t2])
+    ring /= np.linalg.norm(ring, axis=1, keepdims=True)
+    rand = _random_bases(max(0, samples - ring.shape[0]), rng)
+    return np.vstack([ring, rand]), n_rings
 
 
 def _random_bases(n: int, rng: np.random.Generator):
@@ -233,153 +350,16 @@ def _random_bases(n: int, rng: np.random.Generator):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _fiber_table(pencil: Pencil, bases: np.ndarray, gap_tol: float):
-    """Vectorized fiber data for a batch of base points.
-
-    Returns a dict of arrays with leading shape (m, 4): one row per base
-    point, one column per sheet.
-    """
-    m = bases.shape[0]
-    t1 = bases[:, 0]
-    t2 = bases[:, 1]
-    n = t1[:, None, None] * pencil.a + t2[:, None, None] * pencil.astar
-    lam = np.linalg.eigvals(n)
-    order = np.lexsort((lam.imag, lam.real), axis=1)
-    lam = np.take_along_axis(lam, order, axis=1)
-
-    diff = np.abs(lam[:, :, None] - lam[:, None, :])
-    diff[:, np.arange(4), np.arange(4)] = np.inf
-    gaps = diff.min(axis=2)
-    scale = np.linalg.norm(n, axis=(1, 2))
-    near_branch = gaps < gap_tol * scale[:, None]
-
-    t = np.empty((m, 4, 3), dtype=complex)
-    t[:, :, 0] = -lam
-    t[:, :, 1] = t1[:, None]
-    t[:, :, 2] = t2[:, None]
-    t /= np.linalg.norm(t, axis=2, keepdims=True)
-
-    flat_t = t.reshape(-1, 3)
-    eye = np.eye(4, dtype=complex)
-    pm = (
-        flat_t[:, 0, None, None] * eye
-        + flat_t[:, 1, None, None] * pencil.a
-        + flat_t[:, 2, None, None] * pencil.astar
-    )
-    _, s, vh = np.linalg.svd(pm)
-    v = np.conj(vh[:, -1, :])
-    rank_bad = s[:, 2] <= RANK_TOL * s[:, 0]
-
-    av = v @ pencil.a.T
-    asv = v @ pencil.astar.T
-    a2v = av @ pencil.a.T
-    aasv = asv @ pencil.a.T
-    asav = av @ pencil.astar.T
-    as2v = asv @ pencil.astar.T
-
-    v4 = np.stack([v, av, a2v, as2v], axis=2)
-    norms = np.linalg.norm(v4, axis=1)
-    prod = np.prod(norms, axis=1)
-    h = np.where(prod > 1e-300, np.linalg.det(v4) / np.where(prod > 0, prod, 1.0), 0.0)
-
-    seven = np.stack([v, av, asv, a2v, aasv, asav, as2v], axis=2)
-    s7 = np.linalg.svd(seven, compute_uv=False)
-    sigma4 = s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
-
-    five_a = seven[:, :, [0, 1, 2, 3, 4]]
-    sa = np.linalg.svd(five_a, compute_uv=False)
-    five_b = seven[:, :, [0, 1, 2, 6, 5]]
-    sb = np.linalg.svd(five_b, compute_uv=False)
-    top = np.maximum(sa[:, 0], 1e-300)
-    short_a = sa[:, 2] / top
-    dim3_a = sa[:, 3] / top
-    topb = np.maximum(sb[:, 0], 1e-300)
-    short_b = sb[:, 2] / topb
-    dim3_b = sb[:, 3] / topb
-
-    def sq(x):
-        return x.reshape(m, 4)
-
-    return {
-        "t": t,
-        "v": v.reshape(m, 4, 4),
-        "near_branch": near_branch,
-        "rank_bad": sq(rank_bad),
-        "h": sq(h),
-        "sigma4": sq(sigma4),
-        "short_a": sq(short_a),
-        "short_b": sq(short_b),
-        "dim3_a": sq(dim3_a),
-        "dim3_b": sq(dim3_b),
-        "sheet": np.broadcast_to(np.arange(4), (m, 4)),
-        "base": bases,
-    }
-
-
-def _kernel_values(pencil: Pencil, bases: np.ndarray):
-    """Curve points and kernel vectors over a batch of bases (light)."""
-    t1 = bases[:, 0]
-    t2 = bases[:, 1]
-    n = t1[:, None, None] * pencil.a + t2[:, None, None] * pencil.astar
-    lam = np.linalg.eigvals(n)
-    t = np.empty((bases.shape[0], 4, 3), dtype=complex)
-    t[:, :, 0] = -lam
-    t[:, :, 1] = t1[:, None]
-    t[:, :, 2] = t2[:, None]
-    t /= np.linalg.norm(t, axis=2, keepdims=True)
-    flat_t = t.reshape(-1, 3)
-    eye = np.eye(4, dtype=complex)
-    pm = (
-        flat_t[:, 0, None, None] * eye
-        + flat_t[:, 1, None, None] * pencil.a
-        + flat_t[:, 2, None, None] * pencil.astar
-    )
-    _, s, vh = np.linalg.svd(pm)
-    v = np.conj(vh[:, -1, :])
-    bad = s[:, 2] <= RANK_TOL * s[:, 0]
-    return flat_t, v, bad
-
-
-def _sigma4_table(pencil: Pencil, bases: np.ndarray):
-    """sigma4 and points for a batch of bases; lighter than _fiber_table."""
-    flat_t, v, bad = _kernel_values(pencil, bases)
-    av = v @ pencil.a.T
-    asv = v @ pencil.astar.T
-    seven = np.stack(
-        [v, av, asv, av @ pencil.a.T, asv @ pencil.a.T, av @ pencil.astar.T, asv @ pencil.astar.T],
-        axis=2,
-    )
-    s7 = np.linalg.svd(seven, compute_uv=False)
-    sigma4 = np.where(bad, np.inf, s7[:, 3] / np.maximum(s7[:, 0], 1e-300))
-    return flat_t, sigma4
-
-
-def _refine_seed(pencil: Pencil, t_seed: np.ndarray, rounds: int = 4, radius: float = 0.08):
-    """Local sigma4 descent on the curve before Newton (single seed)."""
-    t_ref, s_ref = _refine_seeds(pencil, np.asarray(t_seed, dtype=complex)[None, :], rounds, radius)
-    return t_ref[0], float(s_ref[0])
-
-
-def _refine_seeds(
-    pencil: Pencil,
-    t_seeds: np.ndarray,
-    rounds: int = 4,
-    radius: float = 0.08,
-    score_table=None,
-):
+def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score, rounds: int = 4, radius: float = 0.08):
     """Batched local score descent on the curve before Newton.
 
     Zooms each seed's base coordinate toward the nearest score minimum
     over a shrinking probe ring; Newton basins around paired zeros are
     smaller than any affordable global grid, so this bridges the gap.
     All seeds advance together so the fiber evaluations stay vectorized.
-    ``score_table(bases) -> (points, score)`` defaults to the sigma4
-    evaluator; the degree experiments pass their own objective.
+    ``score(v, s)`` is an objective's score (see :class:`_Objective`).
     Returns the refined points (k, 3) and the score values reached.
     """
-    if score_table is None:
-        def score_table(bases):
-            return _sigma4_table(pencil, bases)
     k = t_seeds.shape[0]
     if k == 0:
         return t_seeds.copy(), np.empty(0)
@@ -402,8 +382,8 @@ def _refine_seeds(
         flipped = np.repeat(flip, offs.size)
         probes = np.where(flipped[:, None], np.column_stack([flat_mu, ones]), np.column_stack([ones, flat_mu]))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        flat_t, sigma4 = score_table(probes)
-        sig = sigma4.reshape(k, offs.size * 4)
+        flat_t, v, s, _ = _fibers(pencil, probes)
+        sig = score(v, s).reshape(k, offs.size * 4)
         idx = np.argmin(sig, axis=1)
         val = sig[np.arange(k), idx]
         better = ok & (val < best_s)
@@ -421,7 +401,7 @@ def _dedupe_pits(refined: np.ndarray, s_ref: np.ndarray, known: list, radius: fl
 
     Vectorized: pits are unit vectors, so proximity is an inner-product
     threshold.  Returns at most the distinct representatives, deepest
-    (smallest sigma4) first.
+    (smallest score) first.
     """
     mask = np.isfinite(s_ref) & (s_ref < 1e-1)
     if not np.any(mask):
@@ -457,58 +437,42 @@ def _certify_on_curve(pencil: Pencil, t):
         t = canonical_projective(t)
     except ValueError:
         return None
-    m = pencil_matrix(pencil, t)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0 or s[2] <= RANK_TOL * s[0]:
+    _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
+    if s[0] == 0.0 or s[2] <= RANK_TOL * s[0] or s[3] > ON_CURVE_TOL * s[0]:
         return None
-    if s[3] > ON_CURVE_TOL * s[0]:
-        return None
-    try:
-        v = kernel_vector(pencil, t)
-    except RankDeficientPencil:
-        return None
-    return t, v
+    return t, canonical_projective(np.conj(vh[-1]))
 
 
-def _certify(pencil: Pencil, t, tol: float, gap_tol: float = 1e-6):
+def _certify(pencil: Pencil, t):
     """Re-derive every acceptance quantity at ``t`` and certify or reject."""
     on_curve = _certify_on_curve(pencil, t)
     if on_curve is None:
         return None
     t, v = on_curve
-    if curve_residual(pencil, v) > tol:
+    if curve_residual(pencil, v) > CERT_TOL:
         return None
 
-    h, sigma4 = section_residual(pencil, v)
-    seven = _seven_columns(pencil, v)
-    wcols = seven[:, :3]
-    sw = np.linalg.svd(wcols, compute_uv=False)
-    if sw[1] <= tol * sw[0] or sw[2] > tol * sw[0]:
+    seven = _seven_columns(pencil, v[None, :])[0]
+    sw = np.linalg.svd(seven[:, :3], compute_uv=False)
+    if sw[1] <= CERT_TOL * sw[0] or sw[2] > CERT_TOL * sw[0]:
         return None  # span(v, Av, A*v) is not 2-dimensional
+    h, sigma4 = _span_residuals(seven)
 
     sa = np.linalg.svd(seven[:, [0, 1, 2, 3, 4]], compute_uv=False)
     sb = np.linalg.svd(seven[:, [0, 1, 2, 6, 5]], compute_uv=False)
-    shortcut_a = sa[2] <= tol * sa[0]
-    shortcut_b = sb[2] <= tol * sb[0]
-    dims_ok = (shortcut_a or sa[3] <= tol * sa[0]) and (shortcut_b or sb[3] <= tol * sb[0])
-    accepted = bool(sigma4 <= tol and dims_ok)
-    if not accepted:
+    shortcut_a = sa[2] <= CERT_TOL * sa[0]
+    shortcut_b = sb[2] <= CERT_TOL * sb[0]
+    dims_ok = (shortcut_a or sa[3] <= CERT_TOL * sa[0]) and (shortcut_b or sb[3] <= CERT_TOL * sb[0])
+    if not (sigma4 <= CERT_TOL and dims_ok):
         return None
 
     base = canonical_projective(t[1:]) if np.linalg.norm(t[1:]) > 1e-14 else None
     near_branch = False
     sheet = 0
     if base is not None:
-        n = base[0] * pencil.a + base[1] * pencil.astar
-        lam = np.linalg.eigvals(n)
-        lam = lam[np.lexsort((lam.imag, lam.real))]
-        # t is proportional to [-lam, base]; recover the factor from the
-        # larger base coordinate and match -t0 to its sheet
-        kappa = t[1] / base[0] if abs(base[0]) >= abs(base[1]) else t[2] / base[1]
-        target = -t[0] / kappa
-        sheet = int(np.argmin(np.abs(lam - target)))
-        gap = min(abs(lam[sheet] - lam[j]) for j in range(4) if j != sheet)
-        near_branch = bool(gap < gap_tol * max(float(np.linalg.norm(n)), 1e-300))
+        fiber_t, fiber_near = _fiber_curve_points(pencil, base[None, :])
+        sheet = int(np.argmax(np.abs(fiber_t @ np.conj(t))))
+        near_branch = bool(fiber_near[sheet])
     point = PencilPoint(t=t, v=v, sheet=sheet, base=base, near_branch=near_branch)
     return SectionCandidate(
         point=point,
@@ -527,7 +491,7 @@ def _chart_setup(pencil: Pencil, t_seed: np.ndarray):
     return k, free, ts[free].copy(), gens[k], gens[free[0]], gens[free[1]]
 
 
-def _polish(pencil: Pencil, t_seed, second, opts: SectionOptions):
+def _polish(pencil: Pencil, t_seed, second):
     """Newton-polish a seed on (det curve, second equation) in a local chart.
 
     ``second(m0, w)`` must return ``(value_fn, row_fn, ok)`` where
@@ -581,7 +545,7 @@ def _polish(pencil: Pencil, t_seed, second, opts: SectionOptions):
         )
 
     try:
-        s_star, _ = newton_system(f, jac, s0, tol=opts.newton_tol, max_steps=opts.newton_steps)
+        s_star, _ = newton_system(f, jac, s0, tol=NEWTON_TOL, max_steps=NEWTON_STEPS)
     except (ConvergenceFailure, SingularJacobian):
         return None
     if np.max(np.abs(s_star)) > 6.0:
@@ -647,13 +611,12 @@ def _distinguished_seeds(pencil: Pencil):
 class _Dedupe:
     """Accepted-candidate store with projective deduplication on t."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.items: list[SectionCandidate] = []
 
     def add(self, cand: SectionCandidate) -> bool:
         for i, other in enumerate(self.items):
-            if projective_distance(cand.point.t, other.point.t) < self.tol:
+            if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
                 if cand.sigma4 < other.sigma4:
                     self.items[i] = cand
                 return False
@@ -667,35 +630,28 @@ class _Dedupe:
         )
 
 
-def _seed_order(table, max_seeds: int, extra: list[int] | None = None, spacing: float = 0.02, score=None):
+def _seed_order(score: np.ndarray, bases: np.ndarray, max_seeds: int, extra: list[int] | None = None):
     """Flattened fiber points ordered for polishing, in coverage tiers.
 
     The first tier picks the best-scoring seed per coarse spatial region
     (spacing 0.3 in projective distance on the base), then finer tiers at
-    0.1 and ``spacing`` fill in, so spatial coverage comes before greed.
+    0.1 and 0.02 fill in, so spatial coverage comes before greed.
     ``extra`` indices (e.g. ring-local minima) are appended afterwards.
-    The default score is the certified rank gap sigma4; the degree
-    experiments pass their own.
     """
-    if score is None:
-        score = table["sigma4"]
-    score = np.where(table["rank_bad"] | table["near_branch"], np.inf, score)
-    flat = score.reshape(-1)
-    order = np.argsort(flat)
-    order = order[np.isfinite(flat[order])]
-    tflat = table["t"].reshape(-1, 3)
-    bases = np.repeat(table["base"], 4, axis=0)
+    order = np.argsort(score)
+    order = order[np.isfinite(score[order])]
+    bases = np.repeat(bases, 4, axis=0)
 
     chosen: list[int] = []
-    taken = np.zeros(flat.size, dtype=bool)
-    for tier_spacing in (0.3, 0.1, spacing):
+    taken = np.zeros(score.size, dtype=bool)
+    for tier_spacing in (0.3, 0.1, 0.02):
         # unit base vectors: distance < s  <=>  |<b1, b2>|^2 > 1 - s^2
         thresh = 1.0 - tier_spacing**2
         if chosen:
             ip = np.abs(bases @ np.conj(bases[chosen]).T) ** 2
             blocked = (ip > thresh).any(axis=1)
         else:
-            blocked = np.zeros(flat.size, dtype=bool)
+            blocked = np.zeros(score.size, dtype=bool)
         for idx in order:
             if len(chosen) >= max_seeds:
                 break
@@ -707,179 +663,129 @@ def _seed_order(table, max_seeds: int, extra: list[int] | None = None, spacing: 
         if len(chosen) >= max_seeds:
             break
     for idx in extra or []:
-        if np.isfinite(flat[idx]) and not taken[idx]:
+        if np.isfinite(score[idx]) and not taken[idx]:
             chosen.append(int(idx))
             taken[idx] = True
-    return chosen, tflat
+    return chosen
 
 
-def _ring_minima(table, n_rings: int, n_angles: int, tol: float, score=None):
+def _ring_minima(score: np.ndarray, n_rings: int):
     """Per-ring, per-sheet local minima of the score (flattened indices).
 
     Rings are closed circles, so the comparison wraps around.  Only the
-    first ``n_rings * n_angles`` rows of the table are ring samples.
+    first ``n_rings`` rings of base points of the sweep are ring samples.
     """
-    if score is None:
-        score = table["sigma4"]
-    count = n_rings * n_angles
-    score = np.where(
-        table["rank_bad"][:count] | table["near_branch"][:count],
-        np.inf,
-        score[:count],
-    ).reshape(n_rings, n_angles, 4)
+    score = score[: 4 * n_rings * _RING_ANGLES].reshape(n_rings, _RING_ANGLES, 4)
     left = np.roll(score, 1, axis=1)
     right = np.roll(score, -1, axis=1)
     mask = (score < left) & (score < right) & np.isfinite(score) & (score < 1e-1)
     rows, angs, sheets = np.nonzero(mask)
-    return [int((r * n_angles + a) * 4 + s) for r, a, s in zip(rows, angs, sheets)]
+    return [int((r * _RING_ANGLES + a) * 4 + s) for r, a, s in zip(rows, angs, sheets)]
 
 
-def section_zeros(pencil: Pencil, opts: SectionOptions | None = None):
-    """All certified flag points of the pencil, sorted by their sigma4.
+@dataclass(frozen=True)
+class _Objective:
+    """What a curve search hunts, as data, so one skeleton serves every hunt.
 
-    Sweeps the base line (structured rings plus uniform random points,
-    ``opts.samples`` in total), evaluates the residual pair on every
-    sheet, Newton-polishes the most promising seeds on the pair
-    (det curve, span determinant) in a local chart, and keeps only
-    candidates that pass the full certification: on-curve, dependence
-    residual, 2-dimensional span, rank-3 closures, and ``sigma4`` below
-    ``opts.tol``.  Zeros are deduplicated at projective distance
-    ``opts.dedupe_tol``.
-
-    A point whose forward closure is only 2-dimensional short-circuits
-    the search when ``opts.stop_on_shortcut`` is set: such a point
-    already produces a flag without any zero-finding.
-
-    For matrices inside the generic regime the result has at most 12
-    entries.  Near-degenerate inputs can certify a near-continuum of
-    points; the search cuts off at ``opts.max_zeros`` accepted zeros to
-    stay bounded there.
-
-    Raises
-    ------
-    NoSectionZero
-        When no candidate passes certification; degenerate inputs land
-        here and the caller escalates to the perturbation path.
+    ``score(v, s)`` rates kernel vectors (k, 4), given the pencil's
+    singular values there (k, 4): lower is closer to a zero, and ``inf``
+    marks an unusable point.  ``second`` is the second Newton equation
+    (see :func:`_polish`), ``certify(t)`` returns a
+    :class:`SectionCandidate` or None, and ``seeds`` are start points
+    tried before the sweep.  ``shortcut(v, s)``, when given, masks the
+    sweep points to certify at once under ``stop_on_shortcut``; it is
+    apart from the score so that the descent does not pay for it.
     """
-    if opts is None:
-        opts = SectionOptions()
+
+    score: Callable
+    second: Callable
+    certify: Callable
+    seeds: list = field(default_factory=list)
+    shortcut: Callable | None = None
+
+
+def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list:
+    """The certified zeros of an objective on the curve, best first.
+
+    Tries the objective's seeds, then sweeps the base line (rings plus
+    uniform random bases) and orders the fiber points in coverage tiers.
+    With ``opts.stop_after_first`` it polishes them in that order and
+    stops at the first certified zero.  Otherwise it descends every seed
+    to its score pit and polishes distinct pits deepest first, until
+    ``opts.stagnation`` runs in a row bring nothing new.  Random restarts
+    follow the sweep, and the exhaustive search ends with a cluster pass
+    that rings every accepted zero, since zeros come in clusters whose
+    Newton basins are smaller than any affordable global grid.
+    """
     rng = np.random.default_rng(opts.seed)
-    store = _Dedupe(opts.dedupe_tol)
-    second = _section_second(pencil)
-    polish_budget = 0
+    store = _Dedupe()
 
-    def try_candidate(t):
-        """Certify t; returns (candidate or None, newly-added flag)."""
-        cand = _certify(pencil, t, opts.tol, opts.gap_tol)
-        if cand is None:
-            return None, False
-        return cand, store.add(cand)
+    def certify(t):
+        """(candidate or None, whether it is a new zero)."""
+        cand = objective.certify(t)
+        return cand, cand is not None and store.add(cand)
 
-    # eigenvector-derived points: exact members of the curve, and the only
-    # reliable entry for nilpotent/near-decomposable structure
-    for t_seed in _distinguished_seeds(pencil):
-        cand, _ = try_candidate(t_seed)
-        if cand is not None and cand.shortcut and opts.stop_on_shortcut:
-            return store.sorted()
-        if cand is not None and opts.stop_after_first:
-            return store.sorted()
+    def polish(t):
+        t_pol = _polish(pencil, t, objective.second)
+        return certify(t_pol) if t_pol is not None else (None, False)
 
-    n_struct = opts.samples // 2
-    n_angles = 60
-    n_rings = max(1, n_struct // n_angles)
-    ring = _ring_bases(n_rings, n_angles)
-    rand = _random_bases(max(0, opts.samples - ring.shape[0]), rng)
-    bases = np.vstack([ring, rand])
+    def polish_seeds(seed_ts):
+        """Polish from the seeds; True when the search is done.
 
-    chunk = opts.chunk if opts.stop_after_first else bases.shape[0]
-    for lo in range(0, bases.shape[0], chunk):
-        table = _fiber_table(pencil, bases[lo : lo + chunk], opts.gap_tol)
-
-        # forward-closure shortcut: certify immediately, no Newton required
-        short_mask = (~table["rank_bad"]) & (
-            (table["short_a"] <= opts.tol) | (table["short_b"] <= opts.tol)
-        )
-        if opts.stop_on_shortcut and np.any(short_mask):
-            for idx in np.flatnonzero(short_mask.reshape(-1)):
-                cand, _ = try_candidate(table["t"].reshape(-1, 3)[idx])
-                if cand is not None and cand.shortcut:
-                    return store.sorted()
-
-        extra = None
-        if lo == 0 and not opts.stop_after_first:
-            extra = _ring_minima(table, n_rings, n_angles, opts.tol)
-        seeds, tflat = _seed_order(table, opts.max_seeds, extra)
-
+        The quick search polishes the seeds in order and is done at its
+        first zero; the exhaustive one polishes the distinct pits below
+        the seeds, deepest first, and is done at ``opts.max_zeros``.
+        """
         if opts.stop_after_first:
-            for idx in seeds:
-                polish_budget += 1
-                t_pol = _polish(pencil, tflat[idx], second, opts)
-                cand, _ = try_candidate(t_pol) if t_pol is not None else (None, False)
-                if cand is not None:
-                    return store.sorted()
-            continue
-
-        # exhaustive mode: refine every seed toward its local sigma4 pit
-        # (batched), keep one representative per pit, and polish pits in
-        # order of depth; genuine zeros refine much deeper than the
-        # spurious shallow minima, so they surface first
-        seed_ts = np.array([tflat[i] for i in seeds]).reshape(-1, 3)
-        refined, s_ref = _refine_seeds(pencil, seed_ts)
-        targets = _dedupe_pits(refined, s_ref, [z.point.t for z in store.items])
-        # adaptive cutoff: stop polishing once a run of pits brings
-        # nothing new, so the budget concentrates where zeros still hide
+            return any(polish(t_seed)[0] is not None for t_seed in seed_ts)
+        refined, s_ref = _refine_seeds(pencil, seed_ts, objective.score)
         stagnant = 0
-        for tcur in targets:
+        for tcur in _dedupe_pits(refined, s_ref, [z.point.t for z in store.items]):
             if len(store.items) >= opts.max_zeros:
-                return store.sorted()
+                return True
             if any(projective_distance(tcur, z.point.t) < 2e-3 for z in store.items):
                 continue
-            polish_budget += 1
-            t_pol = _polish(pencil, tcur, second, opts)
-            _, is_new = try_candidate(t_pol) if t_pol is not None else (None, False)
-            if is_new:
+            if polish(tcur)[1]:
                 stagnant = 0
             else:
                 stagnant += 1
                 if stagnant >= opts.stagnation and store.items:
                     break
+        return False
 
-    # random restarts: cover zeros hiding near branch points or in
-    # regions the structured sweep left unexplored
+    for t_seed in objective.seeds:
+        cand, _ = certify(t_seed)
+        if cand is not None and (opts.stop_after_first or (cand.shortcut and opts.stop_on_shortcut)):
+            return store.sorted()
+
+    bases, n_rings = _sweep_bases(opts.samples, rng)
+    chunk = QUICK_CHUNK if opts.stop_after_first else bases.shape[0]
+    for lo in range(0, bases.shape[0], chunk):
+        part = bases[lo : lo + chunk]
+        t, v, s, near_branch = _fibers(pencil, part)
+        score = objective.score(v, s)
+        if opts.stop_on_shortcut and objective.shortcut is not None:
+            for idx in np.flatnonzero(objective.shortcut(v, s)):
+                cand, _ = certify(t[idx])
+                if cand is not None and cand.shortcut:
+                    return store.sorted()
+        score = np.where(near_branch, np.inf, score)
+        extra = _ring_minima(score, n_rings) if lo == 0 and not opts.stop_after_first else None
+        if polish_seeds(t[_seed_order(score, part, opts.max_seeds, extra)]):
+            return store.sorted()
+
     if opts.restarts > 0 and not (opts.stop_after_first and store.items):
-        extra = _random_bases(opts.restarts, rng)
-        table = _fiber_table(pencil, extra, opts.gap_tol)
-        score = np.where(table["rank_bad"], np.inf, table["sigma4"])
-        tflat = table["t"].reshape(-1, 3)
-        picks = []
-        for row in range(score.shape[0]):
-            for idx in np.argsort(score[row])[:2]:
-                if np.isfinite(score[row, idx]):
-                    picks.append(tflat[row * 4 + idx])
-        if picks and opts.stop_after_first:
-            for tcur in picks:
-                polish_budget += 1
-                t_pol = _polish(pencil, tcur, second, opts)
-                if t_pol is None:
-                    continue
-                cand, _ = try_candidate(t_pol)
-                if cand is not None:
-                    return store.sorted()
-        elif picks:
-            refined, s_ref = _refine_seeds(pencil, np.asarray(picks))
-            for tcur in _dedupe_pits(refined, s_ref, [z.point.t for z in store.items]):
-                if len(store.items) >= opts.max_zeros:
-                    return store.sorted()
-                polish_budget += 1
-                t_pol = _polish(pencil, tcur, second, opts)
-                if t_pol is not None:
-                    try_candidate(t_pol)
+        t, v, s, _ = _fibers(pencil, _random_bases(opts.restarts, rng))
+        score = objective.score(v, s).reshape(-1, 4)
+        picks = [
+            t[4 * row + k]
+            for row in range(score.shape[0])
+            for k in np.argsort(score[row])[:2]
+            if np.isfinite(score[row, k])
+        ]
+        if picks and polish_seeds(np.asarray(picks)):
+            return store.sorted()
 
-    # cluster pass: zeros frequently come in tight clusters (pairs and
-    # quadruples ~0.05-0.1 apart in projective distance) whose Newton
-    # basins are smaller than any affordable global grid.  Ring every
-    # accepted zero with chart-coordinate perturbations and re-run Newton;
-    # new finds get ringed in turn.
     if not opts.stop_after_first and store.items and len(store.items) < opts.max_zeros:
         frontier = list(store.items)
         for _ in range(3):
@@ -898,20 +804,55 @@ def section_zeros(pencil: Pencil, opts: SectionOptions | None = None):
                         d[free[0]] = radius * phase
                         d[free[1]] = radius * np.conj(phase) * (1j) ** j
                         t_start = ts + d
-                        polish_budget += 1
-                        t_pol = _polish(pencil, t_start / np.linalg.norm(t_start), second, opts)
-                        if t_pol is None:
-                            continue
-                        got, is_new = try_candidate(t_pol)
+                        got, is_new = polish(t_start / np.linalg.norm(t_start))
                         if is_new:
                             new_items.append(got)
             if not new_items or len(store.items) >= opts.max_zeros:
                 break
             frontier = new_items
-
-    if not store.items:
-        raise NoSectionZero(
-            f"no certified zero after sweeping {bases.shape[0]} base points "
-            f"and {polish_budget} polish runs (tol={opts.tol:.1e})"
-        )
     return store.sorted()
+
+
+def section_zeros(pencil: Pencil, opts: SectionOptions | None = None):
+    """All certified flag points of the pencil, sorted by their sigma4.
+
+    Runs the curve search on the pair (det curve, span determinant):
+    sweeps the base line (``opts.samples`` base points), scores every
+    sheet by ``sigma4``, Newton-polishes the most promising seeds in a
+    local chart, and keeps only candidates that pass the full
+    certification: on-curve, dependence residual, 2-dimensional span,
+    rank-3 closures, and ``sigma4`` below ``CERT_TOL``.  Zeros are
+    deduplicated at projective distance ``DEDUPE_TOL``.  Eigenvector
+    points of A and A* are tried before the sweep.
+
+    A point whose forward closure is only 2-dimensional short-circuits
+    the search when ``opts.stop_on_shortcut`` is set: such a point
+    already produces a flag without any zero-finding.
+
+    For matrices inside the generic regime the result has at most 12
+    entries.  Near-degenerate inputs can certify a near-continuum of
+    points; the search cuts off at ``opts.max_zeros`` accepted zeros to
+    stay bounded there.
+
+    Raises
+    ------
+    NoSectionZero
+        When no candidate passes certification; degenerate inputs land
+        here and the caller escalates to the perturbation path.
+    """
+    if opts is None:
+        opts = SectionOptions()
+    objective = _Objective(
+        score=partial(_section_score, pencil),
+        second=_section_second(pencil),
+        certify=partial(_certify, pencil),
+        seeds=_distinguished_seeds(pencil),
+        shortcut=partial(_closure_shortcuts, pencil),
+    )
+    zeros = _search(pencil, objective, opts)
+    if not zeros:
+        raise NoSectionZero(
+            f"no certified zero after sweeping {opts.samples} base points and "
+            f"{opts.restarts} restarts (tol={CERT_TOL:.1e})"
+        )
+    return zeros

@@ -213,13 +213,6 @@ def bivariate_degrees(c: np.ndarray):
     return int(rows[-1]), int(cols[-1])
 
 
-def bivariate_eval(c: np.ndarray, x, y):
-    c = np.asarray(c, dtype=complex)
-    xp = x ** np.arange(c.shape[0])
-    yp = y ** np.arange(c.shape[1])
-    return xp @ c @ yp
-
-
 def _x_coeff_polys(c: np.ndarray, deg_x: int, deg_y: int):
     """Rows of the coefficient array as polynomials in y, ascending in x."""
     return [trim(c[i, : deg_y + 1]) for i in range(deg_x + 1)]

@@ -24,10 +24,13 @@ from .errors import (
 )
 from .genericity import common_eigenvectors
 from .pencil import (
+    NEWTON_STEPS,
+    NEWTON_TOL,
     Pencil,
     SectionCandidate,
     SectionOptions,
     _certify,
+    _chart_setup,
     _distinguished_seeds,
     _polish,
     _section_second,
@@ -54,8 +57,6 @@ class Flag:
 class Options:
     tol: float = 1e-8
     seed: int = 42
-    sweep_samples: int = 720
-    max_restarts: int = 16
     force_path: str | None = None  # None | 'section' | 'perturb'
     ladder: tuple = (1e-4, 1e-6, 1e-8)
     allow_perturbation: bool = True
@@ -91,11 +92,6 @@ def _off_max(t: np.ndarray) -> float:
         return 0.0
     mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
     return float(np.max(np.abs(t[mask])))
-
-
-def off_tridiagonal_residual(t, scale: float) -> float:
-    """Largest |T_ij| with |i-j| >= 2, relative to ``scale``."""
-    return _off_max(np.asarray(t, dtype=complex)) / max(scale, 1e-300)
 
 
 def flag_residuals(a, basis):
@@ -137,7 +133,7 @@ def _completion(cols: np.ndarray) -> np.ndarray:
 
 
 def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None) -> TridiagResult:
-    a = linalg.as_matrix(a)
+    """The result for a flag basis, with both residuals measured from its unitary."""
     flag = Flag(basis=basis, provenance=provenance)
     u = flag_to_unitary(flag)
     t = u @ a @ np.conj(u).T
@@ -152,22 +148,6 @@ def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None) -> Tr
         flag=flag,
         seed=seed,
         candidate=candidate,
-    )
-
-
-def _trivial_result(a, seed) -> TridiagResult:
-    a = linalg.as_matrix(a)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    flag = Flag(basis=eye.copy(), provenance="trivial")
-    return TridiagResult(
-        u=eye.copy(),
-        t=a.copy(),
-        off_residual=0.0,
-        unitarity_residual=0.0,
-        provenance="trivial",
-        flag=flag,
-        seed=seed,
     )
 
 
@@ -285,7 +265,7 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) ->
         raise ValueError("tridiagonalize3 expects a 3x3 matrix")
     scale = linalg.matrix_norm(a)
     if _off_max(a) == 0.0:
-        return _trivial_result(a, seed)
+        return _result_from_flag(a, np.eye(3, dtype=complex), "trivial", seed)
     astar = linalg.adjoint(a)
     rng = np.random.default_rng([seed, 3])
 
@@ -356,18 +336,7 @@ def deflate_common_eigenvector(a, v, tol: float = 1e-8, seed: int = 42) -> Tridi
     u = np.block(
         [[np.ones((1, 1), dtype=complex), np.zeros((1, 3))], [np.zeros((3, 1)), sub.u]]
     ) @ np.conj(q).T
-    t = u @ a @ np.conj(u).T
-    scale = max(linalg.matrix_norm(a), 1e-300)
-    flag = Flag(basis=np.conj(u).T.copy(), provenance="common_eigenvector_deflation")
-    return TridiagResult(
-        u=u,
-        t=t,
-        off_residual=_off_max(t) / scale,
-        unitarity_residual=float(np.linalg.norm(u @ np.conj(u).T - np.eye(4), 2)),
-        provenance="common_eigenvector_deflation",
-        flag=flag,
-        seed=seed,
-    )
+    return _result_from_flag(a, np.conj(u).T, "common_eigenvector_deflation", seed)
 
 
 def _section_path(a, opts: Options) -> TridiagResult:
@@ -379,8 +348,7 @@ def _section_path(a, opts: Options) -> TridiagResult:
     passes = (False, True) if opts.escalate else (False,)
     for exhaustive in passes:
         sopts = SectionOptions(
-            samples=opts.sweep_samples if not exhaustive else max(opts.sweep_samples, 1440),
-            restarts=opts.max_restarts,
+            samples=720 if not exhaustive else 1440,
             seed=opts.seed,
             stop_after_first=not exhaustive,
             max_seeds=900 if not exhaustive else 200,
@@ -402,10 +370,8 @@ def _section_path(a, opts: Options) -> TridiagResult:
     raise NoSectionZero(f"no candidate met the final residual gate ({last_exc})")
 
 
-def _polish_curve_only(pencil: Pencil, t_seed, opts: SectionOptions):
+def _polish_curve_only(pencil: Pencil, t_seed):
     """1-D Newton back onto the determinant curve, largest-slope chart axis."""
-    from .pencil import _chart_setup
-
     t_seed = np.asarray(t_seed, dtype=complex)
     k, free, s0, pk, pa, pb = _chart_setup(pencil, t_seed)
     m0 = pk + s0[0] * pa + s0[1] * pb
@@ -434,9 +400,7 @@ def _polish_curve_only(pencil: Pencil, t_seed, opts: SectionOptions):
         return np.array([[np.trace(adj @ gens[move]) / g_scale]])
 
     try:
-        s_star, _ = newton_system(
-            f, jac, np.array([s0[move]]), tol=opts.newton_tol, max_steps=opts.newton_steps
-        )
+        s_star, _ = newton_system(f, jac, np.array([s0[move]]), tol=NEWTON_TOL, max_steps=NEWTON_STEPS)
     except (ConvergenceFailure, SingularJacobian):
         return None
     t = np.empty(3, dtype=complex)
@@ -505,7 +469,6 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     g = g / linalg.matrix_norm(g) * scale
 
     pencil = Pencil(a)
-    sopts = SectionOptions(samples=opts.sweep_samples, restarts=opts.max_restarts, seed=opts.seed)
     second = _section_second(pencil)
     astar = linalg.adjoint(a)
     best: TridiagResult | None = None
@@ -538,9 +501,9 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
 
         if sub.candidate is not None:
             t_seed = sub.candidate.point.t
-            t_pol = _polish(pencil, t_seed, second, sopts)
+            t_pol = _polish(pencil, t_seed, second)
             if t_pol is not None:
-                cand = _certify(pencil, t_pol, sopts.tol, sopts.gap_tol)
+                cand = _certify(pencil, t_pol)
                 if cand is not None:
                     try:
                         flag = build_flag(a, cand)
@@ -552,7 +515,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
                             return out
                     except FlagDegenerate:
                         pass
-            t_pol = _polish_curve_only(pencil, t_seed, sopts)
+            t_pol = _polish_curve_only(pencil, t_seed)
             if t_pol is not None:
                 try:
                     v = kernel_vector(pencil, t_pol)
@@ -568,7 +531,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
             for t_dist in _distinguished_seeds(pencil):
                 if projective_distance(t_dist, t_seed) > 0.15:
                     continue
-                cand = _certify(pencil, t_dist, sopts.tol, sopts.gap_tol)
+                cand = _certify(pencil, t_dist)
                 if cand is None:
                     continue
                 try:
@@ -591,18 +554,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
                     return out
 
         # last resort on this rung: the perturbed unitary as-is
-        t_mat = sub.u @ a @ np.conj(sub.u).T
-        raw = TridiagResult(
-            u=sub.u,
-            t=t_mat,
-            off_residual=_off_max(t_mat) / scale,
-            unitarity_residual=sub.unitarity_residual,
-            provenance="perturbed",
-            perturbation_used=eps,
-            flag=Flag(basis=np.conj(sub.u).T.copy(), provenance="perturbed"),
-            seed=opts.seed,
-        )
-        out = gate(raw, eps)
+        out = gate(_result_from_flag(a, np.conj(sub.u).T, "perturbed", opts.seed, eps), eps)
         if out is not None:
             return out
 
@@ -630,10 +582,8 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     if n > 4:
         raise ValueError("no algorithm exists for n >= 5; this solver stops at 4")
 
-    if n <= 2:
-        return _trivial_result(a, opts.seed)
-    if opts.force_path is None and _off_max(a) == 0.0:
-        return _trivial_result(a, opts.seed)
+    if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
+        return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
     if n == 3:
         return tridiagonalize3(a, tol=opts.tol, seed=opts.seed)
 

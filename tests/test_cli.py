@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 
@@ -108,6 +109,39 @@ class TestTridiag:
         assert payload["result"]["off_residual"] <= 1e-8
         assert 1 <= len(payload["flags"]) <= 12
         assert payload["verify"]["spectrum_gap"] <= 1e-6
+
+    def test_all_flags_on_identity_reports_none(self, capsys, tmp_path):
+        # the identity's pencil drops below rank 3 all along its curve, so
+        # the flag-point search raises and the report lists no flags
+        validate = load_schema("report.schema.json")
+        entries = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 4, "entries": entries}))
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json", "--all-flags"])
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        assert payload["flags"] == []
+
+    def test_all_flags_propagates_unexpected_errors(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("search bug")
+
+        monkeypatch.setattr(cli, "section_zeros", broken)
+        _, out, _ = run_cli(capsys, ["gen", "--seed", "11"])
+        path = tmp_path / "m.json"
+        path.write_text(out)
+        with pytest.raises(RuntimeError, match="search bug"):
+            run_cli(capsys, ["tridiag", str(path), "--json", "--all-flags"])
+
+    def test_input_file_is_closed(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n3 4\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli._read_input(str(path), True)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_text_format(self, capsys, tmp_path):
         path = tmp_path / "m.txt"

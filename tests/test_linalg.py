@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tridiag4 import linalg
-from tridiag4.errors import DependentInput, RepeatedEigenvalueWarning
-from tridiag4.generate import jordan_block, random_unitary
+from tridiag4.errors import FlagDegenerate, RepeatedEigenvalueWarning
+from tridiag4.generate import jordan_block, make_matrix, random_unitary
+from tridiag4.polyroots import bareiss_det
+from tridiag4.tridiagonalize import _completion, _flag_basis_from_vector
 
 N4 = jordan_block(4)
 
@@ -95,18 +97,20 @@ class TestEigen:
 
 
 class TestRank:
+    # numerical rank decisions go through linalg.nullspace: rank = cols - dim ker
+
     def test_zero_matrix(self):
-        rank, sv = linalg.rank_svd(np.zeros((4, 4)))
-        assert rank == 0
-        assert np.all(sv == 0)
+        null = linalg.nullspace(np.zeros((4, 4)))
+        assert null.shape == (4, 4)
+        assert np.allclose(np.conj(null).T @ null, np.eye(4), atol=1e-14)
 
     def test_rank_two_columns(self):
         e1 = np.array([1.0, 0, 0, 0])
         e2 = np.array([0, 1.0, 0, 0])
         m = np.column_stack([e1, e2, e1 + e2])
-        rank, sv = linalg.rank_svd(m)
-        assert rank == 2
-        assert np.all(np.diff(sv) <= 1e-15)
+        null = linalg.nullspace(m)
+        assert null.shape == (3, 1)
+        assert np.linalg.norm(m @ null) < 1e-14
 
     def test_curve_point_has_rank_two_span(self):
         # cross-check: the minors of [v, Av, A*v] vanish exactly when its
@@ -118,71 +122,72 @@ class TestRank:
         p = Pencil(a)
         pt = fiber_points(p, [1.0, 0.7 - 0.2j])[0]
         m = np.column_stack([pt.v, a @ pt.v, linalg.adjoint(a) @ pt.v])
-        rank, _ = linalg.rank_svd(m, tol=1e-8)
-        assert rank == 2
-        cols = [m[:, [j for j in range(3)]] for j in range(4)]
+        assert np.linalg.matrix_rank(m, rtol=1e-8) == 2
         minors = [np.linalg.det(m[[i for i in range(4) if i != k], :]) for k in range(4)]
         assert max(abs(x) for x in minors) < 1e-10
 
     @given(complex_matrices(4))
     @settings(max_examples=25, deadline=None)
     def test_rank_equals_adjoint_rank(self, m):
-        r1, _ = linalg.rank_svd(m)
-        r2, _ = linalg.rank_svd(linalg.adjoint(m))
-        assert r1 == r2
+        assert linalg.nullspace(m).shape[1] == linalg.nullspace(linalg.adjoint(m)).shape[1]
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
-            linalg.rank_svd(np.eye(2), tol=0.0)
+            linalg.nullspace(np.eye(2), tol=0.0)
 
 
 class TestOrthonormalize:
+    # orthonormalization happens in the flag construction: Gram-Schmidt on
+    # v, Av (or A*v), a second-order image, then the orthocomplement
+
     def test_scaled_basis(self):
-        out = linalg.orthonormalize([2 * np.eye(3)[0], 3 * np.eye(3)[1]])
-        assert np.allclose(out[0], [1, 0, 0])
-        assert np.allclose(out[1], [0, 1, 0])
+        # N4 e1 = 0 and N4* e_k = e_{k+1}: the flag of 2*e1 is the standard one
+        basis = _flag_basis_from_vector(N4, linalg.adjoint(N4), 2 * np.eye(4)[0])
+        assert np.allclose(basis[:, :3], np.eye(4)[:, :3], atol=1e-14)
+        assert abs(abs(basis[3, 3]) - 1.0) < 1e-14
 
     def test_two_dim_hand_computation(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        out = linalg.orthonormalize([e1 + e2, e2])
-        assert np.allclose(out[0], (e1 + e2) / np.sqrt(2))
-        # second vector is (e1 - e2)/sqrt(2) up to phase
-        assert abs(abs(np.vdot(out[1], (e1 - e2) / np.sqrt(2))) - 1.0) < 1e-12
+        out = _completion(((e1 + e2) / np.sqrt(2))[:, None])
+        assert out.shape == (2, 1)
+        # the orthocomplement is (e1 - e2)/sqrt(2) up to phase
+        assert abs(abs(np.vdot(out[:, 0], (e1 - e2) / np.sqrt(2))) - 1.0) < 1e-12
 
     def test_span_preserved_on_curve_vectors(self):
-        from tridiag4.generate import make_matrix
         from tridiag4.pencil import Pencil, fiber_points
 
         a = make_matrix("gaussian", 4, 13)
         pt = fiber_points(Pencil(a), [1.0, 0.4 + 0.1j])[1]
         v, av = pt.v, a @ pt.v
-        out = linalg.orthonormalize([v, av])
-        basis = np.column_stack(out)
+        basis = _flag_basis_from_vector(a, linalg.adjoint(a), v)[:, :2]
         for w in (v, av):
             recon = basis @ (np.conj(basis).T @ w)
             assert np.linalg.norm(recon - w) <= 1e-10 * np.linalg.norm(w)
 
     def test_gram_matrix_close_to_identity(self):
         rng = np.random.default_rng(3)
-        vecs = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(4)]
-        out = linalg.orthonormalize(vecs)
-        f = np.column_stack(out)
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        f = _flag_basis_from_vector(a, linalg.adjoint(a), v)
         assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 4 * 1e-10
 
     def test_dependent_input_raises(self):
-        v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(DependentInput):
-            linalg.orthonormalize([v, 2 * v])
+        # Av and A*v both depend on v: no second flag vector exists
+        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        with pytest.raises(FlagDegenerate):
+            _flag_basis_from_vector(a, linalg.adjoint(a), np.array([0, 2.0, 0, 0]))
 
 
 class TestDet:
+    # polyroots.bareiss_det is the determinant behind the resultant
+
     def test_identity(self):
-        assert abs(linalg.det(np.eye(4)) - 1.0) < 1e-14
+        assert abs(bareiss_det(np.eye(4)) - 1.0) < 1e-14
 
     def test_repeated_column(self):
         m = np.ones((3, 3))
-        assert abs(linalg.det(m)) < 1e-14
+        assert abs(bareiss_det(m)) < 1e-14
 
     def test_pencil_restriction_roots_match_eigenvalues(self):
         # det(t0*I + t1*N4 + t2*N4*) as a quartic in t0 has roots at the
@@ -193,7 +198,7 @@ class TestDet:
         base = t1 * N4 + t2 * linalg.adjoint(N4)
 
         coeffs = np.array(
-            [linalg.det(s * np.eye(4) + base) for s in range(5)], dtype=complex
+            [np.linalg.det(s * np.eye(4) + base) for s in range(5)], dtype=complex
         )
         # interpolate the monic quartic from 5 integer samples
         vander = np.vander(np.arange(5.0), 5, increasing=True).astype(complex)
@@ -212,8 +217,8 @@ class TestDet:
         for _ in range(5):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             u = random_unitary(4, rng)
-            assert abs(linalg.det(u @ m @ np.conj(u).T) - linalg.det(m)) <= 1e-10 * max(
-                1.0, abs(linalg.det(m))
+            assert abs(bareiss_det(u @ m @ np.conj(u).T) - bareiss_det(m)) <= 1e-10 * max(
+                1.0, abs(bareiss_det(m))
             )
 
 
@@ -247,13 +252,12 @@ class TestAdjugate:
         for n in (2, 3, 4):
             m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             adj = linalg.adjugate(m)
-            assert np.allclose(m @ adj, linalg.det(m) * np.eye(n), atol=1e-10)
+            assert np.allclose(m @ adj, np.linalg.det(m) * np.eye(n), atol=1e-10)
 
     def test_rank_one_at_singular_point(self):
         m = np.diag([1.0, 2.0, 3.0, 0.0])
         adj = linalg.adjugate(m)
-        rank, _ = linalg.rank_svd(adj)
-        assert rank == 1
+        assert np.linalg.matrix_rank(adj, rtol=1e-10) == 1
         # columns span the kernel of m
         assert np.allclose(m @ adj, 0, atol=1e-12)
 

@@ -10,12 +10,12 @@ from tridiag4.genericity import common_eigenvectors
 from tridiag4.pencil import Pencil, SectionOptions, section_zeros
 from tridiag4.tridiagonalize import (
     Flag,
+    _result_from_flag,
     Options,
     build_flag,
     deflate_common_eigenvector,
     flag_residuals,
     flag_to_unitary,
-    off_tridiagonal_residual,
     perturb_and_retry,
     tridiagonalize,
     tridiagonalize3,
@@ -256,7 +256,12 @@ class TestVerify:
 
 class TestOffResidual:
     def test_measures_relative_max_entry(self):
-        t = np.zeros((4, 4), dtype=complex)
-        t[3, 0] = 2e-5
-        assert off_tridiagonal_residual(t, 2.0) == pytest.approx(1e-5)
-        assert off_tridiagonal_residual(np.zeros((2, 2)), 1.0) == 0.0
+        # identity flag: T = A, so the residual is the largest entry off the
+        # tridiagonal band over ||A||
+        a = np.diag([2.0, 0, 0, 0]).astype(complex)
+        a[3, 0] = 2e-5
+        r = _result_from_flag(a, np.eye(4, dtype=complex), "section_zero", seed=0)
+        assert r.off_residual == pytest.approx(2e-5 / linalg.matrix_norm(a))
+        assert r.unitarity_residual == 0.0
+        r2 = _result_from_flag(np.ones((2, 2)), np.eye(2, dtype=complex), "trivial", seed=0)
+        assert r2.off_residual == 0.0
