@@ -12,7 +12,6 @@ bound of 12 on flag-producing points).
 
 from .errors import (
     ConvergenceFailure,
-    DegenerateResultant,
     FlagDegenerate,
     NoSectionZero,
     ParseError,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceFailure",
-    "DegenerateResultant",
     "FlagDegenerate",
     "NoSectionZero",
     "ParseError",

@@ -163,7 +163,7 @@ def _kernel_curve_zeros(pencil: Pencil, ell: np.ndarray, opts: SectionOptions):
         value = complex(np.dot(ell, v) / ell_norm)
         if curve_residual(pencil, v) > CERT_TOL or abs(value) > CERT_TOL:
             return None
-        return SectionCandidate(point=PencilPoint(t=t_c, v=v), span_det=value, sigma4=abs(value), accepted=True)
+        return SectionCandidate(point=PencilPoint(t=t_c, v=v), span_det=value, sigma4=abs(value))
 
     found = _search(pencil, _Objective(score, _hyperplane_second(ell), certify), opts)
     return [(c.point.t, c.point.v, _tangent_multiplicity(pencil, c.point.t, ell)) for c in found]

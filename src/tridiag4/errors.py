@@ -9,10 +9,6 @@ class ConvergenceFailure(SolverError):
     """An iteration did not reach its tolerance within the step budget."""
 
 
-class DegenerateResultant(SolverError):
-    """The resultant vanished identically: the two polynomials share a factor."""
-
-
 class SingularJacobian(SolverError):
     """Newton hit a (numerically) singular Jacobian."""
 

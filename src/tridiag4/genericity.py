@@ -3,22 +3,24 @@
 The direct path needs three open conditions: the matrix is nonsingular,
 its eigenvalues are distinct, and the pencil ``t0*I + t1*A + t2*A*``
 never drops to rank <= 2 for nonzero t.  The rank condition is decided
-by enumerating the finitely many candidate points where both the
-pencil determinant and the trace of its third exterior power vanish
-(rank <= 2 forces both), then certifying each candidate with an SVD.
+on the base line ``[t1 : t2]``: the candidate bases are the roots of one
+Krylov sextic and three fixed or closed-form bases (see
+:func:`check_pencil_rank`), and each candidate is certified with an SVD
+of the pencil.  The rank screen centres A by ``tr(A)/4`` and both it and
+the common eigenvector test divide by a spectral norm first, so
+:func:`classify` gives the same answer for ``c*A`` as for ``A``.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, polyroots
-from .errors import ConvergenceFailure, DegenerateResultant
-from .pencil import Pencil, _fibers, _refine_seeds, _sweep_bases, pencil_matrix
+from .errors import ConvergenceFailure
+from .pencil import Pencil, pencil_matrix
 
 RANK_CERT_TOL = 1e-8
 
@@ -69,152 +71,87 @@ def check_distinct_eigenvalues(a, tol: float = 1e-8) -> bool:
     return bool(min(gaps) > tol * scale) if gaps else True
 
 
-# ---------------------------------------------------------------------------
-# homogeneous forms of the pencil, expanded exactly by multilinearity
-
-
-def _det_form(pencil: Pencil) -> dict:
-    """Coefficients of det(t0 I + t1 A + t2 A*) as {(i,j,k): coeff}."""
-    gens = pencil.generators
-    mats = []
-    expos = []
-    for choice in itertools.product(range(3), repeat=4):
-        cols = [gens[c][:, j] for j, c in enumerate(choice)]
-        mats.append(np.column_stack(cols))
-        expos.append(tuple(choice.count(var) for var in range(3)))
-    dets = np.linalg.det(np.stack(mats))
-    form: dict = {}
-    for e, d in zip(expos, dets):
-        form[e] = form.get(e, 0j) + d
-    return form
-
-
-def _wedge3_trace_form(pencil: Pencil) -> dict:
-    """Coefficients of the sum of principal 3x3 minors of the pencil."""
-    gens = pencil.generators
-    form: dict = {}
-    for subset in itertools.combinations(range(4), 3):
-        idx = np.array(subset)
-        subgens = [g[np.ix_(idx, idx)] for g in gens]
-        mats = []
-        expos = []
-        for choice in itertools.product(range(3), repeat=3):
-            cols = [subgens[c][:, j] for j, c in enumerate(choice)]
-            mats.append(np.column_stack(cols))
-            expos.append(tuple(choice.count(var) for var in range(3)))
-        dets = np.linalg.det(np.stack(mats))
-        for e, d in zip(expos, dets):
-            form[e] = form.get(e, 0j) + d
-    return form
-
-
-def _chart_restrict(form: dict, chart: int) -> np.ndarray:
-    """Bivariate coefficient array of the form with t[chart] = 1."""
-    rest = [i for i in range(3) if i != chart]
-    degree = sum(next(iter(form)))
-    out = np.zeros((degree + 1, degree + 1), dtype=complex)
-    for expo, coeff in form.items():
-        out[expo[rest[0]], expo[rest[1]]] += coeff
-    return out
-
-
-def _univariate_in_x(c: np.ndarray, y: complex) -> np.ndarray:
-    yp = y ** np.arange(c.shape[1])
-    return polyroots.trim(c @ yp)
-
-
-def _chart_candidates(p: np.ndarray, q: np.ndarray, match_tol: float = 1e-6):
-    """Common zeros (x, y) of two chart polynomials via resultant elimination.
-
-    Eliminates x by the Sylvester resultant, roots the result in y, and
-    matches the x-roots of both polynomials over each y.  Degenerate
-    resultants (shared components) propagate to the caller.
-    """
-    res = polyroots.resultant(p, q, eliminate=0)
-    if res.size <= 1:
-        return []
-    out = []
-    scale_p = max(1.0, float(np.max(np.abs(p))))
-    scale_q = max(1.0, float(np.max(np.abs(q))))
-    for y_star, _ in polyroots.roots(res):
-        px = _univariate_in_x(p, y_star)
-        qx = _univariate_in_x(q, y_star)
-        px_zero = px.size == 1 and abs(px[0]) <= 1e-9 * scale_p
-        qx_zero = qx.size == 1 and abs(qx[0]) <= 1e-9 * scale_q
-        if px_zero and qx_zero:
-            continue  # shared line through y_star; certified elsewhere
-        if px_zero or qx_zero:
-            lone = qx if px_zero else px
-            if lone.size > 1:
-                out.extend((r, y_star) for r, _ in polyroots.roots(lone))
-            continue
-        if px.size <= 1 or qx.size <= 1:
-            continue
-        rq = [r for r, _ in polyroots.roots(qx)]
-        for xp, _ in polyroots.roots(px):
-            if any(abs(xp - xq) <= match_tol * (1.0 + abs(xp)) for xq in rq):
-                out.append((xp, y_star))
-    return out
-
-
-def _grid_fallback(pencil: Pencil, seed: int = 0):
-    """Heuristic minimum of sigma3/sigma1 over the determinant curve.
-
-    Used when the resultant route degenerates (the two forms share a
-    whole component, e.g. for normal matrices with repeated
-    eigenvalues).  Samples the curve through its base-line fibration,
-    the two coordinate axes included, and descends from the best sample
-    with the curve search's seed refinement.
-    """
-    floor = max(pencil.norm, 1.0)
-
-    def ratio(v, s):
-        r = s[:, 2] / np.maximum(s[:, 0], 1e-300 * floor)
-        return np.where(s[:, 0] <= 1e-14 * floor, 0.0, r)
-
-    bases, _ = _sweep_bases(1024, np.random.default_rng(seed))
-    t, v, s, _ = _fibers(pencil, np.vstack([bases, np.eye(2, dtype=complex)]))
-    best = int(np.argmin(ratio(v, s)))
-    t_best, r_best = _refine_seeds(pencil, t[best : best + 1], ratio, rounds=30, radius=0.3)
-    return float(r_best[0]), linalg.canonical_projective(t_best[0])
+def _refine_root(k: np.ndarray, mu: complex, mult: int) -> complex:
+    """Polish a ``mult``-fold root of ``k`` by Newton on ``k^(mult-1)``, where it is simple."""
+    d = k
+    for _ in range(mult - 1):
+        d = polyroots.polyder(d)
+    dd = polyroots.polyder(d)
+    for _ in range(4):
+        slope = complex(polyroots.polyval(dd, mu))
+        step = complex(polyroots.polyval(d, mu)) / slope if slope != 0 else 0j
+        if not np.isfinite(step):
+            break
+        mu -= step
+    return mu
 
 
 def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     """Decide whether the pencil keeps rank >= 3 away from t = 0.
 
+    Over a base point ``[t1 : t2]`` the pencil drops to rank <= 2 exactly
+    where ``N = t1*A + t2*A*`` is derogatory (an eigenvalue with two
+    independent eigenvectors), and a derogatory ``N`` has no cyclic
+    vector.  So for a random ``x`` every such base is a root of the
+    Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]`` with
+    ``N = A + mu*A*``, or the base ``[0 : 1]`` where its degree drops.
+    When ``K`` vanishes identically ``N`` is derogatory on the whole base
+    line, in particular at ``[1 : 1]``, where ``A + A*`` is Hermitian and
+    a repeated eigenvalue is semisimple.  Beside the roots of ``K``, the
+    candidates are always ``[0 : 1]``, ``[1 : 1]`` and the base
+    ``[z : -1]`` that minimizes ``||z*A - A*||``: a rank-0 point
+    (``A* = z*A`` once ``A`` is trace-free) sits there exactly, while the
+    computed 6-fold root of ``K`` can miss it by more than the ``1e-14``
+    floor of the certificate.
+
+    The rank of the pencil does not change under ``A -> A + c*I`` (only
+    t0 moves), so ``A`` is centred by ``tr(A)/4`` and divided by the
+    spectral norm of the rest first: the decision does not depend on the
+    scale of ``A``, and a near-scalar ``A`` keeps a well-resolved ``K``.
+
     Returns ``(ok, witness)``; on failure the witness is a projective
-    point where the pencil has rank <= 2 (certified by its singular
-    values, so there are no false witnesses).
+    point where the pencil has rank <= 2, certified by the singular
+    values there, so there are no false witnesses.
     """
-    pencil = Pencil(linalg.as_matrix(a))
-    det_form = _det_form(pencil)
-    trace_form = _wedge3_trace_form(pencil)
+    m = linalg.as_matrix(a)
+    shift = np.trace(m) / 4
+    m = m - shift * np.eye(4)
+    scale = linalg.matrix_norm(m) or 1.0
+    pencil = Pencil(m / scale)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x /= np.linalg.norm(x)
 
-    candidates: list[np.ndarray] = []
-    degenerate = False
-    for chart in range(3):
-        p = _chart_restrict(det_form, chart)
-        q = _chart_restrict(trace_form, chart)
+    def krylov_det(mu):
+        n = pencil.a + mu * pencil.astar
+        cols = [x]
+        for _ in range(3):
+            cols.append(n @ cols[-1])
+        return np.linalg.det(np.column_stack(cols))
+
+    k = polyroots.trim(polyroots.restrict_to_line(krylov_det, 0.0, 1.0, 6))
+    z = np.vdot(pencil.a, pencil.astar) / max(np.vdot(pencil.a, pencil.a).real, 1e-300)
+    bases = [np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([z, -1.0])]
+    if k.size > 1:
         try:
-            for pt in _chart_candidates(p, q):
-                t = np.ones(3, dtype=complex)
-                rest = [i for i in range(3) if i != chart]
-                t[rest[0]], t[rest[1]] = pt
-                candidates.append(linalg.canonical_projective(t))
-        except (DegenerateResultant, ConvergenceFailure):
-            degenerate = True
-            break
+            found = polyroots.roots(k)
+        except ConvergenceFailure:
+            found = []  # only the bases above are certified
+        for mu, mult in found:
+            mu = _refine_root(k, mu, mult)
+            if np.isfinite(mu):
+                bases.append(np.array([1.0, mu]))
 
-    if degenerate:
-        ratio, witness = _grid_fallback(pencil, seed)
-        if ratio <= tol:
-            return False, witness
-        return True, None
-
-    for t in candidates:
-        s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
-        if s[0] <= 1e-14 * max(pencil.norm, 1.0) or s[2] <= tol * s[0]:
-            return False, t
+    for b in bases:
+        b = b / np.linalg.norm(b)
+        for lam in np.linalg.eigvals(b[0] * pencil.a + b[1] * pencil.astar):
+            t = np.array([-lam, b[0], b[1]]) / np.linalg.norm([lam, 1.0])
+            s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
+            if s[0] <= 1e-14 or s[2] <= tol * s[0]:
+                # the same point on A, brought to max modulus 1 so that
+                # forming its norm neither overflows nor underflows
+                w = np.array([t[0] * scale - t[1] * shift - t[2] * np.conj(shift), t[1], t[2]])
+                return False, linalg.canonical_projective(w / np.max(np.abs(w)))
     return True, None
 
 
@@ -223,11 +160,12 @@ def common_eigenvectors(a, tol: float = 1e-8):
 
     Tests ``||A* v - mu v|| <= tol * ||A||`` with ``mu = v* A* v`` for
     every eigenvector v of A; duplicates (from repeated eigenvalues) are
-    removed projectively.
+    removed projectively.  ``A`` is divided by its spectral norm first,
+    so the answer does not depend on its scale.
     """
     m = linalg.as_matrix(a)
+    m = m / (linalg.matrix_norm(m) or 1.0)
     astar = linalg.adjoint(m)
-    scale = max(linalg.matrix_norm(m), 1e-300)
     found: list[np.ndarray] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -237,7 +175,7 @@ def common_eigenvectors(a, tol: float = 1e-8):
             return []
     for _, v in pairs:
         mu = np.vdot(v, astar @ v)
-        if np.linalg.norm(astar @ v - mu * v) <= tol * scale:
+        if np.linalg.norm(astar @ v - mu * v) <= tol:
             cv = linalg.canonical_projective(v)
             if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
                 found.append(cv)
@@ -261,7 +199,9 @@ def classify(a, tol_rank: float = 1e-10, tol_gap: float = 1e-8, seed: int = 0) -
         gaps = [abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4)]
         notes.append(f"repeated eigenvalues: min gap = {min(gaps):.2e}")
     if not s3 and witness is not None:
-        sv = np.linalg.svd(pencil_matrix(Pencil(m), witness), compute_uv=False)
+        # formed directly, since a Pencil of a huge A overflows its A^2
+        t0, t1, t2 = witness
+        sv = np.linalg.svd(t0 * np.eye(4) + t1 * m + t2 * linalg.adjoint(m), compute_uv=False)
         notes.append(
             f"pencil rank <= 2 at t = {np.round(witness, 6)} "
             f"(sigma3/sigma1 = {sv[2] / max(sv[0], 1e-300):.2e})"

@@ -13,9 +13,8 @@ Every search over the curve runs on one engine.  :func:`_fibers`
 evaluates the curve over a batch of base points ``[t1 : t2]``, and
 :func:`_search` sweeps the base line, descends to the pits of an
 objective, Newton-polishes them and certifies what it finds.
-:func:`section_zeros` hunts flag points with it, the degree experiments
-count hyperplane sections of the kernel curve with it, and the
-genericity screen's fallback samples and descends with the same pieces.
+:func:`section_zeros` hunts flag points with it, and the degree
+experiments count hyperplane sections of the kernel curve with it.
 """
 
 from __future__ import annotations
@@ -56,6 +55,11 @@ QUICK_CHUNK = 240
 
 _RING_ANGLES = 60
 
+#: Seed refinement: probe rings per seed, and the first ring's radius in
+#: the base coordinate (each ring shrinks by a factor 0.33).
+_REFINE_ROUNDS = 4
+_REFINE_RADIUS = 0.08
+
 
 @dataclass(frozen=True)
 class Pencil:
@@ -90,7 +94,8 @@ class PencilPoint:
     vector, ``base`` the image ``[t1 : t2]`` under the projection to the
     base line, ``sheet`` the index of this point within its fiber, and
     ``near_branch`` flags eigenvalue collisions that make sheet tracking
-    unreliable nearby.
+    unreliable nearby.  Only :func:`fiber_points` fills ``base``,
+    ``sheet`` and ``near_branch``; certified zeros leave the defaults.
     """
 
     t: np.ndarray
@@ -102,7 +107,7 @@ class PencilPoint:
 
 @dataclass
 class SectionCandidate:
-    """A certified (or rejected) zero candidate.
+    """A certified zero.
 
     ``span_det`` is the scale-normalized determinant of
     ``[v, Av, A^2 v, A*^2 v]`` (the holomorphic proxy that Newton
@@ -116,7 +121,6 @@ class SectionCandidate:
     point: PencilPoint
     span_det: complex
     sigma4: float
-    accepted: bool
     shortcut: bool = False
 
 
@@ -168,14 +172,15 @@ def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
     return canonical_projective(np.conj(vh[-1]))
 
 
-def _fiber_curve_points(pencil: Pencil, bases: np.ndarray):
-    """Unit curve points over a batch of base points, and ``near_branch``.
+def _fibers(pencil: Pencil, bases: np.ndarray):
+    """The curve over a batch of base points: the search engine's evaluator.
 
     Over a base ``[t1 : t2]`` the curve is cut out by ``-t0`` running
     through the eigenvalues of ``N = t1*A + t2*A*``, listed by (real,
-    imag) with multiplicity.  Row ``4*i + k`` is sheet ``k`` over base
-    ``i``; ``near_branch`` marks an eigenvalue within
-    ``GAP_TOL * ||N||`` of another one.
+    imag) with multiplicity.  Returns ``(t, v, s, near_branch)`` with row
+    ``4*i + k`` for sheet ``k`` over base ``i``: the unit point ``t``, the
+    kernel vector ``v`` and the singular values ``s`` of the pencil there,
+    and whether its eigenvalue is within ``GAP_TOL * ||N||`` of another.
     """
     t1 = bases[:, 0]
     t2 = bases[:, 1]
@@ -193,24 +198,14 @@ def _fiber_curve_points(pencil: Pencil, bases: np.ndarray):
     t[:, :, 1] = t1[:, None]
     t[:, :, 2] = t2[:, None]
     t /= np.linalg.norm(t, axis=2, keepdims=True)
-    return t.reshape(-1, 3), near_branch.reshape(-1)
-
-
-def _fibers(pencil: Pencil, bases: np.ndarray):
-    """The curve over a batch of base points: the search engine's evaluator.
-
-    Returns ``(t, v, s, near_branch)`` with one row per curve point, laid
-    out as in :func:`_fiber_curve_points`: the unit point ``t``, the
-    kernel vector ``v`` and the singular values ``s`` of the pencil there.
-    """
-    t, near_branch = _fiber_curve_points(pencil, bases)
+    t = t.reshape(-1, 3)
     pm = (
         t[:, 0, None, None] * np.eye(4, dtype=complex)
         + t[:, 1, None, None] * pencil.a
         + t[:, 2, None, None] * pencil.astar
     )
     _, s, vh = np.linalg.svd(pm)
-    return t, np.conj(vh[:, -1, :]), s, near_branch
+    return t, np.conj(vh[:, -1, :]), s, near_branch.reshape(-1)
 
 
 def fiber_points(pencil: Pencil, base):
@@ -350,7 +345,7 @@ def _random_bases(n: int, rng: np.random.Generator):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score, rounds: int = 4, radius: float = 0.08):
+def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score):
     """Batched local score descent on the curve before Newton.
 
     Zooms each seed's base coordinate toward the nearest score minimum
@@ -373,8 +368,8 @@ def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score, rounds: int = 4, r
 
     best_t = t_seeds.copy()
     best_s = np.full(k, np.inf)
-    r = radius
-    for _ in range(rounds):
+    r = _REFINE_RADIUS
+    for _ in range(_REFINE_ROUNDS):
         offs = np.concatenate([[0.0], r * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)])
         mus = mu[:, None] + offs[None, :]  # (k, 9)
         flat_mu = mus.reshape(-1)
@@ -466,19 +461,10 @@ def _certify(pencil: Pencil, t):
     if not (sigma4 <= CERT_TOL and dims_ok):
         return None
 
-    base = canonical_projective(t[1:]) if np.linalg.norm(t[1:]) > 1e-14 else None
-    near_branch = False
-    sheet = 0
-    if base is not None:
-        fiber_t, fiber_near = _fiber_curve_points(pencil, base[None, :])
-        sheet = int(np.argmax(np.abs(fiber_t @ np.conj(t))))
-        near_branch = bool(fiber_near[sheet])
-    point = PencilPoint(t=t, v=v, sheet=sheet, base=base, near_branch=near_branch)
     return SectionCandidate(
-        point=point,
+        point=PencilPoint(t=t, v=v),
         span_det=h,
         sigma4=float(sigma4),
-        accepted=True,
         shortcut=bool(shortcut_a or shortcut_b),
     )
 

@@ -1,17 +1,16 @@
-"""Univariate complex root finding, bivariate resultants, damped Newton.
+"""Univariate complex root finding, restriction to lines, damped Newton.
 
 Polynomials are 1-D complex coefficient arrays in ascending degree.
-Bivariate polynomials (chart restrictions of homogeneous forms) are 2-D
-arrays ``c[i, j]`` for the coefficient of ``x^i y^j``.  Degrees stay
-small (<= 12 after elimination), so robustness is preferred over speed
-throughout.
+Degrees stay small (the quartic line restrictions of the determinant
+curve, the Krylov sextic of the rank screen, the 3x3 cubics), so
+robustness is preferred over speed throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateResultant, SingularJacobian
+from .errors import ConvergenceFailure, SingularJacobian
 
 TRIM_TOL = 1e-14
 
@@ -194,115 +193,6 @@ def roots(coeffs, tol: float = 1e-10, max_iter: int = 200, cluster_tol: float = 
         if not merged:
             out.append((0j, nzero))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# bivariate resultants
-
-
-def bivariate_degrees(c: np.ndarray):
-    """Effective (deg_x, deg_y) of a 2-D coefficient array."""
-    c = np.asarray(c, dtype=complex)
-    top = np.max(np.abs(c)) if c.size else 0.0
-    if top == 0.0:
-        return -1, -1
-    mask = np.abs(c) > TRIM_TOL * top
-    rows = np.nonzero(mask.any(axis=1))[0]
-    cols = np.nonzero(mask.any(axis=0))[0]
-    return int(rows[-1]), int(cols[-1])
-
-
-def _x_coeff_polys(c: np.ndarray, deg_x: int, deg_y: int):
-    """Rows of the coefficient array as polynomials in y, ascending in x."""
-    return [trim(c[i, : deg_y + 1]) for i in range(deg_x + 1)]
-
-
-def bareiss_det(m: np.ndarray) -> complex:
-    """Determinant by fraction-free (Bareiss) elimination with pivoting."""
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    sign = 1.0
-    prev = 1.0 + 0j
-    for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) == 0.0:
-            return 0j
-        if piv != k:
-            a[[k, piv], k:] = a[[piv, k], k:]
-            sign = -sign
-        for i in range(k + 1, n):
-            a[i, k + 1:] = (a[i, k + 1:] * a[k, k] - a[i, k] * a[k, k + 1:]) / prev
-        prev = a[k, k]
-    return complex(sign * a[-1, -1])
-
-
-def resultant(p, q, eliminate: int = 0, tol: float = 1e-12) -> np.ndarray:
-    """Sylvester resultant of two bivariate polynomials.
-
-    ``p`` and ``q`` are 2-D coefficient arrays (chart restrictions of
-    small homogeneous forms); ``eliminate`` picks the variable (0 for x,
-    1 for y).  The result is a univariate polynomial in the remaining
-    variable that vanishes exactly where ``p`` and ``q`` share a root
-    over the eliminated variable.  The Sylvester determinant is
-    evaluated by fraction-free elimination at scaled roots of unity and
-    the coefficients recovered by inverse DFT (the degree is bounded by
-    the product of the total degrees, at most 12 here).
-
-    Raises
-    ------
-    DegenerateResultant
-        If the resultant is identically zero, i.e. ``p`` and ``q`` share
-        a component; the caller should change chart or polynomial pair.
-    """
-    cp = np.asarray(p, dtype=complex)
-    cq = np.asarray(q, dtype=complex)
-    if eliminate == 1:
-        cp, cq = cp.T, cq.T
-    dpx, dpy = bivariate_degrees(cp)
-    dqx, dqy = bivariate_degrees(cq)
-    if dpx < 0 or dqx < 0:
-        raise ValueError("resultant of an identically zero polynomial")
-
-    scale_p = np.max(np.abs(cp))
-    scale_q = np.max(np.abs(cq))
-    if dpx == 0 and dqx == 0:
-        raise DegenerateResultant("neither polynomial involves the eliminated variable")
-    if dpx == 0:
-        out = _poly_pow(trim(cp[0]), dqx)
-    elif dqx == 0:
-        out = _poly_pow(trim(cq[0]), dpx)
-    else:
-        pa = _x_coeff_polys(cp, dpx, dpy)
-        qa = _x_coeff_polys(cq, dqx, dqy)
-        deg_bound = (dpx + dpy) * (dqx + dqy)
-        npts = deg_bound + 1
-        omega = np.exp(2j * np.pi * np.arange(npts) / npts)
-        values = np.empty(npts, dtype=complex)
-        size = dpx + dqx
-        for m, y in enumerate(omega):
-            pv = np.array([polyval(a, y) for a in pa])
-            qv = np.array([polyval(a, y) for a in qa])
-            syl = np.zeros((size, size), dtype=complex)
-            for r in range(dqx):
-                syl[r, r : r + dpx + 1] = pv[::-1]
-            for r in range(dpx):
-                syl[dqx + r, r : r + dqx + 1] = qv[::-1]
-            values[m] = bareiss_det(syl)
-        # values[m] = sum_k c_k omega^(mk) is an inverse-DFT structure, so
-        # the forward FFT recovers the ascending coefficients
-        out = np.fft.fft(values) / npts
-
-    res_scale = max(scale_p, 1.0) ** dqx * max(scale_q, 1.0) ** dpx
-    if np.max(np.abs(out)) <= tol * res_scale:
-        raise DegenerateResultant("resultant vanishes identically; inputs share a factor")
-    return trim(out)
-
-
-def _poly_pow(c: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for _ in range(k):
-        out = np.convolve(out, c)
     return out
 
 

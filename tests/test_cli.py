@@ -8,7 +8,7 @@ import pytest
 
 from tridiag4 import cli
 from tridiag4.errors import ParseError
-from tridiag4.generate import jordan_block
+from tridiag4.generate import jordan_block, make_matrix
 
 
 def run_cli(capsys, argv):
@@ -190,6 +190,20 @@ class TestClassify:
         code, out, _ = run_cli(capsys, ["classify", str(path), "--json"])
         data = json.loads(out)
         assert (data["s1"], data["s2"], data["s3"]) == (True, True, True)
+
+    def test_hermitian_reports_validate(self, capsys, tmp_path):
+        # the pencil of a Hermitian matrix vanishes at [0 : 1 : -1]; the
+        # classify block is checked as the genericity block of a report
+        validate = load_schema("report.schema.json")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("hermitian", 4, 6))))
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json"])
+        assert code == 0
+        report = json.loads(out)
+        validate(report)
+        code, out, _ = run_cli(capsys, ["classify", str(path), "--json"])
+        assert code == 0
+        validate({**report, "genericity": json.loads(out)})
 
 
 class TestDegrees:

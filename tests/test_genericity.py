@@ -47,12 +47,31 @@ class TestPencilRank:
         assert witness is None
 
     def test_repeated_eigenvalue_normal_fails_with_witness(self):
-        a = np.diag([1.0, 1.0, 2.0, 3.0])
-        ok, witness = check_pencil_rank(a)
-        assert not ok
-        assert witness is not None
-        s = np.linalg.svd(pencil_matrix(Pencil(a), witness), compute_uv=False)
-        assert s[0] <= 1e-12 or s[2] <= 1e-8 * s[0]
+        # a normal A = V diag(lam) V* drops rank wherever t1*lam_i + t2*conj(lam_i)
+        # repeats, and B1 (+) B2 wherever the two blocks share an eigenvalue
+        rng = np.random.default_rng(41)
+        inputs = [np.diag([1.0, 1.0, 2.0, 3.0])]
+        inputs += [random_unitary(4, rng) for _ in range(20)]
+        for _ in range(20):
+            v = random_unitary(4, rng)
+            lam = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            inputs.append(v @ np.diag(lam) @ np.conj(v).T)
+        for _ in range(20):
+            a = np.zeros((4, 4), dtype=complex)
+            a[:2, :2] = make_matrix("gaussian", 2, rng)
+            a[2:, 2:] = make_matrix("gaussian", 2, rng)
+            inputs.append(a)
+        # near-scalar normal inputs: the rank drops survive a shift by c*I
+        v = random_unitary(4, rng)
+        lam = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        inputs.append(np.eye(4) + 1e-3 * random_unitary(4, rng))
+        inputs.append(5.0 * np.eye(4) + 1e-3 * (v @ np.diag(lam) @ np.conj(v).T))
+        for a in inputs:
+            ok, witness = check_pencil_rank(a)
+            assert not ok
+            assert witness is not None
+            s = np.linalg.svd(pencil_matrix(Pencil(a), witness), compute_uv=False)
+            assert s[0] <= 1e-12 or s[2] <= 1e-8 * s[0]
 
     def test_identity_fails(self):
         ok, witness = check_pencil_rank(np.eye(4))
@@ -130,6 +149,26 @@ class TestClassify:
             report = classify(make_matrix("gaussian", 4, 80 + s))
             assert report.in_generic_set
             assert report.common_eigenvectors == []
+
+    def test_scale_invariant(self):
+        rng = np.random.default_rng(34)
+        inputs = [make_matrix("gaussian", 4, s) for s in range(12)]
+        inputs += [make_matrix("hermitian", 4, s) for s in range(12)]
+        inputs += [random_unitary(4, rng) for _ in range(12)]
+        inputs += [N4, np.diag([1.0, 1.0, 2.0, 3.0]), np.eye(4)]
+
+        def key(report):
+            return (
+                report.nonsingular,
+                report.distinct_eigenvalues,
+                report.pencil_rank_ok,
+                len(report.common_eigenvectors),
+            )
+
+        for a in inputs:
+            expected = key(classify(a))
+            for c in (1e-200, 1e-40, 1e-4, 1e8, 1e40, 1e200):
+                assert key(classify(c * a)) == expected
 
     def test_as_dict_shape(self):
         d = classify(N4).as_dict()

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from tridiag4 import linalg
 from tridiag4.errors import FlagDegenerate, RepeatedEigenvalueWarning
-from tridiag4.generate import jordan_block, make_matrix, random_unitary
-from tridiag4.polyroots import bareiss_det
+from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.tridiagonalize import _completion, _flag_basis_from_vector
 
 N4 = jordan_block(4)
@@ -180,15 +179,6 @@ class TestOrthonormalize:
 
 
 class TestDet:
-    # polyroots.bareiss_det is the determinant behind the resultant
-
-    def test_identity(self):
-        assert abs(bareiss_det(np.eye(4)) - 1.0) < 1e-14
-
-    def test_repeated_column(self):
-        m = np.ones((3, 3))
-        assert abs(bareiss_det(m)) < 1e-14
-
     def test_pencil_restriction_roots_match_eigenvalues(self):
         # det(t0*I + t1*N4 + t2*N4*) as a quartic in t0 has roots at the
         # negated eigenvalues of t1*N4 + t2*N4*
@@ -211,15 +201,6 @@ class TestDet:
             )
         for (r, _), e in zip(got, expected):
             assert abs(r - e) < 1e-8
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            u = random_unitary(4, rng)
-            assert abs(bareiss_det(u @ m @ np.conj(u).T) - bareiss_det(m)) <= 1e-10 * max(
-                1.0, abs(bareiss_det(m))
-            )
 
 
 class TestProjective:

@@ -184,7 +184,6 @@ class TestSectionZeros:
             assert np.linalg.norm(m @ z.point.v) <= 1e-8 * np.linalg.norm(m, 2)
             assert curve_residual(p, z.point.v) <= 1e-8
             assert z.sigma4 <= 1e-8
-            assert z.accepted
 
     def test_kernel_map_inverse_property(self):
         # for v on the curve, the 4x3 map t -> (t0 v + t1 Av + t2 A*v) has a

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridiag4 import polyroots
-from tridiag4.errors import ConvergenceFailure, DegenerateResultant, SingularJacobian
+from tridiag4.errors import ConvergenceFailure, SingularJacobian
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -93,80 +93,6 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             polyroots.roots([3.0])
-
-
-def bivariate(monomials):
-    """Coefficient array from {(i, j): coeff}."""
-    dx = max(i for i, _ in monomials)
-    dy = max(j for _, j in monomials)
-    c = np.zeros((dx + 1, dy + 1), dtype=complex)
-    for (i, j), val in monomials.items():
-        c[i, j] = val
-    return c
-
-
-class TestResultant:
-    def test_monomial_pair(self):
-        # p = x^3, q = y^3 in a chart: common zero only at x = y = 0, and
-        # the resultant in x is y^9 up to a constant
-        p = bivariate({(3, 0): 1.0})
-        q = bivariate({(0, 3): 1.0})
-        res = polyroots.resultant(p, q, eliminate=0)
-        assert res.size == 10
-        assert abs(res[9]) > 1e-12
-        assert np.all(np.abs(res[:9]) < 1e-12 * abs(res[9]))
-
-    def test_equal_inputs_degenerate(self):
-        p = bivariate({(3, 0): 1.0, (1, 1): 2.0, (0, 0): -1.0})
-        with pytest.raises(DegenerateResultant):
-            polyroots.resultant(p, p, eliminate=0)
-
-    def test_jordan_pencil_minors(self):
-        # the two corner minors of the nilpotent-block pencil are t1^3 and
-        # t2^3; in the chart t0 = 1 their only common zero is (0, 0),
-        # i.e. the points [t0 : 0 : 0]
-        p = bivariate({(3, 0): 1.0})  # t1^3
-        q = bivariate({(0, 3): 1.0})  # t2^3
-        res = polyroots.resultant(p, q, eliminate=0)
-        roots_y = polyroots.roots(res)
-        assert all(abs(r) < 1e-8 for r, _ in roots_y)
-
-    def test_constructed_common_root_vanishes(self):
-        # p and q are built with distinct linear factors x - g(y) whose
-        # roots collide exactly at y = y0, so the resultant vanishes there
-        rng = np.random.default_rng(9)
-        y0 = 0.4 - 0.2j
-        fac1 = bivariate({(1, 0): 1.0, (0, 1): -1.0})  # x - y
-        fac2 = bivariate({(1, 0): 1.0, (0, 1): -2.0, (0, 0): y0})  # x - (2y - y0)
-        f1 = bivariate({(1, 0): rng.standard_normal(), (0, 1): 1.0, (0, 0): 0.3})
-        f2 = bivariate({(1, 0): 0.7, (0, 1): -1.2, (0, 0): rng.standard_normal()})
-
-        def mul(a, b):
-            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1), complex)
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0:
-                        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-            return out
-
-        p = mul(fac1, f1)
-        q = mul(fac2, f2)
-        res = polyroots.resultant(p, q, eliminate=0)
-        val = polyroots.polyval(res, np.array([y0]))[0]
-        assert abs(val) <= 1e-8 * np.max(np.abs(res))
-        # and y0 shows up among the resultant roots
-        assert any(abs(r - y0) < 1e-6 for r, _ in polyroots.roots(res))
-
-    def test_quartic_times_cubic_degree_bound(self):
-        rng = np.random.default_rng(2)
-        p = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ix, jx = np.indices(p.shape)
-        p[ix + jx > 4] = 0.0  # total degree <= 4
-        ix, jx = np.indices(q.shape)
-        q[ix + jx > 3] = 0.0  # total degree <= 3
-        res = polyroots.resultant(p, q, eliminate=0)
-        assert res.size - 1 <= 12
 
 
 class TestNewton:
