@@ -20,10 +20,9 @@ inputs = {
     "unitary": random_unitary(4, rng),
     "nilpotent jordan block": jordan_block(4),
     "identity": np.eye(4, dtype=complex),
-    "repeated-eigenvalue normal": random_unitary(4, rng)
-    @ np.diag([1.0, 1.0, 2.0, 3.0])
-    @ np.conj(random_unitary(4, rng)).T,
 }
+v = random_unitary(4, rng)
+inputs["repeated-eigenvalue normal"] = v @ np.diag([1.0, 1.0, 2.0, 3.0]) @ np.conj(v).T
 
 for name, a in inputs.items():
     report = classify(a)

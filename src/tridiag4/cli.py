@@ -1,8 +1,9 @@
 """Command-line front end: parse matrices, solve, classify, run experiments.
 
 Exit codes: 0 success, 1 input error, 2 unsolved.  All randomness sits
-behind --seed, so reports are reproducible.  The TRIDIAG_THREADS
-environment variable caps worker threads in the degree experiments.
+behind --seed, so reports are reproducible.  The degree experiments
+run their trials one after another; the exhaustive flag-point count is
+their slow part.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tridiag4",
         description="Unitary tridiagonalization of complex matrices up to 4x4.",
-        epilog="TRIDIAG_THREADS caps worker threads in the degree experiments.",
+        epilog="degrees runs its trials in one thread; the flag-point count dominates its time.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

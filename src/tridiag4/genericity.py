@@ -86,6 +86,34 @@ def _refine_root(k: np.ndarray, mu: complex, mult: int) -> complex:
     return mu
 
 
+def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
+    """The Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]``, ``N = p + mu*q``.
+
+    ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
+    Returns its trimmed coefficients and its roots ``(mu, multiplicity)``,
+    each m-fold root refined by :func:`_refine_root`; non-finite roots are
+    dropped, and a :class:`ConvergenceFailure` of the root finder leaves
+    no roots.
+    """
+
+    def krylov_det(mu):
+        n = p + mu * q
+        cols = [x]
+        for _ in range(3):
+            cols.append(n @ cols[-1])
+        return np.linalg.det(np.column_stack(cols))
+
+    k = polyroots.trim(polyroots.restrict_to_line(krylov_det, 0.0, 1.0, 6))
+    if k.size <= 1:
+        return k, []
+    try:
+        found = polyroots.roots(k)
+    except ConvergenceFailure:
+        return k, []
+    refined = [(_refine_root(k, mu, mult), mult) for mu, mult in found]
+    return k, [(mu, mult) for mu, mult in refined if np.isfinite(mu)]
+
+
 def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     """Decide whether the pencil keeps rank >= 3 away from t = 0.
 
@@ -122,25 +150,9 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x /= np.linalg.norm(x)
 
-    def krylov_det(mu):
-        n = pencil.a + mu * pencil.astar
-        cols = [x]
-        for _ in range(3):
-            cols.append(n @ cols[-1])
-        return np.linalg.det(np.column_stack(cols))
-
-    k = polyroots.trim(polyroots.restrict_to_line(krylov_det, 0.0, 1.0, 6))
     z = np.vdot(pencil.a, pencil.astar) / max(np.vdot(pencil.a, pencil.a).real, 1e-300)
     bases = [np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([z, -1.0])]
-    if k.size > 1:
-        try:
-            found = polyroots.roots(k)
-        except ConvergenceFailure:
-            found = []  # only the bases above are certified
-        for mu, mult in found:
-            mu = _refine_root(k, mu, mult)
-            if np.isfinite(mu):
-                bases.append(np.array([1.0, mu]))
+    bases += [np.array([1.0, mu]) for mu, _ in _krylov_roots(pencil.a, pencil.astar, x)[1]]
 
     for b in bases:
         b = b / np.linalg.norm(b)

@@ -9,19 +9,16 @@ from the finitely many points where the two enlarged spans
 ``span(v, Av, A*v) + A span(...)`` and ``... + A* span(...)`` coincide;
 that coincidence is what :func:`section_residual` measures.
 
-Every search over the curve runs on one engine.  :func:`_fibers`
+The flag points are found by one curve search.  :func:`_fibers`
 evaluates the curve over a batch of base points ``[t1 : t2]``, and
-:func:`_search` sweeps the base line, descends to the pits of an
-objective, Newton-polishes them and certifies what it finds.
-:func:`section_zeros` hunts flag points with it, and the degree
-experiments count hyperplane sections of the kernel curve with it.
+:func:`_search` sweeps the base line, descends to the pits of
+``sigma4``, Newton-polishes them on ``det[v, Av, A^2 v, A*^2 v]`` and
+certifies what it finds; :func:`section_zeros` is its one caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -113,9 +110,7 @@ class SectionCandidate:
     ``[v, Av, A^2 v, A*^2 v]`` (the holomorphic proxy that Newton
     polishes) and ``sigma4`` the normalized fourth singular value of the
     seven-column matrix ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]``
-    (the rank condition that actually certifies acceptance).  For a
-    hyperplane section of the kernel curve the two fields hold the
-    normalized hyperplane value and its modulus instead.
+    (the rank condition that actually certifies acceptance).
     """
 
     point: PencilPoint
@@ -345,14 +340,13 @@ def _random_bases(n: int, rng: np.random.Generator):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score):
+def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray):
     """Batched local score descent on the curve before Newton.
 
     Zooms each seed's base coordinate toward the nearest score minimum
     over a shrinking probe ring; Newton basins around paired zeros are
     smaller than any affordable global grid, so this bridges the gap.
     All seeds advance together so the fiber evaluations stay vectorized.
-    ``score(v, s)`` is an objective's score (see :class:`_Objective`).
     Returns the refined points (k, 3) and the score values reached.
     """
     k = t_seeds.shape[0]
@@ -378,7 +372,7 @@ def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray, score):
         probes = np.where(flipped[:, None], np.column_stack([flat_mu, ones]), np.column_stack([ones, flat_mu]))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
         flat_t, v, s, _ = _fibers(pencil, probes)
-        sig = score(v, s).reshape(k, offs.size * 4)
+        sig = _section_score(pencil, v, s).reshape(k, offs.size * 4)
         idx = np.argmin(sig, axis=1)
         val = sig[np.arange(k), idx]
         better = ok & (val < best_s)
@@ -477,14 +471,13 @@ def _chart_setup(pencil: Pencil, t_seed: np.ndarray):
     return k, free, ts[free].copy(), gens[k], gens[free[0]], gens[free[1]]
 
 
-def _polish(pencil: Pencil, t_seed, second):
-    """Newton-polish a seed on (det curve, second equation) in a local chart.
+def _polish(pencil: Pencil, t_seed):
+    """Newton-polish a seed on (det curve, span determinant) in a local chart.
 
-    ``second(m0, w)`` must return ``(value_fn, row_fn, ok)`` where
-    ``value_fn(v)`` evaluates the second equation on the holomorphic
-    kernel representative ``v = adj(M) w`` and ``row_fn(v, dv_a, dv_b)``
-    returns its two chart derivatives at once.  Returns the polished
-    projective point or None when the run fails.
+    The second equation is ``det[v, Av, A^2 v, A*^2 v]`` on the
+    holomorphic kernel representative ``v = adj(M) w``, scaled by its
+    column norms at the seed.  Returns the polished projective point or
+    None when the run fails.
     """
     t_seed = np.asarray(t_seed, dtype=complex)
     k, free, s0, pk, pa, pb = _chart_setup(pencil, t_seed)
@@ -495,8 +488,13 @@ def _polish(pencil: Pencil, t_seed, second):
     w = np.conj(u[:, -1])
     g_scale = sv[0] ** 4
 
-    value_fn, row_fn, ok = second(m0, w)
-    if not ok:
+    a, a2, astar2 = pencil.a, pencil.a2, pencil.astar2
+
+    def build(v):
+        return np.column_stack([v, a @ v, a2 @ v, astar2 @ v])
+
+    h_scale = float(np.prod(np.linalg.norm(build(adjugate(m0) @ w), axis=0)))
+    if not np.isfinite(h_scale) or h_scale <= 1e-280:
         return None
 
     last = {}
@@ -512,7 +510,7 @@ def _polish(pencil: Pencil, t_seed, second):
         m, adj, m2, stats, detm, v = assemble(s)
         last["s"] = s.copy()
         last["data"] = (m, adj, m2, stats, v)
-        return np.array([detm / g_scale, value_fn(v)], dtype=complex)
+        return np.array([detm / g_scale, complex(np.linalg.det(build(v)) / h_scale)], dtype=complex)
 
     def jac(s):
         if last.get("s") is not None and np.array_equal(last["s"], s):
@@ -521,11 +519,14 @@ def _polish(pencil: Pencil, t_seed, second):
             m, adj, m2, stats, _, v = assemble(s)
         dv_a = linalg._adj4_dir(m, m2, stats, pa) @ w
         dv_b = linalg._adj4_dir(m, m2, stats, pb) @ w
-        row2 = row_fn(v, dv_a, dv_b)
+        adj_v = linalg._adj4(build(v))[0]
         return np.array(
             [
                 [(adj * pa.T).sum() / g_scale, (adj * pb.T).sum() / g_scale],
-                [row2[0], row2[1]],
+                [
+                    complex((adj_v * build(dv_a).T).sum() / h_scale),
+                    complex((adj_v * build(dv_b).T).sum() / h_scale),
+                ],
             ],
             dtype=complex,
         )
@@ -541,33 +542,6 @@ def _polish(pencil: Pencil, t_seed, second):
     t[free[0]] = s_star[0]
     t[free[1]] = s_star[1]
     return canonical_projective(t)
-
-
-def _section_second(pencil: Pencil):
-    """Second Newton equation for section zeros: det[v, Av, A^2 v, A*^2 v]."""
-    a, a2, astar2 = pencil.a, pencil.a2, pencil.astar2
-
-    def build(v):
-        return np.column_stack([v, a @ v, a2 @ v, astar2 @ v])
-
-    def make(m0, w):
-        v0 = adjugate(m0) @ w
-        h_scale = float(np.prod(np.linalg.norm(build(v0), axis=0)))
-        if not np.isfinite(h_scale) or h_scale <= 1e-280:
-            return None, None, False
-
-        def value(v):
-            return complex(np.linalg.det(build(v)) / h_scale)
-
-        def row(v, dv_a, dv_b):
-            adj_v = linalg._adj4(build(v))[0]
-            da = (adj_v * build(dv_a).T).sum()
-            db = (adj_v * build(dv_b).T).sum()
-            return complex(da / h_scale), complex(db / h_scale)
-
-        return value, row, True
-
-    return make
 
 
 def _distinguished_seeds(pencil: Pencil):
@@ -669,35 +643,16 @@ def _ring_minima(score: np.ndarray, n_rings: int):
     return [int((r * _RING_ANGLES + a) * 4 + s) for r, a, s in zip(rows, angs, sheets)]
 
 
-@dataclass(frozen=True)
-class _Objective:
-    """What a curve search hunts, as data, so one skeleton serves every hunt.
+def _search(pencil: Pencil, opts: SectionOptions) -> list:
+    """The certified flag points on the curve, best first.
 
-    ``score(v, s)`` rates kernel vectors (k, 4), given the pencil's
-    singular values there (k, 4): lower is closer to a zero, and ``inf``
-    marks an unusable point.  ``second`` is the second Newton equation
-    (see :func:`_polish`), ``certify(t)`` returns a
-    :class:`SectionCandidate` or None, and ``seeds`` are start points
-    tried before the sweep.  ``shortcut(v, s)``, when given, masks the
-    sweep points to certify at once under ``stop_on_shortcut``; it is
-    apart from the score so that the descent does not pay for it.
-    """
-
-    score: Callable
-    second: Callable
-    certify: Callable
-    seeds: list = field(default_factory=list)
-    shortcut: Callable | None = None
-
-
-def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list:
-    """The certified zeros of an objective on the curve, best first.
-
-    Tries the objective's seeds, then sweeps the base line (rings plus
-    uniform random bases) and orders the fiber points in coverage tiers.
-    With ``opts.stop_after_first`` it polishes them in that order and
+    Tries the eigenvector points of A and A*, then sweeps the base line
+    (rings plus uniform random bases) and orders the fiber points by
+    ``sigma4`` in coverage tiers.  Under ``opts.stop_on_shortcut`` a
+    sweep point whose forward closure closes up is certified at once.
+    With ``opts.stop_after_first`` it polishes the seeds in that order and
     stops at the first certified zero.  Otherwise it descends every seed
-    to its score pit and polishes distinct pits deepest first, until
+    to its ``sigma4`` pit and polishes distinct pits deepest first, until
     ``opts.stagnation`` runs in a row bring nothing new.  Random restarts
     follow the sweep, and the exhaustive search ends with a cluster pass
     that rings every accepted zero, since zeros come in clusters whose
@@ -708,11 +663,11 @@ def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list
 
     def certify(t):
         """(candidate or None, whether it is a new zero)."""
-        cand = objective.certify(t)
+        cand = _certify(pencil, t)
         return cand, cand is not None and store.add(cand)
 
     def polish(t):
-        t_pol = _polish(pencil, t, objective.second)
+        t_pol = _polish(pencil, t)
         return certify(t_pol) if t_pol is not None else (None, False)
 
     def polish_seeds(seed_ts):
@@ -724,7 +679,7 @@ def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list
         """
         if opts.stop_after_first:
             return any(polish(t_seed)[0] is not None for t_seed in seed_ts)
-        refined, s_ref = _refine_seeds(pencil, seed_ts, objective.score)
+        refined, s_ref = _refine_seeds(pencil, seed_ts)
         stagnant = 0
         for tcur in _dedupe_pits(refined, s_ref, [z.point.t for z in store.items]):
             if len(store.items) >= opts.max_zeros:
@@ -739,7 +694,7 @@ def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list
                     break
         return False
 
-    for t_seed in objective.seeds:
+    for t_seed in _distinguished_seeds(pencil):
         cand, _ = certify(t_seed)
         if cand is not None and (opts.stop_after_first or (cand.shortcut and opts.stop_on_shortcut)):
             return store.sorted()
@@ -749,9 +704,9 @@ def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list
     for lo in range(0, bases.shape[0], chunk):
         part = bases[lo : lo + chunk]
         t, v, s, near_branch = _fibers(pencil, part)
-        score = objective.score(v, s)
-        if opts.stop_on_shortcut and objective.shortcut is not None:
-            for idx in np.flatnonzero(objective.shortcut(v, s)):
+        score = _section_score(pencil, v, s)
+        if opts.stop_on_shortcut:
+            for idx in np.flatnonzero(_closure_shortcuts(pencil, v, s)):
                 cand, _ = certify(t[idx])
                 if cand is not None and cand.shortcut:
                     return store.sorted()
@@ -762,7 +717,7 @@ def _search(pencil: Pencil, objective: _Objective, opts: SectionOptions) -> list
 
     if opts.restarts > 0 and not (opts.stop_after_first and store.items):
         t, v, s, _ = _fibers(pencil, _random_bases(opts.restarts, rng))
-        score = objective.score(v, s).reshape(-1, 4)
+        score = _section_score(pencil, v, s).reshape(-1, 4)
         picks = [
             t[4 * row + k]
             for row in range(score.shape[0])
@@ -828,14 +783,7 @@ def section_zeros(pencil: Pencil, opts: SectionOptions | None = None):
     """
     if opts is None:
         opts = SectionOptions()
-    objective = _Objective(
-        score=partial(_section_score, pencil),
-        second=_section_second(pencil),
-        certify=partial(_certify, pencil),
-        seeds=_distinguished_seeds(pencil),
-        shortcut=partial(_closure_shortcuts, pencil),
-    )
-    zeros = _search(pencil, objective, opts)
+    zeros = _search(pencil, opts)
     if not zeros:
         raise NoSectionZero(
             f"no certified zero after sweeping {opts.samples} base points and "

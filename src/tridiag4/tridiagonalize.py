@@ -33,7 +33,6 @@ from .pencil import (
     _chart_setup,
     _distinguished_seeds,
     _polish,
-    _section_second,
     kernel_vector,
     section_zeros,
 )
@@ -469,7 +468,6 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     g = g / linalg.matrix_norm(g) * scale
 
     pencil = Pencil(a)
-    second = _section_second(pencil)
     astar = linalg.adjoint(a)
     best: TridiagResult | None = None
 
@@ -501,7 +499,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
 
         if sub.candidate is not None:
             t_seed = sub.candidate.point.t
-            t_pol = _polish(pencil, t_seed, second)
+            t_pol = _polish(pencil, t_seed)
             if t_pol is not None:
                 cand = _certify(pencil, t_pol)
                 if cand is not None:

@@ -5,13 +5,14 @@ import pytest
 
 from tridiag4 import linalg
 from tridiag4.degrees import (
+    _hyperplane_points,
     degree_of_det_curve,
     degree_of_kernel_curve,
     run_experiments,
     section_zero_count,
 )
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.pencil import Pencil, SectionOptions
+from tridiag4.pencil import Pencil
 
 
 class TestDegreeOfDetCurve:
@@ -30,25 +31,31 @@ class TestDegreeOfKernelCurve:
         p = Pencil(make_matrix("gaussian", 4, 3))
         assert degree_of_kernel_curve(p, seed=3) == 6
 
+    def test_random_gaussians_give_six(self):
+        for seed in range(200):
+            p = Pencil(make_matrix("gaussian", 4, seed))
+            assert degree_of_kernel_curve(p, seed=seed) == 6, seed
+
     def test_hyperplane_through_known_point(self):
-        # construct a hyperplane through an eigenvector of A (a known
-        # curve point); the count stays 6 and the point shows up
+        # a hyperplane through an eigenvector of A (a curve point over the
+        # base [1 : 0], a root mu = 0 of the sextic) or of A* (over [0 : 1],
+        # where the sextic drops degree); the count stays 6 and the point
+        # shows up among the certified ones
         a = make_matrix("gaussian", 4, 4)
         p = Pencil(a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, v0 = linalg.eigen(a)[0]
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        ell = w - (np.dot(w, v0) / np.dot(v0, v0)) * v0  # ell . v0 = 0
-        assert abs(np.dot(ell, v0)) < 1e-10
+        for m in (a, linalg.adjoint(a)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, v0 = linalg.eigen(m)[0]
+            rng = np.random.default_rng(5)
+            w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            ell = w - (np.dot(w, v0) / np.dot(v0, v0)) * v0  # ell . v0 = 0
+            assert abs(np.dot(ell, v0)) < 1e-10
 
-        from tridiag4.degrees import _kernel_curve_zeros
-
-        zeros = _kernel_curve_zeros(p, ell / np.linalg.norm(ell), SectionOptions(samples=1440, restarts=48, seed=5))
-        count = sum(m for _, _, m in zeros)
-        assert count == 6
-        assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v, _ in zeros)
+            points = _hyperplane_points(p, ell / np.linalg.norm(ell))
+            assert sum(mult for _, _, mult in points) == 6
+            assert degree_of_kernel_curve(p, hyperplane=ell) == 6
+            assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v, _ in points)
 
 
 class TestSectionZeroCount:
@@ -67,7 +74,7 @@ class TestRunExperiments:
         assert report.deg_det_curve == 4
         assert report.deg_kernel_curve == 6
         assert report.section_zero_count <= 12
-        assert len(report.per_trial_detail) == 2
+        assert [d["trial"] for d in report.per_trial_detail] == [0, 1]
 
     def test_hermitian_skipped_with_notice(self):
         a = make_matrix("hermitian", 4, 8)
@@ -75,10 +82,3 @@ class TestRunExperiments:
         assert report.skipped
         assert "skipped" in report.notice
         assert report.deg_det_curve is None
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("TRIDIAG_THREADS", "2")
-        a = make_matrix("gaussian", 4, 9)
-        report = run_experiments(a, trials=2, seed=9)
-        assert [d["trial"] for d in report.per_trial_detail] == [0, 1]
-        assert report.deg_det_curve == 4
