@@ -6,8 +6,9 @@ constructive reduction: a plane quartic curve attached to the pencil
 t0*I + t1*A + t2*A*, its kernel map into projective 3-space, and the
 finitely many points on that curve where an associated subspace
 condition closes up into a full flag.  The package also ships the
-counting experiments for the curves involved (degrees 4, 6, and the
-bound of 12 on flag-producing points).
+counting experiments for the curves involved: the counts 4, 6 and 12
+are the degrees of three polynomials (the determinant quartic on a
+line, the Krylov sextic of a hyperplane, and the flag-point dodecic).
 """
 
 from .errors import (
@@ -26,7 +27,6 @@ from .pencil import (
     Pencil,
     PencilPoint,
     SectionCandidate,
-    SectionOptions,
     curve_residual,
     fiber_points,
     kernel_vector,
@@ -80,7 +80,6 @@ __all__ = [
     "Pencil",
     "PencilPoint",
     "SectionCandidate",
-    "SectionOptions",
     "curve_residual",
     "fiber_points",
     "kernel_vector",

@@ -3,11 +3,11 @@
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
 meets the kernel curve in 6 points, and the certified flag points are
-at most 12 in number.  The first two are exact solves of a univariate
-polynomial (the quartic restriction of the determinant, and the Krylov
-sextic of the hyperplane over the base line), with every root certified
-on the curve.  The flag-point count runs the solver's curve search
-exhaustively, so it doubles as an end-to-end stress test.
+12 in number.  Each count is the degree of a univariate polynomial
+whose roots are certified one by one: the quartic restriction of the
+determinant to a line, the Krylov sextic of the hyperplane over the base
+line, and the flag-point dodecic over the base line (the roots the
+solver takes its flags from, see :mod:`tridiag4.pencil`).
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, polyroots
-from .errors import RankDeficientPencil, UnstableCountWarning
+from .errors import NoSectionZero, UnstableCountWarning
 from .genericity import _krylov_roots, classify
 from .pencil import (
     CERT_TOL,
     Pencil,
-    SectionOptions,
     _certify_on_curve,
     curve_residual,
     pencil_matrix,
@@ -137,18 +136,15 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
     return sum(m for _, _, m in _hyperplane_points(pencil, ell))
 
 
-def section_zero_count(pencil: Pencil, opts: SectionOptions | None = None) -> int:
-    """Number of certified flag points under exhaustive sweep settings."""
-    if opts is None:
-        opts = SectionOptions(
-            samples=2880,
-            restarts=64,
-            stop_after_first=False,
-            stop_on_shortcut=False,
-        )
+def section_zero_count(pencil: Pencil) -> int:
+    """Number of certified flag points: the certified roots of the dodecic.
+
+    Counts what :func:`pencil.section_zeros` returns, 0 when nothing
+    certifies.
+    """
     try:
-        return len(section_zeros(pencil, opts))
-    except RankDeficientPencil:
+        return len(section_zeros(pencil))
+    except NoSectionZero:
         return 0
 
 

@@ -18,7 +18,7 @@ class RankDeficientPencil(SolverError):
 
 
 class NoSectionZero(SolverError):
-    """The sweep produced no certified zero; input is likely degenerate."""
+    """No flag point passed certification; input is likely degenerate."""
 
 
 class FlagDegenerate(SolverError):

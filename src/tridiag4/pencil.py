@@ -9,20 +9,25 @@ from the finitely many points where the two enlarged spans
 ``span(v, Av, A*v) + A span(...)`` and ``... + A* span(...)`` coincide;
 that coincidence is what :func:`section_residual` measures.
 
-The flag points are found by one curve search.  :func:`_fibers`
-evaluates the curve over a batch of base points ``[t1 : t2]``, and
-:func:`_search` sweeps the base line, descends to the pits of
-``sigma4``, Newton-polishes them on ``det[v, Av, A^2 v, A*^2 v]`` and
-certifies what it finds; :func:`section_zeros` is its one caller.
+The flag points are the roots of one polynomial on the base line
+``[1 : mu]``: over a base the curve points are the eigenvectors of
+``N = A + mu*A*``, and the product of ``det[v, Av, A^2 v, A*^2 v]`` over
+them, made scale-free, is a polynomial of degree 20 whose factor
+``mu^8`` comes from the eigenvectors of A.  The rest is a dodecic, and
+its 12 roots are the bases of the paper's 12 flag points (see
+:func:`_dodecic_roots`).  Each root is Newton-polished and certified by
+:func:`_certify`, the only acceptance gate; :func:`_flag_points` yields
+the certified points to the solver and to :func:`section_zeros`.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, polyroots
 from .errors import ConvergenceFailure, NoSectionZero, RankDeficientPencil, SingularJacobian
 from .linalg import adjugate, canonical_projective, projective_distance
 from .polyroots import newton_system
@@ -46,16 +51,6 @@ GAP_TOL = 1e-6
 #: Stopping tolerance and step budget of every Newton polish run.
 NEWTON_TOL = 1e-11
 NEWTON_STEPS = 50
-
-#: Base points per fiber batch when the search stops at its first zero.
-QUICK_CHUNK = 240
-
-_RING_ANGLES = 60
-
-#: Seed refinement: probe rings per seed, and the first ring's radius in
-#: the base coordinate (each ring shrinks by a factor 0.33).
-_REFINE_ROUNDS = 4
-_REFINE_RADIUS = 0.08
 
 
 @dataclass(frozen=True)
@@ -119,28 +114,6 @@ class SectionCandidate:
     shortcut: bool = False
 
 
-@dataclass
-class SectionOptions:
-    """Knobs for the curve search behind :func:`section_zeros`.
-
-    ``samples`` base points are swept, half on rings and half uniform,
-    and ``restarts`` random bases are tried after the sweep.
-    ``stop_after_first`` returns at the first certified point (the
-    solver's quick pass); ``stop_on_shortcut`` returns at the first point
-    whose forward closure already closes up.  ``max_seeds``,
-    ``stagnation`` and ``max_zeros`` bound the polish runs.
-    """
-
-    samples: int = 720
-    restarts: int = 16
-    seed: int = 0
-    stop_after_first: bool = False
-    stop_on_shortcut: bool = True
-    max_seeds: int = 900
-    stagnation: int = 120
-    max_zeros: int = 60
-
-
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
     """The 4x4 matrix ``t0*I + t1*A + t2*A*``."""
     t = linalg.as_vector(t)
@@ -155,7 +128,7 @@ def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
     Takes the right singular vector for the smallest singular value.
     Raises :class:`RankDeficientPencil` when the second-smallest singular
     value is also below ``tol * sigma_max`` (rank <= 2, which the generic
-    construction excludes and the caller must escalate).
+    construction excludes and the caller must handle).
     """
     m = pencil_matrix(pencil, t)
     _, s, vh = np.linalg.svd(m)
@@ -167,70 +140,42 @@ def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
     return canonical_projective(np.conj(vh[-1]))
 
 
-def _fibers(pencil: Pencil, bases: np.ndarray):
-    """The curve over a batch of base points: the search engine's evaluator.
-
-    Over a base ``[t1 : t2]`` the curve is cut out by ``-t0`` running
-    through the eigenvalues of ``N = t1*A + t2*A*``, listed by (real,
-    imag) with multiplicity.  Returns ``(t, v, s, near_branch)`` with row
-    ``4*i + k`` for sheet ``k`` over base ``i``: the unit point ``t``, the
-    kernel vector ``v`` and the singular values ``s`` of the pencil there,
-    and whether its eigenvalue is within ``GAP_TOL * ||N||`` of another.
-    """
-    t1 = bases[:, 0]
-    t2 = bases[:, 1]
-    n = t1[:, None, None] * pencil.a + t2[:, None, None] * pencil.astar
-    lam = np.linalg.eigvals(n)
-    order = np.lexsort((lam.imag, lam.real), axis=1)
-    lam = np.take_along_axis(lam, order, axis=1)
-
-    diff = np.abs(lam[:, :, None] - lam[:, None, :])
-    diff[:, np.arange(4), np.arange(4)] = np.inf
-    near_branch = diff.min(axis=2) < GAP_TOL * np.linalg.norm(n, axis=(1, 2))[:, None]
-
-    t = np.empty((bases.shape[0], 4, 3), dtype=complex)
-    t[:, :, 0] = -lam
-    t[:, :, 1] = t1[:, None]
-    t[:, :, 2] = t2[:, None]
-    t /= np.linalg.norm(t, axis=2, keepdims=True)
-    t = t.reshape(-1, 3)
-    pm = (
-        t[:, 0, None, None] * np.eye(4, dtype=complex)
-        + t[:, 1, None, None] * pencil.a
-        + t[:, 2, None, None] * pencil.astar
-    )
-    _, s, vh = np.linalg.svd(pm)
-    return t, np.conj(vh[:, -1, :]), s, near_branch.reshape(-1)
-
-
 def fiber_points(pencil: Pencil, base):
     """The four points of the determinant curve over a base point [t1 : t2].
 
     Over the base the curve is cut out by ``-t0`` running through the
-    eigenvalues of ``t1*A + t2*A*``; each eigenvalue contributes one
-    point (repeated eigenvalues are listed with multiplicity).
-    ``near_branch`` is set on a point when its eigenvalue sits within
-    ``GAP_TOL * ||t1*A + t2*A*||`` of another one.
+    eigenvalues of ``N = t1*A + t2*A*``, listed by (real, imag) with
+    multiplicity; each contributes one point ``t`` with the pencil's
+    kernel vector ``v`` there.  ``near_branch`` is set on a point when
+    its eigenvalue sits within ``GAP_TOL * ||N||`` of another one.
 
     Raises :class:`RankDeficientPencil` at rank-deficient points.
     """
     b = canonical_projective(linalg.as_vector(base))
     if b.size != 2:
         raise ValueError("base point must have 2 coordinates")
-    t, v, s, near_branch = _fibers(pencil, b[None, :])
+    n = b[0] * pencil.a + b[1] * pencil.astar
+    lam = np.linalg.eigvals(n)
+    lam = lam[np.lexsort((lam.imag, lam.real))]
+    gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(4, np.inf))
+    near_branch = gaps.min(axis=1) < GAP_TOL * np.linalg.norm(n)
+    points = []
     for k in range(4):
-        if s[k, 2] <= RANK_TOL * s[k, 0]:
-            raise RankDeficientPencil(f"pencil rank <= 2 at t={np.round(t[k], 6)}")
-    return [
-        PencilPoint(
-            t=canonical_projective(t[k]),
-            v=canonical_projective(v[k]),
-            sheet=k,
-            base=b,
-            near_branch=bool(near_branch[k]),
+        t = np.array([-lam[k], b[0], b[1]])
+        t /= np.linalg.norm(t)
+        _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
+        if s[2] <= RANK_TOL * s[0]:
+            raise RankDeficientPencil(f"pencil rank <= 2 at t={np.round(t, 6)}")
+        points.append(
+            PencilPoint(
+                t=canonical_projective(t),
+                v=canonical_projective(np.conj(vh[-1])),
+                sheet=k,
+                base=b,
+                near_branch=bool(near_branch[k]),
+            )
         )
-        for k in range(4)
-    ]
+    return points
 
 
 def curve_residual(pencil: Pencil, v) -> float:
@@ -289,131 +234,10 @@ def section_residual(pencil: Pencil, v):
     return _span_residuals(_seven_columns(pencil, linalg.as_vector(v)[None, :])[0])
 
 
-def _section_score(pencil: Pencil, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The flag-point search score: ``sigma4`` of kernel vectors ``v`` (k, 4).
-
-    ``inf`` where the pencil singular values ``s`` (k, 4) show rank <= 2.
-    """
+def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
+    """``sigma4`` of :func:`section_residual` for kernel vectors ``v`` (k, 4)."""
     s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
-    return np.where(s[:, 2] <= RANK_TOL * s[:, 0], np.inf, s7[:, 3] / np.maximum(s7[:, 0], 1e-300))
-
-
-def _closure_shortcuts(pencil: Pencil, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Points whose forward closure is 2-dimensional, at rank-3 pencils.
-
-    The closure ``[v, Av, A*v, A^2 v, A A* v]`` (or its mirror
-    ``[v, Av, A*v, A*^2 v, A* A v]``) of rank 2 means the point yields a
-    flag without any zero-finding.
-    """
-    seven = _seven_columns(pencil, v)
-    sa = np.linalg.svd(seven[:, :, [0, 1, 2, 3, 4]], compute_uv=False)
-    sb = np.linalg.svd(seven[:, :, [0, 1, 2, 6, 5]], compute_uv=False)
-    short_a = sa[:, 2] / np.maximum(sa[:, 0], 1e-300)
-    short_b = sb[:, 2] / np.maximum(sb[:, 0], 1e-300)
-    return (s[:, 2] > RANK_TOL * s[:, 0]) & ((short_a <= CERT_TOL) | (short_b <= CERT_TOL))
-
-
-# ---------------------------------------------------------------------------
-# the curve search
-
-
-def _sweep_bases(samples: int, rng: np.random.Generator):
-    """Base points for a sweep: rings of 60 angles, then uniform random ones.
-
-    Half of ``samples`` go on rings ``t2/t1 = r e^{i phi}`` with radii
-    log-spaced over [1e-2, 1e2], the rest are drawn from ``rng``.
-    Returns the unit bases (m, 2) and the number of rings.
-    """
-    n_rings = max(1, samples // 2 // _RING_ANGLES)
-    radii = np.logspace(-2.0, 2.0, n_rings)
-    angles = np.exp(2j * np.pi * np.arange(_RING_ANGLES) / _RING_ANGLES)
-    t2 = (radii[:, None] * angles[None, :]).reshape(-1)
-    ring = np.column_stack([np.ones_like(t2), t2])
-    ring /= np.linalg.norm(ring, axis=1, keepdims=True)
-    rand = _random_bases(max(0, samples - ring.shape[0]), rng)
-    return np.vstack([ring, rand]), n_rings
-
-
-def _random_bases(n: int, rng: np.random.Generator):
-    # complex Gaussian pairs normalize to the uniform measure on the base line
-    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _refine_seeds(pencil: Pencil, t_seeds: np.ndarray):
-    """Batched local score descent on the curve before Newton.
-
-    Zooms each seed's base coordinate toward the nearest score minimum
-    over a shrinking probe ring; Newton basins around paired zeros are
-    smaller than any affordable global grid, so this bridges the gap.
-    All seeds advance together so the fiber evaluations stay vectorized.
-    Returns the refined points (k, 3) and the score values reached.
-    """
-    k = t_seeds.shape[0]
-    if k == 0:
-        return t_seeds.copy(), np.empty(0)
-    b = t_seeds[:, 1:]
-    nb = np.linalg.norm(b, axis=1)
-    ok = nb > 1e-14
-    flip = np.abs(b[:, 0]) < np.abs(b[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.where(flip, b[:, 0] / b[:, 1], b[:, 1] / b[:, 0])
-    mu = np.where(ok, mu, 0.0)
-
-    best_t = t_seeds.copy()
-    best_s = np.full(k, np.inf)
-    r = _REFINE_RADIUS
-    for _ in range(_REFINE_ROUNDS):
-        offs = np.concatenate([[0.0], r * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)])
-        mus = mu[:, None] + offs[None, :]  # (k, 9)
-        flat_mu = mus.reshape(-1)
-        ones = np.ones_like(flat_mu)
-        flipped = np.repeat(flip, offs.size)
-        probes = np.where(flipped[:, None], np.column_stack([flat_mu, ones]), np.column_stack([ones, flat_mu]))
-        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-        flat_t, v, s, _ = _fibers(pencil, probes)
-        sig = _section_score(pencil, v, s).reshape(k, offs.size * 4)
-        idx = np.argmin(sig, axis=1)
-        val = sig[np.arange(k), idx]
-        better = ok & (val < best_s)
-        if np.any(better):
-            rows = np.nonzero(better)[0]
-            best_s[rows] = val[rows]
-            best_t[rows] = flat_t.reshape(k, offs.size * 4, 3)[rows, idx[rows]]
-            mu[rows] = mus.reshape(k, -1)[rows, idx[rows] // 4]
-        r *= 0.33
-    return best_t, best_s
-
-
-def _dedupe_pits(refined: np.ndarray, s_ref: np.ndarray, known: list, radius: float = 2e-3):
-    """Distinct refined pits ordered by depth, excluding known zeros.
-
-    Vectorized: pits are unit vectors, so proximity is an inner-product
-    threshold.  Returns at most the distinct representatives, deepest
-    (smallest score) first.
-    """
-    mask = np.isfinite(s_ref) & (s_ref < 1e-1)
-    if not np.any(mask):
-        return []
-    pts = refined[mask]
-    vals = s_ref[mask]
-    norms = np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = pts / np.where(norms > 0, norms, 1.0)
-    thresh = 1.0 - radius**2
-    if known:
-        ka = np.asarray(known, dtype=complex)
-        ip = np.abs(pts @ np.conj(ka).T) ** 2
-        keep = ~(ip > thresh).any(axis=1)
-        pts, vals = pts[keep], vals[keep]
-    order = np.argsort(vals)
-    out: list[np.ndarray] = []
-    blocked = np.zeros(pts.shape[0], dtype=bool)
-    for i in order:
-        if blocked[i]:
-            continue
-        out.append(pts[i])
-        blocked |= np.abs(pts @ np.conj(pts[i])) ** 2 > thresh
-    return out
+    return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
 
 
 def _certify_on_curve(pencil: Pencil, t):
@@ -549,15 +373,14 @@ def _distinguished_seeds(pencil: Pencil):
 
     An eigenvector of A with eigenvalue lam corresponds to the point
     [-lam : 1 : 0]; an eigenvector of A* with eigenvalue nu to
-    [-nu : 0 : 1].  These always lie on the dependence curve and cover
-    the structured inputs (nilpotent blocks, near-invariant subspaces)
-    that the random sweep handles poorly.
+    [-nu : 0 : 1].  These always lie on the dependence curve; they are
+    the bases ``mu = 0`` and ``mu = oo`` that the dodecic leaves out, and
+    they carry the flag points of structured inputs (nilpotent blocks,
+    invariant planes) where the dodecic vanishes identically.
     """
-    import warnings as _warnings
-
     seeds = []
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
             for lam, _ in linalg.eigen(pencil.a):
                 seeds.append(np.array([-lam, 1.0, 0.0], dtype=complex))
@@ -568,225 +391,100 @@ def _distinguished_seeds(pencil: Pencil):
     return seeds
 
 
-class _Dedupe:
-    """Accepted-candidate store with projective deduplication on t."""
+def _dodecic_roots(pencil: Pencil) -> np.ndarray:
+    """The bases ``mu`` of the flag points: the 12 roots of a dodecic.
 
-    def __init__(self):
-        self.items: list[SectionCandidate] = []
+    Over ``[1 : mu]`` the four curve points are the eigenvectors ``v_k``
+    (the columns of ``V``) of ``N = A + mu*A*``, with eigenvalues
+    ``lam_k``.  With ``h(v) = det[v, Av, A^2 v, A*^2 v]``,
 
-    def add(self, cand: SectionCandidate) -> bool:
-        for i, other in enumerate(self.items):
-            if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
-                if cand.sigma4 < other.sigma4:
-                    self.items[i] = cand
-                return False
-        self.items.append(cand)
-        return True
+        P(mu) = prod_{i<j} (lam_i - lam_j)^4 * prod_k h(v_k) / det(V)^4
 
-    def sorted(self):
-        return sorted(
-            self.items,
-            key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))),
-        )
+    does not depend on the scaling or the order of the ``v_k``, and it has
+    no poles (it is ``K(mu)^4 * prod_k h(v_k) / (l . v_k)^4`` for the
+    Krylov sextic ``K`` of any ``l``), so it is a polynomial, of degree
+    20.  ``h`` vanishes to second order at the eigenvectors of A, which
+    gives ``P`` an 8-fold zero at ``mu = 0``; those of A* sit at
+    ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered on
+    ``A/||A||_2`` from 13 samples on ``|mu| = 1``.
 
-
-def _seed_order(score: np.ndarray, bases: np.ndarray, max_seeds: int, extra: list[int] | None = None):
-    """Flattened fiber points ordered for polishing, in coverage tiers.
-
-    The first tier picks the best-scoring seed per coarse spatial region
-    (spacing 0.3 in projective distance on the base), then finer tiers at
-    0.1 and 0.02 fill in, so spatial coverage comes before greed.
-    ``extra`` indices (e.g. ring-local minima) are appended afterwards.
+    The roots come from the companion matrix as 12 simple roots: the
+    flag points are generically distinct, and the multiplicity grouping
+    of :func:`polyroots.roots` can merge distinct roots at this degree.
+    Returns no roots when ``R`` is not finite or vanishes identically.
     """
-    order = np.argsort(score)
-    order = order[np.isfinite(score[order])]
-    bases = np.repeat(bases, 4, axis=0)
+    scale = pencil.norm or 1.0
+    a, astar = pencil.a / scale, pencil.astar / scale
+    a2, astar2 = a @ a, astar @ astar
 
-    chosen: list[int] = []
-    taken = np.zeros(score.size, dtype=bool)
-    for tier_spacing in (0.3, 0.1, 0.02):
-        # unit base vectors: distance < s  <=>  |<b1, b2>|^2 > 1 - s^2
-        thresh = 1.0 - tier_spacing**2
-        if chosen:
-            ip = np.abs(bases @ np.conj(bases[chosen]).T) ** 2
-            blocked = (ip > thresh).any(axis=1)
-        else:
-            blocked = np.zeros(score.size, dtype=bool)
-        for idx in order:
-            if len(chosen) >= max_seeds:
-                break
-            if taken[idx] or blocked[idx]:
-                continue
-            chosen.append(int(idx))
-            taken[idx] = True
-            blocked |= np.abs(bases @ np.conj(bases[idx])) ** 2 > thresh
-        if len(chosen) >= max_seeds:
-            break
-    for idx in extra or []:
-        if np.isfinite(score[idx]) and not taken[idx]:
-            chosen.append(int(idx))
-            taken[idx] = True
-    return chosen
+    def value(mu):
+        lam, vecs = np.linalg.eig(a + mu * astar)
+        h = np.linalg.det(np.stack([vecs, a @ vecs, a2 @ vecs, astar2 @ vecs], axis=1).T)
+        gaps = (lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
+        return np.prod(gaps) ** 4 * np.prod(h) / np.linalg.det(vecs) ** 4 / mu**8
+
+    r = polyroots.trim(polyroots.restrict_to_line(value, 0.0, 1.0, 12))
+    if r.size <= 1 or not np.all(np.isfinite(r)):
+        return np.empty(0, dtype=complex)
+    return np.roots(r[::-1])
 
 
-def _ring_minima(score: np.ndarray, n_rings: int):
-    """Per-ring, per-sheet local minima of the score (flattened indices).
+def _flag_points(pencil: Pencil):
+    """The certified flag-point candidates, one at a time.
 
-    Rings are closed circles, so the comparison wraps around.  Only the
-    first ``n_rings`` rings of base points of the sweep are ring samples.
+    First the eigenvector points of A and A* that certify as they are,
+    then the roots of the dodecic: over each root the sheet with the
+    smallest ``sigma4`` is Newton-polished and certified, best sheet
+    first.  Deterministic, and lazy: the dodecic is formed only when the
+    eigenvector points have been consumed.
     """
-    score = score[: 4 * n_rings * _RING_ANGLES].reshape(n_rings, _RING_ANGLES, 4)
-    left = np.roll(score, 1, axis=1)
-    right = np.roll(score, -1, axis=1)
-    mask = (score < left) & (score < right) & np.isfinite(score) & (score < 1e-1)
-    rows, angs, sheets = np.nonzero(mask)
-    return [int((r * _RING_ANGLES + a) * 4 + s) for r, a, s in zip(rows, angs, sheets)]
-
-
-def _search(pencil: Pencil, opts: SectionOptions) -> list:
-    """The certified flag points on the curve, best first.
-
-    Tries the eigenvector points of A and A*, then sweeps the base line
-    (rings plus uniform random bases) and orders the fiber points by
-    ``sigma4`` in coverage tiers.  Under ``opts.stop_on_shortcut`` a
-    sweep point whose forward closure closes up is certified at once.
-    With ``opts.stop_after_first`` it polishes the seeds in that order and
-    stops at the first certified zero.  Otherwise it descends every seed
-    to its ``sigma4`` pit and polishes distinct pits deepest first, until
-    ``opts.stagnation`` runs in a row bring nothing new.  Random restarts
-    follow the sweep, and the exhaustive search ends with a cluster pass
-    that rings every accepted zero, since zeros come in clusters whose
-    Newton basins are smaller than any affordable global grid.
-    """
-    rng = np.random.default_rng(opts.seed)
-    store = _Dedupe()
-
-    def certify(t):
-        """(candidate or None, whether it is a new zero)."""
+    for t in _distinguished_seeds(pencil):
         cand = _certify(pencil, t)
-        return cand, cand is not None and store.add(cand)
-
-    def polish(t):
-        t_pol = _polish(pencil, t)
-        return certify(t_pol) if t_pol is not None else (None, False)
-
-    def polish_seeds(seed_ts):
-        """Polish from the seeds; True when the search is done.
-
-        The quick search polishes the seeds in order and is done at its
-        first zero; the exhaustive one polishes the distinct pits below
-        the seeds, deepest first, and is done at ``opts.max_zeros``.
-        """
-        if opts.stop_after_first:
-            return any(polish(t_seed)[0] is not None for t_seed in seed_ts)
-        refined, s_ref = _refine_seeds(pencil, seed_ts)
-        stagnant = 0
-        for tcur in _dedupe_pits(refined, s_ref, [z.point.t for z in store.items]):
-            if len(store.items) >= opts.max_zeros:
-                return True
-            if any(projective_distance(tcur, z.point.t) < 2e-3 for z in store.items):
-                continue
-            if polish(tcur)[1]:
-                stagnant = 0
-            else:
-                stagnant += 1
-                if stagnant >= opts.stagnation and store.items:
-                    break
-        return False
-
-    for t_seed in _distinguished_seeds(pencil):
-        cand, _ = certify(t_seed)
-        if cand is not None and (opts.stop_after_first or (cand.shortcut and opts.stop_on_shortcut)):
-            return store.sorted()
-
-    bases, n_rings = _sweep_bases(opts.samples, rng)
-    chunk = QUICK_CHUNK if opts.stop_after_first else bases.shape[0]
-    for lo in range(0, bases.shape[0], chunk):
-        part = bases[lo : lo + chunk]
-        t, v, s, near_branch = _fibers(pencil, part)
-        score = _section_score(pencil, v, s)
-        if opts.stop_on_shortcut:
-            for idx in np.flatnonzero(_closure_shortcuts(pencil, v, s)):
-                cand, _ = certify(t[idx])
-                if cand is not None and cand.shortcut:
-                    return store.sorted()
-        score = np.where(near_branch, np.inf, score)
-        extra = _ring_minima(score, n_rings) if lo == 0 and not opts.stop_after_first else None
-        if polish_seeds(t[_seed_order(score, part, opts.max_seeds, extra)]):
-            return store.sorted()
-
-    if opts.restarts > 0 and not (opts.stop_after_first and store.items):
-        t, v, s, _ = _fibers(pencil, _random_bases(opts.restarts, rng))
-        score = _section_score(pencil, v, s).reshape(-1, 4)
-        picks = [
-            t[4 * row + k]
-            for row in range(score.shape[0])
-            for k in np.argsort(score[row])[:2]
-            if np.isfinite(score[row, k])
-        ]
-        if picks and polish_seeds(np.asarray(picks)):
-            return store.sorted()
-
-    if not opts.stop_after_first and store.items and len(store.items) < opts.max_zeros:
-        frontier = list(store.items)
-        for _ in range(3):
-            new_items = []
-            for cand in frontier:
-                if len(store.items) >= opts.max_zeros:
-                    break
-                tc = cand.point.t
-                k = int(np.argmax(np.abs(tc)))
-                ts = tc / tc[k]
-                free = [i for i in range(3) if i != k]
-                for radius in (0.05, 0.11, 0.18):
-                    for j in range(6):
-                        phase = np.exp(2j * np.pi * (j + 0.3) / 6)
-                        d = np.zeros(3, dtype=complex)
-                        d[free[0]] = radius * phase
-                        d[free[1]] = radius * np.conj(phase) * (1j) ** j
-                        t_start = ts + d
-                        got, is_new = polish(t_start / np.linalg.norm(t_start))
-                        if is_new:
-                            new_items.append(got)
-            if not new_items or len(store.items) >= opts.max_zeros:
-                break
-            frontier = new_items
-    return store.sorted()
+        if cand is not None:
+            yield cand
+    mu = _dodecic_roots(pencil)
+    if mu.size == 0:
+        return
+    bases = np.column_stack([np.ones_like(mu), mu])
+    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
+    score = _section_score(pencil, vecs.transpose(0, 2, 1).reshape(-1, 4)).reshape(-1, 4)
+    sheet = np.argmin(score, axis=1)
+    for i in np.argsort(score[np.arange(mu.size), sheet]):
+        t_pol = _polish(pencil, np.array([-lam[i, sheet[i]], *bases[i]]))
+        cand = _certify(pencil, t_pol) if t_pol is not None else None
+        if cand is not None:
+            yield cand
 
 
-def section_zeros(pencil: Pencil, opts: SectionOptions | None = None):
+def section_zeros(pencil: Pencil):
     """All certified flag points of the pencil, sorted by their sigma4.
 
-    Runs the curve search on the pair (det curve, span determinant):
-    sweeps the base line (``opts.samples`` base points), scores every
-    sheet by ``sigma4``, Newton-polishes the most promising seeds in a
-    local chart, and keeps only candidates that pass the full
-    certification: on-curve, dependence residual, 2-dimensional span,
-    rank-3 closures, and ``sigma4`` below ``CERT_TOL``.  Zeros are
-    deduplicated at projective distance ``DEDUPE_TOL``.  Eigenvector
-    points of A and A* are tried before the sweep.
-
-    A point whose forward closure is only 2-dimensional short-circuits
-    the search when ``opts.stop_on_shortcut`` is set: such a point
-    already produces a flag without any zero-finding.
-
-    For matrices inside the generic regime the result has at most 12
-    entries.  Near-degenerate inputs can certify a near-continuum of
-    points; the search cuts off at ``opts.max_zeros`` accepted zeros to
-    stay bounded there.
+    Collects :func:`_flag_points`: the eigenvector points of A and A*
+    that certify, and the polished roots of the dodecic, each kept only
+    when it passes the full certification (on-curve, dependence
+    residual, 2-dimensional span, rank-3 closures, ``sigma4`` below
+    ``CERT_TOL``).  Points within projective distance ``DEDUPE_TOL`` of
+    each other count once, with the smaller ``sigma4``.  On a generic
+    matrix the result has exactly 12 entries.
 
     Raises
     ------
     NoSectionZero
         When no candidate passes certification; degenerate inputs land
-        here and the caller escalates to the perturbation path.
+        here and the solver falls back to the perturbation path.
     """
-    if opts is None:
-        opts = SectionOptions()
-    zeros = _search(pencil, opts)
+    zeros: list[SectionCandidate] = []
+    for cand in _flag_points(pencil):
+        for i, other in enumerate(zeros):
+            if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
+                if cand.sigma4 < other.sigma4:
+                    zeros[i] = cand
+                break
+        else:
+            zeros.append(cand)
     if not zeros:
         raise NoSectionZero(
-            f"no certified zero after sweeping {opts.samples} base points and "
-            f"{opts.restarts} restarts (tol={CERT_TOL:.1e})"
+            f"no certified flag point among the eigenvector points and the dodecic's roots (tol={CERT_TOL:.1e})"
         )
-    return zeros
+    return sorted(zeros, key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))))

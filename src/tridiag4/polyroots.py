@@ -2,8 +2,9 @@
 
 Polynomials are 1-D complex coefficient arrays in ascending degree.
 Degrees stay small (the quartic line restrictions of the determinant
-curve, the Krylov sextic of the rank screen, the 3x3 cubics), so
-robustness is preferred over speed throughout.
+curve, the Krylov sextic of the rank screen and the kernel-curve count,
+the flag-point dodecic, the 3x3 cubics), so robustness is preferred over
+speed throughout.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def roots(coeffs, tol: float = 1e-10, max_iter: int = 200, cluster_tol: float = 
     Returns ``[(root, multiplicity), ...]`` sorted by (real, imag); the
     multiplicities sum to the trimmed degree.  Exact zero roots (zero
     trailing coefficients) are split off before the Aberth iteration.
+
+    The multiplicity grouping is advisory: at degree 12 it can merge
+    distinct simple roots into one multiple root, so the flag-point
+    dodecic is rooted without it (see ``pencil._dodecic_roots``).
 
     Raises
     ------

@@ -1,10 +1,14 @@
 """End-to-end unitary tridiagonalization for n <= 4.
 
-Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; n = 3 runs
-a cubic-curve construction; n = 4 deflates on a common eigenvector of A
-and A* when one exists, otherwise hunts a certified flag point of the
-pencil, and falls back to a seeded perturbation ladder (with Newton
-polish back on the original matrix) for degenerate inputs.
+Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
+other input is divided by its spectral norm, solved, and its result
+rebuilt on the original matrix.  n = 3 runs a cubic-curve construction;
+n = 4 deflates on a common eigenvector of A and A* when one exists,
+otherwise takes the first certified flag point of the pencil (the
+eigenvector points, then the roots of the flag-point dodecic) whose
+flag passes the residual gate, and falls back to a seeded perturbation
+ladder (with Newton polish back on the original matrix) for degenerate
+inputs.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ from .pencil import (
     NEWTON_STEPS,
     NEWTON_TOL,
     Pencil,
+    PencilPoint,
     SectionCandidate,
-    SectionOptions,
     _certify,
     _chart_setup,
     _distinguished_seeds,
+    _flag_points,
     _polish,
     kernel_vector,
-    section_zeros,
 )
 from .linalg import projective_distance
 from .polyroots import newton_system, restrict_to_line, roots
@@ -59,7 +63,6 @@ class Options:
     force_path: str | None = None  # None | 'section' | 'perturb'
     ladder: tuple = (1e-4, 1e-6, 1e-8)
     allow_perturbation: bool = True
-    escalate: bool = True  # retry exhaustively when the quick pass gates out
 
 
 @dataclass
@@ -339,34 +342,18 @@ def deflate_common_eigenvector(a, v, tol: float = 1e-8, seed: int = 42) -> Tridi
 
 
 def _section_path(a, opts: Options) -> TridiagResult:
-    pencil = Pencil(a)
+    """The flag of the first certified flag point that passes the residual gate."""
     last_exc = None
-    # the quick pass may surface only gate-failing candidates; degenerate
-    # inputs sometimes hide their usable zeros deeper in the sweep, so one
-    # bounded exhaustive retry follows when escalation is allowed
-    passes = (False, True) if opts.escalate else (False,)
-    for exhaustive in passes:
-        sopts = SectionOptions(
-            samples=720 if not exhaustive else 1440,
-            seed=opts.seed,
-            stop_after_first=not exhaustive,
-            max_seeds=900 if not exhaustive else 200,
-            stagnation=120 if not exhaustive else 40,
-            max_zeros=60 if not exhaustive else 30,
-        )
-        candidates = section_zeros(pencil, sopts)
-        for cand in candidates:
-            try:
-                flag = build_flag(a, cand)
-            except FlagDegenerate as exc:
-                last_exc = exc
-                continue
-            result = _result_from_flag(
-                a, flag.basis, flag.provenance, opts.seed, candidate=cand
-            )
-            if result.off_residual <= opts.tol:
-                return result
-    raise NoSectionZero(f"no candidate met the final residual gate ({last_exc})")
+    for cand in _flag_points(Pencil(a)):
+        try:
+            flag = build_flag(a, cand)
+        except FlagDegenerate as exc:
+            last_exc = exc
+            continue
+        result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand)
+        if result.off_residual <= opts.tol:
+            return result
+    raise NoSectionZero(f"no certified flag point met the final residual gate ({last_exc})")
 
 
 def _polish_curve_only(pencil: Pencil, t_seed):
@@ -490,7 +477,6 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
             tol=max(opts.tol, 1e-6),
             allow_perturbation=False,
             force_path=None,
-            escalate=False,
         )
         try:
             sub = tridiagonalize(a + eps * g, sub_opts)
@@ -568,6 +554,11 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     ||A||); :class:`Unsolved` is raised only when every path including
     the perturbation ladder fails, which indicates a bug rather than an
     expected outcome.
+
+    ``A`` is divided by its spectral norm once, at entry, so the outcome
+    does not depend on its scale.  ``U``, ``T`` and both residuals are
+    then rebuilt on ``A`` itself, and the point of ``candidate`` is mapped
+    back to the pencil of ``A``.
     """
     if opts is None:
         opts = Options()
@@ -582,7 +573,23 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
 
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
-    if n == 3:
+    scale = linalg.matrix_norm(a) or 1.0
+    result = _dispatch(a / scale, opts)
+    cand = result.candidate
+    if cand is not None:
+        # [t0 : t1 : t2] on A/scale is [scale*t0 : t1 : t2] on A, formed
+        # with entries of modulus <= 1 so that its norm cannot overflow
+        t = cand.point.t
+        w = [min(scale, 1.0) * t[0], t[1] / max(scale, 1.0), t[2] / max(scale, 1.0)]
+        cand = replace(cand, point=PencilPoint(t=linalg.canonical_projective(w), v=cand.point.v))
+    return _result_from_flag(
+        a, result.flag.basis, result.provenance, result.seed, result.perturbation_used, cand
+    )
+
+
+def _dispatch(a, opts: Options) -> TridiagResult:
+    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1``."""
+    if a.shape[0] == 3:
         return tridiagonalize3(a, tol=opts.tol, seed=opts.seed)
 
     if opts.force_path == "perturb":

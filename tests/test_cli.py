@@ -110,6 +110,18 @@ class TestTridiag:
         assert 1 <= len(payload["flags"]) <= 12
         assert payload["verify"]["spectrum_gap"] <= 1e-6
 
+    def test_all_flags_reports_twelve_certified_flags(self, capsys, tmp_path):
+        validate = load_schema("report.schema.json")
+        _, out, _ = run_cli(capsys, ["gen", "--seed", "7"])
+        path = tmp_path / "m.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json", "--all-flags"])
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        assert len(payload["flags"]) == 12
+        assert all(flag["sigma4"] <= 1e-8 for flag in payload["flags"])
+
     def test_all_flags_on_identity_reports_none(self, capsys, tmp_path):
         # the identity's pencil drops below rank 3 all along its curve, so
         # the flag-point search raises and the report lists no flags

@@ -1,7 +1,7 @@
 """Every top-level private function in the package is used somewhere.
 
-Sweep helpers that lose their last caller tend to linger; this keeps
-them from piling up again.
+Helpers that lose their last caller tend to linger; this keeps them
+from piling up again.
 """
 
 import ast

@@ -61,9 +61,7 @@ class TestDegreeOfKernelCurve:
 class TestSectionZeroCount:
     def test_random_matrix_at_most_twelve(self):
         p = Pencil(make_matrix("gaussian", 4, 6))
-        count = section_zero_count(p)
-        assert count <= 12
-        assert count >= 10  # typical random draws sit at the full count
+        assert section_zero_count(p) == 12  # the roots of the dodecic
 
 
 class TestRunExperiments:
@@ -73,7 +71,7 @@ class TestRunExperiments:
         assert not report.skipped
         assert report.deg_det_curve == 4
         assert report.deg_kernel_curve == 6
-        assert report.section_zero_count <= 12
+        assert report.section_zero_count == 12
         assert [d["trial"] for d in report.per_trial_detail] == [0, 1]
 
     def test_hermitian_skipped_with_notice(self):
