@@ -244,12 +244,3 @@ def adjugate(m) -> np.ndarray:
         return e[0] * eye - a
     return a @ a - e[0] * a + e[1] * eye
 
-
-def adjugate_directional(m, b) -> np.ndarray:
-    """Directional derivative of the 4x4 adjugate at ``m`` along ``b``."""
-    a = as_matrix(m)
-    d = as_matrix(b)
-    if a.shape != (4, 4) or d.shape != (4, 4):
-        raise ValueError("adjugate_directional is implemented for 4x4 matrices")
-    _, a2, stats = _adj4(a)
-    return _adj4_dir(a, a2, stats, d)

@@ -23,7 +23,7 @@ the certified points to the solver and to :func:`section_zeros`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -369,23 +369,25 @@ def _polish(pencil: Pencil, t_seed):
 
 
 def _distinguished_seeds(pencil: Pencil):
-    """Pencil points carried by eigenvectors of A and of A*.
+    """Pencil points carried by eigenvectors of A and of A*, as ``(t, v)`` pairs.
 
     An eigenvector of A with eigenvalue lam corresponds to the point
     [-lam : 1 : 0]; an eigenvector of A* with eigenvalue nu to
     [-nu : 0 : 1].  These always lie on the dependence curve; they are
     the bases ``mu = 0`` and ``mu = oo`` that the dodecic leaves out, and
     they carry the flag points of structured inputs (nilpotent blocks,
-    invariant planes) where the dodecic vanishes identically.
+    invariant planes) where the dodecic vanishes identically.  ``v`` is
+    the unit eigenvector from :func:`linalg.eigen`, the smallest right
+    singular vector of ``A - lam*I``: the pencil's kernel vector at ``t``.
     """
     seeds = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            for lam, _ in linalg.eigen(pencil.a):
-                seeds.append(np.array([-lam, 1.0, 0.0], dtype=complex))
-            for nu, _ in linalg.eigen(pencil.astar):
-                seeds.append(np.array([-nu, 0.0, 1.0], dtype=complex))
+            for lam, v in linalg.eigen(pencil.a):
+                seeds.append((np.array([-lam, 1.0, 0.0], dtype=complex), v))
+            for nu, v in linalg.eigen(pencil.astar):
+                seeds.append((np.array([-nu, 0.0, 1.0], dtype=complex), v))
         except ConvergenceFailure:
             pass
     return seeds
@@ -406,7 +408,9 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     20.  ``h`` vanishes to second order at the eigenvectors of A, which
     gives ``P`` an 8-fold zero at ``mu = 0``; those of A* sit at
     ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered on
-    ``A/||A||_2`` from 13 samples on ``|mu| = 1``.
+    ``A/||A||_2`` from 13 samples on ``|mu| = 1``.  The samples are taken
+    at once: one ``eig`` of the (13, 4, 4) stack ``A + mu*A*`` and one
+    ``det`` of the (13, 4, 4, 4) stack of span matrices.
 
     The roots come from the companion matrix as 12 simple roots: the
     flag points are generically distinct, and the multiplicity grouping
@@ -417,13 +421,16 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     a, astar = pencil.a / scale, pencil.astar / scale
     a2, astar2 = a @ a, astar @ astar
 
-    def value(mu):
-        lam, vecs = np.linalg.eig(a + mu * astar)
-        h = np.linalg.det(np.stack([vecs, a @ vecs, a2 @ vecs, astar2 @ vecs], axis=1).T)
-        gaps = (lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
-        return np.prod(gaps) ** 4 * np.prod(h) / np.linalg.det(vecs) ** 4 / mu**8
-
-    r = polyroots.trim(polyroots.restrict_to_line(value, 0.0, 1.0, 12))
+    mu = np.exp(2j * np.pi * np.arange(13) / 13)
+    lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
+    # [v, Av, A^2 v, A*^2 v] for every sample (axis 0) and sheet (axis 1)
+    h = np.linalg.det(np.stack([vecs, a @ vecs, a2 @ vecs, astar2 @ vecs], axis=-1).swapaxes(1, 2))
+    i, j = np.triu_indices(4, 1)
+    gaps = lam[:, i] - lam[:, j]
+    values = np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
+    # samples at the 13th roots of unity form an inverse DFT of the
+    # coefficients, as in polyroots.restrict_to_line
+    r = polyroots.trim(np.fft.fft(values) / 13)
     if r.size <= 1 or not np.all(np.isfinite(r)):
         return np.empty(0, dtype=complex)
     return np.roots(r[::-1])
@@ -435,13 +442,19 @@ def _flag_points(pencil: Pencil):
     First the eigenvector points of A and A* that certify as they are,
     then the roots of the dodecic: over each root the sheet with the
     smallest ``sigma4`` is Newton-polished and certified, best sheet
-    first.  Deterministic, and lazy: the dodecic is formed only when the
-    eigenvector points have been consumed.
+    first.  The eigenvector points are screened by one batched ``sigma4``
+    of their kernel vectors, and only those at or below
+    ``sqrt(CERT_TOL)`` go on to :func:`_certify`, which would reject the
+    others anyway.  Deterministic, and lazy: the dodecic is formed only
+    when the eigenvector points have been consumed.
     """
-    for t in _distinguished_seeds(pencil):
-        cand = _certify(pencil, t)
-        if cand is not None:
-            yield cand
+    seeds = _distinguished_seeds(pencil)
+    if seeds:
+        score = _section_score(pencil, np.array([v for _, v in seeds]))
+        for (t, _), s in zip(seeds, score):
+            cand = _certify(pencil, t) if s <= np.sqrt(CERT_TOL) else None
+            if cand is not None:
+                yield cand
     mu = _dodecic_roots(pencil)
     if mu.size == 0:
         return
@@ -457,6 +470,18 @@ def _flag_points(pencil: Pencil):
             yield cand
 
 
+def _unscale_candidate(cand: SectionCandidate, scale: float) -> SectionCandidate:
+    """A candidate on the pencil of ``A/scale``, moved to the pencil of ``A``.
+
+    ``[t0 : t1 : t2]`` on ``A/scale`` is ``[scale*t0 : t1 : t2]`` on ``A``,
+    formed with entries of modulus <= 1 so that its norm cannot overflow.
+    The kernel vector and the residuals do not change.
+    """
+    t = cand.point.t
+    w = [min(scale, 1.0) * t[0], t[1] / max(scale, 1.0), t[2] / max(scale, 1.0)]
+    return replace(cand, point=PencilPoint(t=canonical_projective(w), v=cand.point.v))
+
+
 def section_zeros(pencil: Pencil):
     """All certified flag points of the pencil, sorted by their sigma4.
 
@@ -466,7 +491,9 @@ def section_zeros(pencil: Pencil):
     residual, 2-dimensional span, rank-3 closures, ``sigma4`` below
     ``CERT_TOL``).  Points within projective distance ``DEDUPE_TOL`` of
     each other count once, with the smaller ``sigma4``.  On a generic
-    matrix the result has exactly 12 entries.
+    matrix the result has exactly 12 entries.  The points are found on
+    ``A/||A||_2`` and mapped back to the pencil of ``A``, so the count
+    does not depend on the scale of ``A``.
 
     Raises
     ------
@@ -474,8 +501,9 @@ def section_zeros(pencil: Pencil):
         When no candidate passes certification; degenerate inputs land
         here and the solver falls back to the perturbation path.
     """
+    scale = pencil.norm or 1.0
     zeros: list[SectionCandidate] = []
-    for cand in _flag_points(pencil):
+    for cand in _flag_points(Pencil(pencil.a / scale)):
         for i, other in enumerate(zeros):
             if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
                 if cand.sigma4 < other.sigma4:
@@ -487,4 +515,5 @@ def section_zeros(pencil: Pencil):
         raise NoSectionZero(
             f"no certified flag point among the eigenvector points and the dodecic's roots (tol={CERT_TOL:.1e})"
         )
-    return sorted(zeros, key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))))
+    zeros.sort(key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))))
+    return [_unscale_candidate(c, scale) for c in zeros]

@@ -31,13 +31,13 @@ from .pencil import (
     NEWTON_STEPS,
     NEWTON_TOL,
     Pencil,
-    PencilPoint,
     SectionCandidate,
     _certify,
     _chart_setup,
     _distinguished_seeds,
     _flag_points,
     _polish,
+    _unscale_candidate,
     kernel_vector,
 )
 from .linalg import projective_distance
@@ -260,25 +260,26 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) ->
     roots the restricted cubic, and turns any root into a flag.  When F
     vanishes along two lines it is treated as identically zero (shifted
     Hermitian and similar structure) and eigenvectors of A are used
-    instead.
+    instead.  The construction runs on ``A/||A||_2`` and each flag is
+    measured on ``A`` itself, so the outcome does not depend on the scale.
     """
     a = linalg.as_matrix(a)
     if a.shape != (3, 3):
         raise ValueError("tridiagonalize3 expects a 3x3 matrix")
-    scale = linalg.matrix_norm(a)
     if _off_max(a) == 0.0:
         return _result_from_flag(a, np.eye(3, dtype=complex), "trivial", seed)
-    astar = linalg.adjoint(a)
+    b = a / linalg.matrix_norm(a)
+    bstar = linalg.adjoint(b)
     rng = np.random.default_rng([seed, 3])
 
     def cubic_on_line(p, q):
         def f(vv):
-            return np.linalg.det(np.column_stack([vv, a @ vv, astar @ vv]))
+            return np.linalg.det(np.column_stack([vv, b @ vv, bstar @ vv]))
 
         return restrict_to_line(f, p, q, 3)
 
     def attempt(v):
-        basis = _flag3(a, astar, v)
+        basis = _flag3(b, bstar, v)
         result = _result_from_flag(a, basis, "cubic_curve_3x3", seed)
         return result if result.off_residual <= tol else None
 
@@ -289,7 +290,7 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) ->
         p /= np.linalg.norm(p)
         q /= np.linalg.norm(q)
         coeffs = cubic_on_line(p, q)
-        if np.max(np.abs(coeffs)) <= 1e-10 * max(scale, 1e-300) ** 2:
+        if np.max(np.abs(coeffs)) <= 1e-10:
             degenerate_lines += 1
             if degenerate_lines >= 2:
                 break
@@ -311,7 +312,7 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) ->
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
         try:
-            pairs = linalg.eigen(a)
+            pairs = linalg.eigen(b)
         except ConvergenceFailure:
             pairs = []
     for _, v in pairs:
@@ -512,7 +513,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
             # degenerate inputs collapse their zeros onto eigenvector points;
             # when the perturbed candidate sits near one, its exact structure
             # on the original matrix often certifies directly
-            for t_dist in _distinguished_seeds(pencil):
+            for t_dist, _ in _distinguished_seeds(pencil):
                 if projective_distance(t_dist, t_seed) > 0.15:
                     continue
                 cand = _certify(pencil, t_dist)
@@ -577,11 +578,7 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     result = _dispatch(a / scale, opts)
     cand = result.candidate
     if cand is not None:
-        # [t0 : t1 : t2] on A/scale is [scale*t0 : t1 : t2] on A, formed
-        # with entries of modulus <= 1 so that its norm cannot overflow
-        t = cand.point.t
-        w = [min(scale, 1.0) * t[0], t[1] / max(scale, 1.0), t[2] / max(scale, 1.0)]
-        cand = replace(cand, point=PencilPoint(t=linalg.canonical_projective(w), v=cand.point.v))
+        cand = _unscale_candidate(cand, scale)
     return _result_from_flag(
         a, result.flag.basis, result.provenance, result.seed, result.perturbation_used, cand
     )

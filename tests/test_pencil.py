@@ -3,11 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tridiag4 import linalg
+from tridiag4 import linalg, polyroots
 from tridiag4.errors import NoSectionZero, RankDeficientPencil
 from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.pencil import (
     Pencil,
+    _dodecic_roots,
     curve_residual,
     fiber_points,
     kernel_vector,
@@ -209,6 +210,17 @@ class TestSectionZeros:
         with pytest.raises((NoSectionZero, RankDeficientPencil)):
             section_zeros(Pencil(np.eye(4)))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e-20, 1e20, 1e60, 1e150])
+    def test_count_is_scale_free(self, scale):
+        for seed in range(3):
+            p = Pencil(scale * make_matrix("gaussian", 4, seed))
+            zeros = section_zeros(p)
+            assert len(zeros) == 12, seed
+            # each point lies on the pencil of the scaled input itself
+            for z in zeros:
+                s = np.linalg.svd(pencil_matrix(p, z.point.t), compute_uv=False)
+                assert s[3] <= 1e-8 * s[0], seed
+
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points
         # certify through the forward-closure shortcut
@@ -217,3 +229,30 @@ class TestSectionZeros:
         a[2:, 2:] = make_matrix("gaussian", 2, 20)
         zeros = section_zeros(Pencil(a))
         assert any(z.shortcut for z in zeros)
+
+
+def _scalar_dodecic(p):
+    """The dodecic's coefficients from one ``eig`` and ``det`` per sample."""
+    a, astar = p.a / p.norm, p.astar / p.norm
+    a2, astar2 = a @ a, astar @ astar
+
+    def value(mu):
+        lam, vecs = np.linalg.eig(a + mu * astar)
+        h = np.linalg.det(np.stack([vecs, a @ vecs, a2 @ vecs, astar2 @ vecs], axis=1).T)
+        gaps = (lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
+        return np.prod(gaps) ** 4 * np.prod(h) / np.linalg.det(vecs) ** 4 / mu**8
+
+    return polyroots.restrict_to_line(value, 0.0, 1.0, 12)
+
+
+def test_batched_dodecic_matches_scalar_samples(monkeypatch):
+    # the stacked samples give the same coefficients as sampling one mu at a time
+    seen = []
+    trim = polyroots.trim
+    monkeypatch.setattr(polyroots, "trim", lambda c: seen.append(c) or trim(c))
+    for seed in range(50):
+        p = Pencil(make_matrix("gaussian", 4, seed))
+        seen.clear()
+        _dodecic_roots(p)
+        ref = _scalar_dodecic(p)
+        assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref)), seed

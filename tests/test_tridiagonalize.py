@@ -94,6 +94,35 @@ class TestDispatch:
         assert r.off_residual <= 1e-8
         assert len(calls) <= 12
 
+    def test_eigenvector_points_screened_before_certify(self, monkeypatch):
+        # one batched sigma4 screens the eight eigenvector points, none of
+        # which certifies on a Gaussian; only the first polished root of the
+        # dodecic reaches the full certification
+        calls = []
+        certify = pencil._certify
+        monkeypatch.setattr(pencil, "_certify", lambda *args: calls.append(1) or certify(*args))
+        for seed in range(10000, 10010):
+            calls.clear()
+            r = solve_quiet(make_matrix("gaussian", 4, seed), seed=seed)
+            assert r.provenance == "section_zero", seed
+            assert len(calls) <= 2, seed
+
+    @pytest.mark.parametrize("kind", ["nilpotent", "conjugated nilpotent", "2+2 blocks", "conjugated 2+2 blocks"])
+    def test_eigenvector_points_pass_the_screen(self, kind):
+        # every eigenvector point of these inputs certifies, so the forced
+        # section path returns one of them through the screen
+        a = N4.astype(complex)
+        if "2+2" in kind:
+            a = np.zeros((4, 4), dtype=complex)
+            a[:2, :2] = make_matrix("gaussian", 2, 19)
+            a[2:, 2:] = make_matrix("gaussian", 2, 20)
+        if kind.startswith("conjugated"):
+            u = random_unitary(4, np.random.default_rng(7))
+            a = u @ a @ np.conj(u).T
+        r = solve_quiet(a, force_path="section")
+        assert r.provenance == "shortcut_dimW3"
+        assert r.off_residual <= 1e-8
+
     def test_spectrum_preserved(self):
         for seed in range(10):
             a = make_matrix("gaussian", 4, seed)
@@ -119,6 +148,14 @@ class TestTridiagonalize3:
             r = tridiagonalize3(a, seed=seed)
             assert r.off_residual <= 1e-9
             assert r.unitarity_residual <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+    def test_scale_free(self, scale):
+        # called directly, without the normalization of tridiagonalize
+        for seed in range(20):
+            r = tridiagonalize3(scale * make_matrix("gaussian", 3, seed), seed=seed)
+            assert r.off_residual <= 1e-8, seed
+            assert r.unitarity_residual <= 1e-10, seed
 
 
 class TestDeflation:
