@@ -7,8 +7,8 @@ t0*I + t1*A + t2*A*, its kernel map into projective 3-space, and the
 finitely many points on that curve where an associated subspace
 condition closes up into a full flag.  The package also ships the
 counting experiments for the curves involved: the counts 4, 6 and 12
-are the degrees of three polynomials (the determinant quartic on a
-line, the Krylov sextic of a hyperplane, and the flag-point dodecic).
+are certified points of one eigen-solve each (a line's 4x4 eigenproblem,
+a hyperplane's Krylov sextic, and the flag-point dodecic).
 """
 
 from .errors import (

@@ -3,11 +3,11 @@
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
 meets the kernel curve in 6 points, and the certified flag points are
-12 in number.  Each count is the degree of a univariate polynomial
-whose roots are certified one by one: the quartic restriction of the
-determinant to a line, the Krylov sextic of the hyperplane over the base
-line, and the flag-point dodecic over the base line (the roots the
-solver takes its flags from, see :mod:`tridiag4.pencil`).
+12 in number.  Each count is of points found by one eigen-solve and
+certified one by one: the eigenvalues of a 4x4 eigenproblem per line,
+the roots of the hyperplane's Krylov sextic over the base line, and the
+roots of the flag-point dodecic there (the roots the solver takes its
+flags from, see :mod:`tridiag4.pencil`).  All run on ``A/||A||_2``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, polyroots
+from . import linalg
 from .errors import NoSectionZero, UnstableCountWarning
 from .genericity import _krylov_roots, classify
 from .pencil import (
     CERT_TOL,
     Pencil,
     _certify_on_curve,
+    _unscale_point,
     curve_residual,
     pencil_matrix,
     section_zeros,
@@ -62,11 +63,14 @@ def _modal(counts):
 def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     """Intersection count of the determinant curve with random lines.
 
-    Substitutes a random line ``t(s) = p + s q`` into the quartic
-    ``det(t0 I + t1 A + t2 A*)`` and counts roots with multiplicity
-    (the trimmed degree of the restriction).  Reports the modal count
-    over the lines and warns when they disagree.
+    A random line ``t(s) = p + s q`` meets the curve where
+    ``det(P + s Q) = 0``, with ``P`` and ``Q`` the pencil matrices at ``p``
+    and ``q``: at the eigenvalues of ``-Q^{-1} P``.  The count of a line is
+    the number of those points that pass the on-curve certificate, taken
+    on ``A/||A||_2`` so that it does not depend on the scale of ``A``.
+    Reports the modal count over the lines and warns when they disagree.
     """
+    unit = Pencil(pencil.a / (pencil.norm or 1.0))
     rng = np.random.default_rng([seed, 11])
     counts = []
     for _ in range(lines):
@@ -74,13 +78,8 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
         q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p /= np.linalg.norm(p)
         q /= np.linalg.norm(q)
-
-        def det_at(t):
-            return np.linalg.det(pencil_matrix(pencil, t))
-
-        coeffs = polyroots.trim(polyroots.restrict_to_line(det_at, p, q, 4))
-        count = sum(mult for _, mult in polyroots.roots(coeffs)) if coeffs.size > 1 else 0
-        counts.append(count)
+        s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(unit, q), -pencil_matrix(unit, p)))
+        counts.append(sum(_certify_on_curve(unit, p + sk * q) is not None for sk in s))
     modal, tally = _modal(counts)
     if len(tally) > 1:
         warnings.warn(f"line counts disagree: {tally}", UnstableCountWarning, stacklevel=2)
@@ -93,39 +92,42 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     Over a base ``[1 : mu]`` the curve's points are the eigenvectors of
     ``N = A + mu*A*``, and one of them lies on the hyperplane exactly when
     ``ell`` is not a cyclic vector of ``N^T``: a root of the Krylov sextic
-    of ``ell`` under ``N^T = A^T + mu*conj(A)``, taken on ``A/||A||``.  A
-    degree drop of the sextic puts the missing roots at the base
-    ``[0 : 1]``.  A root counts, with its multiplicity, only when an
-    eigenvector ``v`` of ``N`` there passes the on-curve certificate with
-    ``curve_residual <= CERT_TOL`` and ``|ell . v| <= CERT_TOL``.
+    of ``ell`` under ``N^T = A^T + mu*conj(A)``.  A degree drop of the
+    sextic puts the missing roots, with that multiplicity, at the base
+    ``[0 : 1]``.  A root counts only when an eigenvector ``v`` of ``N``
+    there passes the on-curve certificate with
+    ``curve_residual <= CERT_TOL`` and ``|ell . v| <= CERT_TOL``.  All of
+    this runs on ``A/||A||_2``, and each point is mapped back to the
+    pencil of ``A``.
 
     Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
     """
     scale = pencil.norm or 1.0
-    k, found = _krylov_roots(pencil.a.T / scale, np.conj(pencil.a) / scale, ell)
-    bases = [(np.array([1.0, mu]) / np.linalg.norm([1.0, mu]), mult) for mu, mult in found]
+    unit = Pencil(pencil.a / scale)
+    k, mus = _krylov_roots(unit.a.T, np.conj(unit.a), ell)
+    bases = [(np.array([1.0, mu]) / np.linalg.norm([1.0, mu]), 1) for mu in mus]
     if k.size < 7:
         bases.append((np.array([0.0, 1.0]), 7 - k.size))
     points = []
     for b, mult in bases:
         passing = []
-        for lam in np.linalg.eigvals(b[0] * pencil.a + b[1] * pencil.astar):
-            on_curve = _certify_on_curve(pencil, np.array([-lam, b[0], b[1]]))
-            if on_curve is not None and curve_residual(pencil, on_curve[1]) <= CERT_TOL:
+        for lam in np.linalg.eigvals(b[0] * unit.a + b[1] * unit.astar):
+            on_curve = _certify_on_curve(unit, np.array([-lam, b[0], b[1]]))
+            if on_curve is not None and curve_residual(unit, on_curve[1]) <= CERT_TOL:
                 passing.append((abs(np.dot(ell, on_curve[1])), *on_curve))
         value, t, v = min(passing, key=lambda p: p[0], default=(np.inf, None, None))
         if value <= CERT_TOL:
-            points.append((t, v, mult))
+            points.append((_unscale_point(t, scale), v, mult))
     return points
 
 
 def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> int:
     """Intersection count of the kernel curve with a hyperplane.
 
-    Counts the certified roots of the hyperplane's Krylov sextic with
-    multiplicity (see :func:`_hyperplane_points`), so a tangential
-    contact counts twice.  With ``hyperplane=None`` a random one is drawn
-    from ``seed``.
+    Counts the certified roots of the hyperplane's Krylov sextic (see
+    :func:`_hyperplane_points`); a tangential contact is a double root,
+    which the companion matrix returns as two roots, so it counts twice.
+    With ``hyperplane=None`` a random one is drawn from ``seed``.
     """
     if hyperplane is None:
         rng = np.random.default_rng([seed, 13])

@@ -71,29 +71,13 @@ def check_distinct_eigenvalues(a, tol: float = 1e-8) -> bool:
     return bool(min(gaps) > tol * scale) if gaps else True
 
 
-def _refine_root(k: np.ndarray, mu: complex, mult: int) -> complex:
-    """Polish a ``mult``-fold root of ``k`` by Newton on ``k^(mult-1)``, where it is simple."""
-    d = k
-    for _ in range(mult - 1):
-        d = polyroots.polyder(d)
-    dd = polyroots.polyder(d)
-    for _ in range(4):
-        slope = complex(polyroots.polyval(dd, mu))
-        step = complex(polyroots.polyval(d, mu)) / slope if slope != 0 else 0j
-        if not np.isfinite(step):
-            break
-        mu -= step
-    return mu
-
-
 def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
     """The Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]``, ``N = p + mu*q``.
 
     ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
-    Returns its trimmed coefficients and its roots ``(mu, multiplicity)``,
-    each m-fold root refined by :func:`_refine_root`; non-finite roots are
-    dropped, and a :class:`ConvergenceFailure` of the root finder leaves
-    no roots.
+    Returns its trimmed coefficients and its roots, taken from the
+    companion matrix as simple roots; a ``K`` that is constant or not
+    finite has none.
     """
 
     def krylov_det(mu):
@@ -104,14 +88,9 @@ def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
         return np.linalg.det(np.column_stack(cols))
 
     k = polyroots.trim(polyroots.restrict_to_line(krylov_det, 0.0, 1.0, 6))
-    if k.size <= 1:
-        return k, []
-    try:
-        found = polyroots.roots(k)
-    except ConvergenceFailure:
-        return k, []
-    refined = [(_refine_root(k, mu, mult), mult) for mu, mult in found]
-    return k, [(mu, mult) for mu, mult in refined if np.isfinite(mu)]
+    if k.size <= 1 or not np.all(np.isfinite(k)):
+        return k, np.empty(0, dtype=complex)
+    return k, np.roots(k[::-1])
 
 
 def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
@@ -152,7 +131,7 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
 
     z = np.vdot(pencil.a, pencil.astar) / max(np.vdot(pencil.a, pencil.a).real, 1e-300)
     bases = [np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([z, -1.0])]
-    bases += [np.array([1.0, mu]) for mu, _ in _krylov_roots(pencil.a, pencil.astar, x)[1]]
+    bases += [np.array([1.0, mu]) for mu in _krylov_roots(pencil.a, pencil.astar, x)[1]]
 
     for b in bases:
         b = b / np.linalg.norm(b)

@@ -412,10 +412,9 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     at once: one ``eig`` of the (13, 4, 4) stack ``A + mu*A*`` and one
     ``det`` of the (13, 4, 4, 4) stack of span matrices.
 
-    The roots come from the companion matrix as 12 simple roots: the
-    flag points are generically distinct, and the multiplicity grouping
-    of :func:`polyroots.roots` can merge distinct roots at this degree.
-    Returns no roots when ``R`` is not finite or vanishes identically.
+    The roots come from the companion matrix as 12 simple roots, since
+    the flag points are generically distinct.  Returns no roots when
+    ``R`` is not finite or vanishes identically.
     """
     scale = pencil.norm or 1.0
     a, astar = pencil.a / scale, pencil.astar / scale
@@ -470,16 +469,19 @@ def _flag_points(pencil: Pencil):
             yield cand
 
 
-def _unscale_candidate(cand: SectionCandidate, scale: float) -> SectionCandidate:
-    """A candidate on the pencil of ``A/scale``, moved to the pencil of ``A``.
+def _unscale_point(t, scale: float) -> np.ndarray:
+    """A point ``[t0 : t1 : t2]`` on the pencil of ``A/scale``, moved to the pencil of ``A``.
 
-    ``[t0 : t1 : t2]`` on ``A/scale`` is ``[scale*t0 : t1 : t2]`` on ``A``,
-    formed with entries of modulus <= 1 so that its norm cannot overflow.
-    The kernel vector and the residuals do not change.
+    It is ``[scale*t0 : t1 : t2]`` there, formed with entries of modulus
+    <= 1 so that its norm cannot overflow.
     """
-    t = cand.point.t
     w = [min(scale, 1.0) * t[0], t[1] / max(scale, 1.0), t[2] / max(scale, 1.0)]
-    return replace(cand, point=PencilPoint(t=canonical_projective(w), v=cand.point.v))
+    return canonical_projective(w)
+
+
+def _unscale_candidate(cand: SectionCandidate, scale: float) -> SectionCandidate:
+    """:func:`_unscale_point` on a candidate; its kernel vector and residuals do not change."""
+    return replace(cand, point=PencilPoint(t=_unscale_point(cand.point.t, scale), v=cand.point.v))
 
 
 def section_zeros(pencil: Pencil):

@@ -2,8 +2,9 @@
 
 Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
 other input is divided by its spectral norm, solved, and its result
-rebuilt on the original matrix.  n = 3 runs a cubic-curve construction;
-n = 4 deflates on a common eigenvector of A and A* when one exists,
+rebuilt on the original matrix.  n = 3 takes its flag from an
+eigenvector of the Hermitian ``A + A*``, a point of the cubic dependence
+locus; n = 4 deflates on a common eigenvector of A and A* when one exists,
 otherwise takes the first certified flag point of the pencil (the
 eigenvector points, then the roots of the flag-point dodecic) whose
 flag passes the residual gate, and falls back to a seeded perturbation
@@ -41,7 +42,7 @@ from .pencil import (
     kernel_vector,
 )
 from .linalg import projective_distance
-from .polyroots import newton_system, restrict_to_line, roots
+from .polyroots import newton_system
 
 
 @dataclass
@@ -229,7 +230,13 @@ def build_flag(a, candidate: SectionCandidate) -> Flag:
 
 
 def _flag3(a, astar, v):
-    """Flag basis for a 3x3 dependence point; handles both case splits."""
+    """Flag basis for a 3x3 dependence point; handles both case splits.
+
+    The second vector is taken from whichever of ``Av``, ``A*v`` sticks
+    out of ``span(v)`` more, projected against ``v`` twice, since one
+    pass leaves it visibly non-orthogonal when it sticks out little.
+    Only at roundoff level is ``v`` taken as a common eigenvector.
+    """
     v = linalg.canonical_projective(v)
     av = a @ v
     asv = astar @ v
@@ -242,26 +249,27 @@ def _flag3(a, astar, v):
         return float(np.linalg.norm(y - np.vdot(v, y) * v))
 
     r_av, r_asv = rel(av), rel(asv)
-    if max(r_av, r_asv) <= 1e-8:
+    if max(r_av, r_asv) <= 1e-13:
         # common eigenvector: the orthocomplement is invariant under both
         w = _completion(v[:, None])
         return np.column_stack([w, v])
-    x2 = av if r_av > 1e-8 else asv
-    f2 = x2 - np.vdot(v, x2) * v
+    f2 = av if r_av >= r_asv else asv
+    for _ in range(2):
+        f2 = f2 - np.vdot(v, f2) * v
     f2 = f2 / np.linalg.norm(f2)
     f3 = _completion(np.column_stack([v, f2]))[:, 0]
     return np.column_stack([v, f2, f3])
 
 
-def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) -> TridiagResult:
-    """Tridiagonalize a 3x3 matrix via the cubic dependence locus.
+def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
+    """Tridiagonalize a 3x3 matrix from one point of the cubic dependence locus.
 
-    Restricts ``F(v) = det[v, Av, A*v]`` to random projective lines,
-    roots the restricted cubic, and turns any root into a flag.  When F
-    vanishes along two lines it is treated as identically zero (shifted
-    Hermitian and similar structure) and eigenvectors of A are used
-    instead.  The construction runs on ``A/||A||_2`` and each flag is
-    measured on ``A`` itself, so the outcome does not depend on the scale.
+    ``F(v) = det[v, Av, A*v]`` vanishes at every eigenvector ``v`` of the
+    Hermitian ``A + A*``, since ``Av + A*v = lam*v`` there.  The flag is
+    built from the first such eigenvector, on ``A/||A||_2``, and measured
+    on ``A`` itself, so the outcome does not depend on the scale.  ``seed``
+    is only recorded in the result.  Raises :class:`Unsolved` when the
+    flag misses the residual gate ``tol``.
     """
     a = linalg.as_matrix(a)
     if a.shape != (3, 3):
@@ -270,56 +278,11 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42, max_lines: int = 8) ->
         return _result_from_flag(a, np.eye(3, dtype=complex), "trivial", seed)
     b = a / linalg.matrix_norm(a)
     bstar = linalg.adjoint(b)
-    rng = np.random.default_rng([seed, 3])
-
-    def cubic_on_line(p, q):
-        def f(vv):
-            return np.linalg.det(np.column_stack([vv, b @ vv, bstar @ vv]))
-
-        return restrict_to_line(f, p, q, 3)
-
-    def attempt(v):
-        basis = _flag3(b, bstar, v)
-        result = _result_from_flag(a, basis, "cubic_curve_3x3", seed)
-        return result if result.off_residual <= tol else None
-
-    degenerate_lines = 0
-    for _ in range(max_lines):
-        p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        p /= np.linalg.norm(p)
-        q /= np.linalg.norm(q)
-        coeffs = cubic_on_line(p, q)
-        if np.max(np.abs(coeffs)) <= 1e-10:
-            degenerate_lines += 1
-            if degenerate_lines >= 2:
-                break
-            continue
-        try:
-            line_roots = roots(coeffs)
-        except ConvergenceFailure:
-            continue
-        for s, _ in line_roots:
-            v = p / s + q if abs(s) > 1.0 else p + s * q
-            result = attempt(v)
-            if result is not None:
-                return result
-
-    # the cubic vanishes identically (or every root failed): eigenvectors
-    # of A always lie on the locus
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        try:
-            pairs = linalg.eigen(b)
-        except ConvergenceFailure:
-            pairs = []
-    for _, v in pairs:
-        result = attempt(v)
-        if result is not None:
-            return result
-    raise Unsolved("3x3 construction failed on every line and eigenvector")
+    v = np.linalg.eigh(b + bstar)[1][:, 0]
+    result = _result_from_flag(a, _flag3(b, bstar, v), "cubic_curve_3x3", seed)
+    if result.off_residual > tol:
+        raise Unsolved(f"3x3 flag off_residual {result.off_residual:.2e} exceeds tol={tol:.1e}")
+    return result
 
 
 # ---------------------------------------------------------------------------

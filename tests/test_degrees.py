@@ -12,7 +12,7 @@ from tridiag4.degrees import (
     section_zero_count,
 )
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.pencil import Pencil
+from tridiag4.pencil import Pencil, _certify_on_curve
 
 
 class TestDegreeOfDetCurve:
@@ -24,6 +24,12 @@ class TestDegreeOfDetCurve:
     def test_jordan_block_gives_four(self):
         # the restriction to a generic line is still a full quartic
         assert degree_of_det_curve(Pencil(jordan_block(4)), lines=10, seed=0) == 4
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_scale_free(self, scale):
+        for seed in range(5):
+            p = Pencil(scale * make_matrix("gaussian", 4, seed))
+            assert degree_of_det_curve(p, lines=10, seed=seed) == 4, seed
 
 
 class TestDegreeOfKernelCurve:
@@ -58,6 +64,19 @@ class TestDegreeOfKernelCurve:
             assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v, _ in points)
 
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_scale_free(self, scale):
+        # the points come back on the pencil of the scaled matrix itself
+        for seed in range(5):
+            p = Pencil(scale * make_matrix("gaussian", 4, seed))
+            assert degree_of_kernel_curve(p, seed=seed) == 6, seed
+            rng = np.random.default_rng(seed)
+            ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            points = _hyperplane_points(p, ell / np.linalg.norm(ell))
+            assert sum(mult for _, _, mult in points) == 6, seed
+            assert all(_certify_on_curve(p, t) is not None for t, _, _ in points), seed
+
+
 class TestSectionZeroCount:
     def test_random_matrix_at_most_twelve(self):
         p = Pencil(make_matrix("gaussian", 4, 6))
@@ -73,6 +92,13 @@ class TestRunExperiments:
         assert report.deg_kernel_curve == 6
         assert report.section_zero_count == 12
         assert [d["trial"] for d in report.per_trial_detail] == [0, 1]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e200, 1e300])
+    def test_scale_free(self, scale):
+        for seed in range(3):
+            report = run_experiments(scale * make_matrix("gaussian", 4, seed))
+            counts = (report.deg_det_curve, report.deg_kernel_curve, report.section_zero_count)
+            assert counts == (4, 6, 12), seed
 
     def test_hermitian_skipped_with_notice(self):
         a = make_matrix("hermitian", 4, 8)

@@ -158,6 +158,20 @@ class TestTridiagonalize3:
             assert r.unitarity_residual <= 1e-10, seed
 
 
+    @pytest.mark.parametrize("d", [1e-1, 1e-3, 1e-5, 1e-7, 1e-8, 3e-8, 1e-9, 1e-12, 0.0])
+    @pytest.mark.parametrize("kind", ["hermitian", "skew_hermitian_plus_2i"])
+    def test_near_hermitian_flags_at_roundoff(self, kind, d):
+        # A + A* is nearly scalar or Av nearly parallel to v: the second
+        # flag vector needs two projections against v, and v counts as a
+        # common eigenvector only at roundoff level
+        for seed in range(20):
+            h = make_matrix("hermitian", 3, seed)
+            x = h if kind == "hermitian" else 1j * h + 2 * np.eye(3)
+            r = tridiagonalize3(x + d * make_matrix("gaussian", 3, 1000 + seed), seed=seed)
+            assert r.off_residual <= 1e-12, seed
+            assert r.unitarity_residual <= 1e-10, seed
+
+
 class TestDeflation:
     def test_normal_matrix(self):
         rng = np.random.default_rng(2)
