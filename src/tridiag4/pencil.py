@@ -55,12 +55,10 @@ NEWTON_STEPS = 50
 
 @dataclass(frozen=True)
 class Pencil:
-    """A 4x4 matrix together with its cached adjoint and derived products."""
+    """A 4x4 matrix together with its cached adjoint and spectral norm."""
 
     a: np.ndarray
     astar: np.ndarray = field(init=False)
-    a2: np.ndarray = field(init=False)
-    astar2: np.ndarray = field(init=False)
     norm: float = field(init=False)
 
     def __post_init__(self):
@@ -69,8 +67,6 @@ class Pencil:
             raise ValueError("Pencil expects a 4x4 matrix")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "astar", linalg.adjoint(a))
-        object.__setattr__(self, "a2", a @ a)
-        object.__setattr__(self, "astar2", self.astar @ self.astar)
         object.__setattr__(self, "norm", linalg.matrix_norm(a))
 
     @property
@@ -287,14 +283,6 @@ def _certify(pencil: Pencil, t):
     )
 
 
-def _chart_setup(pencil: Pencil, t_seed: np.ndarray):
-    k = int(np.argmax(np.abs(t_seed)))
-    ts = t_seed / t_seed[k]
-    free = [i for i in range(3) if i != k]
-    gens = pencil.generators
-    return k, free, ts[free].copy(), gens[k], gens[free[0]], gens[free[1]]
-
-
 def _polish(pencil: Pencil, t_seed):
     """Newton-polish a seed on (det curve, span determinant) in a local chart.
 
@@ -304,7 +292,11 @@ def _polish(pencil: Pencil, t_seed):
     None when the run fails.
     """
     t_seed = np.asarray(t_seed, dtype=complex)
-    k, free, s0, pk, pa, pb = _chart_setup(pencil, t_seed)
+    k = int(np.argmax(np.abs(t_seed)))
+    free = [i for i in range(3) if i != k]
+    s0 = t_seed[free] / t_seed[k]
+    gens = pencil.generators
+    pk, pa, pb = gens[k], gens[free[0]], gens[free[1]]
     m0 = pk + s0[0] * pa + s0[1] * pb
     u, sv, _ = np.linalg.svd(m0)
     if sv[0] == 0.0 or sv[2] <= RANK_TOL * sv[0]:
@@ -312,7 +304,8 @@ def _polish(pencil: Pencil, t_seed):
     w = np.conj(u[:, -1])
     g_scale = sv[0] ** 4
 
-    a, a2, astar2 = pencil.a, pencil.a2, pencil.astar2
+    a = pencil.a
+    a2, astar2 = a @ a, pencil.astar @ pencil.astar
 
     def build(v):
         return np.column_stack([v, a @ v, a2 @ v, astar2 @ v])
@@ -469,19 +462,21 @@ def _flag_points(pencil: Pencil):
             yield cand
 
 
-def _unscale_point(t, scale: float) -> np.ndarray:
-    """A point ``[t0 : t1 : t2]`` on the pencil of ``A/scale``, moved to the pencil of ``A``.
+def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
+    """A point ``[t0 : t1 : t2]`` on the pencil of ``(A - shift*I)/scale``, moved to the pencil of ``A``.
 
-    It is ``[scale*t0 : t1 : t2]`` there, formed with entries of modulus
-    <= 1 so that its norm cannot overflow.
+    It is ``[scale*t0 - shift*t1 - conj(shift)*t2 : t1 : t2]`` there,
+    formed with every coefficient divided by ``max(scale, |shift|, 1)``
+    so that no term can overflow.
     """
-    w = [min(scale, 1.0) * t[0], t[1] / max(scale, 1.0), t[2] / max(scale, 1.0)]
+    m = max(scale, abs(shift), 1.0)
+    w = [(scale / m) * t[0] - (shift / m) * t[1] - (np.conj(shift) / m) * t[2], t[1] / m, t[2] / m]
     return canonical_projective(w)
 
 
-def _unscale_candidate(cand: SectionCandidate, scale: float) -> SectionCandidate:
+def _unscale_candidate(cand: SectionCandidate, scale: float, shift: complex = 0.0) -> SectionCandidate:
     """:func:`_unscale_point` on a candidate; its kernel vector and residuals do not change."""
-    return replace(cand, point=PencilPoint(t=_unscale_point(cand.point.t, scale), v=cand.point.v))
+    return replace(cand, point=PencilPoint(t=_unscale_point(cand.point.t, scale, shift), v=cand.point.v))
 
 
 def section_zeros(pencil: Pencil):
@@ -501,7 +496,8 @@ def section_zeros(pencil: Pencil):
     ------
     NoSectionZero
         When no candidate passes certification; degenerate inputs land
-        here and the solver falls back to the perturbation path.
+        here, and the solver refines a unitary from the Schur basis
+        instead.
     """
     scale = pencil.norm or 1.0
     zeros: list[SectionCandidate] = []

@@ -1,15 +1,17 @@
 """End-to-end unitary tridiagonalization for n <= 4.
 
 Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
-other input is divided by its spectral norm, solved, and its result
-rebuilt on the original matrix.  n = 3 takes its flag from an
-eigenvector of the Hermitian ``A + A*``, a point of the cubic dependence
-locus; n = 4 deflates on a common eigenvector of A and A* when one exists,
-otherwise takes the first certified flag point of the pencil (the
-eigenvector points, then the roots of the flag-point dodecic) whose
-flag passes the residual gate, and falls back to a seeded perturbation
-ladder (with Newton polish back on the original matrix) for degenerate
-inputs.
+other input is centred (``C = A - tr(A)/n * I``), divided by
+``||C||_2``, solved, and its result rebuilt on the original matrix.  n = 3
+takes its flag from an eigenvector of the Hermitian ``A + A*``, a point
+of the cubic dependence locus; n = 4 deflates on a common eigenvector of
+A and A* when one exists, otherwise takes the first certified flag point
+of the pencil (the eigenvector points, then the roots of the flag-point
+dodecic) whose flag passes the gate.  When none does, one Gauss-Newton
+refinement of the unitary itself, started from the Schur basis, solves
+the input (:func:`_refine_unitary`), and a seeded perturbation ladder,
+refined back on the original matrix, is the last resort.  Every result
+passes one gate on both of its residuals (:func:`_passes`).
 """
 
 from __future__ import annotations
@@ -19,30 +21,30 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ConvergenceFailure,
-    FlagDegenerate,
-    NoSectionZero,
-    RankDeficientPencil,
-    SingularJacobian,
-    Unsolved,
-)
+from .errors import ConvergenceFailure, FlagDegenerate, NoSectionZero, RankDeficientPencil, Unsolved
 from .genericity import common_eigenvectors
-from .pencil import (
-    NEWTON_STEPS,
-    NEWTON_TOL,
-    Pencil,
-    SectionCandidate,
-    _certify,
-    _chart_setup,
-    _distinguished_seeds,
-    _flag_points,
-    _polish,
-    _unscale_candidate,
-    kernel_vector,
-)
-from .linalg import projective_distance
-from .polyroots import newton_system
+from .pencil import Pencil, SectionCandidate, _flag_points, _unscale_candidate
+
+#: The unitarity gate ``||UU* - I||_2`` that every returned result meets.
+UNITARITY_TOL = 1e-10
+
+#: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
+REFINE_STEPS = 40
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """A Frobenius-orthonormal basis of the n x n Hermitian matrices, as an (n*n, n, n) stack."""
+    e = np.einsum("ja,kb->jkab", np.eye(n), np.eye(n))
+    pairs = [(j, k) for j in range(n) for k in range(j, n)]
+    real = [(e[j, k] + e[k, j]) / (2.0 if j == k else np.sqrt(2.0)) for j, k in pairs]
+    imag = [1j * (e[j, k] - e[k, j]) / np.sqrt(2.0) for j, k in pairs if j < k]
+    return np.array(real + imag)
+
+
+# the entries of a 4x4 matrix that a tridiagonal one leaves zero, and the
+# generators H_k of the refinement's steps exp(iH)
+_FAR = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2
+_GENERATORS = _hermitian_basis(4)
 
 
 @dataclass
@@ -133,6 +135,11 @@ def flag_to_unitary(flag: Flag) -> np.ndarray:
 def _completion(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthocomplement of the given columns."""
     return linalg.nullspace(np.conj(cols).T)
+
+
+def _passes(result: TridiagResult, tol: float) -> bool:
+    """The gate of every returned result: both of its measured residuals."""
+    return result.off_residual <= tol and result.unitarity_residual <= UNITARITY_TOL
 
 
 def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None) -> TridiagResult:
@@ -280,8 +287,11 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
     bstar = linalg.adjoint(b)
     v = np.linalg.eigh(b + bstar)[1][:, 0]
     result = _result_from_flag(a, _flag3(b, bstar, v), "cubic_curve_3x3", seed)
-    if result.off_residual > tol:
-        raise Unsolved(f"3x3 flag off_residual {result.off_residual:.2e} exceeds tol={tol:.1e}")
+    if not _passes(result, tol):
+        raise Unsolved(
+            f"3x3 flag misses the gate: off_residual {result.off_residual:.2e} (tol={tol:.1e}), "
+            f"unitarity {result.unitarity_residual:.2e}"
+        )
     return result
 
 
@@ -306,7 +316,11 @@ def deflate_common_eigenvector(a, v, tol: float = 1e-8, seed: int = 42) -> Tridi
 
 
 def _section_path(a, opts: Options) -> TridiagResult:
-    """The flag of the first certified flag point that passes the residual gate."""
+    """The flag of the first certified flag point that passes the gate.
+
+    When none does, the unitary is refined from the Schur basis of ``A``
+    (the ``qr`` of ``eig``'s eigenvector matrix) instead.
+    """
     last_exc = None
     for cand in _flag_points(Pencil(a)):
         try:
@@ -315,88 +329,40 @@ def _section_path(a, opts: Options) -> TridiagResult:
             last_exc = exc
             continue
         result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand)
-        if result.off_residual <= opts.tol:
+        if _passes(result, opts.tol):
             return result
-    raise NoSectionZero(f"no certified flag point met the final residual gate ({last_exc})")
+    q = np.linalg.qr(np.linalg.eig(a)[1])[0]
+    u = _refine_unitary(a, np.conj(q).T, opts.tol)
+    if u is not None:
+        result = _result_from_flag(a, np.conj(u).T, "refined", opts.seed)
+        if _passes(result, opts.tol):
+            return result
+    raise NoSectionZero(f"neither a certified flag point ({last_exc}) nor the refinement met the gate")
 
 
-def _polish_curve_only(pencil: Pencil, t_seed):
-    """1-D Newton back onto the determinant curve, largest-slope chart axis."""
-    t_seed = np.asarray(t_seed, dtype=complex)
-    k, free, s0, pk, pa, pb = _chart_setup(pencil, t_seed)
-    m0 = pk + s0[0] * pa + s0[1] * pb
-    sv = np.linalg.svd(m0, compute_uv=False)
-    g_scale = max(sv[0] ** 4, 1e-300)
-    adj0 = linalg.adjugate(m0)
-    slopes = [abs(np.trace(adj0 @ pa)), abs(np.trace(adj0 @ pb))]
-    move = int(np.argmax(slopes))
-    frozen = s0[1 - move]
-    gens = (pa, pb)
+def _refine_unitary(a, u, tol: float):
+    """Gauss-Newton on the unitary group: ``U <- exp(iH) U`` until ``U A U*`` is tridiagonal.
 
-    def build(sm):
-        s = np.empty(2, dtype=complex)
-        s[move] = sm[0]
-        s[1 - move] = frozen
-        return pk + s[0] * pa + s[1] * pb, s
-
-    def f(sm):
-        m, _ = build(sm)
-        adj = linalg.adjugate(m)
-        return np.array([np.trace(m @ adj) / 4.0 / g_scale])
-
-    def jac(sm):
-        m, _ = build(sm)
-        adj = linalg.adjugate(m)
-        return np.array([[np.trace(adj @ gens[move]) / g_scale]])
-
-    try:
-        s_star, _ = newton_system(f, jac, np.array([s0[move]]), tol=NEWTON_TOL, max_steps=NEWTON_STEPS)
-    except (ConvergenceFailure, SingularJacobian):
-        return None
-    t = np.empty(3, dtype=complex)
-    t[k] = 1.0
-    s_full = np.empty(2, dtype=complex)
-    s_full[move] = s_star[0]
-    s_full[1 - move] = frozen
-    t[free[0]] = s_full[0]
-    t[free[1]] = s_full[1]
-    return linalg.canonical_projective(t)
-
-
-def _pullback_common_eigenvector(a, v_seed, tol: float, seed: int):
-    """Sharpen a near-common eigenvector on the original matrix and deflate.
-
-    A few Rayleigh/inverse-iteration steps converge the seed to an exact
-    eigenvector of A; if it is also an eigenvector of A* within
-    tolerance, the deflation route applies to the original matrix.
-    Returns None when the seed does not lead to a common eigenvector.
+    The residual is the six entries of ``T = U A U*`` with ``|i - j| >= 2``
+    (12 real values); the Jacobian's columns are those entries of
+    ``i[H_k, T]`` over an orthonormal basis ``H_k`` of the 4x4 Hermitian
+    matrices, and each step takes the minimum-norm least-squares ``H``,
+    exponentiated through ``eigh`` so that ``U`` stays unitary.  Returns
+    the refined ``U`` once the residual is at most ``1e-2 * tol * ||A||_2``,
+    or None after ``REFINE_STEPS`` steps.
     """
-    a = linalg.as_matrix(a)
-    astar = linalg.adjoint(a)
-    scale = max(linalg.matrix_norm(a), 1e-300)
-    v = linalg.canonical_projective(v_seed)
-    eye = np.eye(4)
-    for _ in range(3):
-        mu = np.vdot(v, a @ v)
-        try:
-            w = np.linalg.solve(a - mu * eye, v)
-        except np.linalg.LinAlgError:
-            break
-        norm = np.linalg.norm(w)
-        if not np.isfinite(norm) or norm <= 1e-300:
-            break
-        v = w / norm
-    v = linalg.canonical_projective(v)
-    lam = np.vdot(v, a @ v)
-    nu = np.vdot(v, astar @ v)
-    if np.linalg.norm(a @ v - lam * v) > 1e-8 * scale:
-        return None
-    if np.linalg.norm(astar @ v - nu * v) > 1e-8 * scale:
-        return None
-    try:
-        return deflate_common_eigenvector(a, v, tol=tol, seed=seed)
-    except Unsolved:
-        return None
+    goal = 1e-2 * tol * linalg.matrix_norm(a)
+    for _ in range(REFINE_STEPS):
+        t = u @ a @ np.conj(u).T
+        off = t[_FAR]
+        if np.max(np.abs(off)) <= goal:
+            return u
+        cols = 1j * (_GENERATORS @ t - t @ _GENERATORS)[:, _FAR]
+        jac = np.concatenate([cols.real, cols.imag], axis=1).T
+        x = np.linalg.lstsq(jac, -np.concatenate([off.real, off.imag]), rcond=None)[0]
+        w, q = np.linalg.eigh(np.tensordot(x, _GENERATORS, axes=1))
+        u = (q * np.exp(1j * w)) @ np.conj(q).T @ u
+    return u if _off_max(u @ a @ np.conj(u).T) <= goal else None
 
 
 def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
@@ -404,11 +370,9 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
 
     Solves ``A + eps * G`` for a fixed seeded Gaussian direction G with
     ``||G|| = ||A||`` over eps in the ladder, then pulls the solution
-    back to the original A: first a full Newton polish of the pencil
-    point on A's own system, then a curve-only polish, and finally the
-    perturbed unitary applied to A as-is.  The first attempt whose
-    off-tridiagonal residual on the *original* A meets the tolerance
-    wins; the eps used is recorded.
+    back to the original A by refining its unitary on A
+    (:func:`_refine_unitary`).  The first rung whose refined result
+    passes the gate on the *original* A wins; the eps used is recorded.
     """
     if opts is None:
         opts = Options()
@@ -417,97 +381,20 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     rng = np.random.default_rng([opts.seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g) * scale
-
-    pencil = Pencil(a)
-    astar = linalg.adjoint(a)
-    best: TridiagResult | None = None
-
-    def gate(result: TridiagResult, eps: float):
-        nonlocal best
-        result.perturbation_used = eps
-        result.provenance = "perturbed"
-        if result.flag is not None:
-            result.flag.provenance = "perturbed"
-        if best is None or result.off_residual < best.off_residual:
-            best = result
-        return result if result.off_residual <= opts.tol else None
-
+    # the sub-solve only has to give a unitary worth refining, so its own
+    # gate is relaxed; the strict gate applies on the original matrix
+    sub_opts = replace(opts, tol=max(opts.tol, 1e-6), allow_perturbation=False, force_path=None)
     for eps in opts.ladder:
-        # the sub-solve only has to produce a pencil point worth pulling
-        # back, so its own gate is relaxed; the strict gate applies to the
-        # final result on the original matrix
-        sub_opts = replace(
-            opts,
-            tol=max(opts.tol, 1e-6),
-            allow_perturbation=False,
-            force_path=None,
-        )
         try:
             sub = tridiagonalize(a + eps * g, sub_opts)
         except (Unsolved, NoSectionZero, RankDeficientPencil, ConvergenceFailure):
             continue
-
-        if sub.candidate is not None:
-            t_seed = sub.candidate.point.t
-            t_pol = _polish(pencil, t_seed)
-            if t_pol is not None:
-                cand = _certify(pencil, t_pol)
-                if cand is not None:
-                    try:
-                        flag = build_flag(a, cand)
-                        out = gate(
-                            _result_from_flag(a, flag.basis, "perturbed", opts.seed, eps, cand),
-                            eps,
-                        )
-                        if out is not None:
-                            return out
-                    except FlagDegenerate:
-                        pass
-            t_pol = _polish_curve_only(pencil, t_seed)
-            if t_pol is not None:
-                try:
-                    v = kernel_vector(pencil, t_pol)
-                    basis = _flag_basis_from_vector(a, astar, v)
-                    out = gate(_result_from_flag(a, basis, "perturbed", opts.seed, eps), eps)
-                    if out is not None:
-                        return out
-                except (RankDeficientPencil, FlagDegenerate):
-                    pass
-            # degenerate inputs collapse their zeros onto eigenvector points;
-            # when the perturbed candidate sits near one, its exact structure
-            # on the original matrix often certifies directly
-            for t_dist, _ in _distinguished_seeds(pencil):
-                if projective_distance(t_dist, t_seed) > 0.15:
-                    continue
-                cand = _certify(pencil, t_dist)
-                if cand is None:
-                    continue
-                try:
-                    flag = build_flag(a, cand)
-                except FlagDegenerate:
-                    continue
-                out = gate(
-                    _result_from_flag(a, flag.basis, "perturbed", opts.seed, eps, cand), eps
-                )
-                if out is not None:
-                    return out
-
-        if sub.candidate is None and sub.flag is not None:
-            # the sub-solve deflated: pull its leading flag vector back to
-            # an exact common eigenvector of the original, if there is one
-            pulled = _pullback_common_eigenvector(a, sub.flag.basis[:, 0], opts.tol, opts.seed)
-            if pulled is not None:
-                out = gate(pulled, eps)
-                if out is not None:
-                    return out
-
-        # last resort on this rung: the perturbed unitary as-is
-        out = gate(_result_from_flag(a, np.conj(sub.u).T, "perturbed", opts.seed, eps), eps)
-        if out is not None:
-            return out
-
-    detail = "" if best is None else f"; best off_residual {best.off_residual:.2e}"
-    raise Unsolved(f"perturbation ladder {opts.ladder} exhausted{detail}")
+        u = _refine_unitary(a, sub.u, opts.tol)
+        if u is not None:
+            result = _result_from_flag(a, np.conj(u).T, "perturbed", opts.seed, eps)
+            if _passes(result, opts.tol):
+                return result
+    raise Unsolved(f"perturbation ladder {opts.ladder} exhausted")
 
 
 def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
@@ -519,10 +406,12 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     the perturbation ladder fails, which indicates a bug rather than an
     expected outcome.
 
-    ``A`` is divided by its spectral norm once, at entry, so the outcome
-    does not depend on its scale.  ``U``, ``T`` and both residuals are
-    then rebuilt on ``A`` itself, and the point of ``candidate`` is mapped
-    back to the pencil of ``A``.
+    ``A`` is centred and normalized once, at entry: the solve runs on
+    ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and ``s = ||A - tau*I||_2``,
+    which has the same tridiagonalizing unitaries, so the outcome depends
+    on neither the scale nor the shift of ``A``.  ``U``, ``T`` and both
+    residuals are then rebuilt on ``A`` itself, and the point of
+    ``candidate`` is mapped back to the pencil of ``A``.
     """
     if opts is None:
         opts = Options()
@@ -537,18 +426,28 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
 
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
-    scale = linalg.matrix_norm(a) or 1.0
-    result = _dispatch(a / scale, opts)
+    shift = np.sum(np.diag(a) / n)
+    c = a - shift * np.eye(n)
+    scale = linalg.matrix_norm(c) or 1.0
+    # the gate is relative to ||A||, which can be as small as ||C||/2
+    inner = replace(opts, tol=opts.tol * min(1.0, linalg.matrix_norm(a) / scale))
+    result = _dispatch(c / scale, inner)
     cand = result.candidate
     if cand is not None:
-        cand = _unscale_candidate(cand, scale)
-    return _result_from_flag(
+        cand = _unscale_candidate(cand, scale, shift)
+    result = _result_from_flag(
         a, result.flag.basis, result.provenance, result.seed, result.perturbation_used, cand
     )
+    if not _passes(result, opts.tol):
+        raise Unsolved(
+            f"the result misses the gate on A: off_residual {result.off_residual:.2e}, "
+            f"unitarity {result.unitarity_residual:.2e}"
+        )
+    return result
 
 
 def _dispatch(a, opts: Options) -> TridiagResult:
-    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1``."""
+    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1`` and ``tr(A) = 0``."""
     if a.shape[0] == 3:
         return tridiagonalize3(a, tol=opts.tol, seed=opts.seed)
 
@@ -560,7 +459,7 @@ def _dispatch(a, opts: Options) -> TridiagResult:
         if common:
             try:
                 result = deflate_common_eigenvector(a, common[0], tol=opts.tol, seed=opts.seed)
-                if result.off_residual <= opts.tol:
+                if _passes(result, opts.tol):
                     return result
             except Unsolved:
                 pass

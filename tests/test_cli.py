@@ -122,6 +122,21 @@ class TestTridiag:
         assert len(payload["flags"]) == 12
         assert all(flag["sigma4"] <= 1e-8 for flag in payload["flags"])
 
+    def test_near_hermitian_reports_refined(self, capsys, tmp_path):
+        # no flag point certifies this close to a Hermitian matrix, so the
+        # unitary is refined from the Schur basis
+        validate = load_schema("report.schema.json")
+        a = make_matrix("hermitian", 4, 3) + 1e-6 * make_matrix("gaussian", 4, 4)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(a)))
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json", "--verify"])
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload)
+        assert payload["result"]["provenance"] == "refined"
+        assert payload["result"]["off_residual"] <= 1e-8
+        assert payload["verify"]["unitarity_residual"] <= 1e-10
+
     def test_all_flags_on_identity_reports_none(self, capsys, tmp_path):
         # the identity's pencil drops below rank 3 all along its curve, so
         # the flag-point search raises and the report lists no flags

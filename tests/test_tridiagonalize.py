@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from tridiag4 import linalg, pencil
-from tridiag4.errors import Unsolved
-from tridiag4.generate import jordan_block, make_matrix, random_unitary
+from tridiag4.errors import NoSectionZero, Unsolved
+from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
 from tridiag4.genericity import common_eigenvectors
 from tridiag4.pencil import Pencil, pencil_matrix, section_zeros
 from tridiag4.tridiagonalize import (
     Flag,
     _result_from_flag,
+    _section_path,
     Options,
     build_flag,
     deflate_common_eigenvector,
@@ -30,6 +31,29 @@ def solve_quiet(a, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return tridiagonalize(a, **kw)
+
+
+def near_structured(kind, d, seed):
+    """``X + d*||X||*G/||G||`` for a structured ``X`` and a complex Gaussian ``G``."""
+    rng = np.random.default_rng([seed, 99])
+    if kind == "unitary":
+        x = random_unitary(4, rng)
+    elif kind == "normal":
+        q = random_unitary(4, rng)
+        x = q @ np.diag(random_gaussian(4, rng)[0]) @ np.conj(q).T
+    else:
+        g = random_gaussian(4, rng)
+        x = (g + np.conj(g).T) / 2
+        if kind == "skew_hermitian_plus_2i":
+            x = 1j * x + 2 * np.eye(4)
+    g = random_gaussian(4, rng)
+    return x + d * linalg.matrix_norm(x) * g / linalg.matrix_norm(g)
+
+
+def assert_gates(a, r, key):
+    assert r.off_residual <= 1e-8, key
+    assert r.unitarity_residual <= 1e-10, key
+    assert verify(r, a).spectrum_gap <= 1e-8 * linalg.matrix_norm(a), key
 
 
 class TestDispatch:
@@ -82,6 +106,13 @@ class TestDispatch:
             s = np.linalg.svd(pencil_matrix(Pencil(scale * a), r.candidate.point.t), compute_uv=False)
             assert s[3] <= 1e-8 * s[0], seed
 
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e8, 1e12])
+    def test_shift_free(self, c):
+        # A + c*I has the flags of A; the solve runs on the centred matrix
+        for seed in range(20):
+            a = make_matrix("gaussian", 4, seed) + c * np.eye(4)
+            assert_gates(a, tridiagonalize(a), seed)
+
     @pytest.mark.parametrize("seed", [10129, 10180, 10366])
     def test_first_flag_needs_few_polishes(self, seed, monkeypatch):
         # the first polished root of the dodecic should certify; these
@@ -129,6 +160,31 @@ class TestDispatch:
             r = solve_quiet(a, seed=seed)
             rep = verify(r, a)
             assert rep.spectrum_gap <= 1e-8 * linalg.matrix_norm(a)
+
+
+class TestSectionPath:
+    @pytest.mark.parametrize("d", [1e-1, 1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("kind", ["hermitian", "normal", "unitary", "skew_hermitian_plus_2i"])
+    def test_near_structured_solves(self, kind, d):
+        # near these inputs the flag points crowd together and no polished
+        # root certifies; the refinement of U from the Schur basis solves them
+        for seed in range(5):
+            a = near_structured(kind, d, seed)
+            assert_gates(a, tridiagonalize(a), seed)
+
+    def test_every_returned_result_passes_the_unitarity_gate(self):
+        # on these uncentred inputs a flag can meet the off-band gate with
+        # ||UU* - I|| far above 1e-10, so both residuals must be gated
+        for seed in range(20):
+            a = make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4)
+            a = a / linalg.matrix_norm(a)
+            for path in (_section_path, perturb_and_retry):
+                try:
+                    r = path(a, Options())
+                except (NoSectionZero, Unsolved):
+                    continue
+                assert r.off_residual <= 1e-8, (path.__name__, seed)
+                assert r.unitarity_residual <= 1e-10, (path.__name__, seed)
 
 
 class TestTridiagonalize3:
