@@ -44,7 +44,7 @@ for pt in fiber_points(pencil, base):
 
 # --- all flag points -------------------------------------------------------
 # the bases [1 : mu] of the flag points are the 12 roots of one dodecic;
-# each root is polished and certified
+# each is certified, and a rejected root is refined on the dodecic and certified again
 zeros = section_zeros(pencil)
 print(f"\ncertified flag points: {len(zeros)} (the roots of a dodecic: 12 for generic A)")
 for z in zeros:

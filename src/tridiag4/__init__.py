@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     RankDeficientPencil,
     RepeatedEigenvalueWarning,
-    SingularJacobian,
     SolverError,
     Unsolved,
     UnstableCountWarning,
@@ -73,7 +72,6 @@ __all__ = [
     "ParseError",
     "RankDeficientPencil",
     "RepeatedEigenvalueWarning",
-    "SingularJacobian",
     "SolverError",
     "Unsolved",
     "UnstableCountWarning",

@@ -9,10 +9,6 @@ class ConvergenceFailure(SolverError):
     """An iteration did not reach its tolerance within the step budget."""
 
 
-class SingularJacobian(SolverError):
-    """Newton hit a (numerically) singular Jacobian."""
-
-
 class RankDeficientPencil(SolverError):
     """The pencil dropped below rank 3 at the requested point."""
 

@@ -1,8 +1,11 @@
 """Dense complex linear algebra kernels for fixed small sizes (n, m <= 7).
 
-Everything here is a pure function of its inputs.  Matrices are plain
-``numpy.ndarray`` of dtype complex128; rank decisions are always made
-relative to the largest singular value.
+Input validation, the adjoint and the spectral norm, eigenpairs with
+repeated eigenvalues flagged, null spaces, and the canonical
+representative and distance of projective points.  Everything here is a
+pure function of its inputs.  Matrices are plain ``numpy.ndarray`` of
+dtype complex128; rank decisions are always made relative to the
+largest singular value.
 """
 
 from __future__ import annotations
@@ -154,93 +157,3 @@ def projective_distance(u, v) -> float:
         raise ValueError("projective points must be nonzero")
     c = abs(np.vdot(a, b)) / (na * nb)
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
-
-
-def _power_traces(m: np.ndarray, n: int):
-    traces = []
-    p = m
-    for _ in range(n):
-        traces.append(np.trace(p))
-        p = p @ m
-    return traces
-
-
-def charpoly_elementary(m: np.ndarray):
-    """Elementary symmetric functions e_1..e_n of the eigenvalues.
-
-    Computed from power traces by Newton's identities, so that
-    ``det(lam*I - m) = lam^n - e1 lam^(n-1) + e2 lam^(n-2) - ...``.
-    """
-    a = np.asarray(m, dtype=complex)
-    n = a.shape[0]
-    p = _power_traces(a, n)
-    e = [1.0 + 0j]
-    for k in range(1, n + 1):
-        acc = 0.0 + 0j
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        e.append(acc / k)
-    return e[1:]
-
-
-_EYE4 = np.eye(4, dtype=complex)
-
-
-def _adj4(a: np.ndarray):
-    """Unvalidated 4x4 adjugate via Cayley-Hamilton.
-
-    Returns ``(adj, a2, stats)`` where ``stats = (p1, p2, e1, e2)`` feeds
-    the directional derivative.  ``a @ adj == det(a) * I`` identically,
-    so at a rank-3 point the adjugate has rank one and spans the kernel.
-    """
-    a2 = a @ a
-    a3 = a2 @ a
-    p1 = a.trace()
-    p2 = a2.trace()
-    p3 = a3.trace()
-    e1 = p1
-    e2 = (e1 * p1 - p2) / 2.0
-    e3 = (e2 * p1 - e1 * p2 + p3) / 3.0
-    adj = -a3 + e1 * a2 - e2 * a + e3 * _EYE4
-    return adj, a2, (p1, p2, e1, e2)
-
-
-def _adj4_dir(a: np.ndarray, a2: np.ndarray, stats, b: np.ndarray) -> np.ndarray:
-    """Directional derivative of the 4x4 adjugate at ``a`` along ``b``.
-
-    Differentiates the Cayley-Hamilton expression exactly via
-    d tr(a^k) = k tr(a^(k-1) b); valid at singular ``a`` as well.
-    """
-    p1, p2, e1, e2 = stats
-    dp1 = b.trace()
-    dp2 = 2.0 * (a * b.T).sum()
-    dp3 = 3.0 * (a2 * b.T).sum()
-    de1 = dp1
-    de2 = (de1 * p1 + e1 * dp1 - dp2) / 2.0
-    de3 = (de2 * p1 + e2 * dp1 - de1 * p2 - e1 * dp2 + dp3) / 3.0
-    da2 = a @ b + b @ a
-    da3 = a @ da2 + b @ a2
-    return -da3 + de1 * a2 + e1 * da2 - de2 * a - e2 * b + de3 * _EYE4
-
-
-def adjugate(m) -> np.ndarray:
-    """Adjugate of a square matrix, n <= 4, via Cayley-Hamilton.
-
-    Satisfies ``m @ adjugate(m) == det(m) * I`` identically, so at a
-    rank ``n-1`` point the adjugate has rank one and its columns span
-    the kernel of ``m``.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n > 4:
-        raise ValueError("adjugate expects a square matrix with n <= 4")
-    if n == 1:
-        return np.eye(1, dtype=complex)
-    if n == 4:
-        return _adj4(a)[0]
-    e = charpoly_elementary(a)
-    eye = np.eye(n)
-    if n == 2:
-        return e[0] * eye - a
-    return a @ a - e[0] * a + e[1] * eye
-

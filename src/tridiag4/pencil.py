@@ -15,9 +15,10 @@ The flag points are the roots of one polynomial on the base line
 them, made scale-free, is a polynomial of degree 20 whose factor
 ``mu^8`` comes from the eigenvectors of A.  The rest is a dodecic, and
 its 12 roots are the bases of the paper's 12 flag points (see
-:func:`_dodecic_roots`).  Each root is Newton-polished and certified by
-:func:`_certify`, the only acceptance gate; :func:`_flag_points` yields
-the certified points to the solver and to :func:`section_zeros`.
+:func:`_dodecic_roots`).  Each root is certified by :func:`_certify`, the
+only acceptance gate, and one that it rejects is refined on the dodecic
+itself (:func:`_refine_root`) and certified again; :func:`_flag_points`
+yields the certified points to the solver and to :func:`section_zeros`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg, polyroots
-from .errors import ConvergenceFailure, NoSectionZero, RankDeficientPencil, SingularJacobian
-from .linalg import adjugate, canonical_projective, projective_distance
-from .polyroots import newton_system
+from .errors import ConvergenceFailure, NoSectionZero, RankDeficientPencil
+from .linalg import canonical_projective, projective_distance
 
 #: Relative threshold below which the pencil counts as rank-deficient (<= 2).
 RANK_TOL = 1e-8
@@ -48,9 +48,8 @@ DEDUPE_TOL = 1e-6
 #: Relative eigenvalue gap below which a fiber point is near a branch point.
 GAP_TOL = 1e-6
 
-#: Stopping tolerance and step budget of every Newton polish run.
-NEWTON_TOL = 1e-11
-NEWTON_STEPS = 50
+#: Step cap of the secant refinement of a dodecic root.
+SECANT_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,6 @@ class Pencil:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "astar", linalg.adjoint(a))
         object.__setattr__(self, "norm", linalg.matrix_norm(a))
-
-    @property
-    def generators(self):
-        return np.eye(4, dtype=complex), self.a, self.astar
 
 
 @dataclass
@@ -98,8 +93,8 @@ class SectionCandidate:
     """A certified zero.
 
     ``span_det`` is the scale-normalized determinant of
-    ``[v, Av, A^2 v, A*^2 v]`` (the holomorphic proxy that Newton
-    polishes) and ``sigma4`` the normalized fourth singular value of the
+    ``[v, Av, A^2 v, A*^2 v]`` (the factor ``h`` of the dodecic) and
+    ``sigma4`` the normalized fourth singular value of the
     seven-column matrix ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]``
     (the rank condition that actually certifies acceptance).
     """
@@ -283,84 +278,6 @@ def _certify(pencil: Pencil, t):
     )
 
 
-def _polish(pencil: Pencil, t_seed):
-    """Newton-polish a seed on (det curve, span determinant) in a local chart.
-
-    The second equation is ``det[v, Av, A^2 v, A*^2 v]`` on the
-    holomorphic kernel representative ``v = adj(M) w``, scaled by its
-    column norms at the seed.  Returns the polished projective point or
-    None when the run fails.
-    """
-    t_seed = np.asarray(t_seed, dtype=complex)
-    k = int(np.argmax(np.abs(t_seed)))
-    free = [i for i in range(3) if i != k]
-    s0 = t_seed[free] / t_seed[k]
-    gens = pencil.generators
-    pk, pa, pb = gens[k], gens[free[0]], gens[free[1]]
-    m0 = pk + s0[0] * pa + s0[1] * pb
-    u, sv, _ = np.linalg.svd(m0)
-    if sv[0] == 0.0 or sv[2] <= RANK_TOL * sv[0]:
-        return None
-    w = np.conj(u[:, -1])
-    g_scale = sv[0] ** 4
-
-    a = pencil.a
-    a2, astar2 = a @ a, pencil.astar @ pencil.astar
-
-    def build(v):
-        return np.column_stack([v, a @ v, a2 @ v, astar2 @ v])
-
-    h_scale = float(np.prod(np.linalg.norm(build(adjugate(m0) @ w), axis=0)))
-    if not np.isfinite(h_scale) or h_scale <= 1e-280:
-        return None
-
-    last = {}
-
-    def assemble(s):
-        m = pk + s[0] * pa + s[1] * pb
-        adj, m2, stats = linalg._adj4(m)
-        detm = (m * adj.T).sum() / 4.0
-        v = adj @ w
-        return m, adj, m2, stats, detm, v
-
-    def f(s):
-        m, adj, m2, stats, detm, v = assemble(s)
-        last["s"] = s.copy()
-        last["data"] = (m, adj, m2, stats, v)
-        return np.array([detm / g_scale, complex(np.linalg.det(build(v)) / h_scale)], dtype=complex)
-
-    def jac(s):
-        if last.get("s") is not None and np.array_equal(last["s"], s):
-            m, adj, m2, stats, v = last["data"]
-        else:
-            m, adj, m2, stats, _, v = assemble(s)
-        dv_a = linalg._adj4_dir(m, m2, stats, pa) @ w
-        dv_b = linalg._adj4_dir(m, m2, stats, pb) @ w
-        adj_v = linalg._adj4(build(v))[0]
-        return np.array(
-            [
-                [(adj * pa.T).sum() / g_scale, (adj * pb.T).sum() / g_scale],
-                [
-                    complex((adj_v * build(dv_a).T).sum() / h_scale),
-                    complex((adj_v * build(dv_b).T).sum() / h_scale),
-                ],
-            ],
-            dtype=complex,
-        )
-
-    try:
-        s_star, _ = newton_system(f, jac, s0, tol=NEWTON_TOL, max_steps=NEWTON_STEPS)
-    except (ConvergenceFailure, SingularJacobian):
-        return None
-    if np.max(np.abs(s_star)) > 6.0:
-        return None  # escaped the chart; the seed was bad
-    t = np.empty(3, dtype=complex)
-    t[k] = 1.0
-    t[free[0]] = s_star[0]
-    t[free[1]] = s_star[1]
-    return canonical_projective(t)
-
-
 def _distinguished_seeds(pencil: Pencil):
     """Pencil points carried by eigenvectors of A and of A*, as ``(t, v)`` pairs.
 
@@ -386,6 +303,26 @@ def _distinguished_seeds(pencil: Pencil):
     return seeds
 
 
+def _dodecic_values(a: np.ndarray, astar: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The dodecic ``R(mu)`` of :func:`_dodecic_roots` at each entry of ``mu``.
+
+    One ``eig`` of the stack ``A + mu*A*`` and one ``det`` of the stack of
+    span matrices ``[v, Av, A^2 v, A*^2 v]`` over every base (axis 0) and
+    sheet (axis 1).
+    """
+    lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
+    h = np.linalg.det(np.stack([vecs, a @ vecs, a @ a @ vecs, astar @ astar @ vecs], axis=-1).swapaxes(1, 2))
+    i, j = np.triu_indices(4, 1)
+    gaps = lam[:, i] - lam[:, j]
+    return np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
+
+
+def _scaled(pencil: Pencil):
+    """``(A, A*)`` divided by ``||A||_2``: the dodecic is formed on these."""
+    scale = pencil.norm or 1.0
+    return pencil.a / scale, pencil.astar / scale
+
+
 def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     """The bases ``mu`` of the flag points: the 12 roots of a dodecic.
 
@@ -401,25 +338,15 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     20.  ``h`` vanishes to second order at the eigenvectors of A, which
     gives ``P`` an 8-fold zero at ``mu = 0``; those of A* sit at
     ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered on
-    ``A/||A||_2`` from 13 samples on ``|mu| = 1``.  The samples are taken
-    at once: one ``eig`` of the (13, 4, 4) stack ``A + mu*A*`` and one
-    ``det`` of the (13, 4, 4, 4) stack of span matrices.
+    ``A/||A||_2`` from 13 samples on ``|mu| = 1``, all taken by one call
+    of :func:`_dodecic_values`.
 
     The roots come from the companion matrix as 12 simple roots, since
     the flag points are generically distinct.  Returns no roots when
     ``R`` is not finite or vanishes identically.
     """
-    scale = pencil.norm or 1.0
-    a, astar = pencil.a / scale, pencil.astar / scale
-    a2, astar2 = a @ a, astar @ astar
-
     mu = np.exp(2j * np.pi * np.arange(13) / 13)
-    lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
-    # [v, Av, A^2 v, A*^2 v] for every sample (axis 0) and sheet (axis 1)
-    h = np.linalg.det(np.stack([vecs, a @ vecs, a2 @ vecs, astar2 @ vecs], axis=-1).swapaxes(1, 2))
-    i, j = np.triu_indices(4, 1)
-    gaps = lam[:, i] - lam[:, j]
-    values = np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
+    values = _dodecic_values(*_scaled(pencil), mu)
     # samples at the 13th roots of unity form an inverse DFT of the
     # coefficients, as in polyroots.restrict_to_line
     r = polyroots.trim(np.fft.fft(values) / 13)
@@ -428,17 +355,60 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     return np.roots(r[::-1])
 
 
+def _refine_root(pencil: Pencil, mu: complex) -> complex:
+    """A root of the dodecic, refined by secant steps on its direct values.
+
+    :func:`_dodecic_values` is accurate to roundoff at any ``mu``, where
+    the coefficients the root came from are not.  Starts from
+    ``(mu*(1 + 1e-6), mu)``, takes at most ``SECANT_STEPS`` steps and
+    returns the iterate with the smallest ``|R|``: once the iteration
+    has converged, its further steps are roundoff noise.
+    """
+    a, astar = _scaled(pencil)
+    x0, x1 = mu * (1 + 1e-6), mu
+    f0, f1 = _dodecic_values(a, astar, np.array([x0, x1]))
+    best, best_f = (x1, abs(f1)) if abs(f1) <= abs(f0) else (x0, abs(f0))
+    for _ in range(SECANT_STEPS):
+        if f1 == f0 or not np.isfinite(f1):
+            break
+        x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not np.isfinite(x1):
+            break
+        f0, f1 = f1, _dodecic_values(a, astar, np.array([x1]))[0]
+        if abs(f1) < best_f:
+            best, best_f = x1, abs(f1)
+    return complex(best)
+
+
+def _best_sheets(pencil: Pencil, mu: np.ndarray):
+    """Over each base ``[1 : mu]`` the curve point with the smallest ``sigma4``.
+
+    Returns the points ``[-lam : 1 : mu]``, normalized, as rows, and
+    their ``sigma4``.
+    """
+    bases = np.column_stack([np.ones_like(mu), mu])
+    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
+    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
+    score = _section_score(pencil, vecs.transpose(0, 2, 1).reshape(-1, 4)).reshape(-1, 4)
+    rows = np.arange(mu.size)
+    sheet = np.argmin(score, axis=1)
+    return np.column_stack([-lam[rows, sheet], bases]), score[rows, sheet]
+
+
 def _flag_points(pencil: Pencil):
     """The certified flag-point candidates, one at a time.
 
     First the eigenvector points of A and A* that certify as they are,
-    then the roots of the dodecic: over each root the sheet with the
-    smallest ``sigma4`` is Newton-polished and certified, best sheet
-    first.  The eigenvector points are screened by one batched ``sigma4``
-    of their kernel vectors, and only those at or below
-    ``sqrt(CERT_TOL)`` go on to :func:`_certify`, which would reject the
-    others anyway.  Deterministic, and lazy: the dodecic is formed only
-    when the eigenvector points have been consumed.
+    then the roots of the dodecic, best first: over each root the sheet
+    with the smallest ``sigma4`` goes to :func:`_certify` as it is.  Only
+    when that rejects it is the root refined on the dodecic
+    (:func:`_refine_root`; a root at ``mu = 0`` is not) and the best
+    sheet over the refined root certified instead.  The eigenvector
+    points are screened by one batched ``sigma4`` of their kernel
+    vectors, and only those at or below ``sqrt(CERT_TOL)`` go on to
+    :func:`_certify`, which would reject the others anyway.
+    Deterministic, and lazy: the dodecic is formed only when the
+    eigenvector points have been consumed.
     """
     seeds = _distinguished_seeds(pencil)
     if seeds:
@@ -450,14 +420,12 @@ def _flag_points(pencil: Pencil):
     mu = _dodecic_roots(pencil)
     if mu.size == 0:
         return
-    bases = np.column_stack([np.ones_like(mu), mu])
-    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
-    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
-    score = _section_score(pencil, vecs.transpose(0, 2, 1).reshape(-1, 4)).reshape(-1, 4)
-    sheet = np.argmin(score, axis=1)
-    for i in np.argsort(score[np.arange(mu.size), sheet]):
-        t_pol = _polish(pencil, np.array([-lam[i, sheet[i]], *bases[i]]))
-        cand = _certify(pencil, t_pol) if t_pol is not None else None
+    points, score = _best_sheets(pencil, mu)
+    for i in np.argsort(score):
+        cand = _certify(pencil, points[i])
+        if cand is None and mu[i] != 0:
+            refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, mu[i])]))
+            cand = _certify(pencil, refined[0])
         if cand is not None:
             yield cand
 
@@ -483,7 +451,7 @@ def section_zeros(pencil: Pencil):
     """All certified flag points of the pencil, sorted by their sigma4.
 
     Collects :func:`_flag_points`: the eigenvector points of A and A*
-    that certify, and the polished roots of the dodecic, each kept only
+    that certify, and the roots of the dodecic, each kept only
     when it passes the full certification (on-curve, dependence
     residual, 2-dimensional span, rank-3 closures, ``sigma4`` below
     ``CERT_TOL``).  Points within projective distance ``DEDUPE_TOL`` of

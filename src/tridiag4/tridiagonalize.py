@@ -217,17 +217,16 @@ def _flag_basis_from_vector(a, astar, v, prefer_forward=True) -> np.ndarray:
 
 
 def build_flag(a, candidate: SectionCandidate) -> Flag:
-    """Flag for a certified candidate, with the containments asserted.
+    """Flag for a certified candidate.
 
-    Raises :class:`FlagDegenerate` when the construction cannot meet the
-    flag conditions (signals the candidate needs re-dispatch).
+    The containments are not measured here: the residual gate of the
+    result (:func:`_passes`) measures the flag's unitary.  Raises
+    :class:`FlagDegenerate` when ``v`` is a common eigenvector of A and
+    A* (signals the candidate needs re-dispatch).
     """
     a = linalg.as_matrix(a)
     astar = linalg.adjoint(a)
     basis = _flag_basis_from_vector(a, astar, candidate.point.v)
-    r_contain, _ = flag_residuals(a, basis)
-    if r_contain > 1e-5:
-        raise FlagDegenerate(f"flag containment residual {r_contain:.2e} too large")
     provenance = "shortcut_dimW3" if candidate.shortcut else "section_zero"
     return Flag(basis=basis, provenance=provenance)
 

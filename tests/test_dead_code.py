@@ -1,7 +1,7 @@
-"""Every top-level private function in the package is used somewhere.
+"""Every top-level private function and constant in the package is used somewhere.
 
-Helpers that lose their last caller tend to linger; this keeps them
-from piling up again.
+Helpers that lose their last caller, and the knobs they read, tend to
+linger; this keeps them from piling up again.
 """
 
 import ast
@@ -19,7 +19,7 @@ def _modules():
 def _referenced_names(tree):
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -40,4 +40,22 @@ def test_no_unreferenced_private_functions():
         and not node.name.startswith("__")
         and node.name not in referenced
     ]
+    assert unused == []
+
+
+def _constants(tree):
+    """Names bound at module level by ``NAME = ...`` with ``NAME`` upper-case."""
+    names = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.extend(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+    return names
+
+
+def test_no_unreferenced_constants():
+    # a reference is a load of the name (or an attribute or import of it);
+    # the constant's own assignment does not count
+    modules = _modules()
+    referenced = set().union(*(_referenced_names(tree) for tree in modules.values()))
+    unused = [f"{name}:{const}" for name, tree in modules.items() for const in _constants(tree) if const not in referenced]
     assert unused == []

@@ -221,30 +221,3 @@ class TestProjective:
         assert linalg.projective_distance(u, 1j * u) < 1e-12
         w = np.array([0.0, 1.0, 0.0, 0.0])
         assert linalg.projective_distance(np.eye(4)[0], w) == pytest.approx(1.0)
-
-
-class TestAdjugate:
-    def test_times_matrix_is_det(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 4):
-            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            adj = linalg.adjugate(m)
-            assert np.allclose(m @ adj, np.linalg.det(m) * np.eye(n), atol=1e-10)
-
-    def test_rank_one_at_singular_point(self):
-        m = np.diag([1.0, 2.0, 3.0, 0.0])
-        adj = linalg.adjugate(m)
-        assert np.linalg.matrix_rank(adj, rtol=1e-10) == 1
-        # columns span the kernel of m
-        assert np.allclose(m @ adj, 0, atol=1e-12)
-
-    def test_directional_derivative_matches_finite_differences(self):
-        rng = np.random.default_rng(21)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        # the adjugate's directional derivative that the polish Jacobian uses
-        _, m2, stats = linalg._adj4(m)
-        d = linalg._adj4_dir(m, m2, stats, b)
-        h = 1e-6
-        fd = (linalg.adjugate(m + h * b) - linalg.adjugate(m - h * b)) / (2 * h)
-        assert np.allclose(d, fd, atol=1e-6)

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from tridiag4 import linalg, polyroots
+from tridiag4 import linalg, pencil, polyroots
 from tridiag4.errors import NoSectionZero, RankDeficientPencil
 from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.pencil import (
     Pencil,
+    _best_sheets,
+    _certify,
     _dodecic_roots,
     curve_residual,
     fiber_points,
@@ -220,6 +222,20 @@ class TestSectionZeros:
             for z in zeros:
                 s = np.linalg.svd(pencil_matrix(p, z.point.t), compute_uv=False)
                 assert s[3] <= 1e-8 * s[0], seed
+
+    @pytest.mark.parametrize("seed", [41, 361, 415, 447])
+    def test_rejected_roots_are_refined(self, seed, monkeypatch):
+        # an unrefined root of the dodecic fails _certify on these seeds, so
+        # the twelve are reached only through _refine_root
+        p = Pencil(make_matrix("gaussian", 4, seed))
+        q = Pencil(p.a / p.norm)
+        points, _ = _best_sheets(q, _dodecic_roots(q))
+        assert any(_certify(q, t) is None for t in points)
+        calls = []
+        refine = pencil._refine_root
+        monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
+        assert len(section_zeros(p)) == 12
+        assert calls
 
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points

@@ -115,11 +115,11 @@ class TestDispatch:
 
     @pytest.mark.parametrize("seed", [10129, 10180, 10366])
     def test_first_flag_needs_few_polishes(self, seed, monkeypatch):
-        # the first polished root of the dodecic should certify; these
-        # seeds once took over a hundred polish runs
+        # the first root of the dodecic should certify with few refinements;
+        # these seeds once took over a hundred polish runs
         calls = []
-        polish = pencil._polish
-        monkeypatch.setattr(pencil, "_polish", lambda *args: calls.append(1) or polish(*args))
+        refine = pencil._refine_root
+        monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
         r = solve_quiet(make_matrix("gaussian", 4, seed), seed=seed)
         assert r.provenance == "section_zero"
         assert r.off_residual <= 1e-8
@@ -127,8 +127,8 @@ class TestDispatch:
 
     def test_eigenvector_points_screened_before_certify(self, monkeypatch):
         # one batched sigma4 screens the eight eigenvector points, none of
-        # which certifies on a Gaussian; only the first polished root of the
-        # dodecic reaches the full certification
+        # which certifies on a Gaussian; only the first root of the dodecic
+        # reaches the full certification
         calls = []
         certify = pencil._certify
         monkeypatch.setattr(pencil, "_certify", lambda *args: calls.append(1) or certify(*args))
@@ -166,8 +166,8 @@ class TestSectionPath:
     @pytest.mark.parametrize("d", [1e-1, 1e-3, 1e-6, 1e-9])
     @pytest.mark.parametrize("kind", ["hermitian", "normal", "unitary", "skew_hermitian_plus_2i"])
     def test_near_structured_solves(self, kind, d):
-        # near these inputs the flag points crowd together and no polished
-        # root certifies; the refinement of U from the Schur basis solves them
+        # near these inputs the flag points crowd together and no root of the
+        # dodecic certifies; the refinement of U from the Schur basis solves them
         for seed in range(5):
             a = near_structured(kind, d, seed)
             assert_gates(a, tridiagonalize(a), seed)
@@ -185,6 +185,21 @@ class TestSectionPath:
                     continue
                 assert r.off_residual <= 1e-8, (path.__name__, seed)
                 assert r.unitarity_residual <= 1e-10, (path.__name__, seed)
+
+
+class TestFlagPointCount:
+    @pytest.mark.parametrize(("kind", "d", "at_least"), [("unitary", 1e-4, 19), ("normal", 1e-3, 15)])
+    def test_near_structured_counts(self, kind, d, at_least):
+        # near these inputs the coefficients of the dodecic lose digits; a
+        # root refined on its direct values still certifies
+        def count(a):
+            try:
+                return len(section_zeros(Pencil(a)))
+            except NoSectionZero:
+                return 0
+
+        found = sum(count(near_structured(kind, d, seed)) == 12 for seed in range(20))
+        assert found >= at_least
 
 
 class TestTridiagonalize3:
