@@ -47,7 +47,12 @@ def _constants(tree):
     """Names bound at module level by ``NAME = ...`` with ``NAME`` upper-case."""
     names = []
     for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
         names.extend(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
     return names
 
@@ -57,5 +62,7 @@ def test_no_unreferenced_constants():
     # the constant's own assignment does not count
     modules = _modules()
     referenced = set().union(*(_referenced_names(tree) for tree in modules.values()))
-    unused = [f"{name}:{const}" for name, tree in modules.items() for const in _constants(tree) if const not in referenced]
+    unused = [
+        f"{name}:{const}" for name, tree in modules.items() for const in _constants(tree) if const not in referenced
+    ]
     assert unused == []
