@@ -13,11 +13,9 @@ a hyperplane's Krylov sextic, and the flag-point dodecic).
 
 from .errors import (
     ConvergenceFailure,
-    FlagDegenerate,
     NoSectionZero,
     ParseError,
     RankDeficientPencil,
-    RepeatedEigenvalueWarning,
     SolverError,
     Unsolved,
     UnstableCountWarning,
@@ -67,11 +65,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceFailure",
-    "FlagDegenerate",
     "NoSectionZero",
     "ParseError",
     "RankDeficientPencil",
-    "RepeatedEigenvalueWarning",
     "SolverError",
     "Unsolved",
     "UnstableCountWarning",

@@ -17,20 +17,12 @@ class NoSectionZero(SolverError):
     """No flag point passed certification; input is likely degenerate."""
 
 
-class FlagDegenerate(SolverError):
-    """No third flag vector survives projection; candidate needs re-dispatch."""
-
-
 class Unsolved(SolverError):
     """All solution paths, including the perturbation ladder, failed."""
 
 
 class ParseError(ValueError):
     """Malformed matrix input."""
-
-
-class RepeatedEigenvalueWarning(UserWarning):
-    """Eigenvalues clustered within tolerance; multiplicities are estimates."""
 
 
 class UnstableCountWarning(UserWarning):

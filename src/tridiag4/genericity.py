@@ -13,7 +13,6 @@ the common eigenvector test divide by a spectral norm first, so
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,13 +157,11 @@ def common_eigenvectors(a, tol: float = 1e-8):
     m = m / (linalg.matrix_norm(m) or 1.0)
     astar = linalg.adjoint(m)
     found: list[np.ndarray] = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            pairs = linalg.eigen(m)
-        except ConvergenceFailure:
-            return []
-    for _, v in pairs:
+    try:
+        vectors = linalg.eigen(m)[1]
+    except ConvergenceFailure:
+        return []
+    for v in vectors.T:
         mu = np.vdot(v, astar @ v)
         if np.linalg.norm(astar @ v - mu * v) <= tol:
             cv = linalg.canonical_projective(v)

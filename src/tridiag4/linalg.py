@@ -1,20 +1,18 @@
 """Dense complex linear algebra kernels for fixed small sizes (n, m <= 7).
 
-Input validation, the adjoint and the spectral norm, eigenpairs with
-repeated eigenvalues flagged, null spaces, and the canonical
-representative and distance of projective points.  Everything here is a
-pure function of its inputs.  Matrices are plain ``numpy.ndarray`` of
-dtype complex128; rank decisions are always made relative to the
-largest singular value.
+Input validation, the adjoint and the spectral norm, eigenvalues with
+right and left eigenvectors from one SVD stack, null spaces, and the
+canonical representative and distance of projective points.  Everything
+here is a pure function of its inputs.  Matrices are plain
+``numpy.ndarray`` of dtype complex128; rank decisions are always made
+relative to the largest singular value.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import ConvergenceFailure, RepeatedEigenvalueWarning
+from .errors import ConvergenceFailure
 
 #: Default relative tolerance for rank/dependence decisions.
 DEFAULT_TOL = 1e-10
@@ -56,17 +54,15 @@ def matrix_norm(m) -> float:
 
 
 def eigen(m, tol: float = 1e-8):
-    """Eigenpairs of a square matrix with n <= 4.
+    """Eigenvalues with right and left eigenvectors of a square matrix with n <= 4.
 
-    Returns a list of ``(eigenvalue, unit eigenvector)`` sorted by
-    (real, imag) of the eigenvalue.  Repeated eigenvalues appear with
-    their multiplicity; when eigenvalues cluster within ``1e-7`` of the
-    matrix scale a :class:`RepeatedEigenvalueWarning` is issued, since
-    multiplicity read off floating point is an estimate.
-
-    Eigenvectors are recomputed as the smallest right singular vector of
-    ``m - lam*I``, which keeps the residual ``||m v - lam v||`` tiny even
-    for defective eigenvalues.
+    Returns ``(lam, right, left)``: the eigenvalues sorted by (real, imag),
+    repeated ones with their multiplicity, and two matrices whose column
+    ``k`` is a unit eigenvector of ``m`` for ``lam[k]`` (``right``) and of
+    ``m*`` for ``conj(lam[k])`` (``left``).  Both come from one stacked SVD
+    of ``m - lam_k*I``: the smallest right and left singular vectors, whose
+    common residual is the smallest singular value.  That keeps the
+    residuals tiny even for defective eigenvalues.
 
     Raises
     ------
@@ -82,35 +78,13 @@ def eigen(m, tol: float = 1e-8):
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n <= 4
         raise ConvergenceFailure(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
+    values = values[np.lexsort((values.imag, values.real))]
 
-    scale = matrix_norm(a)
-    gap_scale = max(scale, 1e-300)
-    repeated = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= 1e-7 * gap_scale:
-                repeated = True
-    if repeated:
-        warnings.warn(
-            "matrix has (numerically) repeated eigenvalues; multiplicities are estimates",
-            RepeatedEigenvalueWarning,
-            stacklevel=2,
-        )
-
-    pairs = []
-    eye = np.eye(n)
-    for lam in values:
-        _, sev, vh = np.linalg.svd(a - lam * eye)
-        vec = np.conj(vh[-1])
-        residual = float(sev[-1])
-        if residual > tol * gap_scale:
-            raise ConvergenceFailure(
-                f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||m||"
-            )
-        pairs.append((complex(lam), vec))
-    return pairs
+    u, s, vh = np.linalg.svd(a - values[:, None, None] * np.eye(n))
+    residual = float(np.max(s[:, -1]))
+    if residual > tol * max(matrix_norm(a), 1e-300):
+        raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||m||")
+    return values, np.conj(vh[:, -1, :]).T, u[:, :, -1].T
 
 
 def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -23,7 +23,6 @@ yields the certified points to the solver and to :func:`section_zeros`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -286,20 +285,20 @@ def _distinguished_seeds(pencil: Pencil):
     [-nu : 0 : 1].  These always lie on the dependence curve; they are
     the bases ``mu = 0`` and ``mu = oo`` that the dodecic leaves out, and
     they carry the flag points of structured inputs (nilpotent blocks,
-    invariant planes) where the dodecic vanishes identically.  ``v`` is
-    the unit eigenvector from :func:`linalg.eigen`, the smallest right
-    singular vector of ``A - lam*I``: the pencil's kernel vector at ``t``.
+    invariant planes) where the dodecic vanishes identically.  Both halves
+    come from one :func:`linalg.eigen` call: ``v`` is the smallest right
+    singular vector of ``A - lam*I`` for the points of A, and its smallest
+    left singular vector, at ``nu = conj(lam)``, for those of A*; either
+    way it is the pencil's kernel vector at ``t``.  The points of A come
+    sorted by ``lam``, those of A* by ``nu``.
     """
-    seeds = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            for lam, v in linalg.eigen(pencil.a):
-                seeds.append((np.array([-lam, 1.0, 0.0], dtype=complex), v))
-            for nu, v in linalg.eigen(pencil.astar):
-                seeds.append((np.array([-nu, 0.0, 1.0], dtype=complex), v))
-        except ConvergenceFailure:
-            pass
+    try:
+        lam, right, left = linalg.eigen(pencil.a)
+    except ConvergenceFailure:
+        return []
+    nu = np.conj(lam)
+    seeds = [(np.array([-lam[k], 1.0, 0.0]), right[:, k]) for k in range(len(lam))]
+    seeds += [(np.array([-nu[k], 0.0, 1.0]), left[:, k]) for k in np.lexsort((nu.imag, nu.real))]
     return seeds
 
 

@@ -2,16 +2,18 @@
 
 Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
 other input is centred (``C = A - tr(A)/n * I``), divided by
-``||C||_2``, solved, and its result rebuilt on the original matrix.  n = 3
-takes its flag from an eigenvector of the Hermitian ``A + A*``, a point
-of the cubic dependence locus; n = 4 deflates on a common eigenvector of
-A and A* when one exists, otherwise takes the first certified flag point
-of the pencil (the eigenvector points, then the roots of the flag-point
-dodecic) whose flag passes the gate.  When none does, one Gauss-Newton
-refinement of the unitary itself, started from the Schur basis, solves
-the input (:func:`_refine_unitary`), and a seeded perturbation ladder,
-refined back on the original matrix, is the last resort.  Every result
-passes one gate on both of its residuals (:func:`_passes`).
+``||C||_2``, solved, and its result rebuilt on the original matrix.  One
+builder grows every flag from its first vector (:func:`_flag_from_vector`).
+n = 3 takes that vector from an eigenvector of the Hermitian ``A + A*``,
+a point of the cubic dependence locus; n = 4 deflates on a common
+eigenvector of A and A* when one exists, otherwise takes the first
+certified flag point of the pencil (the eigenvector points, then the
+roots of the flag-point dodecic) whose flag passes the gate.  When none
+does, one Gauss-Newton refinement of the unitary itself, started from
+the Schur basis, solves the input (:func:`_refine_unitary`), and a
+seeded perturbation ladder, refined back on the original matrix, is the
+last resort.  Every result passes one gate on both of its residuals
+(:func:`_passes`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, FlagDegenerate, NoSectionZero, RankDeficientPencil, Unsolved
+from .errors import NoSectionZero, Unsolved
 from .genericity import common_eigenvectors
 from .pencil import Pencil, SectionCandidate, _flag_points, _unscale_candidate
 
@@ -65,7 +67,6 @@ class Options:
     seed: int = 42
     force_path: str | None = None  # None | 'section' | 'perturb'
     ladder: tuple = (1e-4, 1e-6, 1e-8)
-    allow_perturbation: bool = True
 
 
 @dataclass
@@ -165,68 +166,41 @@ def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None) -> Tr
 # flag construction
 
 
-def _flag_basis_from_vector(a, astar, v, prefer_forward=True) -> np.ndarray:
-    """Orthonormal flag basis seeded by a dependence-curve point v (n = 4).
+def _flag_from_vector(a, astar, v) -> np.ndarray:
+    """Orthonormal flag basis grown from ``v``: ``W_{k+1} = W_k + A W_k + A* W_k``.
 
-    Second vector from Av (or A*v when v is an A-eigenvector); third from
-    the first of A^2 v, A*^2 v, A A* v, A* A v that sticks out of the
-    plane, falling back to the largest post-projection residual.  When
-    nothing sticks out the plane is invariant under both A and A* and
-    any completion works.
+    Each step normalizes every column of ``A Q`` and ``A* Q`` for the basis
+    ``Q`` so far, projects it out of ``span(Q)`` twice (one pass leaves a
+    vector that sticks out little visibly non-orthogonal), and appends the
+    one with the largest residual.  When that residual is at roundoff the
+    span is invariant under both A and A*, and any completion works.  For
+    n = 3 and n = 4 alike, ``U A U*`` is tridiagonal exactly when each
+    ``W_{k+1}`` has dimension at most ``k + 1``; the result's gate measures
+    that, so nothing is checked here.
     """
-    v = linalg.canonical_projective(v)
-    av = a @ v
-    asv = astar @ v
-
-    def rel_residual(x, cols):
-        nx = np.linalg.norm(x)
-        if nx <= 1e-300:
-            return 0.0, None
-        y = x / nx
-        for c in cols:
-            y = y - np.vdot(c, y) * c
-        return float(np.linalg.norm(y)), y
-
-    r_av, _ = rel_residual(av, [v])
-    r_asv, _ = rel_residual(asv, [v])
-    if max(r_av, r_asv) <= 1e-10:
-        raise FlagDegenerate("v is a common eigenvector; deflation should handle this input")
-    x2 = av if r_av > 1e-8 else asv
-    r2, y2 = rel_residual(x2, [v])
-    f2 = y2 / np.linalg.norm(y2)
-
-    third = [a @ av, astar @ asv, a @ asv, astar @ av]
-    residuals = []
-    units = []
-    for x in third:
-        r, y = rel_residual(x, [v, f2])
-        residuals.append(r)
-        units.append(y)
-    if prefer_forward and residuals[0] > 1e-6:
-        pick = 0
-    else:
-        pick = int(np.argmax(residuals))
-    if residuals[pick] > 1e-6:
-        f3 = units[pick] / np.linalg.norm(units[pick])
-        partial = np.column_stack([v, f2, f3])
-        f4 = _completion(partial)[:, 0]
-        return np.column_stack([v, f2, f3, f4])
-    # plane invariant under both: complete arbitrarily
-    rest = _completion(np.column_stack([v, f2]))
-    return np.column_stack([v, f2, rest])
+    n = a.shape[0]
+    q = linalg.canonical_projective(v)[:, None]
+    while q.shape[1] < n - 1:
+        x = np.concatenate([a @ q, astar @ q], axis=1)
+        x = x / np.maximum(np.linalg.norm(x, axis=0), 1e-300)
+        for _ in range(2):
+            x = x - q @ (np.conj(q).T @ x)
+        r = np.linalg.norm(x, axis=0)
+        k = int(np.argmax(r))
+        if r[k] <= 1e-13:
+            break
+        q = np.column_stack([q, x[:, k] / r[k]])
+    return np.column_stack([q, _completion(q)])
 
 
 def build_flag(a, candidate: SectionCandidate) -> Flag:
-    """Flag for a certified candidate.
+    """Flag for a certified candidate, grown from its point by :func:`_flag_from_vector`.
 
     The containments are not measured here: the residual gate of the
-    result (:func:`_passes`) measures the flag's unitary.  Raises
-    :class:`FlagDegenerate` when ``v`` is a common eigenvector of A and
-    A* (signals the candidate needs re-dispatch).
+    result (:func:`_passes`) measures the flag's unitary.
     """
     a = linalg.as_matrix(a)
-    astar = linalg.adjoint(a)
-    basis = _flag_basis_from_vector(a, astar, candidate.point.v)
+    basis = _flag_from_vector(a, linalg.adjoint(a), candidate.point.v)
     provenance = "shortcut_dimW3" if candidate.shortcut else "section_zero"
     return Flag(basis=basis, provenance=provenance)
 
@@ -235,44 +209,13 @@ def build_flag(a, candidate: SectionCandidate) -> Flag:
 # 3x3: cubic curve route
 
 
-def _flag3(a, astar, v):
-    """Flag basis for a 3x3 dependence point; handles both case splits.
-
-    The second vector is taken from whichever of ``Av``, ``A*v`` sticks
-    out of ``span(v)`` more, projected against ``v`` twice, since one
-    pass leaves it visibly non-orthogonal when it sticks out little.
-    Only at roundoff level is ``v`` taken as a common eigenvector.
-    """
-    v = linalg.canonical_projective(v)
-    av = a @ v
-    asv = astar @ v
-
-    def rel(x):
-        nx = np.linalg.norm(x)
-        if nx <= 1e-300:
-            return 0.0
-        y = x / nx
-        return float(np.linalg.norm(y - np.vdot(v, y) * v))
-
-    r_av, r_asv = rel(av), rel(asv)
-    if max(r_av, r_asv) <= 1e-13:
-        # common eigenvector: the orthocomplement is invariant under both
-        w = _completion(v[:, None])
-        return np.column_stack([w, v])
-    f2 = av if r_av >= r_asv else asv
-    for _ in range(2):
-        f2 = f2 - np.vdot(v, f2) * v
-    f2 = f2 / np.linalg.norm(f2)
-    f3 = _completion(np.column_stack([v, f2]))[:, 0]
-    return np.column_stack([v, f2, f3])
-
-
 def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
     """Tridiagonalize a 3x3 matrix from one point of the cubic dependence locus.
 
     ``F(v) = det[v, Av, A*v]`` vanishes at every eigenvector ``v`` of the
     Hermitian ``A + A*``, since ``Av + A*v = lam*v`` there.  The flag is
-    built from the first such eigenvector, on ``A/||A||_2``, and measured
+    grown from the first such eigenvector by :func:`_flag_from_vector`, the
+    builder of the 4x4 flags too, on ``A/||A||_2``, and measured
     on ``A`` itself, so the outcome does not depend on the scale.  ``seed``
     is only recorded in the result.  Raises :class:`Unsolved` when the
     flag misses the residual gate ``tol``.
@@ -285,7 +228,7 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
     b = a / linalg.matrix_norm(a)
     bstar = linalg.adjoint(b)
     v = np.linalg.eigh(b + bstar)[1][:, 0]
-    result = _result_from_flag(a, _flag3(b, bstar, v), "cubic_curve_3x3", seed)
+    result = _result_from_flag(a, _flag_from_vector(b, bstar, v), "cubic_curve_3x3", seed)
     if not _passes(result, tol):
         raise Unsolved(
             f"3x3 flag misses the gate: off_residual {result.off_residual:.2e} (tol={tol:.1e}), "
@@ -320,13 +263,8 @@ def _section_path(a, opts: Options) -> TridiagResult:
     When none does, the unitary is refined from the Schur basis of ``A``
     (the ``qr`` of ``eig``'s eigenvector matrix) instead.
     """
-    last_exc = None
     for cand in _flag_points(Pencil(a)):
-        try:
-            flag = build_flag(a, cand)
-        except FlagDegenerate as exc:
-            last_exc = exc
-            continue
+        flag = build_flag(a, cand)
         result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand)
         if _passes(result, opts.tol):
             return result
@@ -336,7 +274,7 @@ def _section_path(a, opts: Options) -> TridiagResult:
         result = _result_from_flag(a, np.conj(u).T, "refined", opts.seed)
         if _passes(result, opts.tol):
             return result
-    raise NoSectionZero(f"neither a certified flag point ({last_exc}) nor the refinement met the gate")
+    raise NoSectionZero("neither a certified flag point nor the refinement met the gate")
 
 
 def _refine_unitary(a, u, tol: float):
@@ -381,12 +319,13 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g) * scale
     # the sub-solve only has to give a unitary worth refining, so its own
-    # gate is relaxed; the strict gate applies on the original matrix
-    sub_opts = replace(opts, tol=max(opts.tol, 1e-6), allow_perturbation=False, force_path=None)
+    # gate is relaxed; the strict gate applies on the original matrix.  Its
+    # empty ladder raises Unsolved at once instead of recursing
+    sub_opts = replace(opts, tol=max(opts.tol, 1e-6), ladder=(), force_path=None)
     for eps in opts.ladder:
         try:
             sub = tridiagonalize(a + eps * g, sub_opts)
-        except (Unsolved, NoSectionZero, RankDeficientPencil, ConvergenceFailure):
+        except (Unsolved, NoSectionZero):
             continue
         u = _refine_unitary(a, sub.u, opts.tol)
         if u is not None:
@@ -465,10 +404,8 @@ def _dispatch(a, opts: Options) -> TridiagResult:
 
     try:
         return _section_path(a, opts)
-    except (NoSectionZero, RankDeficientPencil, ConvergenceFailure):
-        if not opts.allow_perturbation:
-            raise
-    return perturb_and_retry(a, opts)
+    except NoSectionZero:
+        return perturb_and_retry(a, opts)
 
 
 def verify(result: TridiagResult, a) -> VerifyReport:

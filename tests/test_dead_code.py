@@ -1,13 +1,15 @@
-"""Every top-level private function and constant in the package is used somewhere.
+"""Every top-level private function, constant and error class in the package is used somewhere.
 
-Helpers that lose their last caller, and the knobs they read, tend to
-linger; this keeps them from piling up again.
+Helpers that lose their last caller, the knobs they read, and the
+exceptions only they raised tend to linger; this keeps them from piling
+up again.
 """
 
 import ast
 from pathlib import Path
 
 import tridiag4
+from tridiag4 import errors
 
 SRC = Path(tridiag4.__file__).resolve().parent
 
@@ -66,3 +68,27 @@ def test_no_unreferenced_constants():
         f"{name}:{const}" for name, tree in modules.items() for const in _constants(tree) if const not in referenced
     ]
     assert unused == []
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _raised_names(tree):
+    """Names of the classes a module raises, or passes to ``warnings.warn``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+        elif isinstance(node, ast.Call) and _name(node.func) == "warn" and len(node.args) >= 2:
+            names.add(_name(node.args[1]))
+    return names - {None}
+
+
+def test_every_error_class_is_raised():
+    # a class in errors.py is live when src/ raises or warns it or a subclass
+    raised = set().union(*(_raised_names(tree) for tree in _modules().values()))
+    raised = [getattr(errors, name) for name in raised if isinstance(getattr(errors, name, None), type)]
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+    dead = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
+    assert dead == []

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tridiag4 import linalg
-from tridiag4.errors import FlagDegenerate, RepeatedEigenvalueWarning
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.tridiagonalize import _completion, _flag_basis_from_vector
+from tridiag4.tridiagonalize import _completion, _flag_from_vector
 
 N4 = jordan_block(4)
 
@@ -50,17 +48,16 @@ class TestAdjoint:
 
 class TestEigen:
     def test_diagonal(self):
-        pairs = linalg.eigen(np.diag([1.0, 2.0, 3.0, 4.0]))
-        values = [lam for lam, _ in pairs]
-        assert np.allclose(values, [1, 2, 3, 4])
-        for k, (_, v) in enumerate(pairs):
-            assert abs(abs(v[k]) - 1.0) < 1e-12
+        lam, right, left = linalg.eigen(np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert np.allclose(lam, [1, 2, 3, 4])
+        for k in range(4):
+            assert abs(abs(right[k, k]) - 1.0) < 1e-12
+            assert abs(abs(left[k, k]) - 1.0) < 1e-12
 
-    def test_jordan_block_multiplicity_warns(self):
-        with pytest.warns(RepeatedEigenvalueWarning):
-            pairs = linalg.eigen(N4)
-        assert len(pairs) == 4
-        assert all(abs(lam) < 1e-8 for lam, _ in pairs)
+    def test_jordan_block_multiplicity(self):
+        lam = linalg.eigen(N4)[0]
+        assert len(lam) == 4
+        assert all(abs(x) < 1e-8 for x in lam)
 
     def test_path_graph_spectrum_against_charpoly_oracle(self):
         # oracle 1: the characteristic polynomial of the 4-path adjacency
@@ -70,7 +67,7 @@ class TestEigen:
         charpoly = np.array([1.0, 0.0, -3.0, 0.0, 1.0])
         oracle1 = sorted(r.real for r in np.roots(charpoly[::-1]))
         oracle2 = sorted(2.0 * math.cos(k * math.pi / 5.0) for k in range(1, 5))
-        got = sorted(lam.real for lam, _ in linalg.eigen(m))
+        got = sorted(lam.real for lam in linalg.eigen(m)[0])
         assert np.allclose(oracle1, oracle2, atol=1e-10)
         assert np.allclose(got, oracle2, atol=1e-10)
 
@@ -78,10 +75,7 @@ class TestEigen:
     @settings(max_examples=20, deadline=None)
     def test_trace_and_det_invariants(self, m):
         scale = max(linalg.matrix_norm(m), 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pairs = linalg.eigen(m)
-        values = np.array([lam for lam, _ in pairs])
+        values = linalg.eigen(m)[0]
         assert abs(values.sum() - np.trace(m)) <= 1e-8 * scale
         assert abs(np.prod(values) - np.linalg.det(m)) <= 1e-8 * scale**4
 
@@ -89,8 +83,11 @@ class TestEigen:
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            for lam, v in linalg.eigen(m):
-                assert np.linalg.norm(m @ v - lam * v) <= 1e-8 * linalg.matrix_norm(m)
+            lam, right, left = linalg.eigen(m)
+            bound = 1e-8 * linalg.matrix_norm(m)
+            for k in range(4):
+                assert np.linalg.norm(m @ right[:, k] - lam[k] * right[:, k]) <= bound
+                assert np.linalg.norm(linalg.adjoint(m) @ left[:, k] - np.conj(lam[k]) * left[:, k]) <= bound
 
 
 class TestRank:
@@ -135,11 +132,11 @@ class TestRank:
 
 class TestOrthonormalize:
     # orthonormalization happens in the flag construction: Gram-Schmidt on
-    # v, Av (or A*v), a second-order image, then the orthocomplement
+    # v and the images of the basis so far, then the orthocomplement
 
     def test_scaled_basis(self):
         # N4 e1 = 0 and N4* e_k = e_{k+1}: the flag of 2*e1 is the standard one
-        basis = _flag_basis_from_vector(N4, linalg.adjoint(N4), 2 * np.eye(4)[0])
+        basis = _flag_from_vector(N4, linalg.adjoint(N4), 2 * np.eye(4)[0])
         assert np.allclose(basis[:, :3], np.eye(4)[:, :3], atol=1e-14)
         assert abs(abs(basis[3, 3]) - 1.0) < 1e-14
 
@@ -157,7 +154,7 @@ class TestOrthonormalize:
         a = make_matrix("gaussian", 4, 13)
         pt = fiber_points(Pencil(a), [1.0, 0.4 + 0.1j])[1]
         v, av = pt.v, a @ pt.v
-        basis = _flag_basis_from_vector(a, linalg.adjoint(a), v)[:, :2]
+        basis = _flag_from_vector(a, linalg.adjoint(a), v)[:, :2]
         for w in (v, av):
             recon = basis @ (np.conj(basis).T @ w)
             assert np.linalg.norm(recon - w) <= 1e-10 * np.linalg.norm(w)
@@ -166,14 +163,16 @@ class TestOrthonormalize:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        f = _flag_basis_from_vector(a, linalg.adjoint(a), v)
+        f = _flag_from_vector(a, linalg.adjoint(a), v)
         assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 4 * 1e-10
 
-    def test_dependent_input_raises(self):
-        # Av and A*v both depend on v: no second flag vector exists
+    def test_common_eigenvector_is_completed(self):
+        # Av and A*v both depend on v: span(v) is invariant, so the builder
+        # stops growing it and completes the basis
         a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        with pytest.raises(FlagDegenerate):
-            _flag_basis_from_vector(a, linalg.adjoint(a), np.array([0, 2.0, 0, 0]))
+        f = _flag_from_vector(a, linalg.adjoint(a), np.array([0, 2.0, 0, 0]))
+        assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 1e-12
+        assert linalg.projective_distance(f[:, 0], np.eye(4)[1]) <= 1e-14
 
 
 class TestDet:
@@ -190,11 +189,7 @@ class TestDet:
         vander = np.vander(np.arange(5.0), 5, increasing=True).astype(complex)
         poly = np.linalg.solve(vander, coeffs)
         got = sorted(np.roots(poly[::-1]), key=lambda z: (z.real, z.imag))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            expected = sorted(
-                (-lam for lam, _ in linalg.eigen(base)), key=lambda z: (z.real, z.imag)
-            )
+        expected = sorted((-lam for lam in linalg.eigen(base)[0]), key=lambda z: (z.real, z.imag))
         for r, e in zip(got, expected):
             assert abs(r - e) < 1e-8
 

@@ -1,15 +1,14 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from tridiag4 import linalg, pencil, polyroots
 from tridiag4.errors import NoSectionZero, RankDeficientPencil
-from tridiag4.generate import jordan_block, make_matrix
+from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.pencil import (
     Pencil,
     _best_sheets,
     _certify,
+    _distinguished_seeds,
     _dodecic_roots,
     curve_residual,
     fiber_points,
@@ -108,6 +107,31 @@ class TestKernelVector:
                 m = pencil_matrix(p, pt.t)
                 assert np.linalg.norm(m @ pt.v) <= 1e-10 * np.linalg.norm(m, 2)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "conjugated_n4", "defective"])
+    def test_distinguished_seeds_are_kernel_vectors(self, kind):
+        # both halves come from one SVD stack: the points of A from its right
+        # singular vectors, those of A* from its left ones
+        if kind == "gaussian":
+            a = make_matrix("gaussian", 4, 14)
+        elif kind == "conjugated_n4":
+            u = random_unitary(4, np.random.default_rng(15))
+            a = u @ N4 @ np.conj(u).T
+        else:
+            # the defective input of acceptance criterion 9
+            a = np.zeros((4, 4), dtype=complex)
+            a[0, 0] = a[1, 1] = 1.5
+            a[0, 1] = 1.0
+            a[2:, 2:] = make_matrix("gaussian", 2, 903)
+            a[0, 2] = 0.3 + 0.2j
+            a[1, 3] = -0.1j
+        p = Pencil(a)
+        seeds = _distinguished_seeds(p)
+        assert [abs(t[2]) for t, _ in seeds[:4]] == [0.0] * 4
+        assert [abs(t[1]) for t, _ in seeds[4:]] == [0.0] * 4
+        for t, v in seeds:
+            m = pencil_matrix(p, t)
+            assert np.linalg.norm(m @ v) <= 1e-12 * np.linalg.norm(m, 2)
+
     def test_rank_deficient_raises(self):
         # identity: the pencil vanishes outright on its determinant curve
         with pytest.raises(RankDeficientPencil):
@@ -117,9 +141,7 @@ class TestKernelVector:
 class TestCurveResidual:
     def test_eigenvector_is_on_curve(self):
         a = make_matrix("gaussian", 4, 7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lam, v = linalg.eigen(a)[0]
+        v = linalg.eigen(a)[1][:, 0]
         assert curve_residual(Pencil(a), v) <= 1e-10
 
     def test_kernel_vectors_on_curve(self):
@@ -148,9 +170,7 @@ class TestSectionResidual:
 
     def test_eigenvector_degenerate_h_but_large_sigma4(self):
         a = make_matrix("gaussian", 4, 12)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, v = linalg.eigen(a)[0]
+        v = linalg.eigen(a)[1][:, 0]
         h, sigma4 = section_residual(Pencil(a), v)
         assert abs(h) <= 1e-10  # columns v, Av colinear force the determinant down
         assert sigma4 > 1e-4  # but the rank certificate rejects the point
