@@ -3,10 +3,12 @@
 Slicing the determinant curve with a random projective line yields 4
 points (a quartic), slicing the kernel curve with a random hyperplane
 yields 6, and the flag-producing points number 12.  Each count comes
-from one eigen-solve whose points are certified one by one: the
-eigenvalues of -Q^-1 P for the pencil matrices P, Q at two points of
-the line, the roots of the hyperplane's Krylov sextic on the base line
-[1 : mu], and the roots of the flag-point dodecic on the same line.
+from one eigen-solve: the eigenvalues of -Q^-1 P for the pencil
+matrices P, Q at two points of each line, the roots of the hyperplane's
+Krylov sextic on the base line [1 : mu], and the roots of the
+flag-point dodecic on the same line.  The points of the first two
+counts are certified all at once, by one stacked SVD of their pencil
+matrices; the dodecic's roots are certified one at a time.
 """
 
 from tridiag4 import Pencil, make_matrix, run_experiments

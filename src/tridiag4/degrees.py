@@ -3,11 +3,12 @@
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
 meets the kernel curve in 6 points, and the certified flag points are
-12 in number.  Each count is of points found by one eigen-solve and
-certified one by one: the eigenvalues of a 4x4 eigenproblem per line,
-the roots of the hyperplane's Krylov sextic over the base line, and the
-roots of the flag-point dodecic there (the roots the solver takes its
-flags from, see :mod:`tridiag4.pencil`).  All run on ``A/||A||_2``.
+12 in number.  Each count is of points found by one eigen-solve: the
+eigenvalues of a 4x4 eigenproblem per line, the roots of the
+hyperplane's Krylov sextic over the base line, and the roots of the
+flag-point dodecic there (see :mod:`tridiag4.pencil`).  The first two
+certify all of their points with one stacked SVD.  All run on the
+centred and normalized ``A``, so no count depends on its scale or shift.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .genericity import _krylov_roots, classify
 from .pencil import (
     CERT_TOL,
     Pencil,
+    _centred,
     _certify_on_curve,
     _unscale_point,
     curve_residual,
@@ -67,20 +69,18 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     ``det(P + s Q) = 0``, with ``P`` and ``Q`` the pencil matrices at ``p``
     and ``q``: at the eigenvalues of ``-Q^{-1} P``.  The count of a line is
     the number of those points that pass the on-curve certificate, taken
-    on ``A/||A||_2`` so that it does not depend on the scale of ``A``.
+    on the centred and normalized ``A`` so that it depends on neither its
+    scale nor its shift; all lines are solved and certified as one stack.
     Reports the modal count over the lines and warns when they disagree.
     """
-    unit = Pencil(pencil.a / (pencil.norm or 1.0))
-    rng = np.random.default_rng([seed, 11])
-    counts = []
-    for _ in range(lines):
-        p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        p /= np.linalg.norm(p)
-        q /= np.linalg.norm(q)
-        s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(unit, q), -pencil_matrix(unit, p)))
-        counts.append(sum(_certify_on_curve(unit, p + sk * q) is not None for sk in s))
-    modal, tally = _modal(counts)
+    unit = Pencil(_centred(pencil.a)[0])
+    # per line, in this order: p real, p imag, q real, q imag
+    z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
+    p, q = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+    p, q = p / np.linalg.norm(p, axis=1, keepdims=True), q / np.linalg.norm(q, axis=1, keepdims=True)
+    s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(unit, q), -pencil_matrix(unit, p)))
+    ok = _certify_on_curve(unit, (p[:, None] + s[:, :, None] * q[:, None]).reshape(-1, 3))[0]
+    modal, tally = _modal(ok.reshape(lines, 4).sum(axis=1))
     if len(tally) > 1:
         warnings.warn(f"line counts disagree: {tally}", UnstableCountWarning, stacklevel=2)
     return modal
@@ -96,29 +96,25 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     sextic puts the missing roots, with that multiplicity, at the base
     ``[0 : 1]``.  A root counts only when an eigenvector ``v`` of ``N``
     there passes the on-curve certificate with
-    ``curve_residual <= CERT_TOL`` and ``|ell . v| <= CERT_TOL``.  All of
-    this runs on ``A/||A||_2``, and each point is mapped back to the
-    pencil of ``A``.
+    ``curve_residual <= CERT_TOL`` and ``|ell . v| <= CERT_TOL``, all
+    certified as one stack.  This runs on the centred and normalized
+    ``A``, and each point is mapped back to the pencil of ``A``.
 
     Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
     """
-    scale = pencil.norm or 1.0
-    unit = Pencil(pencil.a / scale)
+    c, scale, shift = _centred(pencil.a)
+    unit = Pencil(c)
     k, mus = _krylov_roots(unit.a.T, np.conj(unit.a), ell)
     bases = [(np.array([1.0, mu]) / np.linalg.norm([1.0, mu]), 1) for mu in mus]
     if k.size < 7:
         bases.append((np.array([0.0, 1.0]), 7 - k.size))
-    points = []
-    for b, mult in bases:
-        passing = []
-        for lam in np.linalg.eigvals(b[0] * unit.a + b[1] * unit.astar):
-            on_curve = _certify_on_curve(unit, np.array([-lam, b[0], b[1]]))
-            if on_curve is not None and curve_residual(unit, on_curve[1]) <= CERT_TOL:
-                passing.append((abs(np.dot(ell, on_curve[1])), *on_curve))
-        value, t, v = min(passing, key=lambda p: p[0], default=(np.inf, None, None))
-        if value <= CERT_TOL:
-            points.append((_unscale_point(t, scale), v, mult))
-    return points
+    b = np.array([b for b, _ in bases]).reshape(-1, 2)
+    lam = np.linalg.eigvals(b[:, 0, None, None] * unit.a + b[:, 1, None, None] * unit.astar)
+    ok, t, v = _certify_on_curve(unit, np.column_stack([-lam.ravel(), np.repeat(b, 4, axis=0)]), kernel=True)
+    value = np.where(ok & (curve_residual(unit, v) <= CERT_TOL), np.abs(v @ ell), np.inf).reshape(-1, 4)
+    best = 4 * np.arange(len(b)) + np.argmin(value, axis=1)
+    keep = [(i, mult) for i, (_, mult) in zip(best, bases) if value.flat[i] <= CERT_TOL]
+    return [(_unscale_point(t[i], scale, shift), v[i], mult) for i, mult in keep]
 
 
 def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> int:

@@ -5,10 +5,11 @@ its eigenvalues are distinct, and the pencil ``t0*I + t1*A + t2*A*``
 never drops to rank <= 2 for nonzero t.  The rank condition is decided
 on the base line ``[t1 : t2]``: the candidate bases are the roots of one
 Krylov sextic and three fixed or closed-form bases (see
-:func:`check_pencil_rank`), and each candidate is certified with an SVD
-of the pencil.  The rank screen centres A by ``tr(A)/4`` and both it and
-the common eigenvector test divide by a spectral norm first, so
-:func:`classify` gives the same answer for ``c*A`` as for ``A``.
+:func:`check_pencil_rank`), and all of their points are certified by
+one stacked SVD of the pencil.  The rank screen centres A by ``tr(A)/4``
+and both it and the common eigenvector test divide by a spectral norm
+first, so :func:`classify` gives the same answer for ``c*A`` as for
+``A``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg, polyroots
 from .errors import ConvergenceFailure
-from .pencil import Pencil, pencil_matrix
+from .pencil import _PAIRS, Pencil, _centred, pencil_matrix
 
 RANK_CERT_TOL = 1e-8
 
@@ -63,11 +64,8 @@ def check_distinct_eigenvalues(a, tol: float = 1e-8) -> bool:
     """True iff the smallest pairwise eigenvalue gap exceeds tol * ||a||."""
     m = linalg.as_matrix(a)
     lam = np.linalg.eigvals(m)
-    scale = max(linalg.matrix_norm(m), 1e-300)
-    gaps = [
-        abs(lam[i] - lam[j]) for i in range(lam.size) for j in range(i + 1, lam.size)
-    ]
-    return bool(min(gaps) > tol * scale) if gaps else True
+    gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
+    return bool(gaps.size == 0 or gaps.min() > tol * max(linalg.matrix_norm(m), 1e-300))
 
 
 def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
@@ -117,13 +115,11 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
 
     Returns ``(ok, witness)``; on failure the witness is a projective
     point where the pencil has rank <= 2, certified by the singular
-    values there, so there are no false witnesses.
+    values there, so there are no false witnesses: the first failing
+    point, by base in the order above and by eigenvalue within a base.
     """
-    m = linalg.as_matrix(a)
-    shift = np.trace(m) / 4
-    m = m - shift * np.eye(4)
-    scale = linalg.matrix_norm(m) or 1.0
-    pencil = Pencil(m / scale)
+    c, scale, shift = _centred(linalg.as_matrix(a))
+    pencil = Pencil(c)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x /= np.linalg.norm(x)
@@ -132,16 +128,17 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     bases = [np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([z, -1.0])]
     bases += [np.array([1.0, mu]) for mu in _krylov_roots(pencil.a, pencil.astar, x)[1]]
 
-    for b in bases:
-        b = b / np.linalg.norm(b)
-        for lam in np.linalg.eigvals(b[0] * pencil.a + b[1] * pencil.astar):
-            t = np.array([-lam, b[0], b[1]]) / np.linalg.norm([lam, 1.0])
-            s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
-            if s[0] <= 1e-14 or s[2] <= tol * s[0]:
-                # the same point on A, brought to max modulus 1 so that
-                # forming its norm neither overflows nor underflows
-                w = np.array([t[0] * scale - t[1] * shift - t[2] * np.conj(shift), t[1], t[2]])
-                return False, linalg.canonical_projective(w / np.max(np.abs(w)))
+    b = np.array([b / np.linalg.norm(b) for b in bases])
+    lam = np.linalg.eigvals(b[:, 0, None, None] * pencil.a + b[:, 1, None, None] * pencil.astar).reshape(-1)
+    t = np.column_stack([-lam, np.repeat(b, 4, axis=0)]) / np.sqrt(lam.real**2 + 1.0 + lam.imag**2)[:, None]
+    s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
+    fail = (s[:, 0] <= 1e-14) | (s[:, 2] <= tol * s[:, 0])
+    if np.any(fail):
+        # the first failing point on A, brought to max modulus 1 so that
+        # forming its norm neither overflows nor underflows
+        t = t[np.argmax(fail)]
+        w = np.array([t[0] * scale - t[1] * shift - t[2] * np.conj(shift), t[1], t[2]])
+        return False, linalg.canonical_projective(w / np.max(np.abs(w)))
     return True, None
 
 
@@ -184,8 +181,8 @@ def classify(a, tol_rank: float = 1e-10, tol_gap: float = 1e-8, seed: int = 0) -
         notes.append(f"singular: sigma_min/sigma_max = {sv[-1] / max(sv[0], 1e-300):.2e}")
     if not s2:
         lam = np.linalg.eigvals(m)
-        gaps = [abs(lam[i] - lam[j]) for i in range(4) for j in range(i + 1, 4)]
-        notes.append(f"repeated eigenvalues: min gap = {min(gaps):.2e}")
+        gaps = np.abs(lam[_PAIRS[0]] - lam[_PAIRS[1]])
+        notes.append(f"repeated eigenvalues: min gap = {np.min(gaps):.2e}")
     if not s3 and witness is not None:
         # formed directly, since a Pencil of a huge A overflows its A^2
         t0, t1, t2 = witness

@@ -47,8 +47,11 @@ DEDUPE_TOL = 1e-6
 #: Relative eigenvalue gap below which a fiber point is near a branch point.
 GAP_TOL = 1e-6
 
-#: Step cap of the secant refinement of a dodecic root.
-SECANT_STEPS = 6
+#: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
+SECANT_STEPS = 12
+
+#: The index pairs ``i < j`` of four eigenvalues.
+_PAIRS = np.triu_indices(4, 1)
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,12 @@ class SectionCandidate:
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
-    """The 4x4 matrix ``t0*I + t1*A + t2*A*``."""
-    t = linalg.as_vector(t)
-    if t.size != 3:
-        raise ValueError("pencil parameter must have 3 coordinates")
-    return t[0] * np.eye(4, dtype=complex) + t[1] * pencil.a + t[2] * pencil.astar
+    """The 4x4 matrix ``t0*I + t1*A + t2*A*``; a (k, 3) stack of ``t`` gives the (k, 4, 4) stack."""
+    t = np.asarray(t, dtype=complex)
+    if t.shape[-1:] != (3,) or t.ndim > 2 or not np.all(np.isfinite(t)):
+        raise ValueError("pencil parameter must have 3 finite coordinates, or be a stack of such rows")
+    t0, t1, t2 = t.T[..., None, None]
+    return t0 * np.eye(4, dtype=complex) + t1 * pencil.a + t2 * pencil.astar
 
 
 def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
@@ -120,8 +124,7 @@ def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
     value is also below ``tol * sigma_max`` (rank <= 2, which the generic
     construction excludes and the caller must handle).
     """
-    m = pencil_matrix(pencil, t)
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
     if s[0] == 0.0 or s[2] <= tol * s[0]:
         raise RankDeficientPencil(
             f"pencil rank <= 2 at t={np.round(t, 6)} (sigma3/sigma1 = "
@@ -136,8 +139,9 @@ def fiber_points(pencil: Pencil, base):
     Over the base the curve is cut out by ``-t0`` running through the
     eigenvalues of ``N = t1*A + t2*A*``, listed by (real, imag) with
     multiplicity; each contributes one point ``t`` with the pencil's
-    kernel vector ``v`` there.  ``near_branch`` is set on a point when
-    its eigenvalue sits within ``GAP_TOL * ||N||`` of another one.
+    kernel vector ``v`` there (:func:`kernel_vector`).  ``near_branch`` is
+    set on a point when its eigenvalue sits within ``GAP_TOL * ||N||`` of
+    another one.
 
     Raises :class:`RankDeficientPencil` at rank-deficient points.
     """
@@ -149,40 +153,31 @@ def fiber_points(pencil: Pencil, base):
     lam = lam[np.lexsort((lam.imag, lam.real))]
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(4, np.inf))
     near_branch = gaps.min(axis=1) < GAP_TOL * np.linalg.norm(n)
-    points = []
-    for k in range(4):
-        t = np.array([-lam[k], b[0], b[1]])
-        t /= np.linalg.norm(t)
-        _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
-        if s[2] <= RANK_TOL * s[0]:
-            raise RankDeficientPencil(f"pencil rank <= 2 at t={np.round(t, 6)}")
-        points.append(
-            PencilPoint(
-                t=canonical_projective(t),
-                v=canonical_projective(np.conj(vh[-1])),
-                sheet=k,
-                base=b,
-                near_branch=bool(near_branch[k]),
-            )
-        )
-    return points
+    t = [canonical_projective([-x, b[0], b[1]]) for x in lam]
+    return [
+        PencilPoint(t=t[k], v=kernel_vector(pencil, t[k]), sheet=k, base=b, near_branch=bool(near_branch[k]))
+        for k in range(4)
+    ]
 
 
-def curve_residual(pencil: Pencil, v) -> float:
+def curve_residual(pencil: Pencil, v):
     """Scale-invariant distance of [v] from the dependence locus.
 
     Largest 3x3 minor of the 3x4 matrix with rows ``v, Av, A*v``,
     normalized by the product of the row norms.  At or below tolerance
-    exactly when ``{v, Av, A*v}`` is numerically dependent.
+    exactly when ``{v, Av, A*v}`` is numerically dependent.  A (k, 4)
+    stack of vectors gives the array of their k residuals.
     """
-    v = linalg.as_vector(v)
-    rows = np.stack([v, pencil.a @ v, pencil.astar @ v])
-    norms = np.linalg.norm(rows, axis=1)
-    if np.min(norms) <= 1e-300:
-        return 0.0
-    cols = np.stack([rows[:, [j for j in range(4) if j != k]] for k in range(4)])
-    minors = np.abs(np.linalg.det(cols))
-    return float(np.max(minors) / np.prod(norms))
+    linalg.as_vector(v)  # rejects entries that are not finite
+    v = np.asarray(v, dtype=complex)
+    rows = np.stack([v, v @ pencil.a.T, v @ pencil.astar.T], axis=-2)
+    norms = np.linalg.norm(rows, axis=-1)
+    # the four 3x3 minors, each leaving out one column
+    cols = rows[..., [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].swapaxes(-3, -2)
+    minors = np.abs(np.linalg.det(cols)).max(axis=-1)
+    live = np.min(norms, axis=-1) > 1e-300
+    res = np.where(live, minors / np.where(live, np.prod(norms, axis=-1), 1.0), 0.0)
+    return float(res) if res.ndim == 0 else res
 
 
 def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
@@ -200,10 +195,7 @@ def _span_residuals(seven: np.ndarray):
     """``(h, sigma4)`` of :func:`section_residual` from the seven columns."""
     cols = seven[:, [0, 1, 3, 6]]  # v, Av, A^2 v, A*^2 v
     norms = np.linalg.norm(cols, axis=0)
-    if np.min(norms) <= 1e-300:
-        h = 0j
-    else:
-        h = complex(np.linalg.det(cols) / np.prod(norms))
+    h = 0j if np.min(norms) <= 1e-300 else complex(np.linalg.det(cols) / np.prod(norms))
     s = np.linalg.svd(seven, compute_uv=False)
     sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
     return h, sigma4
@@ -230,28 +222,38 @@ def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
     return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
 
 
-def _certify_on_curve(pencil: Pencil, t):
-    """Membership test for the determinant curve at rank 3.
+def _phase_fixed(x: np.ndarray) -> np.ndarray:
+    """Unit rows ``x`` (k, n), each turned by the phase :func:`linalg.canonical_projective` gives it."""
+    lead = x[np.arange(len(x)), np.argmax(np.abs(x) > linalg.PHASE_TOL, axis=1)]
+    return x * (np.conj(lead) / np.abs(lead))[:, None]
 
-    Returns ``(canonical t, kernel vector)`` or None when t is off the
-    curve or the pencil drops below rank 3 there.
+
+def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
+    """Membership test for the determinant curve at rank 3, for a (k, 3) stack of points.
+
+    One stacked SVD decides every row: it fails when it is zero or not
+    finite, ``sigma1 = 0``, ``sigma3 <= RANK_TOL*sigma1`` or ``sigma4 >
+    ON_CURVE_TOL*sigma1``.  Returns ``(ok, t, v)``: the mask, the canonical
+    rows and, with ``kernel=True`` only, their canonical kernel vectors.
+    A failed row holds a placeholder.  Each row is divided by its largest
+    modulus before its norm is taken, so nothing overflows.
     """
-    try:
-        t = canonical_projective(t)
-    except ValueError:
-        return None
-    _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
-    if s[0] == 0.0 or s[2] <= RANK_TOL * s[0] or s[3] > ON_CURVE_TOL * s[0]:
-        return None
-    return t, canonical_projective(np.conj(vh[-1]))
+    t = np.asarray(t, dtype=complex)
+    big = np.abs(t).max(axis=1)  # inf or nan on a row that is not finite
+    ok = np.isfinite(big) & (big > 0)
+    t = np.where(ok[:, None], t, 1.0) / np.where(ok, big, 1.0)[:, None]
+    t = _phase_fixed(t / np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))[:, None])
+    svd = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=kernel)
+    s, v = (svd.S, _phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
+    ok &= (s[:, 0] > 0) & (s[:, 2] > RANK_TOL * s[:, 0]) & (s[:, 3] <= ON_CURVE_TOL * s[:, 0])
+    return ok, t, v
 
 
 def _certify(pencil: Pencil, t):
     """Re-derive every acceptance quantity at ``t`` and certify or reject."""
-    on_curve = _certify_on_curve(pencil, t)
-    if on_curve is None:
+    (ok,), (t,), (v,) = _certify_on_curve(pencil, np.reshape(t, (1, 3)), kernel=True)
+    if not ok:
         return None
-    t, v = on_curve
     if curve_residual(pencil, v) > CERT_TOL:
         return None
 
@@ -260,21 +262,14 @@ def _certify(pencil: Pencil, t):
     if sw[1] <= CERT_TOL * sw[0] or sw[2] > CERT_TOL * sw[0]:
         return None  # span(v, Av, A*v) is not 2-dimensional
     h, sigma4 = _span_residuals(seven)
-
-    sa = np.linalg.svd(seven[:, [0, 1, 2, 3, 4]], compute_uv=False)
-    sb = np.linalg.svd(seven[:, [0, 1, 2, 6, 5]], compute_uv=False)
+    sa, sb = np.linalg.svd(seven[:, [[0, 1, 2, 3, 4], [0, 1, 2, 6, 5]]].transpose(1, 0, 2), compute_uv=False)
     shortcut_a = sa[2] <= CERT_TOL * sa[0]
     shortcut_b = sb[2] <= CERT_TOL * sb[0]
     dims_ok = (shortcut_a or sa[3] <= CERT_TOL * sa[0]) and (shortcut_b or sb[3] <= CERT_TOL * sb[0])
     if not (sigma4 <= CERT_TOL and dims_ok):
         return None
-
-    return SectionCandidate(
-        point=PencilPoint(t=t, v=v),
-        span_det=h,
-        sigma4=float(sigma4),
-        shortcut=bool(shortcut_a or shortcut_b),
-    )
+    shortcut = bool(shortcut_a or shortcut_b)
+    return SectionCandidate(point=PencilPoint(t=t, v=v), span_det=h, sigma4=float(sigma4), shortcut=shortcut)
 
 
 def _distinguished_seeds(pencil: Pencil):
@@ -311,8 +306,7 @@ def _dodecic_values(a: np.ndarray, astar: np.ndarray, mu: np.ndarray) -> np.ndar
     """
     lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
     h = np.linalg.det(np.stack([vecs, a @ vecs, a @ a @ vecs, astar @ astar @ vecs], axis=-1).swapaxes(1, 2))
-    i, j = np.triu_indices(4, 1)
-    gaps = lam[:, i] - lam[:, j]
+    gaps = lam[:, _PAIRS[0]] - lam[:, _PAIRS[1]]
     return np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
 
 
@@ -429,6 +423,19 @@ def _flag_points(pencil: Pencil):
             yield cand
 
 
+def _centred(a: np.ndarray):
+    """``(C, scale, shift)``: ``C = (A - shift*I)/scale``, ``shift = tr(A)/n``, ``||C||_2 = 1``.
+
+    ``C`` has the tridiagonalizing unitaries, curves, flag points and rank
+    drops of ``A`` (points with ``t0`` moved, see :func:`_unscale_point`).
+    """
+    n = a.shape[0]
+    shift = np.sum(np.diag(a) / n)
+    c = a - shift * np.eye(n)
+    scale = linalg.matrix_norm(c) or 1.0
+    return c / scale, scale, shift
+
+
 def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
     """A point ``[t0 : t1 : t2]`` on the pencil of ``(A - shift*I)/scale``, moved to the pencil of ``A``.
 
@@ -456,8 +463,8 @@ def section_zeros(pencil: Pencil):
     ``CERT_TOL``).  Points within projective distance ``DEDUPE_TOL`` of
     each other count once, with the smaller ``sigma4``.  On a generic
     matrix the result has exactly 12 entries.  The points are found on
-    ``A/||A||_2`` and mapped back to the pencil of ``A``, so the count
-    does not depend on the scale of ``A``.
+    the matrix of :func:`_centred` and mapped back to the pencil of ``A``,
+    so the count depends on neither the scale nor the shift of ``A``.
 
     Raises
     ------
@@ -466,9 +473,9 @@ def section_zeros(pencil: Pencil):
         here, and the solver refines a unitary from the Schur basis
         instead.
     """
-    scale = pencil.norm or 1.0
+    c, scale, shift = _centred(pencil.a)
     zeros: list[SectionCandidate] = []
-    for cand in _flag_points(Pencil(pencil.a / scale)):
+    for cand in _flag_points(Pencil(c)):
         for i, other in enumerate(zeros):
             if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
                 if cand.sigma4 < other.sigma4:
@@ -481,4 +488,4 @@ def section_zeros(pencil: Pencil):
             f"no certified flag point among the eigenvector points and the dodecic's roots (tol={CERT_TOL:.1e})"
         )
     zeros.sort(key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))))
-    return [_unscale_candidate(c, scale) for c in zeros]
+    return [_unscale_candidate(z, scale, shift) for z in zeros]

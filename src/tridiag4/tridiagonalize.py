@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import NoSectionZero, Unsolved
 from .genericity import common_eigenvectors
-from .pencil import Pencil, SectionCandidate, _flag_points, _unscale_candidate
+from .pencil import Pencil, SectionCandidate, _centred, _flag_points, _unscale_candidate
 
 #: The unitarity gate ``||UU* - I||_2`` that every returned result meets.
 UNITARITY_TOL = 1e-10
@@ -364,12 +364,10 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
 
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
-    shift = np.sum(np.diag(a) / n)
-    c = a - shift * np.eye(n)
-    scale = linalg.matrix_norm(c) or 1.0
-    # the gate is relative to ||A||, which can be as small as ||C||/2
+    c, scale, shift = _centred(a)
+    # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
     inner = replace(opts, tol=opts.tol * min(1.0, linalg.matrix_norm(a) / scale))
-    result = _dispatch(c / scale, inner)
+    result = _dispatch(c, inner)
     cand = result.candidate
     if cand is not None:
         cand = _unscale_candidate(cand, scale, shift)

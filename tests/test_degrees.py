@@ -15,9 +15,15 @@ from tridiag4.pencil import Pencil, _certify_on_curve
 
 class TestDegreeOfDetCurve:
     def test_random_matrices_give_four(self):
-        for seed in range(5):
+        for seed in range(200):
             p = Pencil(make_matrix("gaussian", 4, seed))
-            assert degree_of_det_curve(p, lines=10, seed=seed) == 4
+            assert degree_of_det_curve(p, lines=10, seed=seed) == 4, seed
+
+    def test_shifted_matrices_give_four(self):
+        # uncentred, the lines of G + 1e8*I counted 1 to 4 points each
+        for seed in range(20):
+            p = Pencil(make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4))
+            assert degree_of_det_curve(p, lines=10, seed=seed) == 4, seed
 
     def test_jordan_block_gives_four(self):
         # the restriction to a generic line is still a full quartic
@@ -38,6 +44,13 @@ class TestDegreeOfKernelCurve:
     def test_random_gaussians_give_six(self):
         for seed in range(200):
             p = Pencil(make_matrix("gaussian", 4, seed))
+            assert degree_of_kernel_curve(p, seed=seed) == 6, seed
+
+    def test_shifted_matrices_give_six(self):
+        # the kernel curve does not move with a shift of A; uncentred, no
+        # point of G + 1e8*I certified
+        for seed in range(20):
+            p = Pencil(make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4))
             assert degree_of_kernel_curve(p, seed=seed) == 6, seed
 
     def test_hyperplane_through_known_point(self):
@@ -70,7 +83,7 @@ class TestDegreeOfKernelCurve:
             ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             points = _hyperplane_points(p, ell / np.linalg.norm(ell))
             assert sum(mult for _, _, mult in points) == 6, seed
-            assert all(_certify_on_curve(p, t) is not None for t, _, _ in points), seed
+            assert all(_certify_on_curve(p, np.array([t for t, _, _ in points]))[0]), seed
 
 
 class TestSectionZeroCount:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tridiag4.pencil import (
     Pencil,
     _best_sheets,
     _certify,
+    _certify_on_curve,
     _distinguished_seeds,
     _dodecic_roots,
     curve_residual,
@@ -138,6 +141,62 @@ class TestKernelVector:
             kernel_vector(Pencil(np.eye(4)), [-1.0, 1.0, 0.0])
 
 
+class TestCertifyOnCurve:
+    @staticmethod
+    def _stack(p, seed):
+        # fiber points (on the curve), random points (off it), and the fiber
+        # points again under a complex scale, large and small
+        rng = np.random.default_rng(seed)
+        on = np.array([pt.t for pt in fiber_points(p, rng.standard_normal(2) + 1j * rng.standard_normal(2))])
+        off = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        return np.concatenate([on, off, 1e5j * on, 1e-5 * on])
+
+    def test_stack_matches_rows_one_at_a_time(self):
+        for seed in range(20):
+            p = Pencil(make_matrix("gaussian", 4, seed))
+            t = self._stack(p, seed)
+            ok, tc, v = _certify_on_curve(p, t, kernel=True)
+            assert ok.tolist() == [True] * 4 + [False] * 4 + [True] * 8, seed
+            for i in range(len(t)):
+                ok1, t1, v1 = _certify_on_curve(p, t[i : i + 1], kernel=True)
+                assert ok1[0] == ok[i], (seed, i)
+                np.testing.assert_array_equal(t1[0], tc[i])
+                np.testing.assert_array_equal(v1[0], v[i])
+            for i in np.flatnonzero(ok):
+                # the canonical point and the pencil's kernel vector there
+                np.testing.assert_allclose(tc[i], linalg.canonical_projective(t[i]), atol=1e-12)
+                np.testing.assert_allclose(v[i], kernel_vector(p, t[i]), atol=1e-10)
+
+    def test_mask_alone_skips_the_vectors(self):
+        p = Pencil(make_matrix("gaussian", 4, 3))
+        t = self._stack(p, 3)
+        ok, tc, v = _certify_on_curve(p, t)
+        assert v is None
+        np.testing.assert_array_equal(ok, _certify_on_curve(p, t, kernel=True)[0])
+
+    def test_degenerate_rows_rejected_without_warnings(self):
+        p = Pencil(make_matrix("gaussian", 4, 0))
+        good = fiber_points(p, [1.0, 0.3])[0].t
+        t = np.array(
+            [
+                good,
+                np.zeros(3),
+                [np.inf, 1.0, 0.0],
+                [1.0, -np.inf, 0.0],
+                [np.nan, 0.0, 1.0],
+                [1.0, 1.0, complex(0.0, np.inf)],
+                1e300 * good,
+                1e-300 * good,
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ok, tc, v = _certify_on_curve(p, t, kernel=True)
+        assert ok.tolist() == [True, False, False, False, False, False, True, True]
+        assert np.all(np.isfinite(tc)) and np.all(np.isfinite(v))
+        np.testing.assert_allclose(tc[[6, 7]], [tc[0], tc[0]], atol=1e-12)
+
+
 class TestCurveResidual:
     def test_eigenvector_is_on_curve(self):
         a = make_matrix("gaussian", 4, 7)
@@ -242,6 +301,20 @@ class TestSectionZeros:
             for z in zeros:
                 s = np.linalg.svd(pencil_matrix(p, z.point.t), compute_uv=False)
                 assert s[3] <= 1e-8 * s[0], seed
+
+    @pytest.mark.parametrize("shift", [1e2, 1e4, 1e6, 1e8, 1e12])
+    def test_count_is_shift_free(self, shift):
+        # A + c*I has the flag points of A with t0 moved; uncentred, the
+        # search counted 20 at c = 1e4 and none at c = 1e12
+        for seed in range(20):
+            g = make_matrix("gaussian", 4, seed)
+            zeros = section_zeros(Pencil(g + shift * np.eye(4)))
+            assert len(zeros) == 12, seed
+            if shift <= 1e4:
+                # the kernel vectors do not move with the shift
+                reference = [z.point.v for z in section_zeros(Pencil(g))]
+                for z in zeros:
+                    assert min(linalg.projective_distance(z.point.v, u) for u in reference) <= 1e-6, seed
 
     @pytest.mark.parametrize("seed", [41, 361, 415, 447])
     def test_rejected_roots_are_refined(self, seed, monkeypatch):
