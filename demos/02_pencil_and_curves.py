@@ -10,37 +10,42 @@ span(v,Av,A*v) + A*span(...) and ... + A**span(...) coincide.
 
 import numpy as np
 
-from tridiag4 import (
-    Pencil,
-    curve_residual,
-    fiber_points,
-    make_matrix,
-    pencil_matrix,
-    section_residual,
-    section_zeros,
-)
+from tridiag4 import Pencil, make_matrix, section_zeros
+from tridiag4.pencil import curve_residual, pencil_matrix
 
 np.set_printoptions(precision=4, suppress=True)
 
 a = make_matrix("gaussian", 4, seed=7)
 pencil = Pencil(a)
 
-# --- the fiber over one base direction [t1 : t2] --------------------------
-base = [1.0, 0.6 - 0.3j]
-print(f"fiber over base {base}: four curve points (one per eigenvalue)")
-for pt in fiber_points(pencil, base):
-    m = pencil_matrix(pencil, pt.t)
+# --- the fiber over one base direction [1 : mu] -----------------------------
+# over the base the curve points are [-lam : 1 : mu] with lam an eigenvalue
+# of N = A + mu*A*, and the kernel vector there is its eigenvector v
+mu = 0.6 - 0.3j
+lam, vecs = np.linalg.eig(a + mu * pencil.astar)
+print(f"fiber over base [1 : {mu}]: four curve points (one per eigenvalue of A + mu*A*)")
+for k in range(4):
+    m = pencil_matrix(pencil, [-lam[k], 1.0, mu])
+    v = vecs[:, k]
     print(
-        f"  sheet {pt.sheet}: |det| = {abs(np.linalg.det(m)):.2e},"
-        f"  ||pencil @ v|| = {np.linalg.norm(m @ pt.v):.2e},"
-        f"  dependence residual = {curve_residual(pencil, pt.v):.2e}"
+        f"  sheet {k}: |det| = {abs(np.linalg.det(m)):.2e},"
+        f"  ||pencil @ v|| = {np.linalg.norm(m @ v):.2e},"
+        f"  dependence residual = {curve_residual(pencil, v):.2e}"
     )
 
 # --- the two residuals that mark a flag point -----------------------------
+# h = det[v, Av, A^2 v, A*^2 v] over its column norms, and sigma4 = the fourth
+# singular value, over the first, of the seven columns
+# [v, Av, A*v, A^2 v, AA*v, A*Av, A*^2 v]: both vanish at a flag point
 print("\nresidual pair (span determinant, rank gap sigma4) along the fiber:")
-for pt in fiber_points(pencil, base):
-    h, sigma4 = section_residual(pencil, pt.v)
-    print(f"  sheet {pt.sheet}: |h| = {abs(h):.3e},  sigma4 = {sigma4:.3e}")
+for k in range(4):
+    v = vecs[:, k]
+    av, asv = a @ v, pencil.astar @ v
+    seven = np.column_stack([v, av, asv, a @ av, a @ asv, pencil.astar @ av, pencil.astar @ asv])
+    span = seven[:, [0, 1, 3, 6]]
+    h = np.linalg.det(span) / np.prod(np.linalg.norm(span, axis=0))
+    s = np.linalg.svd(seven, compute_uv=False)
+    print(f"  sheet {k}: |h| = {abs(h):.3e},  sigma4 = {s[3] / s[0]:.3e}")
 
 # --- all flag points -------------------------------------------------------
 # the bases [1 : mu] of the flag points are the 12 roots of one dodecic;

@@ -11,97 +11,33 @@ are certified points of one eigen-solve each (a line's 4x4 eigenproblem,
 a hyperplane's Krylov sextic, and the flag-point dodecic).
 """
 
-from .errors import (
-    ConvergenceFailure,
-    NoSectionZero,
-    ParseError,
-    RankDeficientPencil,
-    SolverError,
-    Unsolved,
-    UnstableCountWarning,
-)
-from .pencil import (
-    Pencil,
-    PencilPoint,
-    SectionCandidate,
-    curve_residual,
-    fiber_points,
-    kernel_vector,
-    pencil_matrix,
-    section_residual,
-    section_zeros,
-)
-from .genericity import (
-    GenericityReport,
-    check_distinct_eigenvalues,
-    check_nonsingular,
-    check_pencil_rank,
-    classify,
-    common_eigenvectors,
-)
-from .tridiagonalize import (
-    Flag,
-    Options,
-    TridiagResult,
-    VerifyReport,
-    build_flag,
-    deflate_common_eigenvector,
-    flag_to_unitary,
-    perturb_and_retry,
-    tridiagonalize,
-    tridiagonalize3,
-    verify,
-)
-from .degrees import (
-    DegreeReport,
-    degree_of_det_curve,
-    degree_of_kernel_curve,
-    run_experiments,
-    section_zero_count,
-)
+from .errors import NoSectionZero, ParseError, SolverError, Unsolved, UnstableCountWarning
+from .pencil import Pencil, section_zeros
+from .genericity import classify
+from .tridiagonalize import Options, TridiagResult, tridiagonalize, tridiagonalize3, verify
+from .degrees import degree_of_det_curve, degree_of_kernel_curve, run_experiments, section_zero_count
 from .generate import make_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceFailure",
-    "NoSectionZero",
-    "ParseError",
-    "RankDeficientPencil",
-    "SolverError",
-    "Unsolved",
-    "UnstableCountWarning",
-    "Pencil",
-    "PencilPoint",
-    "SectionCandidate",
-    "curve_residual",
-    "fiber_points",
-    "kernel_vector",
-    "pencil_matrix",
-    "section_residual",
-    "section_zeros",
-    "GenericityReport",
-    "check_distinct_eigenvalues",
-    "check_nonsingular",
-    "check_pencil_rank",
-    "classify",
-    "common_eigenvectors",
-    "Flag",
-    "Options",
-    "TridiagResult",
-    "VerifyReport",
-    "build_flag",
-    "deflate_common_eigenvector",
-    "flag_to_unitary",
-    "perturb_and_retry",
     "tridiagonalize",
     "tridiagonalize3",
     "verify",
-    "DegreeReport",
+    "Options",
+    "TridiagResult",
+    "make_matrix",
+    "Pencil",
+    "section_zeros",
+    "classify",
     "degree_of_det_curve",
     "degree_of_kernel_curve",
-    "run_experiments",
     "section_zero_count",
-    "make_matrix",
+    "run_experiments",
+    "SolverError",
+    "NoSectionZero",
+    "Unsolved",
+    "ParseError",
+    "UnstableCountWarning",
     "__version__",
 ]

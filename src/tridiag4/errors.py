@@ -9,10 +9,6 @@ class ConvergenceFailure(SolverError):
     """An iteration did not reach its tolerance within the step budget."""
 
 
-class RankDeficientPencil(SolverError):
-    """The pencil dropped below rank 3 at the requested point."""
-
-
 class NoSectionZero(SolverError):
     """No flag point passed certification; input is likely degenerate."""
 

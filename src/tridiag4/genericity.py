@@ -6,10 +6,11 @@ never drops to rank <= 2 for nonzero t.  The rank condition is decided
 on the base line ``[t1 : t2]``: the candidate bases are the roots of one
 Krylov sextic and three fixed or closed-form bases (see
 :func:`check_pencil_rank`), and all of their points are certified by
-one stacked SVD of the pencil.  The rank screen centres A by ``tr(A)/4``
-and both it and the common eigenvector test divide by a spectral norm
-first, so :func:`classify` gives the same answer for ``c*A`` as for
-``A``.
+one stacked SVD of the pencil.  The rank screen, the eigenvalue gap and
+the common eigenvector test all run on the centred and normalized
+matrix of :func:`pencil._centred`, so :func:`classify` gives the same
+answer for ``c*A + b*I`` as for ``A``, except for nonsingularity, which
+a shift changes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, polyroots
+from . import linalg
 from .errors import ConvergenceFailure
-from .pencil import _PAIRS, Pencil, _centred, pencil_matrix
+from .pencil import _PAIRS, Pencil, _centred, _coefficients, _unscale_point, pencil_matrix
 
 RANK_CERT_TOL = 1e-8
 
@@ -61,30 +62,29 @@ def check_nonsingular(a, tol: float = 1e-10) -> bool:
 
 
 def check_distinct_eigenvalues(a, tol: float = 1e-8) -> bool:
-    """True iff the smallest pairwise eigenvalue gap exceeds tol * ||a||."""
-    m = linalg.as_matrix(a)
-    lam = np.linalg.eigvals(m)
+    """True iff the smallest pairwise eigenvalue gap exceeds ``tol * ||A - tr(A)/n*I||``.
+
+    Measured on the matrix of :func:`pencil._centred`, so a shift of ``A``
+    changes nothing; a scalar ``A`` has no distinct eigenvalues.
+    """
+    lam = np.linalg.eigvals(_centred(linalg.as_matrix(a))[0])
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
-    return bool(gaps.size == 0 or gaps.min() > tol * max(linalg.matrix_norm(m), 1e-300))
+    return bool(gaps.size == 0 or gaps.min() > tol)
 
 
 def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
     """The Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]``, ``N = p + mu*q``.
 
     ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
-    Returns its trimmed coefficients and its roots, taken from the
-    companion matrix as simple roots; a ``K`` that is constant or not
-    finite has none.
+    Returns its trimmed coefficients, from 7 samples on ``|mu| = 1`` taken
+    by one stacked ``det``, and its roots, taken from the companion matrix
+    as simple roots; a ``K`` that is constant or not finite has none.
     """
-
-    def krylov_det(mu):
-        n = p + mu * q
-        cols = [x]
-        for _ in range(3):
-            cols.append(n @ cols[-1])
-        return np.linalg.det(np.column_stack(cols))
-
-    k = polyroots.trim(polyroots.restrict_to_line(krylov_det, 0.0, 1.0, 6))
+    n = p + np.exp(2j * np.pi * np.arange(7) / 7)[:, None, None] * q
+    cols = [np.broadcast_to(x, (7, 4))]
+    for _ in range(3):
+        cols.append(np.einsum("kij,kj->ki", n, cols[-1]))
+    k = _coefficients(np.linalg.det(np.stack(cols, axis=-1)))
     if k.size <= 1 or not np.all(np.isfinite(k)):
         return k, np.empty(0, dtype=complex)
     return k, np.roots(k[::-1])
@@ -134,24 +134,20 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
     fail = (s[:, 0] <= 1e-14) | (s[:, 2] <= tol * s[:, 0])
     if np.any(fail):
-        # the first failing point on A, brought to max modulus 1 so that
-        # forming its norm neither overflows nor underflows
-        t = t[np.argmax(fail)]
-        w = np.array([t[0] * scale - t[1] * shift - t[2] * np.conj(shift), t[1], t[2]])
-        return False, linalg.canonical_projective(w / np.max(np.abs(w)))
+        return False, _unscale_point(t[np.argmax(fail)], scale, shift)
     return True, None
 
 
 def common_eigenvectors(a, tol: float = 1e-8):
     """Eigenvectors of A that are simultaneously eigenvectors of A*.
 
-    Tests ``||A* v - mu v|| <= tol * ||A||`` with ``mu = v* A* v`` for
-    every eigenvector v of A; duplicates (from repeated eigenvalues) are
-    removed projectively.  ``A`` is divided by its spectral norm first,
-    so the answer does not depend on its scale.
+    Tests ``||C* v - mu v|| <= tol`` with ``mu = v* C* v`` for every
+    eigenvector v of ``C``, the matrix of :func:`pencil._centred` (``A``
+    and ``C`` share their eigenvectors and those of their adjoints), so
+    the answer depends on neither the scale nor the shift of ``A``;
+    duplicates (from repeated eigenvalues) are removed projectively.
     """
-    m = linalg.as_matrix(a)
-    m = m / (linalg.matrix_norm(m) or 1.0)
+    m = _centred(linalg.as_matrix(a))[0]
     astar = linalg.adjoint(m)
     found: list[np.ndarray] = []
     try:

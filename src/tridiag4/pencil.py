@@ -7,7 +7,7 @@ one-dimensional kernel (for suitably generic A), and the kernel vector
 ``{v, Av, A*v}`` is linearly dependent.  A tridiagonalizing flag comes
 from the finitely many points where the two enlarged spans
 ``span(v, Av, A*v) + A span(...)`` and ``... + A* span(...)`` coincide;
-that coincidence is what :func:`section_residual` measures.
+that coincidence is the rank condition ``sigma4`` (see :func:`_span_residuals`).
 
 The flag points are the roots of one polynomial on the base line
 ``[1 : mu]``: over a base the curve points are the eigenvectors of
@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg, polyroots
-from .errors import ConvergenceFailure, NoSectionZero, RankDeficientPencil
+from . import linalg
+from .errors import ConvergenceFailure, NoSectionZero
 from .linalg import canonical_projective, projective_distance
 
 #: Relative threshold below which the pencil counts as rank-deficient (<= 2).
@@ -44,9 +44,6 @@ CERT_TOL = 1e-8
 #: Projective distance below which two certified points count as one.
 DEDUPE_TOL = 1e-6
 
-#: Relative eigenvalue gap below which a fiber point is near a branch point.
-GAP_TOL = 1e-6
-
 #: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
 SECANT_STEPS = 12
 
@@ -56,11 +53,10 @@ _PAIRS = np.triu_indices(4, 1)
 
 @dataclass(frozen=True)
 class Pencil:
-    """A 4x4 matrix together with its cached adjoint and spectral norm."""
+    """A 4x4 matrix together with its cached adjoint."""
 
     a: np.ndarray
     astar: np.ndarray = field(init=False)
-    norm: float = field(init=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
@@ -68,26 +64,14 @@ class Pencil:
             raise ValueError("Pencil expects a 4x4 matrix")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "astar", linalg.adjoint(a))
-        object.__setattr__(self, "norm", linalg.matrix_norm(a))
 
 
 @dataclass
 class PencilPoint:
-    """A point of the determinant curve with its kernel vector.
-
-    ``t`` is the canonical projective triple, ``v`` the canonical kernel
-    vector, ``base`` the image ``[t1 : t2]`` under the projection to the
-    base line, ``sheet`` the index of this point within its fiber, and
-    ``near_branch`` flags eigenvalue collisions that make sheet tracking
-    unreliable nearby.  Only :func:`fiber_points` fills ``base``,
-    ``sheet`` and ``near_branch``; certified zeros leave the defaults.
-    """
+    """A point of the determinant curve: the canonical triple ``t`` and its canonical kernel vector ``v``."""
 
     t: np.ndarray
     v: np.ndarray
-    sheet: int = 0
-    base: np.ndarray | None = None
-    near_branch: bool = False
 
 
 @dataclass
@@ -114,50 +98,6 @@ def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
         raise ValueError("pencil parameter must have 3 finite coordinates, or be a stack of such rows")
     t0, t1, t2 = t.T[..., None, None]
     return t0 * np.eye(4, dtype=complex) + t1 * pencil.a + t2 * pencil.astar
-
-
-def kernel_vector(pencil: Pencil, t, tol: float = RANK_TOL) -> np.ndarray:
-    """Unit kernel vector of the pencil at a point of the determinant curve.
-
-    Takes the right singular vector for the smallest singular value.
-    Raises :class:`RankDeficientPencil` when the second-smallest singular
-    value is also below ``tol * sigma_max`` (rank <= 2, which the generic
-    construction excludes and the caller must handle).
-    """
-    _, s, vh = np.linalg.svd(pencil_matrix(pencil, t))
-    if s[0] == 0.0 or s[2] <= tol * s[0]:
-        raise RankDeficientPencil(
-            f"pencil rank <= 2 at t={np.round(t, 6)} (sigma3/sigma1 = "
-            f"{0.0 if s[0] == 0 else s[2] / s[0]:.2e})"
-        )
-    return canonical_projective(np.conj(vh[-1]))
-
-
-def fiber_points(pencil: Pencil, base):
-    """The four points of the determinant curve over a base point [t1 : t2].
-
-    Over the base the curve is cut out by ``-t0`` running through the
-    eigenvalues of ``N = t1*A + t2*A*``, listed by (real, imag) with
-    multiplicity; each contributes one point ``t`` with the pencil's
-    kernel vector ``v`` there (:func:`kernel_vector`).  ``near_branch`` is
-    set on a point when its eigenvalue sits within ``GAP_TOL * ||N||`` of
-    another one.
-
-    Raises :class:`RankDeficientPencil` at rank-deficient points.
-    """
-    b = canonical_projective(linalg.as_vector(base))
-    if b.size != 2:
-        raise ValueError("base point must have 2 coordinates")
-    n = b[0] * pencil.a + b[1] * pencil.astar
-    lam = np.linalg.eigvals(n)
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(4, np.inf))
-    near_branch = gaps.min(axis=1) < GAP_TOL * np.linalg.norm(n)
-    t = [canonical_projective([-x, b[0], b[1]]) for x in lam]
-    return [
-        PencilPoint(t=t[k], v=kernel_vector(pencil, t[k]), sheet=k, base=b, near_branch=bool(near_branch[k]))
-        for k in range(4)
-    ]
 
 
 def curve_residual(pencil: Pencil, v):
@@ -192,7 +132,16 @@ def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
 
 
 def _span_residuals(seven: np.ndarray):
-    """``(h, sigma4)`` of :func:`section_residual` from the seven columns."""
+    """The two residuals whose simultaneous vanishing marks a flag point, from the seven columns.
+
+    Returns ``(h, sigma4)`` where ``h = det[v, Av, A^2 v, A*^2 v]``
+    normalized by the column norms (the factor of the dodecic) and
+    ``sigma4`` is the fourth singular value of the seven-column matrix,
+    normalized by its largest.  On the open part of the dependence curve
+    where v is not an eigenvector of A, ``h = 0`` is equivalent to the two
+    enlarged spans agreeing, but ``sigma4`` is the certificate: it also
+    rejects the degenerate zeros of ``h`` at eigenvectors.
+    """
     cols = seven[:, [0, 1, 3, 6]]  # v, Av, A^2 v, A*^2 v
     norms = np.linalg.norm(cols, axis=0)
     h = 0j if np.min(norms) <= 1e-300 else complex(np.linalg.det(cols) / np.prod(norms))
@@ -201,23 +150,8 @@ def _span_residuals(seven: np.ndarray):
     return h, sigma4
 
 
-def section_residual(pencil: Pencil, v):
-    """The two residuals whose simultaneous vanishing marks a flag point.
-
-    Returns ``(h, sigma4)`` where ``h = det[v, Av, A^2 v, A*^2 v]``
-    normalized by the column norms (holomorphic in v up to that fixed
-    scaling) and ``sigma4`` is the fourth singular value of the
-    seven-column matrix, normalized by its largest.  On the open part of
-    the dependence curve where v is not an eigenvector of A, ``h = 0``
-    is equivalent to the two enlarged spans agreeing, but ``sigma4`` is
-    the authoritative certificate: it also rejects the degenerate zeros
-    of ``h`` at eigenvectors.
-    """
-    return _span_residuals(_seven_columns(pencil, linalg.as_vector(v)[None, :])[0])
-
-
 def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
-    """``sigma4`` of :func:`section_residual` for kernel vectors ``v`` (k, 4)."""
+    """``sigma4`` of :func:`_span_residuals` for kernel vectors ``v`` (k, 4)."""
     s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
     return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
 
@@ -297,23 +231,35 @@ def _distinguished_seeds(pencil: Pencil):
     return seeds
 
 
-def _dodecic_values(a: np.ndarray, astar: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _dodecic_values(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
     """The dodecic ``R(mu)`` of :func:`_dodecic_roots` at each entry of ``mu``.
 
     One ``eig`` of the stack ``A + mu*A*`` and one ``det`` of the stack of
     span matrices ``[v, Av, A^2 v, A*^2 v]`` over every base (axis 0) and
     sheet (axis 1).
     """
+    a, astar = pencil.a, pencil.astar
     lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
     h = np.linalg.det(np.stack([vecs, a @ vecs, a @ a @ vecs, astar @ astar @ vecs], axis=-1).swapaxes(1, 2))
     gaps = lam[:, _PAIRS[0]] - lam[:, _PAIRS[1]]
     return np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
 
 
-def _scaled(pencil: Pencil):
-    """``(A, A*)`` divided by ``||A||_2``: the dodecic is formed on these."""
-    scale = pencil.norm or 1.0
-    return pencil.a / scale, pencil.astar / scale
+def _coefficients(values: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the polynomial of degree below ``n`` with these ``n`` values at the roots of unity.
+
+    The values at ``exp(2j*pi*k/n)``, ``k = 0..n-1``, are an inverse DFT of
+    the coefficients.  Leading coefficients with ``|c| <= 1e-14 * max|c|``
+    are dropped, and a polynomial that vanishes identically gives ``[0]``.
+    """
+    c = np.fft.fft(values) / len(values)
+    top = np.max(np.abs(c))
+    if top == 0.0:
+        return np.zeros(1, dtype=complex)
+    d = c.size - 1
+    while d > 0 and abs(c[d]) <= 1e-14 * top:
+        d -= 1
+    return c[: d + 1]
 
 
 def _dodecic_roots(pencil: Pencil) -> np.ndarray:
@@ -330,19 +276,18 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     Krylov sextic ``K`` of any ``l``), so it is a polynomial, of degree
     20.  ``h`` vanishes to second order at the eigenvectors of A, which
     gives ``P`` an 8-fold zero at ``mu = 0``; those of A* sit at
-    ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered on
-    ``A/||A||_2`` from 13 samples on ``|mu| = 1``, all taken by one call
-    of :func:`_dodecic_values`.
+    ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered from 13
+    samples on ``|mu| = 1``, all taken by one call of
+    :func:`_dodecic_values`.  ``pencil`` must be that of a
+    :func:`_centred` matrix (``tr A = 0``, ``||A||_2 = 1``), on which the
+    samples are well scaled; the solver and :func:`section_zeros` pass
+    one.
 
     The roots come from the companion matrix as 12 simple roots, since
     the flag points are generically distinct.  Returns no roots when
     ``R`` is not finite or vanishes identically.
     """
-    mu = np.exp(2j * np.pi * np.arange(13) / 13)
-    values = _dodecic_values(*_scaled(pencil), mu)
-    # samples at the 13th roots of unity form an inverse DFT of the
-    # coefficients, as in polyroots.restrict_to_line
-    r = polyroots.trim(np.fft.fft(values) / 13)
+    r = _coefficients(_dodecic_values(pencil, np.exp(2j * np.pi * np.arange(13) / 13)))
     if r.size <= 1 or not np.all(np.isfinite(r)):
         return np.empty(0, dtype=complex)
     return np.roots(r[::-1])
@@ -355,11 +300,12 @@ def _refine_root(pencil: Pencil, mu: complex) -> complex:
     the coefficients the root came from are not.  Starts from
     ``(mu*(1 + 1e-6), mu)``, takes at most ``SECANT_STEPS`` steps and
     returns the iterate with the smallest ``|R|``: once the iteration
-    has converged, its further steps are roundoff noise.
+    has converged, its further steps are roundoff noise.  Like
+    :func:`_dodecic_roots`, it expects the pencil of a :func:`_centred`
+    matrix.
     """
-    a, astar = _scaled(pencil)
     x0, x1 = mu * (1 + 1e-6), mu
-    f0, f1 = _dodecic_values(a, astar, np.array([x0, x1]))
+    f0, f1 = _dodecic_values(pencil, np.array([x0, x1]))
     best, best_f = (x1, abs(f1)) if abs(f1) <= abs(f0) else (x0, abs(f0))
     for _ in range(SECANT_STEPS):
         if f1 == f0 or not np.isfinite(f1):
@@ -367,7 +313,7 @@ def _refine_root(pencil: Pencil, mu: complex) -> complex:
         x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
         if not np.isfinite(x1):
             break
-        f0, f1 = f1, _dodecic_values(a, astar, np.array([x1]))[0]
+        f0, f1 = f1, _dodecic_values(pencil, np.array([x1]))[0]
         if abs(f1) < best_f:
             best, best_f = x1, abs(f1)
     return complex(best)
@@ -401,7 +347,8 @@ def _flag_points(pencil: Pencil):
     vectors, and only those at or below ``sqrt(CERT_TOL)`` go on to
     :func:`_certify`, which would reject the others anyway.
     Deterministic, and lazy: the dodecic is formed only when the
-    eigenvector points have been consumed.
+    eigenvector points have been consumed.  ``pencil`` is that of a
+    :func:`_centred` matrix, as :func:`_dodecic_roots` requires.
     """
     seeds = _distinguished_seeds(pencil)
     if seeds:
@@ -441,11 +388,12 @@ def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
 
     It is ``[scale*t0 - shift*t1 - conj(shift)*t2 : t1 : t2]`` there,
     formed with every coefficient divided by ``max(scale, |shift|, 1)``
-    so that no term can overflow.
+    so that no term can overflow, and then brought to largest modulus 1
+    so that its norm cannot underflow.
     """
     m = max(scale, abs(shift), 1.0)
-    w = [(scale / m) * t[0] - (shift / m) * t[1] - (np.conj(shift) / m) * t[2], t[1] / m, t[2] / m]
-    return canonical_projective(w)
+    w = np.array([(scale / m) * t[0] - (shift / m) * t[1] - (np.conj(shift) / m) * t[2], t[1] / m, t[2] / m])
+    return canonical_projective(w / np.max(np.abs(w)))
 
 
 def _unscale_candidate(cand: SectionCandidate, scale: float, shift: complex = 0.0) -> SectionCandidate:

@@ -2,16 +2,20 @@
 
 Helpers that lose their last caller, the knobs they read, and the
 exceptions only they raised tend to linger; this keeps them from piling
-up again.
+up again.  The public surface is guarded too: each exported name is
+documented in README, and each name the benchmark harness looks up on
+the package is exported.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import tridiag4
 from tridiag4 import errors
 
 SRC = Path(tridiag4.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 
 def _modules():
@@ -92,3 +96,17 @@ def test_every_error_class_is_raised():
     classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
     dead = [c.__name__ for c in classes if not any(issubclass(r, c) for r in raised)]
     assert dead == []
+
+
+def test_exports_are_documented():
+    # a name counts as documented when README writes it as code: `name...
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    undocumented = [name for name in tridiag4.__all__ if not re.search(rf"`{re.escape(name)}\b", readme)]
+    assert undocumented == []
+
+
+def test_benchmark_lookups_are_exported():
+    # perfbench reaches the program as ``api.<name>`` on the package
+    used = set(re.findall(r"\bapi\.(\w+)", (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")))
+    assert used >= {"Pencil", "degree_of_det_curve", "make_matrix", "run_experiments", "tridiagonalize", "verify"}
+    assert sorted(used - set(tridiag4.__all__)) == []

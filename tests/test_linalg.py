@@ -108,14 +108,11 @@ class TestRank:
 
     def test_curve_point_has_rank_two_span(self):
         # cross-check: the minors of [v, Av, A*v] vanish exactly when its
-        # rank drops to 2
-        from tridiag4.generate import make_matrix
-        from tridiag4.pencil import Pencil, fiber_points
-
+        # rank drops to 2; a curve point over [1 : mu] is an eigenvector of
+        # A + mu*A*
         a = make_matrix("gaussian", 4, 12)
-        p = Pencil(a)
-        pt = fiber_points(p, [1.0, 0.7 - 0.2j])[0]
-        m = np.column_stack([pt.v, a @ pt.v, linalg.adjoint(a) @ pt.v])
+        v = np.linalg.eig(a + (0.7 - 0.2j) * linalg.adjoint(a))[1][:, 0]
+        m = np.column_stack([v, a @ v, linalg.adjoint(a) @ v])
         assert np.linalg.matrix_rank(m, rtol=1e-8) == 2
         minors = [np.linalg.det(m[[i for i in range(4) if i != k], :]) for k in range(4)]
         assert max(abs(x) for x in minors) < 1e-10
@@ -149,11 +146,9 @@ class TestOrthonormalize:
         assert abs(abs(np.vdot(out[:, 0], (e1 - e2) / np.sqrt(2))) - 1.0) < 1e-12
 
     def test_span_preserved_on_curve_vectors(self):
-        from tridiag4.pencil import Pencil, fiber_points
-
         a = make_matrix("gaussian", 4, 13)
-        pt = fiber_points(Pencil(a), [1.0, 0.4 + 0.1j])[1]
-        v, av = pt.v, a @ pt.v
+        v = np.linalg.eig(a + (0.4 + 0.1j) * linalg.adjoint(a))[1][:, 1]
+        av = a @ v
         basis = _flag_from_vector(a, linalg.adjoint(a), v)[:, :2]
         for w in (v, av):
             recon = basis @ (np.conj(basis).T @ w)

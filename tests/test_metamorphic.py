@@ -1,16 +1,20 @@
 """Transforms of a Gaussian input that the mathematics says change nothing.
 
-A flag of ``A`` gives one of ``c*A``, ``e^(i theta)*A``, ``V A V*``, ``A*``
-and ``A^T`` (reversed and conjugated as needed), and the genericity
-conditions are invariant under each.  So ``tridiagonalize`` must pass
-both residual gates on the transformed input, and ``classify`` must give
-the same ``(s1, s2, s3, #common)``; the provenance may change.
+A flag of ``A`` gives one of ``c*A``, ``e^(i theta)*A``, ``A + c*I``,
+``V A V*``, ``A*`` and ``A^T`` (reversed and conjugated as needed), and
+the genericity conditions are invariant under each (all but
+nonsingularity under a shift, which a Gaussian ``A`` keeps unless the
+shift lands within roundoff of an eigenvalue).  So ``tridiagonalize``
+must pass both residual gates on the transformed input, ``classify``
+must give the same ``(s1, s2, s3, #common)``, and the counting
+experiments must still give ``(4, 6, 12)``; the provenance may change.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tridiag4.degrees import run_experiments
 from tridiag4.generate import make_matrix, random_unitary
 from tridiag4.genericity import classify
 from tridiag4.tridiagonalize import tridiagonalize
@@ -24,11 +28,13 @@ def signature(a):
 
 
 def check(a, b):
-    """``b`` is a transform of ``a``: it solves within both gates and classifies alike."""
+    """``b`` is a transform of ``a``: it solves within both gates, classifies alike and counts 4, 6 and 12."""
     r = tridiagonalize(b)
     assert r.off_residual <= 1e-8
     assert r.unitarity_residual <= 1e-10
     assert signature(b) == signature(a)
+    counts = run_experiments(b)
+    assert (counts.deg_det_curve, counts.deg_kernel_curve, counts.section_zero_count) == (4, 6, 12)
 
 
 @given(seeds, st.floats(-150, 150))
@@ -43,6 +49,15 @@ def test_scale(seed, exponent):
 def test_phase(seed, theta):
     a = make_matrix("gaussian", 4, seed)
     check(a, np.exp(1j * theta) * a)
+
+
+@given(seeds, st.floats(-8, 8), st.floats(0, 2 * np.pi))
+@example(0, 8.0, 0.0)
+@settings(max_examples=40, deadline=None)
+def test_shift(seed, exponent, theta):
+    a = make_matrix("gaussian", 4, seed)
+    c = 10.0**exponent * np.exp(1j * theta) * np.linalg.norm(a, 2)
+    check(a, a + c * np.eye(4))
 
 
 @given(seeds, seeds)

@@ -3,25 +3,43 @@ import warnings
 import numpy as np
 import pytest
 
-from tridiag4 import linalg, pencil, polyroots
-from tridiag4.errors import NoSectionZero, RankDeficientPencil
+from tridiag4 import linalg, pencil
+from tridiag4.errors import NoSectionZero
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.pencil import (
     Pencil,
     _best_sheets,
+    _centred,
     _certify,
     _certify_on_curve,
+    _coefficients,
     _distinguished_seeds,
     _dodecic_roots,
+    _seven_columns,
+    _span_residuals,
+    _unscale_point,
     curve_residual,
-    fiber_points,
-    kernel_vector,
     pencil_matrix,
-    section_residual,
     section_zeros,
 )
 
 N4 = jordan_block(4)
+
+
+def curve_points(p, mu):
+    """The four curve points over the base ``[1 : mu]``, as ``(t, v)`` pairs.
+
+    ``v`` runs through the eigenvectors of ``N = A + mu*A*``, and ``t =
+    [-lam : 1 : mu]`` with ``lam`` its eigenvalue: there ``v`` spans the
+    pencil's kernel, since ``(-lam*I + A + mu*A*) v = 0``.
+    """
+    lam, vecs = np.linalg.eig(p.a + mu * p.astar)
+    return [(np.array([-lam[k], 1.0, mu]), vecs[:, k]) for k in range(4)]
+
+
+def span_residuals(p, v):
+    """``(h, sigma4)`` at the vector ``v``."""
+    return _span_residuals(_seven_columns(p, np.asarray(v, dtype=complex)[None, :])[0])
 
 
 class TestPencilMatrix:
@@ -60,55 +78,54 @@ class TestPencilMatrix:
 class TestFiberPoints:
     def test_hermitian_base_gives_real_spectrum(self):
         a = make_matrix("hermitian", 4, 3)
-        pts = fiber_points(Pencil(a), [1.0, 0.0])
+        pts = curve_points(Pencil(a), 0.0)
         assert len(pts) == 4
-        for pt in pts:
+        for t, _ in pts:
             # t = [-lambda : 1 : 0] with lambda real
-            ratio = pt.t[0] / pt.t[1]
+            ratio = t[0] / t[1]
             assert abs(ratio.imag) < 1e-10
 
     def test_jordan_block_quadruple_branch_point(self):
-        pts = fiber_points(Pencil(N4), [1.0, 0.0])
+        pts = curve_points(Pencil(N4), 0.0)
         assert len(pts) == 4
         expected = linalg.canonical_projective([0.0, 1.0, 0.0])
-        for pt in pts:
-            assert pt.near_branch
-            assert linalg.projective_distance(pt.t, expected) < 1e-8
+        for t, _ in pts:
+            assert linalg.projective_distance(t, expected) < 1e-8
 
     def test_fiber_points_lie_on_curve(self):
         a = make_matrix("gaussian", 4, 4)
         p = Pencil(a)
-        pts = fiber_points(p, [1.0, 1.0])
+        pts = curve_points(p, 1.0)
         assert len(pts) == 4
-        for pt in pts:
-            m = pencil_matrix(p, pt.t)
+        for t, v in pts:
+            m = pencil_matrix(p, t)
             assert abs(np.linalg.det(m)) <= 1e-10 * max(1.0, np.linalg.norm(m) ** 4)
-            assert np.linalg.norm(m @ pt.v) <= 1e-10 * np.linalg.norm(m)
+            assert np.linalg.norm(m @ v) <= 1e-10 * np.linalg.norm(m)
 
     def test_four_distinct_points_generically(self):
         a = make_matrix("gaussian", 4, 5)
-        pts = fiber_points(Pencil(a), [1.0, 0.3 - 0.8j])
+        pts = curve_points(Pencil(a), 0.3 - 0.8j)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert linalg.projective_distance(pts[i].t, pts[j].t) > 1e-6
+                assert linalg.projective_distance(pts[i][0], pts[j][0]) > 1e-6
 
 
 class TestKernelVector:
     def test_jordan_block_left_corner(self):
-        v = kernel_vector(Pencil(N4), [0.0, 1.0, 0.0])
-        assert np.allclose(v, np.eye(4)[0])
+        ok, _, v = _certify_on_curve(Pencil(N4), [[0.0, 1.0, 0.0]], kernel=True)
+        assert ok[0] and np.allclose(v[0], np.eye(4)[0])
 
     def test_jordan_block_right_corner(self):
-        v = kernel_vector(Pencil(N4), [0.0, 0.0, 1.0])
-        assert np.allclose(v, np.eye(4)[3])
+        ok, _, v = _certify_on_curve(Pencil(N4), [[0.0, 0.0, 1.0]], kernel=True)
+        assert ok[0] and np.allclose(v[0], np.eye(4)[3])
 
     def test_residual_on_random_fibers(self):
         a = make_matrix("gaussian", 4, 6)
         p = Pencil(a)
-        for base in ([1.0, 0.5], [1.0, -1.2j], [0.3, 1.0]):
-            for pt in fiber_points(p, base):
-                m = pencil_matrix(p, pt.t)
-                assert np.linalg.norm(m @ pt.v) <= 1e-10 * np.linalg.norm(m, 2)
+        for mu in (0.5, -1.2j, 1.0 / 0.3):
+            for t, v in curve_points(p, mu):
+                m = pencil_matrix(p, t)
+                assert np.linalg.norm(m @ v) <= 1e-10 * np.linalg.norm(m, 2)
 
     @pytest.mark.parametrize("kind", ["gaussian", "conjugated_n4", "defective"])
     def test_distinguished_seeds_are_kernel_vectors(self, kind):
@@ -135,26 +152,30 @@ class TestKernelVector:
             m = pencil_matrix(p, t)
             assert np.linalg.norm(m @ v) <= 1e-12 * np.linalg.norm(m, 2)
 
-    def test_rank_deficient_raises(self):
-        # identity: the pencil vanishes outright on its determinant curve
-        with pytest.raises(RankDeficientPencil):
-            kernel_vector(Pencil(np.eye(4)), [-1.0, 1.0, 0.0])
+    def test_rank_deficient_point_is_rejected(self):
+        # identity: the pencil vanishes outright on its determinant curve,
+        # so no point there has a one-dimensional kernel
+        ok, _, _ = _certify_on_curve(Pencil(np.eye(4)), [[-1.0, 1.0, 0.0], [-2.0, 1.0, 1.0]], kernel=True)
+        assert not ok.any()
 
 
 class TestCertifyOnCurve:
     @staticmethod
     def _stack(p, seed):
-        # fiber points (on the curve), random points (off it), and the fiber
-        # points again under a complex scale, large and small
+        # curve points over a random base (on the curve), random points (off
+        # it), and the curve points again under a complex scale, large and
+        # small; with the eigenvectors of the points on the curve
         rng = np.random.default_rng(seed)
-        on = np.array([pt.t for pt in fiber_points(p, rng.standard_normal(2) + 1j * rng.standard_normal(2))])
+        base = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pts = curve_points(p, base[1] / base[0])
+        on = np.array([linalg.canonical_projective(t) for t, _ in pts])
         off = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        return np.concatenate([on, off, 1e5j * on, 1e-5 * on])
+        return np.concatenate([on, off, 1e5j * on, 1e-5 * on]), [v for _, v in pts]
 
     def test_stack_matches_rows_one_at_a_time(self):
         for seed in range(20):
             p = Pencil(make_matrix("gaussian", 4, seed))
-            t = self._stack(p, seed)
+            t, vecs = self._stack(p, seed)
             ok, tc, v = _certify_on_curve(p, t, kernel=True)
             assert ok.tolist() == [True] * 4 + [False] * 4 + [True] * 8, seed
             for i in range(len(t)):
@@ -165,18 +186,18 @@ class TestCertifyOnCurve:
             for i in np.flatnonzero(ok):
                 # the canonical point and the pencil's kernel vector there
                 np.testing.assert_allclose(tc[i], linalg.canonical_projective(t[i]), atol=1e-12)
-                np.testing.assert_allclose(v[i], kernel_vector(p, t[i]), atol=1e-10)
+                np.testing.assert_allclose(v[i], linalg.canonical_projective(vecs[i % 4]), atol=1e-10)
 
     def test_mask_alone_skips_the_vectors(self):
         p = Pencil(make_matrix("gaussian", 4, 3))
-        t = self._stack(p, 3)
+        t, _ = self._stack(p, 3)
         ok, tc, v = _certify_on_curve(p, t)
         assert v is None
         np.testing.assert_array_equal(ok, _certify_on_curve(p, t, kernel=True)[0])
 
     def test_degenerate_rows_rejected_without_warnings(self):
         p = Pencil(make_matrix("gaussian", 4, 0))
-        good = fiber_points(p, [1.0, 0.3])[0].t
+        good = linalg.canonical_projective(curve_points(p, 0.3)[0][0])
         t = np.array(
             [
                 good,
@@ -206,8 +227,8 @@ class TestCurveResidual:
     def test_kernel_vectors_on_curve(self):
         a = make_matrix("gaussian", 4, 8)
         p = Pencil(a)
-        for pt in fiber_points(p, [1.0, 0.9 + 0.4j]):
-            assert curve_residual(p, pt.v) <= 1e-10
+        for _, v in curve_points(p, 0.9 + 0.4j):
+            assert curve_residual(p, v) <= 1e-10
 
     def test_random_vectors_far_from_curve(self):
         rng = np.random.default_rng(10)
@@ -223,21 +244,21 @@ class TestCurveResidual:
 class TestSectionResidual:
     def test_tridiagonal_first_basis_vector(self):
         a = make_matrix("tridiagonal", 4, 11)
-        h, sigma4 = section_residual(Pencil(a), np.eye(4)[0])
+        h, sigma4 = span_residuals(Pencil(a), np.eye(4)[0])
         assert abs(h) <= 1e-12
         assert sigma4 <= 1e-12
 
     def test_eigenvector_degenerate_h_but_large_sigma4(self):
         a = make_matrix("gaussian", 4, 12)
         v = linalg.eigen(a)[1][:, 0]
-        h, sigma4 = section_residual(Pencil(a), v)
+        h, sigma4 = span_residuals(Pencil(a), v)
         assert abs(h) <= 1e-10  # columns v, Av colinear force the determinant down
         assert sigma4 > 1e-4  # but the rank certificate rejects the point
 
     def test_typical_curve_point_nonzero(self):
         a = make_matrix("gaussian", 4, 13)
         p = Pencil(a)
-        values = [abs(section_residual(p, pt.v)[0]) for pt in fiber_points(p, [1.0, 0.7])]
+        values = [abs(span_residuals(p, v)[0]) for _, v in curve_points(p, 0.7)]
         assert max(values) > 1e-3
 
 
@@ -272,13 +293,13 @@ class TestSectionZeros:
         # one-dimensional kernel spanned by the pencil point itself
         a = make_matrix("gaussian", 4, 17)
         p = Pencil(a)
-        for pt in fiber_points(p, [1.0, -0.4 + 0.2j]):
-            b = np.column_stack([pt.v, a @ pt.v, linalg.adjoint(a) @ pt.v])
+        for t, v in curve_points(p, -0.4 + 0.2j):
+            b = np.column_stack([v, a @ v, linalg.adjoint(a) @ v])
             s = np.linalg.svd(b, compute_uv=False)
             assert s[2] <= 1e-10 * s[0]
             null = linalg.nullspace(b, tol=1e-8)
             assert null.shape[1] == 1
-            assert linalg.projective_distance(null[:, 0], pt.t) < 1e-8
+            assert linalg.projective_distance(null[:, 0], t) < 1e-8
 
     def test_sorted_by_sigma4(self):
         a = make_matrix("gaussian", 4, 18)
@@ -288,7 +309,7 @@ class TestSectionZeros:
 
     def test_no_zero_raises(self):
         # rank-deficient pencil everywhere on the curve: nothing certifies
-        with pytest.raises((NoSectionZero, RankDeficientPencil)):
+        with pytest.raises(NoSectionZero):
             section_zeros(Pencil(np.eye(4)))
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e-20, 1e20, 1e60, 1e150])
@@ -316,12 +337,23 @@ class TestSectionZeros:
                 for z in zeros:
                     assert min(linalg.projective_distance(z.point.v, u) for u in reference) <= 1e-6, seed
 
-    @pytest.mark.parametrize("seed", [41, 361, 415, 447])
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e300])
+    def test_jordan_block_at_large_scale(self, scale):
+        # the eigenvector points [0 : 1 : 0] and [0 : 0 : 1] of N4 certify;
+        # mapped back by _unscale_point, their norm once underflowed
+        zeros = section_zeros(Pencil(scale * N4))
+        assert len(zeros) == 2
+        corners = [np.eye(3)[1], np.eye(3)[2]]
+        for z in zeros:
+            assert min(linalg.projective_distance(z.point.t, c) for c in corners) < 1e-12
+
+    @pytest.mark.parametrize("seed", [41, 361, 415, 1328])
     def test_rejected_roots_are_refined(self, seed, monkeypatch):
-        # an unrefined root of the dodecic fails _certify on these seeds, so
-        # the twelve are reached only through _refine_root
+        # an unrefined root of the dodecic of the centred matrix, which
+        # section_zeros searches, fails _certify on these seeds, so the
+        # twelve are reached only through _refine_root
         p = Pencil(make_matrix("gaussian", 4, seed))
-        q = Pencil(p.a / p.norm)
+        q = Pencil(_centred(p.a)[0])
         points, _ = _best_sheets(q, _dodecic_roots(q))
         assert any(_certify(q, t) is None for t in points)
         calls = []
@@ -341,8 +373,9 @@ class TestSectionZeros:
 
 
 def _scalar_dodecic(p):
-    """The dodecic's coefficients from one ``eig`` and ``det`` per sample."""
-    a, astar = p.a / p.norm, p.astar / p.norm
+    """The dodecic's coefficients on the centred matrix, from one ``eig`` and ``det`` per sample."""
+    a = _centred(p.a)[0]
+    astar = linalg.adjoint(a)
     a2, astar2 = a @ a, astar @ astar
 
     def value(mu):
@@ -351,17 +384,58 @@ def _scalar_dodecic(p):
         gaps = (lam[:, None] - lam[None, :])[np.triu_indices(4, 1)]
         return np.prod(gaps) ** 4 * np.prod(h) / np.linalg.det(vecs) ** 4 / mu**8
 
-    return polyroots.restrict_to_line(value, 0.0, 1.0, 12)
+    # the samples at the 13th roots of unity are an inverse DFT of the coefficients
+    return np.fft.fft([value(mu) for mu in np.exp(2j * np.pi * np.arange(13) / 13)]) / 13
 
 
 def test_batched_dodecic_matches_scalar_samples(monkeypatch):
     # the stacked samples give the same coefficients as sampling one mu at a time
     seen = []
-    trim = polyroots.trim
-    monkeypatch.setattr(polyroots, "trim", lambda c: seen.append(c) or trim(c))
+    coefficients = pencil._coefficients
+    monkeypatch.setattr(pencil, "_coefficients", lambda v: seen.append(coefficients(v)) or seen[-1])
     for seed in range(50):
         p = Pencil(make_matrix("gaussian", 4, seed))
         seen.clear()
-        _dodecic_roots(p)
+        _dodecic_roots(Pencil(_centred(p.a)[0]))
         ref = _scalar_dodecic(p)
+        assert seen[0].shape == ref.shape, seed
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref)), seed
+
+
+class TestCoefficients:
+    def test_recovers_polynomial_exactly(self):
+        # a quartic along a line, from its values at the 5th roots of unity
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        p = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+        def f(s):
+            v = p + s * q
+            return np.linalg.det(np.column_stack([v, m @ v, m @ m @ v, v[::-1]]))
+
+        coeffs = _coefficients(np.array([f(s) for s in np.exp(2j * np.pi * np.arange(5) / 5)]))
+        assert coeffs.shape == (5,)
+        for s in (0.3 + 0.1j, -1.2, 2.0j):
+            direct = f(s)
+            via = np.polynomial.polynomial.polyval(s, coeffs)
+            assert abs(direct - via) <= 1e-9 * max(1.0, abs(direct))
+
+    def test_leading_coefficients_are_trimmed(self):
+        omega = np.exp(2j * np.pi * np.arange(7) / 7)
+        for c, kept in (([1.0, 2.0, 1e-15], 2), ([1.0, 2.0, 1e-12], 3), ([3.0], 1), ([0.0, 1.0], 2)):
+            coeffs = _coefficients(np.polynomial.polynomial.polyval(omega, c))
+            assert coeffs.size == kept, c
+            np.testing.assert_allclose(coeffs, np.asarray(c)[:kept], atol=1e-14)
+
+    def test_zero_gives_zero_constant(self):
+        np.testing.assert_array_equal(_coefficients(np.zeros(7)), [0.0])
+
+
+def test_unscale_point():
+    # [t0 : t1 : t2] on (A - shift*I)/scale is [scale*t0 - shift*t1 - conj(shift)*t2 : t1 : t2] on A
+    t = linalg.canonical_projective([0.3, 1.0, 0.5j])
+    expected = linalg.canonical_projective([2.0 * t[0] - (1 + 1j) * t[1] - (1 - 1j) * t[2], t[1], t[2]])
+    np.testing.assert_allclose(_unscale_point(t, 2.0, 1 + 1j), expected, atol=1e-15)
+    # at a large scale t1 and t2 shrink by 1e-200, and the point must not underflow
+    np.testing.assert_allclose(_unscale_point(np.array([0.0, 1.0, 0.0]), 1e200, 0.0), [0.0, 1.0, 0.0])
