@@ -205,6 +205,9 @@ def cmd_tridiag(args) -> int:
 
     timings["total"] = 1e3 * (time.perf_counter() - t_start)
     payload["timings_ms"] = timings
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+        return 0
 
     lines = [
         f"n = {a.shape[0]}  provenance = {result.provenance}",
@@ -218,7 +221,8 @@ def cmd_tridiag(args) -> int:
         lines.append(f"flag points: {len(payload['flags'])}")
     if "verify" in payload:
         lines.append(f"verify: spectrum_gap = {payload['verify']['spectrum_gap']:.3e}")
-    _emit(payload, lines, args)
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -67,7 +67,11 @@ def check_distinct_eigenvalues(a, tol: float = 1e-8) -> bool:
     Measured on the matrix of :func:`pencil._centred`, so a shift of ``A``
     changes nothing; a scalar ``A`` has no distinct eigenvalues.
     """
-    lam = np.linalg.eigvals(_centred(linalg.as_matrix(a))[0])
+    return _gaps_exceed(np.linalg.eigvals(_centred(linalg.as_matrix(a))[0]), tol)
+
+
+def _gaps_exceed(lam: np.ndarray, tol: float) -> bool:
+    """True iff every pairwise gap of the eigenvalues ``lam``, in any order, exceeds ``tol``."""
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, 1)]
     return bool(gaps.size == 0 or gaps.min() > tol)
 
@@ -119,7 +123,11 @@ def check_pencil_rank(a, tol: float = RANK_CERT_TOL, seed: int = 0):
     point, by base in the order above and by eigenvalue within a base.
     """
     c, scale, shift = _centred(linalg.as_matrix(a))
-    pencil = Pencil(c)
+    return _pencil_rank(Pencil(c), scale, shift, tol, seed)
+
+
+def _pencil_rank(pencil: Pencil, scale: float, shift: complex, tol: float, seed: int):
+    """:func:`check_pencil_rank` on the pencil of ``C = (A - shift*I)/scale``, its witness mapped to ``A``."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x /= np.linalg.norm(x)
@@ -148,15 +156,20 @@ def common_eigenvectors(a, tol: float = 1e-8):
     duplicates (from repeated eigenvalues) are removed projectively.
     """
     m = _centred(linalg.as_matrix(a))[0]
-    astar = linalg.adjoint(m)
-    found: list[np.ndarray] = []
     try:
         vectors = linalg.eigen(m)[1]
     except ConvergenceFailure:
         return []
+    return _common(vectors, linalg.adjoint(m), tol)
+
+
+def _common(vectors: np.ndarray, astar: np.ndarray, tol: float = 1e-8):
+    """The columns of ``vectors``, eigenvectors of ``C``, that are eigenvectors of ``astar = C*`` too."""
+    found: list[np.ndarray] = []
     for v in vectors.T:
-        mu = np.vdot(v, astar @ v)
-        if np.linalg.norm(astar @ v - mu * v) <= tol:
+        w = astar @ v
+        mu = np.vdot(v, w)
+        if np.linalg.norm(w - mu * v) <= tol:
             cv = linalg.canonical_projective(v)
             if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
                 found.append(cv)
@@ -164,12 +177,22 @@ def common_eigenvectors(a, tol: float = 1e-8):
 
 
 def classify(a, tol_rank: float = 1e-10, tol_gap: float = 1e-8, seed: int = 0) -> GenericityReport:
-    """Run every genericity test and assemble the report."""
+    """Run every genericity test and assemble the report.
+
+    ``A`` is centred once (:func:`pencil._centred`): the eigenvalue gap,
+    the rank screen and the common eigenvector test read one ``Pencil``
+    of ``C`` and its one eigen-decomposition, and decide exactly as
+    :func:`check_distinct_eigenvalues`, :func:`check_pencil_rank` and
+    :func:`common_eigenvectors` do.
+    """
     m = linalg.as_matrix(a)
+    c, scale, shift = _centred(m)
+    pencil = Pencil(c)
+    eig = pencil.eigen
     s1 = check_nonsingular(m, tol_rank)
-    s2 = check_distinct_eigenvalues(m, tol_gap)
-    s3, witness = check_pencil_rank(m, seed=seed)
-    common = common_eigenvectors(m)
+    s2 = _gaps_exceed(np.linalg.eigvals(c) if eig is None else eig[0], tol_gap)
+    s3, witness = _pencil_rank(pencil, scale, shift, RANK_CERT_TOL, seed)
+    common = [] if eig is None else _common(eig[1], pencil.astar)
 
     notes = []
     if not s1:

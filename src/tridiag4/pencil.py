@@ -24,6 +24,7 @@ yields the certified points to the solver and to :func:`section_zeros`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,7 @@ _PAIRS = np.triu_indices(4, 1)
 
 @dataclass(frozen=True)
 class Pencil:
-    """A 4x4 matrix together with its cached adjoint."""
+    """A 4x4 matrix together with its cached adjoint and eigen-decomposition."""
 
     a: np.ndarray
     astar: np.ndarray = field(init=False)
@@ -64,6 +65,19 @@ class Pencil:
             raise ValueError("Pencil expects a 4x4 matrix")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "astar", linalg.adjoint(a))
+
+    @cached_property
+    def eigen(self):
+        """:func:`linalg.eigen` of ``A``, taken on first use and kept; None when it fails.
+
+        The eigenvector points of the flag search, the common eigenvector
+        test and the eigenvalue gap of :func:`genericity.classify` all read
+        this one decomposition.
+        """
+        try:
+            return linalg.eigen(self.a)
+        except ConvergenceFailure:
+            return None
 
 
 @dataclass
@@ -215,16 +229,16 @@ def _distinguished_seeds(pencil: Pencil):
     the bases ``mu = 0`` and ``mu = oo`` that the dodecic leaves out, and
     they carry the flag points of structured inputs (nilpotent blocks,
     invariant planes) where the dodecic vanishes identically.  Both halves
-    come from one :func:`linalg.eigen` call: ``v`` is the smallest right
-    singular vector of ``A - lam*I`` for the points of A, and its smallest
-    left singular vector, at ``nu = conj(lam)``, for those of A*; either
-    way it is the pencil's kernel vector at ``t``.  The points of A come
-    sorted by ``lam``, those of A* by ``nu``.
+    come from the pencil's one eigen-decomposition (:attr:`Pencil.eigen`):
+    ``v`` is the smallest right singular vector of ``A - lam*I`` for the
+    points of A, and its smallest left singular vector, at ``nu =
+    conj(lam)``, for those of A*; either way it is the pencil's kernel
+    vector at ``t``.  The points of A come sorted by ``lam``, those of A*
+    by ``nu``.
     """
-    try:
-        lam, right, left = linalg.eigen(pencil.a)
-    except ConvergenceFailure:
+    if pencil.eigen is None:
         return []
+    lam, right, left = pencil.eigen
     nu = np.conj(lam)
     seeds = [(np.array([-lam[k], 1.0, 0.0]), right[:, k]) for k in range(len(lam))]
     seeds += [(np.array([-nu[k], 0.0, 1.0]), left[:, k]) for k in np.lexsort((nu.imag, nu.real))]

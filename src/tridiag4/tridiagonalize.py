@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NoSectionZero, Unsolved
-from .genericity import common_eigenvectors
+from .genericity import _common
 from .pencil import Pencil, SectionCandidate, _centred, _flag_points, _unscale_candidate
 
 #: The unitarity gate ``||UU* - I||_2`` that every returned result meets.
@@ -143,17 +143,25 @@ def _passes(result: TridiagResult, tol: float) -> bool:
     return result.off_residual <= tol and result.unitarity_residual <= UNITARITY_TOL
 
 
-def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None) -> TridiagResult:
-    """The result for a flag basis, with both residuals measured from its unitary."""
+def _unitarity(u: np.ndarray) -> float:
+    """``||UU* - I||_2``, taken as the largest ``|eigenvalue|`` of that Hermitian matrix."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(u @ np.conj(u).T - np.eye(u.shape[0])))))
+
+
+def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None, norm=None) -> TridiagResult:
+    """The result for a flag basis, with both residuals measured from its unitary.
+
+    ``norm`` is ``||A||_2`` when the caller already has it; otherwise it is measured.
+    """
     flag = Flag(basis=basis, provenance=provenance)
     u = flag_to_unitary(flag)
     t = u @ a @ np.conj(u).T
-    scale = max(linalg.matrix_norm(a), 1e-300)
+    scale = max(linalg.matrix_norm(a) if norm is None else norm, 1e-300)
     return TridiagResult(
         u=u,
         t=t,
         off_residual=_off_max(t) / scale,
-        unitarity_residual=float(np.linalg.norm(u @ np.conj(u).T - np.eye(a.shape[0]), 2)),
+        unitarity_residual=_unitarity(u),
         provenance=provenance,
         perturbation_used=eps,
         flag=flag,
@@ -225,10 +233,11 @@ def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
         raise ValueError("tridiagonalize3 expects a 3x3 matrix")
     if _off_max(a) == 0.0:
         return _result_from_flag(a, np.eye(3, dtype=complex), "trivial", seed)
-    b = a / linalg.matrix_norm(a)
+    norm = linalg.matrix_norm(a)
+    b = a / norm
     bstar = linalg.adjoint(b)
     v = np.linalg.eigh(b + bstar)[1][:, 0]
-    result = _result_from_flag(a, _flag_from_vector(b, bstar, v), "cubic_curve_3x3", seed)
+    result = _result_from_flag(a, _flag_from_vector(b, bstar, v), "cubic_curve_3x3", seed, norm=norm)
     if not _passes(result, tol):
         raise Unsolved(
             f"3x3 flag misses the gate: off_residual {result.off_residual:.2e} (tol={tol:.1e}), "
@@ -257,27 +266,29 @@ def deflate_common_eigenvector(a, v, tol: float = 1e-8, seed: int = 42) -> Tridi
     return _result_from_flag(a, np.conj(u).T, "common_eigenvector_deflation", seed)
 
 
-def _section_path(a, opts: Options) -> TridiagResult:
+def _section_path(a, opts: Options, pencil: Pencil | None = None) -> TridiagResult:
     """The flag of the first certified flag point that passes the gate.
 
     When none does, the unitary is refined from the Schur basis of ``A``
-    (the ``qr`` of ``eig``'s eigenvector matrix) instead.
+    (the ``qr`` of ``eig``'s eigenvector matrix) instead.  ``A`` has
+    ``||A||_2 = 1``, which every residual is measured against; ``pencil``
+    is its pencil when the caller has built it.
     """
-    for cand in _flag_points(Pencil(a)):
+    for cand in _flag_points(pencil or Pencil(a)):
         flag = build_flag(a, cand)
-        result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand)
+        result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand, norm=1.0)
         if _passes(result, opts.tol):
             return result
     q = np.linalg.qr(np.linalg.eig(a)[1])[0]
-    u = _refine_unitary(a, np.conj(q).T, opts.tol)
+    u = _refine_unitary(a, np.conj(q).T, 1e-2 * opts.tol)
     if u is not None:
-        result = _result_from_flag(a, np.conj(u).T, "refined", opts.seed)
+        result = _result_from_flag(a, np.conj(u).T, "refined", opts.seed, norm=1.0)
         if _passes(result, opts.tol):
             return result
     raise NoSectionZero("neither a certified flag point nor the refinement met the gate")
 
 
-def _refine_unitary(a, u, tol: float):
+def _refine_unitary(a, u, goal: float):
     """Gauss-Newton on the unitary group: ``U <- exp(iH) U`` until ``U A U*`` is tridiagonal.
 
     The residual is the six entries of ``T = U A U*`` with ``|i - j| >= 2``
@@ -285,10 +296,10 @@ def _refine_unitary(a, u, tol: float):
     ``i[H_k, T]`` over an orthonormal basis ``H_k`` of the 4x4 Hermitian
     matrices, and each step takes the minimum-norm least-squares ``H``,
     exponentiated through ``eigh`` so that ``U`` stays unitary.  Returns
-    the refined ``U`` once the residual is at most ``1e-2 * tol * ||A||_2``,
-    or None after ``REFINE_STEPS`` steps.
+    the refined ``U`` once the largest far entry is at most ``goal`` (the
+    callers take ``1e-2 * tol * ||A||_2``), or None after ``REFINE_STEPS``
+    steps.
     """
-    goal = 1e-2 * tol * linalg.matrix_norm(a)
     for _ in range(REFINE_STEPS):
         t = u @ a @ np.conj(u).T
         off = t[_FAR]
@@ -327,9 +338,9 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
             sub = tridiagonalize(a + eps * g, sub_opts)
         except (Unsolved, NoSectionZero):
             continue
-        u = _refine_unitary(a, sub.u, opts.tol)
+        u = _refine_unitary(a, sub.u, 1e-2 * opts.tol * scale)
         if u is not None:
-            result = _result_from_flag(a, np.conj(u).T, "perturbed", opts.seed, eps)
+            result = _result_from_flag(a, np.conj(u).T, "perturbed", opts.seed, eps, norm=scale)
             if _passes(result, opts.tol):
                 return result
     raise Unsolved(f"perturbation ladder {opts.ladder} exhausted")
@@ -347,9 +358,10 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     ``A`` is centred and normalized once, at entry: the solve runs on
     ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and ``s = ||A - tau*I||_2``,
     which has the same tridiagonalizing unitaries, so the outcome depends
-    on neither the scale nor the shift of ``A``.  ``U``, ``T`` and both
-    residuals are then rebuilt on ``A`` itself, and the point of
-    ``candidate`` is mapped back to the pencil of ``A``.
+    on neither the scale nor the shift of ``A``.  ``T`` and the off-band
+    residual are then rebuilt on ``A`` itself, against ``||A||_2``, taken
+    once; ``U``, and so its unitarity residual, stay as they are; the
+    point of ``candidate`` is mapped back to the pencil of ``A``.
     """
     if opts is None:
         opts = Options()
@@ -365,15 +377,15 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
     c, scale, shift = _centred(a)
+    norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
-    inner = replace(opts, tol=opts.tol * min(1.0, linalg.matrix_norm(a) / scale))
+    inner = replace(opts, tol=opts.tol * min(1.0, norm / scale))
     result = _dispatch(c, inner)
     cand = result.candidate
     if cand is not None:
         cand = _unscale_candidate(cand, scale, shift)
-    result = _result_from_flag(
-        a, result.flag.basis, result.provenance, result.seed, result.perturbation_used, cand
-    )
+    t = result.u @ a @ np.conj(result.u).T
+    result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300), candidate=cand)
     if not _passes(result, opts.tol):
         raise Unsolved(
             f"the result misses the gate on A: off_residual {result.off_residual:.2e}, "
@@ -383,15 +395,21 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
 
 
 def _dispatch(a, opts: Options) -> TridiagResult:
-    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1`` and ``tr(A) = 0``."""
+    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1`` and ``tr(A) = 0``.
+
+    A 4x4 ``A`` gets one ``Pencil`` and one eigen-decomposition
+    (:attr:`Pencil.eigen`), which the common eigenvector test and the
+    eigenvector points of the flag search share.
+    """
     if a.shape[0] == 3:
         return tridiagonalize3(a, tol=opts.tol, seed=opts.seed)
 
     if opts.force_path == "perturb":
         return perturb_and_retry(a, opts)
 
-    if opts.force_path != "section":
-        common = common_eigenvectors(a)
+    pencil = Pencil(a)
+    if opts.force_path != "section" and pencil.eigen is not None:
+        common = _common(pencil.eigen[1], pencil.astar)
         if common:
             try:
                 result = deflate_common_eigenvector(a, common[0], tol=opts.tol, seed=opts.seed)
@@ -401,7 +419,7 @@ def _dispatch(a, opts: Options) -> TridiagResult:
                 pass
 
     try:
-        return _section_path(a, opts)
+        return _section_path(a, opts, pencil)
     except NoSectionZero:
         return perturb_and_retry(a, opts)
 
@@ -418,7 +436,7 @@ def verify(result: TridiagResult, a) -> VerifyReport:
     u = result.u
     recomputed = u @ a @ np.conj(u).T
     off = _off_max(recomputed) / scale
-    unit = float(np.linalg.norm(u @ np.conj(u).T - np.eye(a.shape[0]), 2))
+    unit = _unitarity(u)
     recompute_gap = float(np.max(np.abs(recomputed - result.t))) / scale
 
     lam_a = np.linalg.eigvals(a)

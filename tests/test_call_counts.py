@@ -1,0 +1,55 @@
+"""One eigen-solve and one spectral norm per quantity, per request.
+
+``linalg.eigen`` and ``linalg.matrix_norm`` (an SVD) are wrapped to count
+their calls on generic 4x4 Gaussians: a solve centres ``A`` (one norm),
+takes ``||A||_2`` (one more) and shares one eigen-decomposition between
+the common eigenvector test and the flag search; ``classify`` centres
+once and shares one eigen-decomposition between its three tests.
+``check_nonsingular`` takes its own SVD directly and is not counted.
+"""
+
+import pytest
+
+from tridiag4 import linalg
+from tridiag4.generate import make_matrix
+from tridiag4.genericity import classify
+from tridiag4.tridiagonalize import tridiagonalize
+
+SEEDS = range(10000, 10020)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"eigen": 0, "matrix_norm": 0}
+
+    def counted(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    counted("eigen")
+    counted("matrix_norm")
+    return counts
+
+
+def test_solve_makes_one_eigen_call_and_two_norms(calls):
+    for seed in SEEDS:
+        a = make_matrix("gaussian", 4, seed)
+        calls.update(eigen=0, matrix_norm=0)
+        r = tridiagonalize(a)
+        assert r.provenance == "section_zero", seed
+        assert calls["eigen"] == 1, seed
+        assert calls["matrix_norm"] <= 2, seed
+
+
+def test_classify_makes_one_eigen_call_and_one_norm(calls):
+    for seed in SEEDS:
+        a = make_matrix("gaussian", 4, seed)
+        calls.update(eigen=0, matrix_norm=0)
+        report = classify(a)
+        assert report.in_generic_set and not report.common_eigenvectors, seed
+        assert calls == {"eigen": 1, "matrix_norm": 1}, seed

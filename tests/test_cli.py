@@ -179,6 +179,24 @@ class TestTridiag:
         assert data["input"]["entries"][0][0] == [1.0, 2.0]
         assert data["input"]["entries"][3][2] == [0.0, 1.0]
 
+    def test_pretty_report(self, capsys, tmp_path):
+        # the default report is text; --json prints the payload alone
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 4, 5))))
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--verify"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n = 4  provenance = section_zero"
+        assert lines[1].startswith("off_residual = ") and "unitarity = " in lines[1]
+        assert lines[3] == "T ="
+        assert len(lines) == 9 and all(line.lstrip().startswith("[") for line in lines[4:8])
+        assert lines[8].startswith("verify: spectrum_gap = ")
+        assert float(lines[8].split("=")[1]) <= 1e-8
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json", "--verify"])
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["result"]["provenance"] == "section_zero"
+
     def test_determinism_modulo_timings(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["gen", "--seed", "13"])
         path = tmp_path / "m.json"
