@@ -20,7 +20,7 @@ from . import __version__
 from .degrees import run_experiments
 from .errors import NoSectionZero, ParseError, Unsolved
 from .generate import KINDS, make_matrix
-from .genericity import check_distinct_eigenvalues, check_nonsingular, classify
+from .genericity import classify
 from .pencil import Pencil, section_zeros
 from .tridiagonalize import Options, tridiagonalize, verify
 
@@ -115,19 +115,6 @@ def _read_input(path: str, text_format: bool) -> np.ndarray:
     return parse_text_matrix(raw)
 
 
-def _genericity_block(a: np.ndarray, seed: int) -> dict:
-    if a.shape[0] == 4:
-        return classify(a, seed=seed).as_dict()
-    return {
-        "s1": check_nonsingular(a),
-        "s2": check_distinct_eigenvalues(a),
-        "s3": True,
-        "common_eigenvectors": [],
-        "witness": None,
-        "details": "pencil rank test applies to n = 4 only",
-    }
-
-
 def _emit(payload: dict, pretty_lines, args) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -148,7 +135,7 @@ def cmd_tridiag(args) -> int:
         return 1
 
     t0 = time.perf_counter()
-    genericity = _genericity_block(a, args.seed)
+    genericity = classify(a, seed=args.seed).as_dict()
     timings["classify"] = 1e3 * (time.perf_counter() - t0)
 
     opts = Options(tol=args.tol, seed=args.seed)
@@ -232,7 +219,7 @@ def cmd_classify(args) -> int:
     except (ParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    block = _genericity_block(a, args.seed)
+    block = classify(a, seed=args.seed).as_dict()
     lines = [
         f"s1 (nonsingular)          : {block['s1']}",
         f"s2 (distinct eigenvalues) : {block['s2']}",

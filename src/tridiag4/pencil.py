@@ -7,7 +7,7 @@ one-dimensional kernel (for suitably generic A), and the kernel vector
 ``{v, Av, A*v}`` is linearly dependent.  A tridiagonalizing flag comes
 from the finitely many points where the two enlarged spans
 ``span(v, Av, A*v) + A span(...)`` and ``... + A* span(...)`` coincide;
-that coincidence is the rank condition ``sigma4`` (see :func:`_span_residuals`).
+that coincidence is the rank condition ``sigma4`` (see :func:`_section_score`).
 
 The flag points are the roots of one polynomial on the base line
 ``[1 : mu]``: over a base the curve points are the eigenvectors of
@@ -92,15 +92,13 @@ class PencilPoint:
 class SectionCandidate:
     """A certified zero.
 
-    ``span_det`` is the scale-normalized determinant of
-    ``[v, Av, A^2 v, A*^2 v]`` (the factor ``h`` of the dodecic) and
-    ``sigma4`` the normalized fourth singular value of the
+    ``sigma4`` is the normalized fourth singular value of the
     seven-column matrix ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]``
-    (the rank condition that actually certifies acceptance).
+    (the rank condition that certifies acceptance, see
+    :func:`_section_score`).
     """
 
     point: PencilPoint
-    span_det: complex
     sigma4: float
     shortcut: bool = False
 
@@ -145,27 +143,14 @@ def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
     return np.stack([v, av, asv, av @ a_t, asv @ a_t, av @ astar_t, asv @ astar_t], axis=2)
 
 
-def _span_residuals(seven: np.ndarray):
-    """The two residuals whose simultaneous vanishing marks a flag point, from the seven columns.
-
-    Returns ``(h, sigma4)`` where ``h = det[v, Av, A^2 v, A*^2 v]``
-    normalized by the column norms (the factor of the dodecic) and
-    ``sigma4`` is the fourth singular value of the seven-column matrix,
-    normalized by its largest.  On the open part of the dependence curve
-    where v is not an eigenvector of A, ``h = 0`` is equivalent to the two
-    enlarged spans agreeing, but ``sigma4`` is the certificate: it also
-    rejects the degenerate zeros of ``h`` at eigenvectors.
-    """
-    cols = seven[:, [0, 1, 3, 6]]  # v, Av, A^2 v, A*^2 v
-    norms = np.linalg.norm(cols, axis=0)
-    h = 0j if np.min(norms) <= 1e-300 else complex(np.linalg.det(cols) / np.prod(norms))
-    s = np.linalg.svd(seven, compute_uv=False)
-    sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
-    return h, sigma4
-
-
 def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
-    """``sigma4`` of :func:`_span_residuals` for kernel vectors ``v`` (k, 4)."""
+    """``sigma4`` for kernel vectors ``v`` (k, 4): the fourth singular value of :func:`_seven_columns`, normalized.
+
+    Away from the eigenvectors of A the spans agree exactly where the
+    dodecic's factor ``h = det[v, Av, A^2 v, A*^2 v]`` vanishes, but
+    ``sigma4``, not ``h``, is the certificate: it also rejects the
+    degenerate zeros of ``h`` at eigenvectors.
+    """
     s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
     return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
 
@@ -209,7 +194,8 @@ def _certify(pencil: Pencil, t):
     sw = np.linalg.svd(seven[:, :3], compute_uv=False)
     if sw[1] <= CERT_TOL * sw[0] or sw[2] > CERT_TOL * sw[0]:
         return None  # span(v, Av, A*v) is not 2-dimensional
-    h, sigma4 = _span_residuals(seven)
+    s = np.linalg.svd(seven, compute_uv=False)
+    sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
     sa, sb = np.linalg.svd(seven[:, [[0, 1, 2, 3, 4], [0, 1, 2, 6, 5]]].transpose(1, 0, 2), compute_uv=False)
     shortcut_a = sa[2] <= CERT_TOL * sa[0]
     shortcut_b = sb[2] <= CERT_TOL * sb[0]
@@ -217,7 +203,7 @@ def _certify(pencil: Pencil, t):
     if not (sigma4 <= CERT_TOL and dims_ok):
         return None
     shortcut = bool(shortcut_a or shortcut_b)
-    return SectionCandidate(point=PencilPoint(t=t, v=v), span_det=h, sigma4=float(sigma4), shortcut=shortcut)
+    return SectionCandidate(point=PencilPoint(t=t, v=v), sigma4=sigma4, shortcut=shortcut)
 
 
 def _distinguished_seeds(pencil: Pencil):

@@ -33,6 +33,9 @@ UNITARITY_TOL = 1e-10
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
 
+#: The perturbation sizes ``eps`` of :func:`perturb_and_retry`, relative to ``||A||_2``.
+LADDER = (1e-4, 1e-6, 1e-8)
+
 
 def _hermitian_basis(n: int) -> np.ndarray:
     """A Frobenius-orthonormal basis of the n x n Hermitian matrices, as an (n*n, n, n) stack."""
@@ -66,7 +69,6 @@ class Options:
     tol: float = 1e-8
     seed: int = 42
     force_path: str | None = None  # None | 'section' | 'perturb'
-    ladder: tuple = (1e-4, 1e-6, 1e-8)
 
 
 @dataclass
@@ -317,7 +319,7 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     """Perturbation ladder for inputs the direct construction rejects.
 
     Solves ``A + eps * G`` for a fixed seeded Gaussian direction G with
-    ``||G|| = ||A||`` over eps in the ladder, then pulls the solution
+    ``||G|| = ||A||`` over eps in ``LADDER``, then pulls the solution
     back to the original A by refining its unitary on A
     (:func:`_refine_unitary`).  The first rung whose refined result
     passes the gate on the *original* A wins; the eps used is recorded.
@@ -329,21 +331,21 @@ def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
     rng = np.random.default_rng([opts.seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g) * scale
-    # the sub-solve only has to give a unitary worth refining, so its own
-    # gate is relaxed; the strict gate applies on the original matrix.  Its
-    # empty ladder raises Unsolved at once instead of recursing
-    sub_opts = replace(opts, tol=max(opts.tol, 1e-6), ladder=(), force_path=None)
-    for eps in opts.ladder:
+    # the sub-solve, the flag search of the centred A + eps*G, only has to
+    # give a unitary worth refining, so its own gate is relaxed; the strict
+    # gate applies on the original matrix
+    sub_opts = replace(opts, tol=max(opts.tol, 1e-6))
+    for eps in LADDER:
         try:
-            sub = tridiagonalize(a + eps * g, sub_opts)
-        except (Unsolved, NoSectionZero):
+            sub = _section_path(_centred(a + eps * g)[0], sub_opts)
+        except NoSectionZero:
             continue
         u = _refine_unitary(a, sub.u, 1e-2 * opts.tol * scale)
         if u is not None:
             result = _result_from_flag(a, np.conj(u).T, "perturbed", opts.seed, eps, norm=scale)
             if _passes(result, opts.tol):
                 return result
-    raise Unsolved(f"perturbation ladder {opts.ladder} exhausted")
+    raise Unsolved(f"perturbation ladder {LADDER} exhausted")
 
 
 def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:

@@ -15,7 +15,7 @@ import pytest
 from tridiag4 import linalg
 from tridiag4.degrees import degree_of_det_curve, degree_of_kernel_curve
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
-from tridiag4.genericity import classify, common_eigenvectors
+from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
 from tridiag4.tridiagonalize import flag_residuals, tridiagonalize, tridiagonalize3, verify
 
@@ -205,7 +205,7 @@ def test_criterion_9_perturbation_fallback():
     a[2:, 2:] = make_matrix("gaussian", 2, 903)
     a[0, 2] = 0.3 + 0.2j
     a[1, 3] = -0.1j
-    assert common_eigenvectors(a) == []
+    assert classify(a).common_eigenvectors == []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r = tridiagonalize(a, force_path="perturb", seed=904)

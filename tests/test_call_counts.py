@@ -5,7 +5,8 @@ their calls on generic 4x4 Gaussians: a solve centres ``A`` (one norm),
 takes ``||A||_2`` (one more) and shares one eigen-decomposition between
 the common eigenvector test and the flag search; ``classify`` centres
 once and shares one eigen-decomposition between its three tests.
-``check_nonsingular`` takes its own SVD directly and is not counted.
+Its nonsingularity test takes one SVD of ``A`` itself directly, which
+is not counted.
 """
 
 import pytest

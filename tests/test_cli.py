@@ -95,6 +95,17 @@ class TestTridiag:
         code, _, err = run_cli(capsys, ["tridiag", str(path)])
         assert code == 1
 
+    def test_singular_three_by_three_reports_singular(self, capsys, tmp_path):
+        a = make_matrix("gaussian", 3, 5)
+        a[:, 2] = a[:, 0] + a[:, 1]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(a)))
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json"])
+        assert code == 0
+        genericity = json.loads(out)["genericity"]
+        assert genericity["s1"] is False
+        assert "singular" in genericity["details"]
+
     def test_generated_matrix_report_validates(self, capsys, tmp_path):
         validate = load_schema("report.schema.json")
         code, out, _ = run_cli(capsys, ["gen", "--seed", "11"])

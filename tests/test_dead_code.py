@@ -1,8 +1,9 @@
-"""Every top-level private function, constant and error class in the package is used somewhere.
+"""Every top-level function, constant and error class in the package is used somewhere.
 
 Helpers that lose their last caller, the knobs they read, and the
 exceptions only they raised tend to linger; this keeps them from piling
-up again.  The public surface is guarded too: each exported name is
+up again.  A public function counts as used when the package calls it
+or exports it.  The public surface is guarded too: each exported name is
 documented in README, and each name the benchmark harness looks up on
 the package is exported.
 """
@@ -47,6 +48,28 @@ def test_no_unreferenced_private_functions():
         and node.name not in referenced
     ]
     assert unused == []
+
+
+#: Public functions that nothing in the package calls and ``__all__`` leaves out, with the reason each stays.
+UNCALLED_PUBLIC = {
+    "tridiagonalize.flag_residuals": "the flag characterizations, the reference the tests measure flags by",
+    "generate.random_unitary": "Haar unitaries, the structured inputs of the tests and the demos",
+}
+
+
+def test_no_unreferenced_public_functions():
+    modules = _modules()
+    referenced = set().union(*(_referenced_names(tree) for tree in modules.values()))
+    unused = [
+        f"{name.removesuffix('.py')}.{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+        and node.name not in tridiag4.__all__
+    ]
+    assert sorted(unused) == sorted(UNCALLED_PUBLIC)
 
 
 def _constants(tree):

@@ -1,15 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from tridiag4 import linalg
-from tridiag4.generate import jordan_block, make_matrix, random_unitary
-from tridiag4.genericity import (
-    check_distinct_eigenvalues,
-    check_nonsingular,
-    check_pencil_rank,
-    classify,
-    common_eigenvectors,
-)
+from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
+from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, pencil_matrix
 
 N4 = jordan_block(4)
@@ -17,34 +13,34 @@ N4 = jordan_block(4)
 
 class TestNonsingular:
     def test_identity(self):
-        assert check_nonsingular(np.eye(4))
+        assert classify(np.eye(4)).nonsingular
 
     def test_nilpotent_block(self):
-        assert not check_nonsingular(N4)
+        assert not classify(N4).nonsingular
 
     def test_random_statistics(self):
-        hits = sum(check_nonsingular(make_matrix("gaussian", 4, s)) for s in range(100))
+        hits = sum(classify(make_matrix("gaussian", 4, s)).nonsingular for s in range(100))
         assert hits == 100
 
 
 class TestDistinctEigenvalues:
     def test_distinct_diagonal(self):
-        assert check_distinct_eigenvalues(np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert classify(np.diag([1.0, 2.0, 3.0, 4.0])).distinct_eigenvalues
 
     def test_nilpotent_block(self):
-        assert not check_distinct_eigenvalues(N4)
+        assert not classify(N4).distinct_eigenvalues
 
     def test_repeated_diagonal(self):
-        assert not check_distinct_eigenvalues(np.diag([1.0, 1.0, 2.0, 3.0]))
+        assert not classify(np.diag([1.0, 1.0, 2.0, 3.0])).distinct_eigenvalues
 
 
 class TestPencilRank:
     def test_jordan_block_passes(self):
         # the corner minors t1^3 and t2^3 force t1 = t2 = 0, and then the
         # diagonal minors force t0 = 0: no rank-2 point exists
-        ok, witness = check_pencil_rank(N4)
-        assert ok
-        assert witness is None
+        report = classify(N4)
+        assert report.pencil_rank_ok
+        assert report.witness is None
 
     def test_repeated_eigenvalue_normal_fails_with_witness(self):
         # a normal A = V diag(lam) V* drops rank wherever t1*lam_i + t2*conj(lam_i)
@@ -67,54 +63,51 @@ class TestPencilRank:
         inputs.append(np.eye(4) + 1e-3 * random_unitary(4, rng))
         inputs.append(5.0 * np.eye(4) + 1e-3 * (v @ np.diag(lam) @ np.conj(v).T))
         for a in inputs:
-            ok, witness = check_pencil_rank(a)
-            assert not ok
-            assert witness is not None
-            s = np.linalg.svd(pencil_matrix(Pencil(a), witness), compute_uv=False)
+            report = classify(a)
+            assert not report.pencil_rank_ok
+            assert report.witness is not None
+            s = np.linalg.svd(pencil_matrix(Pencil(a), report.witness), compute_uv=False)
             assert s[0] <= 1e-12 or s[2] <= 1e-8 * s[0]
 
     def test_identity_fails(self):
-        ok, witness = check_pencil_rank(np.eye(4))
-        assert not ok
-        assert witness is not None
+        report = classify(np.eye(4))
+        assert not report.pencil_rank_ok
+        assert report.witness is not None
 
     def test_random_statistics(self):
         for s in range(30):
-            ok, _ = check_pencil_rank(make_matrix("gaussian", 4, s))
-            assert ok
+            assert classify(make_matrix("gaussian", 4, s)).pencil_rank_ok
 
     def test_agrees_for_adjoint(self):
         for s in range(10):
             a = make_matrix("gaussian", 4, 50 + s)
-            ok1, _ = check_pencil_rank(a)
-            ok2, _ = check_pencil_rank(linalg.adjoint(a))
-            assert ok1 == ok2
+            assert classify(a).pencil_rank_ok == classify(linalg.adjoint(a)).pencil_rank_ok
 
 
 class TestCommonEigenvectors:
     def test_hermitian_has_four(self):
         a = make_matrix("hermitian", 4, 1)
-        assert len(common_eigenvectors(a)) == 4
+        assert len(classify(a).common_eigenvectors) == 4
 
     def test_block_structure_shares_coordinates(self):
         a = np.zeros((4, 4), dtype=complex)
         a[0, 1] = 1.0
         a[2, 2] = 2.0
         a[3, 3] = 3.0
-        found = common_eigenvectors(a)
+        found = classify(a).common_eigenvectors
         for k in (2, 3):
             ek = np.eye(4)[k]
             assert any(linalg.projective_distance(v, ek) < 1e-8 for v in found)
 
     def test_random_matrix_has_none(self):
         for s in range(30):
-            assert common_eigenvectors(make_matrix("gaussian", 4, s)) == []
+            assert classify(make_matrix("gaussian", 4, s)).common_eigenvectors == []
 
     def test_residual_certified(self):
         a = make_matrix("hermitian", 4, 2)
         astar = linalg.adjoint(a)
         scale = linalg.matrix_norm(a)
-        for v in common_eigenvectors(a):
+        for v in classify(a).common_eigenvectors:
             mu = np.vdot(v, astar @ v)
             assert np.linalg.norm(astar @ v - mu * v) <= 1e-8 * scale
 
@@ -141,8 +134,9 @@ class TestClassify:
             a = make_matrix("gaussian", 4, 60 + s)
             u = random_unitary(4, rng)
             b = u @ a @ np.conj(u).T
-            assert check_nonsingular(a) == check_nonsingular(b)
-            assert check_distinct_eigenvalues(a) == check_distinct_eigenvalues(b)
+            ra, rb = classify(a), classify(b)
+            assert ra.nonsingular == rb.nonsingular
+            assert ra.distinct_eigenvalues == rb.distinct_eigenvalues
 
     def test_random_all_generic(self):
         for s in range(20):
@@ -173,3 +167,37 @@ class TestClassify:
     def test_as_dict_shape(self):
         d = classify(N4).as_dict()
         assert set(d) == {"s1", "s2", "s3", "common_eigenvectors", "witness", "details"}
+
+    def test_gap_is_quoted_on_the_centred_matrix(self):
+        # s2 compares the gap of C = (A - tr(A)/4*I)/||.||_2 with 1e-8; the
+        # same gap on A itself reads about 1e-3
+        g = random_gaussian(4, np.random.default_rng(0))
+        a = 1e6 * g @ np.diag([1.0, 1.0 + 1e-9, 2.0, 3.0]) @ np.linalg.inv(g)
+        report = classify(a)
+        assert not report.distinct_eigenvalues
+        gap = re.search(r"min gap [^=]*= ([0-9.]+e[+-]\d+)", report.details)
+        assert gap is not None and float(gap.group(1)) <= 1e-8
+
+    def test_rank_zero_witness_quotes_sigma1(self):
+        # a Hermitian pencil vanishes at [0 : 1 : -1], where sigma3/sigma1 is
+        # roundoff over roundoff; the test that fired there is sigma1 <= 1e-14
+        q = random_unitary(4, np.random.default_rng(0))
+        report = classify(1e6 * q @ np.diag([1.0, 1.001, 2.0, 3.0]) @ np.conj(q).T)
+        assert not report.pencil_rank_ok
+        sigma1 = re.search(r"\(sigma1 = ([0-9.]+e[+-]\d+)\)", report.details)
+        assert sigma1 is not None and float(sigma1.group(1)) <= 1e-14
+
+    def test_singular_three_by_three(self):
+        a = make_matrix("gaussian", 3, 5)
+        a[:, 2] = a[:, 0] + a[:, 1]
+        report = classify(a)
+        assert not report.nonsingular
+        assert "singular" in report.details
+        assert report.details.endswith("pencil rank test applies to n = 4 only")
+        assert report.pencil_rank_ok
+        assert report.common_eigenvectors == [] and report.witness is None
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError):
+            classify(np.ones(shape))

@@ -15,8 +15,7 @@ from tridiag4.pencil import (
     _coefficients,
     _distinguished_seeds,
     _dodecic_roots,
-    _seven_columns,
-    _span_residuals,
+    _section_score,
     _unscale_point,
     curve_residual,
     pencil_matrix,
@@ -35,11 +34,6 @@ def curve_points(p, mu):
     """
     lam, vecs = np.linalg.eig(p.a + mu * p.astar)
     return [(np.array([-lam[k], 1.0, mu]), vecs[:, k]) for k in range(4)]
-
-
-def span_residuals(p, v):
-    """``(h, sigma4)`` at the vector ``v``."""
-    return _span_residuals(_seven_columns(p, np.asarray(v, dtype=complex)[None, :])[0])
 
 
 class TestPencilMatrix:
@@ -244,22 +238,14 @@ class TestCurveResidual:
 class TestSectionResidual:
     def test_tridiagonal_first_basis_vector(self):
         a = make_matrix("tridiagonal", 4, 11)
-        h, sigma4 = span_residuals(Pencil(a), np.eye(4)[0])
-        assert abs(h) <= 1e-12
+        sigma4 = _section_score(Pencil(a), np.eye(4)[None, 0])[0]
         assert sigma4 <= 1e-12
 
     def test_eigenvector_degenerate_h_but_large_sigma4(self):
         a = make_matrix("gaussian", 4, 12)
         v = linalg.eigen(a)[1][:, 0]
-        h, sigma4 = span_residuals(Pencil(a), v)
-        assert abs(h) <= 1e-10  # columns v, Av colinear force the determinant down
-        assert sigma4 > 1e-4  # but the rank certificate rejects the point
-
-    def test_typical_curve_point_nonzero(self):
-        a = make_matrix("gaussian", 4, 13)
-        p = Pencil(a)
-        values = [abs(span_residuals(p, v)[0]) for _, v in curve_points(p, 0.7)]
-        assert max(values) > 1e-3
+        sigma4 = _section_score(Pencil(a), v[None, :])[0]
+        assert sigma4 > 1e-4  # the rank certificate rejects the point
 
 
 class TestSectionZeros:
