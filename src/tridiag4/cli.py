@@ -80,11 +80,13 @@ def parse_json_matrix(text: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(data, dict) or "n" not in data or "entries" not in data:
         raise ParseError('input must be an object {"n": ..., "entries": [[[re, im], ...], ...]}')
     n = data["n"]
     entries = data["entries"]
-    if not isinstance(n, int) or not 1 <= n <= 4:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 4:
         raise ParseError(f"n must be an integer in 1..4, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"entries must be a list of {n} rows")
@@ -96,23 +98,29 @@ def parse_json_matrix(text: str) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
             ):
                 raise ParseError(f"entry ({i}, {j}) must be a [re, im] pair of numbers")
-            out[i, j] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(out)):
-        raise ParseError("matrix entries must be finite")
+            try:
+                out[i, j] = complex(pair[0], pair[1])
+            except OverflowError as exc:
+                raise ParseError(f"entry ({i}, {j}) must be finite") from exc
     return out
 
 
 def _read_input(path: str, text_format: bool) -> np.ndarray:
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    if text_format:
-        return parse_text_matrix(raw)
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        return parse_json_matrix(raw)
-    return parse_text_matrix(raw)
+    """The matrix in a file (or stdin for ``-``), JSON when it starts with ``{``, else text."""
+    try:
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    if text_format or not raw.lstrip().startswith("{"):
+        a = parse_text_matrix(raw)
+    else:
+        a = parse_json_matrix(raw)
+    if not np.all(np.isfinite(a)):
+        raise ParseError("matrix entries must be finite")
+    return a
 
 
 def _emit(payload: dict, pretty_lines, args) -> None:

@@ -32,7 +32,7 @@ from . import linalg
 from .errors import ConvergenceFailure, NoSectionZero
 from .linalg import canonical_projective, projective_distance
 
-#: Relative threshold below which the pencil counts as rank-deficient (<= 2).
+#: Relative ``sigma3/sigma1`` at or below which the pencil has rank <= 2 (``_certify``, ``classify``).
 RANK_TOL = 1e-8
 
 #: Relative threshold for "this point lies on the determinant curve".

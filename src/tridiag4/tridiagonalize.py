@@ -2,18 +2,21 @@
 
 Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
 other input is centred (``C = A - tr(A)/n * I``), divided by
-``||C||_2``, solved, and its result rebuilt on the original matrix.  One
-builder grows every flag from its first vector (:func:`_flag_from_vector`).
-n = 3 takes that vector from an eigenvector of the Hermitian ``A + A*``,
-a point of the cubic dependence locus; n = 4 deflates on a common
-eigenvector of A and A* when one exists, otherwise takes the first
-certified flag point of the pencil (the eigenvector points, then the
-roots of the flag-point dodecic) whose flag passes the gate.  When none
-does, one Gauss-Newton refinement of the unitary itself, started from
-the Schur basis, solves the input (:func:`_refine_unitary`), and a
-seeded perturbation ladder, refined back on the original matrix, is the
-last resort.  Every result passes one gate on both of its residuals
-(:func:`_passes`).
+``||C||_2``, solved, and its result rebuilt on the original matrix.
+Every route ends in a flag basis, whose conjugate is ``U``
+(:func:`_result_from_flag`), grown from its first vector by one builder
+(:func:`_flag_from_vector`).  n = 3 takes that vector from an
+eigenvector of the Hermitian ``A + A*``, a point of the cubic dependence
+locus (:func:`_flag3`).  n = 4 with a common eigenvector ``v`` of A and
+A* takes ``v`` and the 3x3 flag of A compressed to its complement, and
+otherwise the first certified flag point of the pencil (the eigenvector
+points, then the roots of the flag-point dodecic) whose flag passes the
+gate.  When none does, one Gauss-Newton refinement of the unitary
+itself, started from the Schur basis, solves the input
+(:func:`_refine_unitary`), and a seeded perturbation ladder, refined
+back on the original matrix, is the last resort.  Every result passes
+one gate on both of its residuals (:func:`_passes`), on ``A``, in
+:func:`tridiagonalize`; :func:`tridiagonalize3` is its 3x3 case.
 """
 
 from __future__ import annotations
@@ -53,18 +56,6 @@ _GENERATORS = _hermitian_basis(4)
 
 
 @dataclass
-class Flag:
-    """Orthonormal flag basis; column i spans the new direction of W_{i+1}."""
-
-    basis: np.ndarray
-    provenance: str = "section_zero"
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass
 class Options:
     tol: float = 1e-8
     seed: int = 42
@@ -79,7 +70,6 @@ class TridiagResult:
     unitarity_residual: float
     provenance: str
     perturbation_used: float = 0.0
-    flag: Flag | None = None
     seed: int = 0
     candidate: SectionCandidate | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -130,11 +120,6 @@ def flag_residuals(a, basis):
     return r_contain / scale, r_perp / scale
 
 
-def flag_to_unitary(flag: Flag) -> np.ndarray:
-    """Unitary whose rows are the conjugated flag vectors (U* e_i = f_i)."""
-    return np.conj(flag.basis).T.copy()
-
-
 def _completion(cols: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthocomplement of the given columns."""
     return linalg.nullspace(np.conj(cols).T)
@@ -153,10 +138,10 @@ def _unitarity(u: np.ndarray) -> float:
 def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None, norm=None) -> TridiagResult:
     """The result for a flag basis, with both residuals measured from its unitary.
 
-    ``norm`` is ``||A||_2`` when the caller already has it; otherwise it is measured.
+    ``U`` is the conjugated basis (``U* e_i`` is column i); ``norm`` is
+    ``||A||_2`` when the caller already has it, otherwise it is measured.
     """
-    flag = Flag(basis=basis, provenance=provenance)
-    u = flag_to_unitary(flag)
+    u = np.conj(basis).T
     t = u @ a @ np.conj(u).T
     scale = max(linalg.matrix_norm(a) if norm is None else norm, 1e-300)
     return TridiagResult(
@@ -166,7 +151,6 @@ def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None, norm=
         unitarity_residual=_unitarity(u),
         provenance=provenance,
         perturbation_used=eps,
-        flag=flag,
         seed=seed,
         candidate=candidate,
     )
@@ -203,69 +187,19 @@ def _flag_from_vector(a, astar, v) -> np.ndarray:
     return np.column_stack([q, _completion(q)])
 
 
-def build_flag(a, candidate: SectionCandidate) -> Flag:
-    """Flag for a certified candidate, grown from its point by :func:`_flag_from_vector`.
+def _flag3(b) -> np.ndarray:
+    """Flag basis of a 3x3 ``B`` grown from one point of its cubic dependence locus.
 
-    The containments are not measured here: the residual gate of the
-    result (:func:`_passes`) measures the flag's unitary.
+    ``F(v) = det[v, Bv, B*v]`` vanishes at every eigenvector ``v`` of the
+    Hermitian ``B + B*``, since ``Bv + B*v = lam*v`` there; the flag is
+    grown from the first one ``eigh`` returns.
     """
-    a = linalg.as_matrix(a)
-    basis = _flag_from_vector(a, linalg.adjoint(a), candidate.point.v)
-    provenance = "shortcut_dimW3" if candidate.shortcut else "section_zero"
-    return Flag(basis=basis, provenance=provenance)
-
-
-# ---------------------------------------------------------------------------
-# 3x3: cubic curve route
-
-
-def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
-    """Tridiagonalize a 3x3 matrix from one point of the cubic dependence locus.
-
-    ``F(v) = det[v, Av, A*v]`` vanishes at every eigenvector ``v`` of the
-    Hermitian ``A + A*``, since ``Av + A*v = lam*v`` there.  The flag is
-    grown from the first such eigenvector by :func:`_flag_from_vector`, the
-    builder of the 4x4 flags too, on ``A/||A||_2``, and measured
-    on ``A`` itself, so the outcome does not depend on the scale.  ``seed``
-    is only recorded in the result.  Raises :class:`Unsolved` when the
-    flag misses the residual gate ``tol``.
-    """
-    a = linalg.as_matrix(a)
-    if a.shape != (3, 3):
-        raise ValueError("tridiagonalize3 expects a 3x3 matrix")
-    if _off_max(a) == 0.0:
-        return _result_from_flag(a, np.eye(3, dtype=complex), "trivial", seed)
-    norm = linalg.matrix_norm(a)
-    b = a / norm
     bstar = linalg.adjoint(b)
-    v = np.linalg.eigh(b + bstar)[1][:, 0]
-    result = _result_from_flag(a, _flag_from_vector(b, bstar, v), "cubic_curve_3x3", seed, norm=norm)
-    if not _passes(result, tol):
-        raise Unsolved(
-            f"3x3 flag misses the gate: off_residual {result.off_residual:.2e} (tol={tol:.1e}), "
-            f"unitarity {result.unitarity_residual:.2e}"
-        )
-    return result
+    return _flag_from_vector(b, bstar, np.linalg.eigh(b + bstar)[1][:, 0])
 
 
 # ---------------------------------------------------------------------------
 # 4x4 paths
-
-
-def deflate_common_eigenvector(a, v, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
-    """Reduce along a common eigenvector of A and A* and recurse at 3x3."""
-    a = linalg.as_matrix(a)
-    if a.shape != (4, 4):
-        raise ValueError("deflate_common_eigenvector expects a 4x4 matrix")
-    v = linalg.canonical_projective(v)
-    w = _completion(v[:, None])
-    q = np.column_stack([v, w])
-    b = np.conj(w).T @ a @ w
-    sub = tridiagonalize3(b, tol=tol, seed=seed)
-    u = np.block(
-        [[np.ones((1, 1), dtype=complex), np.zeros((1, 3))], [np.zeros((3, 1)), sub.u]]
-    ) @ np.conj(q).T
-    return _result_from_flag(a, np.conj(u).T, "common_eigenvector_deflation", seed)
 
 
 def _section_path(a, opts: Options, pencil: Pencil | None = None) -> TridiagResult:
@@ -276,9 +210,11 @@ def _section_path(a, opts: Options, pencil: Pencil | None = None) -> TridiagResu
     ``||A||_2 = 1``, which every residual is measured against; ``pencil``
     is its pencil when the caller has built it.
     """
-    for cand in _flag_points(pencil or Pencil(a)):
-        flag = build_flag(a, cand)
-        result = _result_from_flag(a, flag.basis, flag.provenance, opts.seed, candidate=cand, norm=1.0)
+    pencil = pencil or Pencil(a)
+    for cand in _flag_points(pencil):
+        basis = _flag_from_vector(a, pencil.astar, cand.point.v)
+        provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
+        result = _result_from_flag(a, basis, provenance, opts.seed, candidate=cand, norm=1.0)
         if _passes(result, opts.tol):
             return result
     q = np.linalg.qr(np.linalg.eig(a)[1])[0]
@@ -396,15 +332,29 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     return result
 
 
+def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
+    """The 3x3 case of :func:`tridiagonalize`; ``ValueError`` on any other shape.
+
+    ``A`` is centred and normalized like any input, its flag is grown by
+    :func:`_flag3`, and :class:`Unsolved` is raised when the result misses
+    the gate ``tol``.
+    """
+    if linalg.as_matrix(a).shape != (3, 3):
+        raise ValueError("tridiagonalize3 expects a 3x3 matrix")
+    return tridiagonalize(a, tol=tol, seed=seed)
+
+
 def _dispatch(a, opts: Options) -> TridiagResult:
     """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1`` and ``tr(A) = 0``.
 
     A 4x4 ``A`` gets one ``Pencil`` and one eigen-decomposition
     (:attr:`Pencil.eigen`), which the common eigenvector test and the
-    eigenvector points of the flag search share.
+    eigenvector points of the flag search share.  A common eigenvector
+    ``v`` deflates: the flag is ``v``, then ``W`` times the 3x3 flag of
+    ``W* A W`` for an orthonormal basis ``W`` of its complement.
     """
     if a.shape[0] == 3:
-        return tridiagonalize3(a, tol=opts.tol, seed=opts.seed)
+        return _result_from_flag(a, _flag3(a), "cubic_curve_3x3", opts.seed, norm=1.0)
 
     if opts.force_path == "perturb":
         return perturb_and_retry(a, opts)
@@ -413,12 +363,11 @@ def _dispatch(a, opts: Options) -> TridiagResult:
     if opts.force_path != "section" and pencil.eigen is not None:
         common = _common(pencil.eigen[1], pencil.astar)
         if common:
-            try:
-                result = deflate_common_eigenvector(a, common[0], tol=opts.tol, seed=opts.seed)
-                if _passes(result, opts.tol):
-                    return result
-            except Unsolved:
-                pass
+            w = _completion(common[0][:, None])
+            basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ a @ w)])
+            result = _result_from_flag(a, basis, "common_eigenvector_deflation", opts.seed, norm=1.0)
+            if _passes(result, opts.tol):
+                return result
 
     try:
         return _section_path(a, opts, pencil)

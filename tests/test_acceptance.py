@@ -160,10 +160,10 @@ def test_criterion_6_genericity_classifier():
 def test_criterion_7_flag_equivalence(batch_4x4, batch_3x3):
     worst = 0.0
     for a, r, _ in batch_4x4:
-        r2, r3 = flag_residuals(a, r.flag.basis)
+        r2, r3 = flag_residuals(a, np.conj(r.u).T)
         worst = max(worst, r2, r3)
     for a, r in batch_3x3:
-        r2, r3 = flag_residuals(a, r.flag.basis)
+        r2, r3 = flag_residuals(a, np.conj(r.u).T)
         worst = max(worst, r2, r3)
     ok = worst <= 1e-8
     _report(7, "flag equivalences", ok, f"worst residual over both conditions {worst:.2e}")

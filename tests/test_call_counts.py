@@ -1,12 +1,14 @@
 """One eigen-solve and one spectral norm per quantity, per request.
 
 ``linalg.eigen`` and ``linalg.matrix_norm`` (an SVD) are wrapped to count
-their calls on generic 4x4 Gaussians: a solve centres ``A`` (one norm),
-takes ``||A||_2`` (one more) and shares one eigen-decomposition between
-the common eigenvector test and the flag search; ``classify`` centres
-once and shares one eigen-decomposition between its three tests.
-Its nonsingularity test takes one SVD of ``A`` itself directly, which
-is not counted.
+their calls.  Every solve centres ``A`` (one norm) and takes ``||A||_2``
+(one more), and no route measures another: a 3x3 solve takes no
+eigen-decomposition; a 4x4 one, Gaussian or Hermitian, shares one
+between the common eigenvector test and the flag search or the
+deflation.  On generic 4x4 Gaussians ``classify`` centres once and
+shares one eigen-decomposition between its three tests.  Its
+nonsingularity test takes one SVD of ``A`` itself directly, which is
+not counted.
 """
 
 import pytest
@@ -45,6 +47,24 @@ def test_solve_makes_one_eigen_call_and_two_norms(calls):
         assert r.provenance == "section_zero", seed
         assert calls["eigen"] == 1, seed
         assert calls["matrix_norm"] <= 2, seed
+
+
+def test_three_by_three_solve_makes_two_norms(calls):
+    for seed in SEEDS:
+        a = make_matrix("gaussian", 3, seed)
+        calls.update(eigen=0, matrix_norm=0)
+        r = tridiagonalize(a)
+        assert r.provenance == "cubic_curve_3x3", seed
+        assert calls == {"eigen": 0, "matrix_norm": 2}, seed
+
+
+def test_deflation_makes_one_eigen_call_and_two_norms(calls):
+    for seed in SEEDS:
+        a = make_matrix("hermitian", 4, seed)
+        calls.update(eigen=0, matrix_norm=0)
+        r = tridiagonalize(a)
+        assert r.provenance == "common_eigenvector_deflation", seed
+        assert calls == {"eigen": 1, "matrix_norm": 2}, seed
 
 
 def test_classify_makes_one_eigen_call_and_one_norm(calls):

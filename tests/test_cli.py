@@ -82,9 +82,24 @@ class TestTridiag:
         data = json.loads(out)
         assert data["result"]["off_residual"] <= 1e-12
 
-    def test_malformed_json_exits_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"n": 4, "entries": [[',
+            b"1e999 0\n0 1\n",
+            b'{"n": 1, "entries": [[[1' + b"0" * 400 + b', 0]]]}',
+            b'{"n": 1, "entries": [[[NaN, 0]]]}',
+            b"\xff\xfe1 0\n0 1\n",
+            b'{"n": 1, "entries": [[[true, 0]]]}',
+            b'{"n": 1, "entries": [[[0, false]]]}',
+            b'{"n": true, "entries": [[[1, 0]]]}',
+            b'{"n": 1, "entries": ' + b"[" * 100000,
+        ],
+        ids=["truncated", "text-inf", "int-overflow", "nan", "not-utf8", "true", "false", "n-true", "deep"],
+    )
+    def test_malformed_json_exits_1(self, capsys, tmp_path, raw):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 4, "entries": [[')
+        path.write_bytes(raw)
         code, _, err = run_cli(capsys, ["tridiag", str(path)])
         assert code == 1
         assert "input error" in err
@@ -317,6 +332,8 @@ class TestParsers:
         with pytest.raises(ParseError):
             cli.parse_text_matrix("1 2\n3\n")
 
-    def test_json_rejects_nonfinite(self):
+    def test_json_rejects_nonfinite(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"n": 1, "entries": [[[1e400, 0.0]]]}))
         with pytest.raises(ParseError):
-            cli.parse_json_matrix(json.dumps({"n": 1, "entries": [[[1e400, 0.0]]]}))
+            cli._read_input(str(path), text_format=False)
