@@ -11,7 +11,7 @@ span(v,Av,A*v) + A*span(...) and ... + A**span(...) coincide.
 import numpy as np
 
 from tridiag4 import Pencil, make_matrix, section_zeros
-from tridiag4.pencil import curve_residual, pencil_matrix
+from tridiag4.pencil import pencil_matrix
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -27,10 +27,11 @@ print(f"fiber over base [1 : {mu}]: four curve points (one per eigenvalue of A +
 for k in range(4):
     m = pencil_matrix(pencil, [-lam[k], 1.0, mu])
     v = vecs[:, k]
+    s = np.linalg.svd(np.column_stack([v, a @ v, pencil.astar @ v]), compute_uv=False)
     print(
         f"  sheet {k}: |det| = {abs(np.linalg.det(m)):.2e},"
         f"  ||pencil @ v|| = {np.linalg.norm(m @ v):.2e},"
-        f"  dependence residual = {curve_residual(pencil, v):.2e}"
+        f"  sigma3/sigma1 of [v, Av, A*v] = {s[2] / s[0]:.2e}"
     )
 
 # --- the two residuals that mark a flag point -----------------------------

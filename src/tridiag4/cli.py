@@ -1,14 +1,15 @@
 """Command-line front end: parse matrices, solve, classify, run experiments.
 
-Exit codes: 0 success, 1 input error, 2 unsolved.  All randomness sits
-behind --seed, so reports are reproducible.  The degree experiments
-run their trials one after another.
+Exit codes: 0 success, 1 input error or closed output, 2 unsolved.  All
+randomness sits behind --seed, so reports are reproducible.  The degree
+experiments run their trials one after another.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -313,7 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

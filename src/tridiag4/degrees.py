@@ -27,7 +27,6 @@ from .pencil import (
     _centred,
     _certify_on_curve,
     _unscale_point,
-    curve_residual,
     pencil_matrix,
     section_zeros,
 )
@@ -95,9 +94,9 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     of ``ell`` under ``N^T = A^T + mu*conj(A)``.  A degree drop of the
     sextic puts the missing roots, with that multiplicity, at the base
     ``[0 : 1]``.  A root counts only when an eigenvector ``v`` of ``N``
-    there passes the on-curve certificate with
-    ``curve_residual <= CERT_TOL`` and ``|ell . v| <= CERT_TOL``, all
-    certified as one stack.  This runs on the centred and normalized
+    there passes the on-curve certificate, which makes ``v, Av, A*v``
+    dependent, and has ``|ell . v| <= CERT_TOL``, all certified as one
+    stack.  This runs on the centred and normalized
     ``A``, and each point is mapped back to the pencil of ``A``.
 
     Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
@@ -111,7 +110,7 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     b = np.array([b for b, _ in bases]).reshape(-1, 2)
     lam = np.linalg.eigvals(b[:, 0, None, None] * unit.a + b[:, 1, None, None] * unit.astar)
     ok, t, v = _certify_on_curve(unit, np.column_stack([-lam.ravel(), np.repeat(b, 4, axis=0)]), kernel=True)
-    value = np.where(ok & (curve_residual(unit, v) <= CERT_TOL), np.abs(v @ ell), np.inf).reshape(-1, 4)
+    value = np.where(ok, np.abs(v @ ell), np.inf).reshape(-1, 4)
     best = 4 * np.arange(len(b)) + np.argmin(value, axis=1)
     keep = [(i, mult) for i, (_, mult) in zip(best, bases) if value.flat[i] <= CERT_TOL]
     return [(_unscale_point(t[i], scale, shift), v[i], mult) for i, mult in keep]

@@ -15,8 +15,8 @@ The flag points are the roots of one polynomial on the base line
 them, made scale-free, is a polynomial of degree 20 whose factor
 ``mu^8`` comes from the eigenvectors of A.  The rest is a dodecic, and
 its 12 roots are the bases of the paper's 12 flag points (see
-:func:`_dodecic_roots`).  Each root is certified by :func:`_certify`, the
-only acceptance gate, and one that it rejects is refined on the dodecic
+:func:`_dodecic_roots`).  They are certified in stacks by :func:`_certify`,
+the only acceptance gate; one that it rejects is refined on the dodecic
 itself (:func:`_refine_root`) and certified again; :func:`_flag_points`
 yields the certified points to the solver and to :func:`section_zeros`.
 """
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConvergenceFailure, NoSectionZero
-from .linalg import canonical_projective, projective_distance
+from .linalg import canonical_projective
 
 #: Relative ``sigma3/sigma1`` at or below which the pencil has rank <= 2 (``_certify``, ``classify``).
 RANK_TOL = 1e-8
@@ -38,8 +38,8 @@ RANK_TOL = 1e-8
 #: Relative threshold for "this point lies on the determinant curve".
 ON_CURVE_TOL = 1e-8
 
-#: Certification tolerance: the dependence residual, sigma4, the span and
-#: closure ranks and the hyperplane value are all tested against it.
+#: Certification tolerance: sigma4, the span rank, the closure ranks behind
+#: ``shortcut`` and the hyperplane value are all tested against it.
 CERT_TOL = 1e-8
 
 #: Projective distance below which two certified points count as one.
@@ -90,13 +90,7 @@ class PencilPoint:
 
 @dataclass
 class SectionCandidate:
-    """A certified zero.
-
-    ``sigma4`` is the normalized fourth singular value of the
-    seven-column matrix ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]``
-    (the rank condition that certifies acceptance, see
-    :func:`_section_score`).
-    """
+    """A certified flag point, its ``sigma4`` (:func:`_section_score`) and whether a closure has rank 2."""
 
     point: PencilPoint
     sigma4: float
@@ -112,31 +106,8 @@ def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
     return t0 * np.eye(4, dtype=complex) + t1 * pencil.a + t2 * pencil.astar
 
 
-def curve_residual(pencil: Pencil, v):
-    """Scale-invariant distance of [v] from the dependence locus.
-
-    Largest 3x3 minor of the 3x4 matrix with rows ``v, Av, A*v``,
-    normalized by the product of the row norms.  At or below tolerance
-    exactly when ``{v, Av, A*v}`` is numerically dependent.  A (k, 4)
-    stack of vectors gives the array of their k residuals.
-    """
-    linalg.as_vector(v)  # rejects entries that are not finite
-    v = np.asarray(v, dtype=complex)
-    rows = np.stack([v, v @ pencil.a.T, v @ pencil.astar.T], axis=-2)
-    norms = np.linalg.norm(rows, axis=-1)
-    # the four 3x3 minors, each leaving out one column
-    cols = rows[..., [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].swapaxes(-3, -2)
-    minors = np.abs(np.linalg.det(cols)).max(axis=-1)
-    live = np.min(norms, axis=-1) > 1e-300
-    res = np.where(live, minors / np.where(live, np.prod(norms, axis=-1), 1.0), 0.0)
-    return float(res) if res.ndim == 0 else res
-
-
 def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
-    """``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]`` for kernel vectors v (k, 4).
-
-    Returns the (k, 4, 7) stack of seven-column matrices.
-    """
+    """The (k, 4, 7) stack ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]`` for kernel vectors v (k, 4)."""
     a_t, astar_t = pencil.a.T, pencil.astar.T
     av = v @ a_t
     asv = v @ astar_t
@@ -182,28 +153,29 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     return ok, t, v
 
 
-def _certify(pencil: Pencil, t):
-    """Re-derive every acceptance quantity at ``t`` and certify or reject."""
-    (ok,), (t,), (v,) = _certify_on_curve(pencil, np.reshape(t, (1, 3)), kernel=True)
-    if not ok:
-        return None
-    if curve_residual(pencil, v) > CERT_TOL:
-        return None
+def _certify(pencil: Pencil, t) -> list[SectionCandidate | None]:
+    """The flag-point certificate of each row of a (k, 3) stack: a :class:`SectionCandidate`, or None.
 
-    seven = _seven_columns(pencil, v[None, :])[0]
-    sw = np.linalg.svd(seven[:, :3], compute_uv=False)
-    if sw[1] <= CERT_TOL * sw[0] or sw[2] > CERT_TOL * sw[0]:
-        return None  # span(v, Av, A*v) is not 2-dimensional
+    A row certifies when it passes :func:`_certify_on_curve`, its kernel
+    vector ``v`` spans a 2-dimensional ``span(v, Av, A*v)``, and the seven
+    columns of :func:`_seven_columns` have ``sigma4 <= CERT_TOL``: the
+    paper's rank condition.  ``shortcut`` marks a row where one of the two
+    five-column closures already has rank 2.  Each test is one stacked SVD
+    over the rows; an empty stack gives ``[]``.
+    """
+    ok, t, v = _certify_on_curve(pencil, t, kernel=True)
+    seven = _seven_columns(pencil, v)
+    sw = np.linalg.svd(seven[:, :, :3], compute_uv=False)
+    ok &= (sw[:, 1] > CERT_TOL * sw[:, 0]) & (sw[:, 2] <= CERT_TOL * sw[:, 0])
     s = np.linalg.svd(seven, compute_uv=False)
-    sigma4 = float(s[3] / s[0]) if s[0] > 0 else 0.0
-    sa, sb = np.linalg.svd(seven[:, [[0, 1, 2, 3, 4], [0, 1, 2, 6, 5]]].transpose(1, 0, 2), compute_uv=False)
-    shortcut_a = sa[2] <= CERT_TOL * sa[0]
-    shortcut_b = sb[2] <= CERT_TOL * sb[0]
-    dims_ok = (shortcut_a or sa[3] <= CERT_TOL * sa[0]) and (shortcut_b or sb[3] <= CERT_TOL * sb[0])
-    if not (sigma4 <= CERT_TOL and dims_ok):
-        return None
-    shortcut = bool(shortcut_a or shortcut_b)
-    return SectionCandidate(point=PencilPoint(t=t, v=v), sigma4=sigma4, shortcut=shortcut)
+    sigma4 = s[:, 3] / s[:, 0]
+    ok &= sigma4 <= CERT_TOL
+    closures = np.linalg.svd(seven[:, :, [[0, 1, 2, 3, 4], [0, 1, 2, 6, 5]]].transpose(0, 2, 1, 3), compute_uv=False)
+    shortcut = np.any(closures[:, :, 2] <= CERT_TOL * closures[:, :, 0], axis=1)
+    return [
+        SectionCandidate(PencilPoint(t[i], v[i]), float(sigma4[i]), bool(shortcut[i])) if ok[i] else None
+        for i in range(len(t))
+    ]
 
 
 def _distinguished_seeds(pencil: Pencil):
@@ -344,30 +316,32 @@ def _flag_points(pencil: Pencil):
     (:func:`_refine_root`; a root at ``mu = 0`` is not) and the best
     sheet over the refined root certified instead.  The eigenvector
     points are screened by one batched ``sigma4`` of their kernel
-    vectors, and only those at or below ``sqrt(CERT_TOL)`` go on to
-    :func:`_certify`, which would reject the others anyway.
+    vectors, and only those at or below ``sqrt(CERT_TOL)`` go on, as one
+    stack, to :func:`_certify`, which would reject the others anyway.
+    The best root is certified alone, the others as one stack.
     Deterministic, and lazy: the dodecic is formed only when the
-    eigenvector points have been consumed.  ``pencil`` is that of a
-    :func:`_centred` matrix, as :func:`_dodecic_roots` requires.
+    eigenvector points have been consumed, and the second stack only when
+    the best root has.  ``pencil`` is that of a :func:`_centred` matrix,
+    as :func:`_dodecic_roots` requires.
     """
     seeds = _distinguished_seeds(pencil)
     if seeds:
         score = _section_score(pencil, np.array([v for _, v in seeds]))
-        for (t, _), s in zip(seeds, score):
-            cand = _certify(pencil, t) if s <= np.sqrt(CERT_TOL) else None
-            if cand is not None:
-                yield cand
+        screened = [t for (t, _), s in zip(seeds, score) if s <= np.sqrt(CERT_TOL)]
+        if screened:
+            yield from (cand for cand in _certify(pencil, np.array(screened)) if cand is not None)
     mu = _dodecic_roots(pencil)
     if mu.size == 0:
         return
     points, score = _best_sheets(pencil, mu)
-    for i in np.argsort(score):
-        cand = _certify(pencil, points[i])
-        if cand is None and mu[i] != 0:
-            refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, mu[i])]))
-            cand = _certify(pencil, refined[0])
-        if cand is not None:
-            yield cand
+    order = np.argsort(score)
+    for batch in (order[:1], order[1:]):
+        for i, cand in zip(batch, _certify(pencil, points[batch])):
+            if cand is None and mu[i] != 0:
+                refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, mu[i])]))
+                (cand,) = _certify(pencil, refined)
+            if cand is not None:
+                yield cand
 
 
 def _centred(a: np.ndarray):
@@ -405,12 +379,13 @@ def section_zeros(pencil: Pencil):
     """All certified flag points of the pencil, sorted by their sigma4.
 
     Collects :func:`_flag_points`: the eigenvector points of A and A*
-    that certify, and the roots of the dodecic, each kept only
-    when it passes the full certification (on-curve, dependence
-    residual, 2-dimensional span, rank-3 closures, ``sigma4`` below
-    ``CERT_TOL``).  Points within projective distance ``DEDUPE_TOL`` of
-    each other count once, with the smaller ``sigma4``.  On a generic
-    matrix the result has exactly 12 entries.  The points are found on
+    that certify, and the roots of the dodecic, each kept only when it
+    passes :func:`_certify` (on-curve, 2-dimensional span, ``sigma4``
+    below ``CERT_TOL``).  Points within projective distance
+    ``DEDUPE_TOL`` of each other count once, with the smaller
+    ``sigma4``: in that order, one Gram matrix of the points decides
+    whether a point is near one kept before it.  On a generic matrix the
+    result has exactly 12 entries.  The points are found on
     the matrix of :func:`_centred` and mapped back to the pencil of ``A``,
     so the count depends on neither the scale nor the shift of ``A``.
 
@@ -422,18 +397,15 @@ def section_zeros(pencil: Pencil):
         instead.
     """
     c, scale, shift = _centred(pencil.a)
-    zeros: list[SectionCandidate] = []
-    for cand in _flag_points(Pencil(c)):
-        for i, other in enumerate(zeros):
-            if projective_distance(cand.point.t, other.point.t) < DEDUPE_TOL:
-                if cand.sigma4 < other.sigma4:
-                    zeros[i] = cand
-                break
-        else:
-            zeros.append(cand)
-    if not zeros:
+    cands = sorted(_flag_points(Pencil(c)), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
+    if not cands:
         raise NoSectionZero(
             f"no certified flag point among the eigenvector points and the dodecic's roots (tol={CERT_TOL:.1e})"
         )
-    zeros.sort(key=lambda c: (c.sigma4, tuple(np.round(c.point.t, 9).view(float))))
-    return [_unscale_candidate(z, scale, shift) for z in zeros]
+    t = np.array([z.point.t for z in cands])
+    near = np.abs(t @ np.conj(t).T) ** 2 > 1 - DEDUPE_TOL**2
+    kept: list[int] = []
+    for i in range(len(cands)):
+        if not near[i, kept].any():
+            kept.append(i)
+    return [_unscale_candidate(cands[i], scale, shift) for i in kept]

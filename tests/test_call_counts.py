@@ -9,13 +9,18 @@ deflation.  On generic 4x4 Gaussians ``classify`` centres once and
 shares one eigen-decomposition between its three tests.  Its
 nonsingularity test takes one SVD of ``A`` itself directly, which is
 not counted.
+
+``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
+Gaussian certifies the best root of the dodecic alone and the other 11
+as one stack, so it makes two calls for its 12 points.
 """
 
 import pytest
 
-from tridiag4 import linalg
+from tridiag4 import linalg, pencil
 from tridiag4.generate import make_matrix
 from tridiag4.genericity import classify
+from tridiag4.pencil import Pencil, section_zeros
 from tridiag4.tridiagonalize import tridiagonalize
 
 SEEDS = range(10000, 10020)
@@ -74,3 +79,13 @@ def test_classify_makes_one_eigen_call_and_one_norm(calls):
         report = classify(a)
         assert report.in_generic_set and not report.common_eigenvectors, seed
         assert calls == {"eigen": 1, "matrix_norm": 1}, seed
+
+
+def test_section_zeros_certifies_in_two_stacks(monkeypatch):
+    calls = []
+    certify = pencil._certify
+    monkeypatch.setattr(pencil, "_certify", lambda *args: calls.append(1) or certify(*args))
+    for seed in SEEDS:
+        calls.clear()
+        assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12, seed
+        assert len(calls) == 2, seed

@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -234,6 +238,21 @@ class TestTridiag:
             payload.pop("timings_ms")
             payloads.append(json.dumps(payload, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # the reader has gone before the report is written, as with `| head -c 100`
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tridiag4.cli", "tridiag", "--json", "-"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(b"1 2 0\n3 4 1\n0 1 2\n", timeout=120)
+        assert err == b""
+        assert proc.returncode == 1
 
 
 class TestClassify:

@@ -17,7 +17,6 @@ from tridiag4.pencil import (
     _dodecic_roots,
     _section_score,
     _unscale_point,
-    curve_residual,
     pencil_matrix,
     section_zeros,
 )
@@ -212,27 +211,44 @@ class TestCertifyOnCurve:
         np.testing.assert_allclose(tc[[6, 7]], [tc[0], tc[0]], atol=1e-12)
 
 
-class TestCurveResidual:
-    def test_eigenvector_is_on_curve(self):
-        a = make_matrix("gaussian", 4, 7)
-        v = linalg.eigen(a)[1][:, 0]
-        assert curve_residual(Pencil(a), v) <= 1e-10
+class TestCertify:
+    @staticmethod
+    def assert_stack_matches_rows(p, rows):
+        stacked = _certify(p, rows)
+        single = [_certify(p, row[None, :])[0] for row in rows]
+        assert [c is None for c in stacked] == [c is None for c in single]
+        for got, want in zip(stacked, single):
+            if want is not None:
+                np.testing.assert_allclose(got.point.t, want.point.t, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(got.point.v, want.point.v, rtol=0, atol=1e-15)
+                assert abs(got.sigma4 - want.sigma4) <= 1e-15
+                assert got.shortcut == want.shortcut
+        return stacked
 
-    def test_kernel_vectors_on_curve(self):
-        a = make_matrix("gaussian", 4, 8)
-        p = Pencil(a)
-        for _, v in curve_points(p, 0.9 + 0.4j):
-            assert curve_residual(p, v) <= 1e-10
+    def test_stack_matches_rows(self):
+        # the best sheets over a Gaussian's dodecic roots, mixed with rows
+        # off the curve, certify in one call as they do one at a time
+        rng = np.random.default_rng(23)
+        off = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        q = Pencil(_centred(make_matrix("gaussian", 4, 22))[0])
+        points, _ = _best_sheets(q, _dodecic_roots(q))
+        rows = np.concatenate([points[:6], off[:2], points[6:], off[2:]])
+        stacked = self.assert_stack_matches_rows(q, rows)
+        assert sum(c is not None for c in stacked) == 12
+        assert all(c is None for c in stacked[6:8] + stacked[-2:])
 
-    def test_random_vectors_far_from_curve(self):
-        rng = np.random.default_rng(10)
-        a = make_matrix("gaussian", 4, 9)
-        p = Pencil(a)
-        values = []
-        for _ in range(50):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            values.append(curve_residual(p, v))
-        assert np.median(values) > 1e-3
+    def test_stack_with_shortcut_points(self):
+        # the eigenvector points [0 : 1 : 0] and [0 : 0 : 1] of N4 certify
+        # through the closure shortcut; off-curve rows between them do not
+        rng = np.random.default_rng(24)
+        off = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        rows = np.array([[0, 1, 0], off[0], [0, 0, 1], off[1]], dtype=complex)
+        stacked = self.assert_stack_matches_rows(Pencil(N4), rows)
+        assert [c is not None and c.shortcut for c in stacked] == [True, False, True, False]
+        assert stacked[1] is None and stacked[3] is None
+
+    def test_empty_stack(self):
+        assert _certify(Pencil(N4), np.empty((0, 3))) == []
 
 
 class TestSectionResidual:
@@ -271,7 +287,9 @@ class TestSectionZeros:
         for z in zeros:
             m = pencil_matrix(p, z.point.t)
             assert np.linalg.norm(m @ z.point.v) <= 1e-8 * np.linalg.norm(m, 2)
-            assert curve_residual(p, z.point.v) <= 1e-8
+            v = z.point.v
+            s = np.linalg.svd(np.column_stack([v, a @ v, p.astar @ v]), compute_uv=False)
+            assert s[2] <= 1e-8 * s[0]
             assert z.sigma4 <= 1e-8
 
     def test_kernel_map_inverse_property(self):
@@ -341,12 +359,33 @@ class TestSectionZeros:
         p = Pencil(make_matrix("gaussian", 4, seed))
         q = Pencil(_centred(p.a)[0])
         points, _ = _best_sheets(q, _dodecic_roots(q))
-        assert any(_certify(q, t) is None for t in points)
+        assert None in _certify(q, points)
         calls = []
         refine = pencil._refine_root
         monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
         assert len(section_zeros(p)) == 12
         assert calls
+
+    def test_near_points_count_once(self, monkeypatch):
+        # two candidates 1e-7 apart count once, with the smaller sigma4,
+        # whichever comes first; a third, far one is kept as well
+        rng = np.random.default_rng(25)
+        t, far = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        t, far = t / np.linalg.norm(t), far / np.linalg.norm(far)
+        step = np.cross(np.conj(t), far)  # orthogonal to t
+        near = t + 1e-7 * step / np.linalg.norm(step)
+        v = np.eye(4)[0]
+        cands = [
+            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9),
+            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9),
+            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9),
+        ]
+        assert 5e-8 < linalg.projective_distance(cands[0].point.t, cands[2].point.t) < 2e-7
+        monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))
+        zeros = section_zeros(Pencil(N4))  # centred already: the points come back as they went in
+        assert [z.sigma4 for z in zeros] == [1e-9, 2e-9]
+        assert linalg.projective_distance(zeros[0].point.t, near) < 1e-12
+        assert linalg.projective_distance(zeros[1].point.t, far) < 1e-12
 
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points
