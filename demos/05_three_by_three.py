@@ -9,12 +9,12 @@ result is block-diagonal), or it starts a flag directly.
 
 import numpy as np
 
-from tridiag4 import make_matrix, tridiagonalize3
+from tridiag4 import make_matrix, tridiagonalize
 
 np.set_printoptions(precision=4, suppress=True)
 
 a = make_matrix("gaussian", 3, seed=31)
-result = tridiagonalize3(a, seed=31)
+result = tridiagonalize(a, seed=31)
 print("A =")
 print(a)
 print("\nT = U A U* =")
@@ -24,7 +24,7 @@ print(f"\noff-residual {result.off_residual:.2e}, unitarity {result.unitarity_re
 # on a Hermitian input every eigenvector of A + A* is one of A and A*:
 # the flag splits off a common eigenvector
 h = make_matrix("hermitian", 3, seed=32)
-result = tridiagonalize3(h, seed=32)
+result = tridiagonalize(h, seed=32)
 print("\nhermitian input: T =")
 print(np.round(result.t, 10))
 print(f"off-residual {result.off_residual:.2e}")

@@ -151,6 +151,9 @@ def cmd_tridiag(args) -> int:
     t0 = time.perf_counter()
     try:
         result = tridiagonalize(a, opts)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     except Unsolved as exc:
         print(f"unsolved: {exc}", file=sys.stderr)
         return 2
@@ -249,7 +252,11 @@ def cmd_degrees(args) -> int:
     if a.shape[0] != 4:
         print("input error: degree experiments need a 4x4 matrix", file=sys.stderr)
         return 1
-    report = run_experiments(a, trials=args.trials, seed=args.seed, screen=not args.force)
+    try:
+        report = run_experiments(a, trials=args.trials, seed=args.seed, screen=not args.force)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     payload = report.as_dict()
     lines = []
     if report.skipped:

@@ -70,8 +70,11 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     the number of those points that pass the on-curve certificate, taken
     on the centred and normalized ``A`` so that it depends on neither its
     scale nor its shift; all lines are solved and certified as one stack.
-    Reports the modal count over the lines and warns when they disagree.
+    Reports the modal count over the lines and warns when they disagree;
+    ``ValueError`` when ``lines < 1``.
     """
+    if lines < 1:
+        raise ValueError(f"lines must be at least 1, got {lines}")
     unit = Pencil(_centred(pencil.a)[0])
     # per line, in this order: p real, p imag, q real, q imag
     z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
@@ -152,7 +155,10 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
     ``screen=True`` matrices outside the generic regime (common
     eigenvectors, rank-deficient pencil) skip the experiments with a
     notice, since the counts are only meaningful on the generic set.
+    ``ValueError`` when ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     a = linalg.as_matrix(a)
     pencil = Pencil(a)
     if screen:

@@ -124,12 +124,16 @@ def canonical_projective(v) -> np.ndarray:
 
 
 def projective_distance(u, v) -> float:
-    """sin of the angle between the lines spanned by u and v (Fubini-Study)."""
+    """sin of the angle between the lines spanned by u and v (Fubini-Study).
+
+    Taken as ``||b - a<a, b>||`` for unit ``a`` and ``b``, which, unlike
+    ``sqrt(1 - |<a, b>|^2)``, resolves distances below ``1e-8``.
+    """
     a = as_vector(u)
     b = as_vector(v)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("projective points must be nonzero")
-    c = abs(np.vdot(a, b)) / (na * nb)
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))
+    a, b = a / na, b / nb
+    return float(min(1.0, np.linalg.norm(b - a * np.vdot(a, b))))

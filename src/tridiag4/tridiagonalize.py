@@ -1,32 +1,25 @@
 """End-to-end unitary tridiagonalization for n <= 4.
 
-Dispatch: n <= 2 and exactly tridiagonal inputs are trivial; every
-other input is centred (``C = A - tr(A)/n * I``), divided by
-``||C||_2``, solved, and its result rebuilt on the original matrix.
-Every route ends in a flag basis, whose conjugate is ``U``
-(:func:`_result_from_flag`), grown from its first vector by one builder
-(:func:`_flag_from_vector`).  n = 3 takes that vector from an
-eigenvector of the Hermitian ``A + A*``, a point of the cubic dependence
-locus (:func:`_flag3`).  n = 4 with a common eigenvector ``v`` of A and
-A* takes ``v`` and the 3x3 flag of A compressed to its complement, and
-otherwise the first certified flag point of the pencil (the eigenvector
-points, then the roots of the flag-point dodecic) whose flag passes the
-gate.  When none does, one Gauss-Newton refinement of the unitary
-itself, started from the Schur basis, solves the input
-(:func:`_refine_unitary`), and a seeded perturbation ladder, refined
-back on the original matrix, is the last resort.  Every result passes
-one gate on both of its residuals (:func:`_passes`), on ``A``, in
-:func:`tridiagonalize`; :func:`tridiagonalize3` is its 3x3 case.
+n <= 2 and exactly tridiagonal inputs are trivial.  Every other input
+is centred (``C = A - tr(A)/n * I``) and divided by ``||C||_2``; then
+one loop in :func:`tridiagonalize` runs over a lazy stream of candidate
+flag bases, those of :func:`_direct` and then of the perturbation ladder
+(:func:`_ladder`), and returns the first whose result, on ``C`` and
+rebuilt on ``A``, passes the gate on both of its residuals
+(:func:`_passes`).  Every basis is grown from its first vector by one
+builder (:func:`_flag_from_vector`), and its conjugate is ``U``
+(:func:`_result_from_flag`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
 from . import linalg
-from .errors import NoSectionZero, Unsolved
+from .errors import Unsolved
 from .genericity import _common
 from .pencil import Pencil, SectionCandidate, _centred, _flag_points, _unscale_candidate
 
@@ -36,7 +29,7 @@ UNITARITY_TOL = 1e-10
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
 
-#: The perturbation sizes ``eps`` of :func:`perturb_and_retry`, relative to ``||A||_2``.
+#: The perturbation sizes ``eps`` of :func:`_ladder`, relative to ``||C||_2``.
 LADDER = (1e-4, 1e-6, 1e-8)
 
 
@@ -199,31 +192,39 @@ def _flag3(b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 4x4 paths
+# the candidate flags
 
 
-def _section_path(a, opts: Options, pencil: Pencil | None = None) -> TridiagResult:
-    """The flag of the first certified flag point that passes the gate.
+def _direct(c, opts: Options):
+    """The candidate flags ``(basis, provenance, candidate, eps)`` of a centred ``C``, lazily, in order.
 
-    When none does, the unitary is refined from the Schur basis of ``A``
-    (the ``qr`` of ``eig``'s eigenvector matrix) instead.  ``A`` has
-    ``||A||_2 = 1``, which every residual is measured against; ``pencil``
-    is its pencil when the caller has built it.
+    n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` gets one ``Pencil``
+    and one eigen-decomposition (:attr:`Pencil.eigen`), shared by the
+    common eigenvector test and the eigenvector points of the flag
+    search.  A common eigenvector ``v`` comes first, unless
+    ``force_path == "section"``: its flag is ``v``, then ``W`` times the
+    3x3 flag of ``W* C W`` for an orthonormal basis ``W`` of its
+    complement.  Then come the flags of the certified flag points, and
+    last the unitary refined from the Schur basis of ``C`` (the ``qr`` of
+    ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when that converges.
     """
-    pencil = pencil or Pencil(a)
+    if c.shape[0] == 3:
+        yield _flag3(c), "cubic_curve_3x3", None, 0.0
+        return
+    pencil = Pencil(c)
+    if opts.force_path != "section" and pencil.eigen is not None:
+        common = _common(pencil.eigen[1], pencil.astar)
+        if common:
+            w = _completion(common[0][:, None])
+            basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
+            yield basis, "common_eigenvector_deflation", None, 0.0
     for cand in _flag_points(pencil):
-        basis = _flag_from_vector(a, pencil.astar, cand.point.v)
         provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
-        result = _result_from_flag(a, basis, provenance, opts.seed, candidate=cand, norm=1.0)
-        if _passes(result, opts.tol):
-            return result
-    q = np.linalg.qr(np.linalg.eig(a)[1])[0]
-    u = _refine_unitary(a, np.conj(q).T, 1e-2 * opts.tol)
+        yield _flag_from_vector(c, pencil.astar, cand.point.v), provenance, cand, 0.0
+    q = np.linalg.qr(np.linalg.eig(c)[1])[0]
+    u = _refine_unitary(c, np.conj(q).T, 1e-2 * opts.tol)
     if u is not None:
-        result = _result_from_flag(a, np.conj(u).T, "refined", opts.seed, norm=1.0)
-        if _passes(result, opts.tol):
-            return result
-    raise NoSectionZero("neither a certified flag point nor the refinement met the gate")
+        yield np.conj(u).T, "refined", None, 0.0
 
 
 def _refine_unitary(a, u, goal: float):
@@ -251,55 +252,50 @@ def _refine_unitary(a, u, goal: float):
     return u if _off_max(u @ a @ np.conj(u).T) <= goal else None
 
 
-def perturb_and_retry(a, opts: Options | None = None) -> TridiagResult:
-    """Perturbation ladder for inputs the direct construction rejects.
+def _ladder(c, opts: Options):
+    """The perturbation ladder of a centred 4x4 ``C``: at most one flag per ``eps`` in ``LADDER``.
 
-    Solves ``A + eps * G`` for a fixed seeded Gaussian direction G with
-    ``||G|| = ||A||`` over eps in ``LADDER``, then pulls the solution
-    back to the original A by refining its unitary on A
-    (:func:`_refine_unitary`).  The first rung whose refined result
-    passes the gate on the *original* A wins; the eps used is recorded.
+    It takes the first flag of :func:`_direct` on the centred
+    ``C + eps * G``, for a seeded Gaussian ``G`` with ``||G||_2 = ||C||_2``,
+    that passes the gate relaxed to ``max(tol, 1e-6)``, since it only has
+    to give a unitary worth refining, and yields that unitary when
+    :func:`_refine_unitary` pulls it back onto ``C`` to
+    ``1e-2 * tol * ||C||_2``.
     """
-    if opts is None:
-        opts = Options()
-    a = linalg.as_matrix(a)
-    scale = max(linalg.matrix_norm(a), 1e-300)
+    scale = max(linalg.matrix_norm(c), 1e-300)
     rng = np.random.default_rng([opts.seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g) * scale
-    # the sub-solve, the flag search of the centred A + eps*G, only has to
-    # give a unitary worth refining, so its own gate is relaxed; the strict
-    # gate applies on the original matrix
-    sub_opts = replace(opts, tol=max(opts.tol, 1e-6))
+    sub = replace(opts, tol=max(opts.tol, 1e-6), force_path="section")
     for eps in LADDER:
-        try:
-            sub = _section_path(_centred(a + eps * g)[0], sub_opts)
-        except NoSectionZero:
-            continue
-        u = _refine_unitary(a, sub.u, 1e-2 * opts.tol * scale)
-        if u is not None:
-            result = _result_from_flag(a, np.conj(u).T, "perturbed", opts.seed, eps, norm=scale)
-            if _passes(result, opts.tol):
-                return result
-    raise Unsolved(f"perturbation ladder {LADDER} exhausted")
+        perturbed = _centred(c + eps * g)[0]
+        for basis, *_ in _direct(perturbed, sub):
+            if _passes(_result_from_flag(perturbed, basis, "perturbed", sub.seed, norm=1.0), sub.tol):
+                u = _refine_unitary(c, np.conj(basis).T, 1e-2 * opts.tol * scale)
+                if u is not None:
+                    yield np.conj(u).T, "perturbed", None, eps
+                break
 
 
 def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     """Unitary U and tridiagonal T = U A U* for any complex matrix, n <= 4.
 
-    Keyword arguments override :class:`Options` fields.  The returned
-    result always satisfies ``off_residual <= opts.tol`` (relative to
-    ||A||); :class:`Unsolved` is raised only when every path including
-    the perturbation ladder fails, which indicates a bug rather than an
-    expected outcome.
+    Keyword arguments override :class:`Options` fields.  ``ValueError``
+    on an empty or non-square ``A``, on n >= 5, and on a ``tol`` that is
+    not positive and finite.  The returned result always satisfies
+    ``off_residual <= opts.tol`` (relative to ||A||); :class:`Unsolved`
+    is raised only when no candidate flag, the ladder's included, does,
+    which indicates a bug rather than an expected outcome.
 
-    ``A`` is centred and normalized once, at entry: the solve runs on
-    ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and ``s = ||A - tau*I||_2``,
-    which has the same tridiagonalizing unitaries, so the outcome depends
-    on neither the scale nor the shift of ``A``.  ``T`` and the off-band
-    residual are then rebuilt on ``A`` itself, against ``||A||_2``, taken
-    once; ``U``, and so its unitarity residual, stay as they are; the
-    point of ``candidate`` is mapped back to the pencil of ``A``.
+    ``A`` is centred and normalized once, at entry: the flags are sought
+    for ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and
+    ``s = ||A - tau*I||_2``, which has the same tridiagonalizing
+    unitaries, so the outcome depends on neither the scale nor the shift
+    of ``A``.  Each flag is gated on ``C``; then ``T`` and the off-band
+    residual are rebuilt on ``A``, against ``||A||_2``, taken once, and
+    gated again.  ``U``, and so its unitarity residual, stay as they
+    are; the point of ``candidate`` is mapped back to the pencil of ``A``.
+    ``force_path="perturb"`` tries the ladder alone; n = 3 has no ladder.
     """
     if opts is None:
         opts = Options()
@@ -307,10 +303,12 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
         opts = replace(opts, **kwargs)
     a = linalg.as_matrix(a)
     n, m = a.shape
-    if n != m:
-        raise ValueError("tridiagonalize expects a square matrix")
+    if n != m or n == 0:
+        raise ValueError(f"tridiagonalize expects a nonempty square matrix, got shape {a.shape}")
     if n > 4:
         raise ValueError("no algorithm exists for n >= 5; this solver stops at 4")
+    if not (np.isfinite(opts.tol) and opts.tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {opts.tol!r}")
 
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
@@ -318,61 +316,19 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
     inner = replace(opts, tol=opts.tol * min(1.0, norm / scale))
-    result = _dispatch(c, inner)
-    cand = result.candidate
-    if cand is not None:
-        cand = _unscale_candidate(cand, scale, shift)
-    t = result.u @ a @ np.conj(result.u).T
-    result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300), candidate=cand)
-    if not _passes(result, opts.tol):
-        raise Unsolved(
-            f"the result misses the gate on A: off_residual {result.off_residual:.2e}, "
-            f"unitarity {result.unitarity_residual:.2e}"
-        )
-    return result
-
-
-def tridiagonalize3(a, tol: float = 1e-8, seed: int = 42) -> TridiagResult:
-    """The 3x3 case of :func:`tridiagonalize`; ``ValueError`` on any other shape.
-
-    ``A`` is centred and normalized like any input, its flag is grown by
-    :func:`_flag3`, and :class:`Unsolved` is raised when the result misses
-    the gate ``tol``.
-    """
-    if linalg.as_matrix(a).shape != (3, 3):
-        raise ValueError("tridiagonalize3 expects a 3x3 matrix")
-    return tridiagonalize(a, tol=tol, seed=seed)
-
-
-def _dispatch(a, opts: Options) -> TridiagResult:
-    """The solve of a 3x3 or 4x4 ``A`` with ``||A||_2 = 1`` and ``tr(A) = 0``.
-
-    A 4x4 ``A`` gets one ``Pencil`` and one eigen-decomposition
-    (:attr:`Pencil.eigen`), which the common eigenvector test and the
-    eigenvector points of the flag search share.  A common eigenvector
-    ``v`` deflates: the flag is ``v``, then ``W`` times the 3x3 flag of
-    ``W* A W`` for an orthonormal basis ``W`` of its complement.
-    """
-    if a.shape[0] == 3:
-        return _result_from_flag(a, _flag3(a), "cubic_curve_3x3", opts.seed, norm=1.0)
-
-    if opts.force_path == "perturb":
-        return perturb_and_retry(a, opts)
-
-    pencil = Pencil(a)
-    if opts.force_path != "section" and pencil.eigen is not None:
-        common = _common(pencil.eigen[1], pencil.astar)
-        if common:
-            w = _completion(common[0][:, None])
-            basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ a @ w)])
-            result = _result_from_flag(a, basis, "common_eigenvector_deflation", opts.seed, norm=1.0)
-            if _passes(result, opts.tol):
-                return result
-
-    try:
-        return _section_path(a, opts, pencil)
-    except NoSectionZero:
-        return perturb_and_retry(a, opts)
+    direct = () if n == 4 and opts.force_path == "perturb" else _direct(c, inner)
+    ladder = _ladder(c, inner) if n == 4 else ()
+    for basis, provenance, cand, eps in chain(direct, ladder):
+        result = _result_from_flag(c, basis, provenance, opts.seed, eps, cand, norm=1.0)
+        if not _passes(result, inner.tol):
+            continue
+        t = result.u @ a @ np.conj(result.u).T
+        if cand is not None:
+            cand = _unscale_candidate(cand, scale, shift)
+        result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300), candidate=cand)
+        if _passes(result, opts.tol):
+            return result
+    raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={opts.tol:.1e}")
 
 
 def verify(result: TridiagResult, a) -> VerifyReport:

@@ -17,7 +17,7 @@ from tridiag4.degrees import degree_of_det_curve, degree_of_kernel_curve
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
-from tridiag4.tridiagonalize import flag_residuals, tridiagonalize, tridiagonalize3, verify
+from tridiag4.tridiagonalize import flag_residuals, tridiagonalize, verify
 
 N_FULL = 1000
 N_COUNT = 50
@@ -50,7 +50,7 @@ def batch_3x3():
         warnings.simplefilter("ignore")
         for i in range(N_FULL):
             a = make_matrix("gaussian", 3, SEED0 + i)
-            r = tridiagonalize3(a, seed=SEED0 + i)
+            r = tridiagonalize(a, seed=SEED0 + i)
             results.append((a, r))
     return results
 

@@ -12,8 +12,12 @@ not counted.
 
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
 Gaussian certifies the best root of the dodecic alone and the other 11
-as one stack, so it makes two calls for its 12 points.
+as one stack, so it makes two calls for its 12 points.  A Gaussian solve
+stops at the first flag of its lazy candidate stream: one dodecic, one
+certification of its best root, and no root or unitary refinement.
 """
+
+import sys
 
 import pytest
 
@@ -89,3 +93,25 @@ def test_section_zeros_certifies_in_two_stacks(monkeypatch):
         calls.clear()
         assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12, seed
         assert len(calls) == 2, seed
+
+
+def test_solve_takes_only_the_first_flag(monkeypatch):
+    # the package attribute "tridiagonalize" is the function, not the module
+    solver = sys.modules["tridiag4.tridiagonalize"]
+    counts = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(pencil, "_certify"), (pencil, "_dodecic_roots"), (pencil, "_refine_root"), (solver, "_refine_unitary")]:
+        counted(module, name)
+    for seed in SEEDS:
+        counts.update(_certify=0, _dodecic_roots=0, _refine_root=0, _refine_unitary=0)
+        assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
+        assert counts == {"_certify": 1, "_dodecic_roots": 1, "_refine_root": 0, "_refine_unitary": 0}, seed

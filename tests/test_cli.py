@@ -114,6 +114,14 @@ class TestTridiag:
         code, _, err = run_cli(capsys, ["tridiag", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_exits_1(self, capsys, tmp_path, tol):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 4, 0))))
+        code, out, err = run_cli(capsys, ["tridiag", str(path), "--tol", tol])
+        assert code == 1 and out == ""
+        assert "input error" in err and "tol" in err
+
     def test_singular_three_by_three_reports_singular(self, capsys, tmp_path):
         a = make_matrix("gaussian", 3, 5)
         a[:, 2] = a[:, 0] + a[:, 1]
@@ -326,6 +334,13 @@ class TestDegrees:
         code, out, _ = run_cli(capsys, ["degrees", str(path), "--json", "--trials", "3"])
         data = json.loads(out)
         assert len(data["per_trial_detail"]) == 3
+
+    def test_no_trials_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 4, 4))))
+        code, out, err = run_cli(capsys, ["degrees", str(path), "--trials", "0"])
+        assert code == 1 and out == ""
+        assert "input error" in err and "trials" in err
 
 
 class TestParsers:

@@ -35,6 +35,10 @@ class TestDegreeOfDetCurve:
             p = Pencil(scale * make_matrix("gaussian", 4, seed))
             assert degree_of_det_curve(p, lines=10, seed=seed) == 4, seed
 
+    def test_rejects_no_lines(self):
+        with pytest.raises(ValueError, match="lines"):
+            degree_of_det_curve(Pencil(make_matrix("gaussian", 4, 0)), lines=0)
+
 
 class TestDegreeOfKernelCurve:
     def test_random_matrix_gives_six(self):
@@ -108,6 +112,10 @@ class TestRunExperiments:
             report = run_experiments(scale * make_matrix("gaussian", 4, seed))
             counts = (report.deg_det_curve, report.deg_kernel_curve, report.section_zero_count)
             assert counts == (4, 6, 12), seed
+
+    def test_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_experiments(make_matrix("gaussian", 4, 0), trials=0)
 
     def test_hermitian_skipped_with_notice(self):
         a = make_matrix("hermitian", 4, 8)

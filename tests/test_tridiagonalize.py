@@ -12,12 +12,8 @@ from tridiag4.pencil import Pencil, pencil_matrix, section_zeros
 from tridiag4.tridiagonalize import (
     _flag_from_vector,
     _result_from_flag,
-    _section_path,
-    Options,
     flag_residuals,
-    perturb_and_retry,
     tridiagonalize,
-    tridiagonalize3,
     verify,
 )
 
@@ -72,9 +68,15 @@ class TestDispatch:
         assert r.provenance == "trivial"
         assert np.array_equal(r.t, a)
 
-    def test_n5_rejected(self):
+    @pytest.mark.parametrize("shape", [(5, 5), (0, 0), (3, 4)])
+    def test_other_shapes_rejected(self, shape):
         with pytest.raises(ValueError):
-            tridiagonalize(np.eye(5))
+            tridiagonalize(np.ones(shape))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            tridiagonalize(make_matrix("gaussian", 4, 0), tol=tol)
 
     def test_random_4x4(self):
         for seed in range(25):
@@ -171,18 +173,19 @@ class TestSectionPath:
             assert_gates(a, tridiagonalize(a), seed)
 
     def test_every_returned_result_passes_the_unitarity_gate(self):
-        # on these uncentred inputs a flag can meet the off-band gate with
-        # ||UU* - I|| far above 1e-10, so both residuals must be gated
+        # on these near-scalar inputs an uncentred flag could meet the
+        # off-band gate with ||UU* - I|| far above 1e-10; both forced paths
+        # must gate both residuals
         for seed in range(20):
             a = make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4)
             a = a / linalg.matrix_norm(a)
-            for path in (_section_path, perturb_and_retry):
+            for path in ("section", "perturb"):
                 try:
-                    r = path(a, Options())
-                except (NoSectionZero, Unsolved):
+                    r = tridiagonalize(a, force_path=path)
+                except Unsolved:
                     continue
-                assert r.off_residual <= 1e-8, (path.__name__, seed)
-                assert r.unitarity_residual <= 1e-10, (path.__name__, seed)
+                assert r.off_residual <= 1e-8, (path, seed)
+                assert r.unitarity_residual <= 1e-10, (path, seed)
 
 
 class TestFlagPointCount:
@@ -213,29 +216,28 @@ class TestFlagPointCount:
         assert found >= at_least
 
 
-class TestTridiagonalize3:
+class TestThreeByThree:
     def test_diagonal(self):
-        r = tridiagonalize3(np.diag([1.0, 2.0, 3.0]))
+        r = tridiagonalize(np.diag([1.0, 2.0, 3.0]))
         assert r.off_residual == 0.0
 
     def test_hermitian_goes_through_eigenvector_case(self):
         for seed in range(5):
             a = make_matrix("hermitian", 3, seed)
-            r = tridiagonalize3(a, seed=seed)
+            r = tridiagonalize(a, seed=seed)
             assert r.off_residual <= 1e-10
 
     def test_random_batch(self):
         for seed in range(50):
             a = make_matrix("gaussian", 3, seed)
-            r = tridiagonalize3(a, seed=seed)
+            r = tridiagonalize(a, seed=seed)
             assert r.off_residual <= 1e-9
             assert r.unitarity_residual <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
     def test_scale_free(self, scale):
-        # called directly, without the normalization of tridiagonalize
         for seed in range(20):
-            r = tridiagonalize3(scale * make_matrix("gaussian", 3, seed), seed=seed)
+            r = tridiagonalize(scale * make_matrix("gaussian", 3, seed), seed=seed)
             assert r.off_residual <= 1e-8, seed
             assert r.unitarity_residual <= 1e-10, seed
 
@@ -249,7 +251,7 @@ class TestTridiagonalize3:
         for seed in range(20):
             h = make_matrix("hermitian", 3, seed)
             x = h if kind == "hermitian" else 1j * h + 2 * np.eye(3)
-            r = tridiagonalize3(x + d * make_matrix("gaussian", 3, 1000 + seed), seed=seed)
+            r = tridiagonalize(x + d * make_matrix("gaussian", 3, 1000 + seed), seed=seed)
             assert r.off_residual <= 1e-12, seed
             assert r.unitarity_residual <= 1e-10, seed
 
@@ -276,7 +278,7 @@ class TestDeflation:
         assert r.provenance == "common_eigenvector_deflation"
         assert r.off_residual <= 1e-10
         assert abs(r.t[0, 0] - lam) < 1e-10
-        sub = tridiagonalize3(b, seed=3)
+        sub = tridiagonalize(b, seed=3)
         got = sorted(np.linalg.eigvals(r.t[1:, 1:]), key=lambda z: (z.real, z.imag))
         want = sorted(np.linalg.eigvals(sub.t), key=lambda z: (z.real, z.imag))
         assert np.allclose(got, want, atol=1e-8)
@@ -365,7 +367,7 @@ class TestPerturbAndRetry:
         # the dotted path "tridiag4.tridiagonalize" names the function, not the module
         monkeypatch.setattr(sys.modules["tridiag4.tridiagonalize"], "LADDER", ())
         with pytest.raises(Unsolved):
-            perturb_and_retry(N4)
+            tridiagonalize(N4, force_path="perturb")
 
 
 class TestVerify:
