@@ -15,10 +15,13 @@ The flag points are the roots of one polynomial on the base line
 them, made scale-free, is a polynomial of degree 20 whose factor
 ``mu^8`` comes from the eigenvectors of A.  The rest is a dodecic, and
 its 12 roots are the bases of the paper's 12 flag points (see
-:func:`_dodecic_roots`).  They are certified in stacks by :func:`_certify`,
-the only acceptance gate; one that it rejects is refined on the dodecic
-itself (:func:`_refine_root`) and certified again; :func:`_flag_points`
-yields the certified points to the solver and to :func:`section_zeros`.
+:func:`_dodecic_roots`), ordered best-conditioned first.  The solver's
+first candidate is the best sheet over the three best-conditioned roots;
+the sheets over the other nine are formed only when more candidates are
+asked for.  Points are certified in stacks by :func:`_certify`, the only
+acceptance gate; one that it rejects is refined on the dodecic itself
+(:func:`_refine_root`) and certified again; :func:`_flag_points` yields
+the certified points to the solver and to :func:`section_zeros`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ DEDUPE_TOL = 1e-6
 
 #: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
 SECANT_STEPS = 12
+
+#: Best-conditioned roots the first candidate is chosen from (one alone let a Gaussian's ``off_residual`` reach 1.5e-9).
+_FIRST_ROOTS = 3
 
 #: The index pairs ``i < j`` of four eigenvalues.
 _PAIRS = np.triu_indices(4, 1)
@@ -256,13 +262,23 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     one.
 
     The roots come from the companion matrix as 12 simple roots, since
-    the flag points are generically distinct.  Returns no roots when
-    ``R`` is not finite or vanishes identically.
+    the flag points are generically distinct, and are returned
+    best-conditioned first: by decreasing ``|R'(mu)| / sum_k |c_k||mu|^k``
+    over the coefficients ``c_k`` of ``mu^k`` in ``R``, the inverse of the
+    relative condition number of the root, with a stable sort.  A root
+    where that sum is 0 or not finite (``mu = 0`` when ``c_0 = 0``) sorts
+    last.
+    Returns no roots when ``R`` is not finite or vanishes identically.
     """
     r = _coefficients(_dodecic_values(pencil, np.exp(2j * np.pi * np.arange(13) / 13)))
     if r.size <= 1 or not np.all(np.isfinite(r)):
         return np.empty(0, dtype=complex)
-    return np.roots(r[::-1])
+    mu = np.roots(r[::-1])
+    with np.errstate(all="ignore"):
+        size = np.polyval(np.abs(r[::-1]), np.abs(mu))
+        proxy = np.abs(np.polyval(np.polyder(r[::-1]), mu)) / size
+    proxy[~((size > 0) & np.isfinite(size) & np.isfinite(proxy))] = -np.inf
+    return mu[np.argsort(-proxy, kind="stable")]
 
 
 def _refine_root(pencil: Pencil, mu: complex) -> complex:
@@ -310,19 +326,21 @@ def _flag_points(pencil: Pencil):
     """The certified flag-point candidates, one at a time.
 
     First the eigenvector points of A and A* that certify as they are,
-    then the roots of the dodecic, best first: over each root the sheet
-    with the smallest ``sigma4`` goes to :func:`_certify` as it is.  Only
-    when that rejects it is the root refined on the dodecic
-    (:func:`_refine_root`; a root at ``mu = 0`` is not) and the best
-    sheet over the refined root certified instead.  The eigenvector
-    points are screened by one batched ``sigma4`` of their kernel
-    vectors, and only those at or below ``sqrt(CERT_TOL)`` go on, as one
-    stack, to :func:`_certify`, which would reject the others anyway.
-    The best root is certified alone, the others as one stack.
-    Deterministic, and lazy: the dodecic is formed only when the
-    eigenvector points have been consumed, and the second stack only when
-    the best root has.  ``pencil`` is that of a :func:`_centred` matrix,
-    as :func:`_dodecic_roots` requires.
+    then the roots of the dodecic: over each root the sheet with the
+    smallest ``sigma4`` goes to :func:`_certify` as it is.  Only when that
+    rejects it is the root refined on the dodecic (:func:`_refine_root`;
+    a root at ``mu = 0`` is not) and the best sheet over the refined root
+    certified instead.  The eigenvector points are screened by one
+    batched ``sigma4`` of their kernel vectors, and only those at or below
+    ``sqrt(CERT_TOL)`` go on, as one stack, to :func:`_certify`, which
+    would reject the others anyway.  Of the three best-conditioned roots
+    (the first three of :func:`_dodecic_roots`) the one whose best sheet
+    has the smallest ``sigma4`` is certified alone; the other 11 follow
+    as one stack, sorted by ``sigma4``.  Deterministic, and lazy: the
+    dodecic is formed only when the eigenvector points have been
+    consumed, and the sheets over the other nine roots only when the
+    first root has.  ``pencil`` is that of a :func:`_centred` matrix, as
+    :func:`_dodecic_roots` requires.
     """
     seeds = _distinguished_seeds(pencil)
     if seeds:
@@ -333,15 +351,29 @@ def _flag_points(pencil: Pencil):
     mu = _dodecic_roots(pencil)
     if mu.size == 0:
         return
-    points, score = _best_sheets(pencil, mu)
+    points, score = _best_sheets(pencil, mu[:_FIRST_ROOTS])
+    best = int(np.argmin(score))
+    yield from _certified_roots(pencil, mu[[best]], points[[best]])
+    more_points, more_score = _best_sheets(pencil, mu[_FIRST_ROOTS:])
+    points, score = np.concatenate([points, more_points]), np.concatenate([score, more_score])
     order = np.argsort(score)
-    for batch in (order[:1], order[1:]):
-        for i, cand in zip(batch, _certify(pencil, points[batch])):
-            if cand is None and mu[i] != 0:
-                refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, mu[i])]))
-                (cand,) = _certify(pencil, refined)
-            if cand is not None:
-                yield cand
+    order = order[order != best]
+    yield from _certified_roots(pencil, mu[order], points[order])
+
+
+def _certified_roots(pencil: Pencil, mu: np.ndarray, points: np.ndarray):
+    """The certified points among the best sheets ``points`` over the roots ``mu``, certified as one stack.
+
+    A rejected root is refined on the dodecic (:func:`_refine_root`; a
+    root at ``mu = 0`` is not) and the best sheet over the refined root
+    certified instead.
+    """
+    for m, cand in zip(mu, _certify(pencil, points)):
+        if cand is None and m != 0:
+            refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, m)]))
+            (cand,) = _certify(pencil, refined)
+        if cand is not None:
+            yield cand
 
 
 def _centred(a: np.ndarray):

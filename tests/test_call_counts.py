@@ -11,10 +11,12 @@ nonsingularity test takes one SVD of ``A`` itself directly, which is
 not counted.
 
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
-Gaussian certifies the best root of the dodecic alone and the other 11
-as one stack, so it makes two calls for its 12 points.  A Gaussian solve
-stops at the first flag of its lazy candidate stream: one dodecic, one
-certification of its best root, and no root or unitary refinement.
+Gaussian certifies the best of the dodecic's three best-conditioned
+roots alone and the other 11 as one stack, so it makes two calls for its
+12 points.  A Gaussian solve stops at the first flag of its lazy
+candidate stream: one dodecic, the best sheets over its three
+best-conditioned roots alone, one certification of the best of them,
+and no root or unitary refinement.
 """
 
 import sys
@@ -115,3 +117,14 @@ def test_solve_takes_only_the_first_flag(monkeypatch):
         counts.update(_certify=0, _dodecic_roots=0, _refine_root=0, _refine_unitary=0)
         assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
         assert counts == {"_certify": 1, "_dodecic_roots": 1, "_refine_root": 0, "_refine_unitary": 0}, seed
+
+
+def test_solve_takes_sheets_over_three_roots(monkeypatch):
+    # the sheets over the other nine roots are formed only when the stream is resumed
+    sizes = []
+    best_sheets = pencil._best_sheets
+    monkeypatch.setattr(pencil, "_best_sheets", lambda *args: sizes.append(args[1].size) or best_sheets(*args))
+    for seed in SEEDS:
+        sizes.clear()
+        assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
+        assert sizes == [3], seed

@@ -427,6 +427,53 @@ def test_batched_dodecic_matches_scalar_samples(monkeypatch):
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref)), seed
 
 
+def _ordering_proxy(c, mu):
+    """``|R'(mu)| / sum_k |c_k| |mu|^k`` for the ascending coefficients ``c``, by Horner's rule on ``np.polyval``."""
+    c = c[::-1]
+    return np.abs(np.polyval(np.polyder(c), mu)) / np.polyval(np.abs(c), np.abs(mu))
+
+
+class TestDodecicRoots:
+    def test_roots_of_the_coefficients_best_conditioned_first(self, monkeypatch):
+        seen = []
+        coefficients = pencil._coefficients
+        monkeypatch.setattr(pencil, "_coefficients", lambda v: seen.append(coefficients(v)) or seen[-1])
+        for seed in range(5):
+            seen.clear()
+            mu = _dodecic_roots(Pencil(_centred(make_matrix("gaussian", 4, seed))[0]))
+            ref = np.roots(seen[0][::-1])
+            assert mu.size == 12, seed
+            np.testing.assert_array_equal(np.sort_complex(mu), np.sort_complex(ref))
+            proxy = _ordering_proxy(seen[0], mu)
+            assert np.all(proxy[:-1] >= proxy[1:] * (1 - 1e-9)), seed
+
+    def test_root_at_zero_sorts_last(self, monkeypatch):
+        # integer samples that sum to zero give c0 = 0 exactly, so np.roots
+        # returns mu = 0, where the proxy's denominator vanishes; its sheets
+        # are the eigenvector points of A, which fail _certify, and a root at
+        # mu = 0 is not refined
+        rng = np.random.default_rng(3)
+        samples = (rng.integers(-5, 6, 13) + 1j * rng.integers(-5, 6, 13)).astype(complex)
+        samples[-1] -= samples.sum()
+        c = np.fft.fft(samples) / 13
+        assert c[0] == 0
+        polyval = np.polynomial.polynomial.polyval
+        monkeypatch.setattr(pencil, "_dodecic_values", lambda p, mu: samples if mu.size == 13 else polyval(mu, c))
+        p = Pencil(_centred(make_matrix("gaussian", 4, 0))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = _dodecic_roots(p)
+        assert mu.size == 12
+        assert mu[-1] == 0 and np.all(mu[:-1] != 0)
+        refined = []
+        refine = pencil._refine_root
+        monkeypatch.setattr(pencil, "_refine_root", lambda q, m: refined.append(m) or refine(q, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            list(pencil._flag_points(p))
+        assert refined and 0 not in refined
+
+
 class TestCoefficients:
     def test_recovers_polynomial_exactly(self):
         # a quartic along a line, from its values at the 5th roots of unity

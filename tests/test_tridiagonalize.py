@@ -172,6 +172,16 @@ class TestSectionPath:
             a = near_structured(kind, d, seed)
             assert_gates(a, tridiagonalize(a), seed)
 
+    def test_gaussian_flags_well_below_the_gate(self):
+        # the first flag comes from the best of three best-conditioned roots;
+        # taking the best-conditioned root alone let off_residual reach 1.5e-9
+        worst = 0.0
+        for seed in range(10000, 10200):
+            r = tridiagonalize(make_matrix("gaussian", 4, seed))
+            assert r.provenance == "section_zero", seed
+            worst = max(worst, r.off_residual)
+        assert worst <= 1e-10
+
     def test_every_returned_result_passes_the_unitarity_gate(self):
         # on these near-scalar inputs an uncentred flag could meet the
         # off-band gate with ||UU* - I|| far above 1e-10; both forced paths
