@@ -11,7 +11,7 @@ are certified points of one eigen-solve each (a line's 4x4 eigenproblem,
 a hyperplane's Krylov sextic, and the flag-point dodecic).
 """
 
-from .errors import NoSectionZero, ParseError, SolverError, Unsolved, UnstableCountWarning
+from .errors import ParseError, SolverError, Unsolved, UnstableCountWarning
 from .pencil import Pencil, section_zeros
 from .genericity import classify
 from .tridiagonalize import Options, TridiagResult, tridiagonalize, verify
@@ -34,7 +34,6 @@ __all__ = [
     "section_zero_count",
     "run_experiments",
     "SolverError",
-    "NoSectionZero",
     "Unsolved",
     "ParseError",
     "UnstableCountWarning",

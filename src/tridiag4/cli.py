@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .degrees import run_experiments
-from .errors import NoSectionZero, ParseError, Unsolved
+from .errors import ParseError, Unsolved
 from .generate import KINDS, make_matrix
 from .genericity import classify
 from .pencil import Pencil, section_zeros
@@ -109,13 +109,15 @@ def parse_json_matrix(text: str) -> np.ndarray:
     return out
 
 
-def _read_input(path: str, text_format: bool) -> np.ndarray:
-    """The matrix in a file (or stdin for ``-``), JSON when it starts with ``{``, else text."""
+def _read_input(path: str) -> np.ndarray:
+    """The matrix in a file (or stdin for ``-``): JSON when it starts with ``{``, text otherwise; else ``ParseError``."""
     try:
         raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from exc
-    if text_format or not raw.lstrip().startswith("{"):
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+    if not raw.lstrip().startswith("{"):
         a = parse_text_matrix(raw)
     else:
         a = parse_json_matrix(raw)
@@ -135,13 +137,9 @@ def _emit(payload: dict, pretty_lines, args) -> None:
 def cmd_tridiag(args) -> int:
     t_start = time.perf_counter()
     timings = {}
-    try:
-        t0 = time.perf_counter()
-        a = _read_input(args.input, args.text)
-        timings["parse"] = 1e3 * (time.perf_counter() - t0)
-    except (ParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    t0 = time.perf_counter()
+    a = _read_input(args.input)
+    timings["parse"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     genericity = classify(a, seed=args.seed).as_dict()
@@ -149,14 +147,7 @@ def cmd_tridiag(args) -> int:
 
     opts = Options(tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
-    try:
-        result = tridiagonalize(a, opts)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except Unsolved as exc:
-        print(f"unsolved: {exc}", file=sys.stderr)
-        return 2
+    result = tridiagonalize(a, opts)
     timings["solve"] = 1e3 * (time.perf_counter() - t0)
 
     payload = {
@@ -175,10 +166,6 @@ def cmd_tridiag(args) -> int:
 
     if args.all_flags and a.shape[0] == 4:
         t0 = time.perf_counter()
-        try:
-            zeros = section_zeros(Pencil(a))
-        except NoSectionZero:
-            zeros = []
         payload["flags"] = [
             {
                 "t": _cvec(z.point.t),
@@ -186,7 +173,7 @@ def cmd_tridiag(args) -> int:
                 "sigma4": z.sigma4,
                 "shortcut": z.shortcut,
             }
-            for z in zeros
+            for z in section_zeros(Pencil(a))
         ]
         timings["all_flags"] = 1e3 * (time.perf_counter() - t0)
 
@@ -226,12 +213,7 @@ def cmd_tridiag(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        a = _read_input(args.input, args.text)
-    except (ParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    block = classify(a, seed=args.seed).as_dict()
+    block = classify(_read_input(args.input), seed=args.seed).as_dict()
     lines = [
         f"s1 (nonsingular)          : {block['s1']}",
         f"s2 (distinct eigenvalues) : {block['s2']}",
@@ -244,19 +226,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_degrees(args) -> int:
-    try:
-        a = _read_input(args.input, args.text)
-    except (ParseError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    a = _read_input(args.input)
     if a.shape[0] != 4:
-        print("input error: degree experiments need a 4x4 matrix", file=sys.stderr)
-        return 1
-    try:
-        report = run_experiments(a, trials=args.trials, seed=args.seed, screen=not args.force)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("degree experiments need a 4x4 matrix")
+    report = run_experiments(a, trials=args.trials, seed=args.seed, screen=not args.force)
     payload = report.as_dict()
     lines = []
     if report.skipped:
@@ -288,11 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p):
         p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
-        p.add_argument("--text", action="store_true", help="force the plain-text input format")
         p.add_argument("--seed", type=int, default=42)
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="machine-readable output")
-        fmt.add_argument("--pretty", action="store_true", help="human-readable output (default)")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("tridiag", help="compute U with U A U* tridiagonal")
     add_io(p)
@@ -320,10 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except ValueError as exc:  # ParseError is one
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except Unsolved as exc:
+        print(f"unsolved: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

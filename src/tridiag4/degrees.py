@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import NoSectionZero, UnstableCountWarning
+from .errors import UnstableCountWarning
 from .genericity import _krylov_roots, classify
 from .pencil import (
     CERT_TOL,
@@ -142,10 +142,7 @@ def section_zero_count(pencil: Pencil) -> int:
     Counts what :func:`pencil.section_zeros` returns, 0 when nothing
     certifies.
     """
-    try:
-        return len(section_zeros(pencil))
-    except NoSectionZero:
-        return 0
+    return len(section_zeros(pencil))
 
 
 def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> DegreeReport:

@@ -9,10 +9,6 @@ class ConvergenceFailure(SolverError):
     """An iteration did not reach its tolerance within the step budget."""
 
 
-class NoSectionZero(SolverError):
-    """No flag point passed certification; input is likely degenerate."""
-
-
 class Unsolved(SolverError):
     """All solution paths, including the perturbation ladder, failed."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pencil import RANK_TOL, Pencil, _centred, _coefficients, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _centred, _coefficients, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -110,7 +110,7 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
     t = np.column_stack([-lam, np.repeat(b, 4, axis=0)]) / np.sqrt(lam.real**2 + 1.0 + lam.imag**2)[:, None]
     s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
     vanishes = s[:, 0] <= 1e-14
-    fail = vanishes | (s[:, 2] <= RANK_TOL * s[:, 0])
+    fail = vanishes | (s[:, 2] <= CERT_TOL * s[:, 0])
     if not np.any(fail):
         return True, None, None
     i = np.argmax(fail)

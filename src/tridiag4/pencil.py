@@ -32,17 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure, NoSectionZero
+from .errors import ConvergenceFailure
 from .linalg import canonical_projective
 
-#: Relative ``sigma3/sigma1`` at or below which the pencil has rank <= 2 (``_certify``, ``classify``).
-RANK_TOL = 1e-8
-
-#: Relative threshold for "this point lies on the determinant curve".
-ON_CURVE_TOL = 1e-8
-
-#: Certification tolerance: sigma4, the span rank, the closure ranks behind
-#: ``shortcut`` and the hyperplane value are all tested against it.
+#: The one relative singular-value tolerance: the pencil's rank drop (``sigma3``,
+#: in ``_certify_on_curve`` and ``classify``), its on-curve ``sigma4``, the span
+#: rank, the flag point's ``sigma4``, the closure ranks behind ``shortcut`` and
+#: the hyperplane value are all tested against it.
 CERT_TOL = 1e-8
 
 #: Projective distance below which two certified points count as one.
@@ -142,8 +138,8 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     """Membership test for the determinant curve at rank 3, for a (k, 3) stack of points.
 
     One stacked SVD decides every row: it fails when it is zero or not
-    finite, ``sigma1 = 0``, ``sigma3 <= RANK_TOL*sigma1`` or ``sigma4 >
-    ON_CURVE_TOL*sigma1``.  Returns ``(ok, t, v)``: the mask, the canonical
+    finite, ``sigma1 = 0``, ``sigma3 <= CERT_TOL*sigma1`` or ``sigma4 >
+    CERT_TOL*sigma1``.  Returns ``(ok, t, v)``: the mask, the canonical
     rows and, with ``kernel=True`` only, their canonical kernel vectors.
     A failed row holds a placeholder.  Each row is divided by its largest
     modulus before its norm is taken, so nothing overflows.
@@ -155,7 +151,7 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     t = _phase_fixed(t / np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))[:, None])
     svd = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=kernel)
     s, v = (svd.S, _phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
-    ok &= (s[:, 0] > 0) & (s[:, 2] > RANK_TOL * s[:, 0]) & (s[:, 3] <= ON_CURVE_TOL * s[:, 0])
+    ok &= (s[:, 0] > 0) & (s[:, 2] > CERT_TOL * s[:, 0]) & (s[:, 3] <= CERT_TOL * s[:, 0])
     return ok, t, v
 
 
@@ -274,9 +270,10 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     if r.size <= 1 or not np.all(np.isfinite(r)):
         return np.empty(0, dtype=complex)
     mu = np.roots(r[::-1])
+    k = np.arange(r.size)
     with np.errstate(all="ignore"):
-        size = np.polyval(np.abs(r[::-1]), np.abs(mu))
-        proxy = np.abs(np.polyval(np.polyder(r[::-1]), mu)) / size
+        size = np.abs(mu)[:, None] ** k @ np.abs(r)
+        proxy = np.abs(mu[:, None] ** k[:-1] @ (k[1:] * r[1:])) / size
     proxy[~((size > 0) & np.isfinite(size) & np.isfinite(proxy))] = -np.inf
     return mu[np.argsort(-proxy, kind="stable")]
 
@@ -420,21 +417,11 @@ def section_zeros(pencil: Pencil):
     result has exactly 12 entries.  The points are found on
     the matrix of :func:`_centred` and mapped back to the pencil of ``A``,
     so the count depends on neither the scale nor the shift of ``A``.
-
-    Raises
-    ------
-    NoSectionZero
-        When no candidate passes certification; degenerate inputs land
-        here, and the solver refines a unitary from the Schur basis
-        instead.
+    The result is empty when nothing certifies, as on degenerate inputs.
     """
     c, scale, shift = _centred(pencil.a)
     cands = sorted(_flag_points(Pencil(c)), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
-    if not cands:
-        raise NoSectionZero(
-            f"no certified flag point among the eigenvector points and the dodecic's roots (tol={CERT_TOL:.1e})"
-        )
-    t = np.array([z.point.t for z in cands])
+    t = np.array([z.point.t for z in cands]).reshape(-1, 3)
     near = np.abs(t @ np.conj(t).T) ** 2 > 1 - DEDUPE_TOL**2
     kept: list[int] = []
     for i in range(len(cands)):

@@ -63,7 +63,6 @@ class TridiagResult:
     unitarity_residual: float
     provenance: str
     perturbation_used: float = 0.0
-    seed: int = 0
     candidate: SectionCandidate | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -128,7 +127,7 @@ def _unitarity(u: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(u @ np.conj(u).T - np.eye(u.shape[0])))))
 
 
-def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None, norm=None) -> TridiagResult:
+def _result_from_flag(a, basis, provenance, eps=0.0, candidate=None, norm=None) -> TridiagResult:
     """The result for a flag basis, with both residuals measured from its unitary.
 
     ``U`` is the conjugated basis (``U* e_i`` is column i); ``norm`` is
@@ -144,7 +143,6 @@ def _result_from_flag(a, basis, provenance, seed, eps=0.0, candidate=None, norm=
         unitarity_residual=_unitarity(u),
         provenance=provenance,
         perturbation_used=eps,
-        seed=seed,
         candidate=candidate,
     )
 
@@ -270,7 +268,7 @@ def _ladder(c, opts: Options):
     for eps in LADDER:
         perturbed = _centred(c + eps * g)[0]
         for basis, *_ in _direct(perturbed, sub):
-            if _passes(_result_from_flag(perturbed, basis, "perturbed", sub.seed, norm=1.0), sub.tol):
+            if _passes(_result_from_flag(perturbed, basis, "perturbed", norm=1.0), sub.tol):
                 u = _refine_unitary(c, np.conj(basis).T, 1e-2 * opts.tol * scale)
                 if u is not None:
                     yield np.conj(u).T, "perturbed", None, eps
@@ -311,7 +309,7 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
         raise ValueError(f"tol must be positive and finite, got {opts.tol!r}")
 
     if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
-        return _result_from_flag(a, np.eye(n, dtype=complex), "trivial", opts.seed)
+        return _result_from_flag(a, np.eye(n, dtype=complex), "trivial")
     c, scale, shift = _centred(a)
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
@@ -319,7 +317,7 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     direct = () if n == 4 and opts.force_path == "perturb" else _direct(c, inner)
     ladder = _ladder(c, inner) if n == 4 else ()
     for basis, provenance, cand, eps in chain(direct, ladder):
-        result = _result_from_flag(c, basis, provenance, opts.seed, eps, cand, norm=1.0)
+        result = _result_from_flag(c, basis, provenance, eps, cand, norm=1.0)
         if not _passes(result, inner.tol):
             continue
         t = result.u @ a @ np.conj(result.u).T

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tridiag4 import cli
-from tridiag4.errors import ParseError
+from tridiag4.errors import ParseError, Unsolved
 from tridiag4.generate import jordan_block, make_matrix
 
 
@@ -177,7 +177,7 @@ class TestTridiag:
 
     def test_all_flags_on_identity_reports_none(self, capsys, tmp_path):
         # the identity's pencil drops below rank 3 all along its curve, so
-        # the flag-point search raises and the report lists no flags
+        # the flag-point search finds none and the report lists no flags
         validate = load_schema("report.schema.json")
         entries = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
         path = tmp_path / "m.json"
@@ -204,14 +204,14 @@ class TestTridiag:
         path.write_text("1 2\n3 4\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cli._read_input(str(path), True)
+            cli._read_input(str(path))
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_text_format(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1+2i 3 0 0\n0.5i -1 0.25 0\n0 1 2 1\n0 0 i 4\n")
-        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--text", "--json"])
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--json"])
         assert code == 0
         data = json.loads(out)
         assert data["input"]["entries"][0][0] == [1.0, 2.0]
@@ -343,6 +343,42 @@ class TestDegrees:
         assert "input error" in err and "trials" in err
 
 
+class TestErrorExits:
+    # every failure leaves stdout empty and becomes an exit code in main alone
+
+    @pytest.mark.parametrize("command", ["tridiag", "classify", "degrees"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_input_exits_1(self, capsys, tmp_path, command, target):
+        path = tmp_path / "absent.json" if target == "missing" else tmp_path
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("input error:")
+
+    def test_degrees_on_three_by_three_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 3, 0))))
+        code, out, err = run_cli(capsys, ["degrees", str(path)])
+        assert code == 1 and out == ""
+        assert "input error: degree experiments need a 4x4 matrix" in err
+
+    def test_unsolved_exits_2(self, capsys, tmp_path, monkeypatch):
+        def unsolved(*args, **kwargs):
+            raise Unsolved("no flag")
+
+        monkeypatch.setattr(cli, "tridiagonalize", unsolved)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 4, 0))))
+        code, out, err = run_cli(capsys, ["tridiag", str(path), "--json"])
+        assert code == 2 and out == ""
+        assert err.startswith("unsolved: no flag")
+
+    @pytest.mark.parametrize("flag", ["--pretty", "--text"])
+    def test_removed_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tridiag", "-", flag])
+        assert exc.value.code == 2
+
+
 class TestParsers:
     def test_complex_tokens(self):
         cases = {
@@ -370,4 +406,4 @@ class TestParsers:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"n": 1, "entries": [[[1e400, 0.0]]]}))
         with pytest.raises(ParseError):
-            cli._read_input(str(path), text_format=False)
+            cli._read_input(str(path))

@@ -4,16 +4,17 @@ Helpers that lose their last caller, the knobs they read, and the
 exceptions only they raised tend to linger; this keeps them from piling
 up again.  A public function counts as used when the package calls it
 or exports it.  The public surface is guarded too: each exported name is
-documented in README, and each name the benchmark harness looks up on
-the package is exported.
+documented in README, each name the benchmark harness looks up on the
+package is exported, and the CLI reads every option it accepts.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import tridiag4
-from tridiag4 import errors
+from tridiag4 import cli, errors
 
 SRC = Path(tridiag4.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -133,3 +134,17 @@ def test_benchmark_lookups_are_exported():
     used = set(re.findall(r"\bapi\.(\w+)", (ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")))
     assert used >= {"Pencil", "degree_of_det_curve", "make_matrix", "run_experiments", "tridiagonalize", "verify"}
     assert sorted(used - set(tridiag4.__all__)) == []
+
+
+def test_every_cli_option_is_read():
+    # an option whose value the commands never read changes nothing
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    read = set(re.findall(r"\bargs\.(\w+)", source))
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = [
+        f"{name}:{action.dest}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction) and action.dest not in read
+    ]
+    assert unread == []
