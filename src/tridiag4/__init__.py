@@ -14,7 +14,7 @@ a hyperplane's Krylov sextic, and the flag-point dodecic).
 from .errors import ParseError, SolverError, Unsolved, UnstableCountWarning
 from .pencil import Pencil, section_zeros
 from .genericity import classify
-from .tridiagonalize import Options, TridiagResult, tridiagonalize, verify
+from .tridiagonalize import TridiagResult, tridiagonalize, verify
 from .degrees import degree_of_det_curve, degree_of_kernel_curve, run_experiments, section_zero_count
 from .generate import make_matrix
 
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "tridiagonalize",
     "verify",
-    "Options",
     "TridiagResult",
     "make_matrix",
     "Pencil",

@@ -23,7 +23,7 @@ from .errors import ParseError, Unsolved
 from .generate import KINDS, make_matrix
 from .genericity import classify
 from .pencil import Pencil, section_zeros
-from .tridiagonalize import Options, tridiagonalize, verify
+from .tridiagonalize import tridiagonalize, verify
 
 
 def _cvec(v) -> list:
@@ -145,9 +145,8 @@ def cmd_tridiag(args) -> int:
     genericity = classify(a, seed=args.seed).as_dict()
     timings["classify"] = 1e3 * (time.perf_counter() - t0)
 
-    opts = Options(tol=args.tol, seed=args.seed)
     t0 = time.perf_counter()
-    result = tridiagonalize(a, opts)
+    result = tridiagonalize(a, tol=args.tol, seed=args.seed)
     timings["solve"] = 1e3 * (time.perf_counter() - t0)
 
     payload = {
@@ -191,10 +190,6 @@ def cmd_tridiag(args) -> int:
 
     timings["total"] = 1e3 * (time.perf_counter() - t_start)
     payload["timings_ms"] = timings
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
     lines = [
         f"n = {a.shape[0]}  provenance = {result.provenance}",
         f"off_residual = {result.off_residual:.3e}  unitarity = {result.unitarity_residual:.3e}",
@@ -207,8 +202,7 @@ def cmd_tridiag(args) -> int:
         lines.append(f"flag points: {len(payload['flags'])}")
     if "verify" in payload:
         lines.append(f"verify: spectrum_gap = {payload['verify']['spectrum_gap']:.3e}")
-    for line in lines:
-        print(line)
+    _emit(payload, lines, args)
     return 0
 
 

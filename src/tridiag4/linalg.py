@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernels for fixed small sizes (n, m <= 7).
+"""Dense complex linear algebra kernels for the small matrices of the solver (n <= 4).
 
 Input validation, the adjoint and the spectral norm, eigenvalues with
 right and left eigenvectors from one SVD stack, null spaces, and the
@@ -14,14 +14,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 
-#: Default relative tolerance for rank/dependence decisions.
-DEFAULT_TOL = 1e-10
-
 #: A coordinate below this (relative) threshold counts as zero when picking
 #: the phase-fixing coordinate of a projective representative.
 PHASE_TOL = 1e-12
-
-MAX_DIM = 7
 
 
 def as_matrix(m) -> np.ndarray:
@@ -29,8 +24,6 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.shape[0] > MAX_DIM or a.shape[1] > MAX_DIM:
-        raise ValueError(f"matrix dimensions {a.shape} exceed the supported size {MAX_DIM}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -53,7 +46,7 @@ def matrix_norm(m) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
-def eigen(m, tol: float = 1e-8):
+def eigen(m):
     """Eigenvalues with right and left eigenvectors of a square matrix with n <= 4.
 
     Returns ``(lam, right, left)``: the eigenvalues sorted by (real, imag),
@@ -63,14 +56,14 @@ def eigen(m, tol: float = 1e-8):
     of ``m - lam_k*I``: the smallest right and left singular vectors, whose
     common residual is the smallest singular value.  That keeps the
     residuals tiny even for defective eigenvalues.  ``||m||_2`` is taken
-    only when the residual exceeds ``tol`` times the largest column norm,
+    only when the residual exceeds ``1e-8`` times the largest column norm,
     a lower bound of it, so a passing solve costs no norm SVD.
 
     Raises
     ------
     ConvergenceFailure
         If the underlying QR iteration fails or a residual exceeds
-        ``tol * ||m||``.
+        ``1e-8 * ||m||``.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -84,43 +77,42 @@ def eigen(m, tol: float = 1e-8):
 
     u, s, vh = np.linalg.svd(a - values[:, None, None] * np.eye(n))
     residual = float(np.max(s[:, -1]))
-    if residual > tol * np.linalg.norm(a, axis=0).max() and residual > tol * max(matrix_norm(a), 1e-300):
-        raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||m||")
+    if residual > 1e-8 * np.linalg.norm(a, axis=0).max() and residual > 1e-8 * max(matrix_norm(a), 1e-300):
+        raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds 1e-8 * ||m||")
     return values, np.conj(vh[:, -1, :]).T, u[:, :, -1].T
 
 
-def nullspace(m, tol: float = DEFAULT_TOL) -> np.ndarray:
+def nullspace(m) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace.
 
-    The rank counts singular values above ``tol * sigma_max``, so the zero
-    matrix has a full nullspace.
+    The rank counts singular values above ``1e-10 * sigma_max``, so the
+    zero matrix has a full nullspace.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = as_matrix(m)
     _, s, vh = np.linalg.svd(a)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
+    cutoff = 1e-10 * (s[0] if s.size and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
     return np.conj(vh[rank:]).T.copy()
+
+
+def phase_fixed(x: np.ndarray) -> np.ndarray:
+    """Unit rows ``x`` (k, n), each turned so that its first coordinate above ``PHASE_TOL`` is real positive."""
+    lead = x[np.arange(len(x)), np.argmax(np.abs(x) > PHASE_TOL, axis=1)]
+    return x * (np.conj(lead) / np.abs(lead))[:, None]
 
 
 def canonical_projective(v) -> np.ndarray:
     """Canonical representative of a projective point.
 
     Unit norm, and the first coordinate with ``|coord| > 1e-12 * norm``
-    is rotated to be real positive.  This makes the representation
-    unique and point deduplication deterministic.
+    is rotated to be real positive (:func:`phase_fixed`).  This makes the
+    representation unique and point deduplication deterministic.
     """
     a = as_vector(v)
     norm = np.linalg.norm(a)
     if norm == 0.0:
         raise ValueError("projective point must be nonzero")
-    a = a / norm
-    for x in a:
-        if abs(x) > PHASE_TOL:
-            a = a * (np.conj(x) / abs(x))
-            break
-    return a
+    return phase_fixed((a / norm)[None])[0]
 
 
 def projective_distance(u, v) -> float:

@@ -128,12 +128,6 @@ def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
     return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
 
 
-def _phase_fixed(x: np.ndarray) -> np.ndarray:
-    """Unit rows ``x`` (k, n), each turned by the phase :func:`linalg.canonical_projective` gives it."""
-    lead = x[np.arange(len(x)), np.argmax(np.abs(x) > linalg.PHASE_TOL, axis=1)]
-    return x * (np.conj(lead) / np.abs(lead))[:, None]
-
-
 def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     """Membership test for the determinant curve at rank 3, for a (k, 3) stack of points.
 
@@ -148,9 +142,9 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     big = np.abs(t).max(axis=1)  # inf or nan on a row that is not finite
     ok = np.isfinite(big) & (big > 0)
     t = np.where(ok[:, None], t, 1.0) / np.where(ok, big, 1.0)[:, None]
-    t = _phase_fixed(t / np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))[:, None])
+    t = linalg.phase_fixed(t / np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))[:, None])
     svd = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=kernel)
-    s, v = (svd.S, _phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
+    s, v = (svd.S, linalg.phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
     ok &= (s[:, 0] > 0) & (s[:, 2] > CERT_TOL * s[:, 0]) & (s[:, 3] <= CERT_TOL * s[:, 0])
     return ok, t, v
 
@@ -399,11 +393,6 @@ def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
     return canonical_projective(w / np.max(np.abs(w)))
 
 
-def _unscale_candidate(cand: SectionCandidate, scale: float, shift: complex = 0.0) -> SectionCandidate:
-    """:func:`_unscale_point` on a candidate; its kernel vector and residuals do not change."""
-    return replace(cand, point=PencilPoint(t=_unscale_point(cand.point.t, scale, shift), v=cand.point.v))
-
-
 def section_zeros(pencil: Pencil):
     """All certified flag points of the pencil, sorted by their sigma4.
 
@@ -427,4 +416,6 @@ def section_zeros(pencil: Pencil):
     for i in range(len(cands)):
         if not near[i, kept].any():
             kept.append(i)
-    return [_unscale_candidate(cands[i], scale, shift) for i in kept]
+    # only t moves to the pencil of A: v and the residuals stay
+    kept_cands = [cands[i] for i in kept]
+    return [replace(z, point=replace(z.point, t=_unscale_point(z.point.t, scale, shift))) for z in kept_cands]

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import Unsolved
 from .genericity import _common
-from .pencil import Pencil, SectionCandidate, _centred, _flag_points, _unscale_candidate
+from .pencil import Pencil, _centred, _flag_points
 
 #: The unitarity gate ``||UU* - I||_2`` that every returned result meets.
 UNITARITY_TOL = 1e-10
@@ -49,13 +49,6 @@ _GENERATORS = _hermitian_basis(4)
 
 
 @dataclass
-class Options:
-    tol: float = 1e-8
-    seed: int = 42
-    force_path: str | None = None  # None | 'section' | 'perturb'
-
-
-@dataclass
 class TridiagResult:
     u: np.ndarray
     t: np.ndarray
@@ -63,7 +56,6 @@ class TridiagResult:
     unitarity_residual: float
     provenance: str
     perturbation_used: float = 0.0
-    candidate: SectionCandidate | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -127,7 +119,7 @@ def _unitarity(u: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(u @ np.conj(u).T - np.eye(u.shape[0])))))
 
 
-def _result_from_flag(a, basis, provenance, eps=0.0, candidate=None, norm=None) -> TridiagResult:
+def _result_from_flag(a, basis, provenance, eps=0.0, norm=None) -> TridiagResult:
     """The result for a flag basis, with both residuals measured from its unitary.
 
     ``U`` is the conjugated basis (``U* e_i`` is column i); ``norm`` is
@@ -143,7 +135,6 @@ def _result_from_flag(a, basis, provenance, eps=0.0, candidate=None, norm=None) 
         unitarity_residual=_unitarity(u),
         provenance=provenance,
         perturbation_used=eps,
-        candidate=candidate,
     )
 
 
@@ -193,36 +184,36 @@ def _flag3(b) -> np.ndarray:
 # the candidate flags
 
 
-def _direct(c, opts: Options):
-    """The candidate flags ``(basis, provenance, candidate, eps)`` of a centred ``C``, lazily, in order.
+def _direct(c, tol: float):
+    """The candidate flags ``(basis, provenance, eps)`` of a centred ``C``, lazily, in order.
 
     n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` gets one ``Pencil``
     and one eigen-decomposition (:attr:`Pencil.eigen`), shared by the
     common eigenvector test and the eigenvector points of the flag
-    search.  A common eigenvector ``v`` comes first, unless
-    ``force_path == "section"``: its flag is ``v``, then ``W`` times the
-    3x3 flag of ``W* C W`` for an orthonormal basis ``W`` of its
-    complement.  Then come the flags of the certified flag points, and
-    last the unitary refined from the Schur basis of ``C`` (the ``qr`` of
-    ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when that converges.
+    search.  A common eigenvector ``v`` comes first: its flag is ``v``,
+    then ``W`` times the 3x3 flag of ``W* C W`` for an orthonormal basis
+    ``W`` of its complement.  Then come the flags of the certified flag
+    points, and last the unitary refined from the Schur basis of ``C``
+    (the ``qr`` of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when
+    that converges.
     """
     if c.shape[0] == 3:
-        yield _flag3(c), "cubic_curve_3x3", None, 0.0
+        yield _flag3(c), "cubic_curve_3x3", 0.0
         return
     pencil = Pencil(c)
-    if opts.force_path != "section" and pencil.eigen is not None:
+    if pencil.eigen is not None:
         common = _common(pencil.eigen[1], pencil.astar)
         if common:
             w = _completion(common[0][:, None])
             basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
-            yield basis, "common_eigenvector_deflation", None, 0.0
+            yield basis, "common_eigenvector_deflation", 0.0
     for cand in _flag_points(pencil):
         provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
-        yield _flag_from_vector(c, pencil.astar, cand.point.v), provenance, cand, 0.0
+        yield _flag_from_vector(c, pencil.astar, cand.point.v), provenance, 0.0
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
-    u = _refine_unitary(c, np.conj(q).T, 1e-2 * opts.tol)
+    u = _refine_unitary(c, np.conj(q).T, 1e-2 * tol)
     if u is not None:
-        yield np.conj(u).T, "refined", None, 0.0
+        yield np.conj(u).T, "refined", 0.0
 
 
 def _refine_unitary(a, u, goal: float):
@@ -250,7 +241,7 @@ def _refine_unitary(a, u, goal: float):
     return u if _off_max(u @ a @ np.conj(u).T) <= goal else None
 
 
-def _ladder(c, opts: Options):
+def _ladder(c, tol: float, seed: int):
     """The perturbation ladder of a centred 4x4 ``C``: at most one flag per ``eps`` in ``LADDER``.
 
     It takes the first flag of :func:`_direct` on the centred
@@ -261,27 +252,28 @@ def _ladder(c, opts: Options):
     ``1e-2 * tol * ||C||_2``.
     """
     scale = max(linalg.matrix_norm(c), 1e-300)
-    rng = np.random.default_rng([opts.seed, 17])
+    rng = np.random.default_rng([seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g) * scale
-    sub = replace(opts, tol=max(opts.tol, 1e-6), force_path="section")
+    relaxed = max(tol, 1e-6)
     for eps in LADDER:
         perturbed = _centred(c + eps * g)[0]
-        for basis, *_ in _direct(perturbed, sub):
-            if _passes(_result_from_flag(perturbed, basis, "perturbed", norm=1.0), sub.tol):
-                u = _refine_unitary(c, np.conj(basis).T, 1e-2 * opts.tol * scale)
+        for basis, *_ in _direct(perturbed, relaxed):
+            if _passes(_result_from_flag(perturbed, basis, "perturbed", norm=1.0), relaxed):
+                u = _refine_unitary(c, np.conj(basis).T, 1e-2 * tol * scale)
                 if u is not None:
-                    yield np.conj(u).T, "perturbed", None, eps
+                    yield np.conj(u).T, "perturbed", eps
                 break
 
 
-def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
+def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | None = None) -> TridiagResult:
     """Unitary U and tridiagonal T = U A U* for any complex matrix, n <= 4.
 
-    Keyword arguments override :class:`Options` fields.  ``ValueError``
-    on an empty or non-square ``A``, on n >= 5, and on a ``tol`` that is
-    not positive and finite.  The returned result always satisfies
-    ``off_residual <= opts.tol`` (relative to ||A||); :class:`Unsolved`
+    ``seed`` seeds the perturbation ladder's direction.  ``ValueError``
+    on an empty or non-square ``A``, on n >= 5, on a ``tol`` that is not
+    positive and finite, and on a ``force_path`` other than None and
+    ``"perturb"``.  The returned result always satisfies
+    ``off_residual <= tol`` (relative to ||A||); :class:`Unsolved`
     is raised only when no candidate flag, the ladder's included, does,
     which indicates a bug rather than an expected outcome.
 
@@ -292,41 +284,37 @@ def tridiagonalize(a, opts: Options | None = None, **kwargs) -> TridiagResult:
     of ``A``.  Each flag is gated on ``C``; then ``T`` and the off-band
     residual are rebuilt on ``A``, against ``||A||_2``, taken once, and
     gated again.  ``U``, and so its unitarity residual, stay as they
-    are; the point of ``candidate`` is mapped back to the pencil of ``A``.
-    ``force_path="perturb"`` tries the ladder alone; n = 3 has no ladder.
+    are.  ``force_path="perturb"`` tries the ladder alone; n = 3 has no
+    ladder.
     """
-    if opts is None:
-        opts = Options()
-    if kwargs:
-        opts = replace(opts, **kwargs)
     a = linalg.as_matrix(a)
     n, m = a.shape
     if n != m or n == 0:
         raise ValueError(f"tridiagonalize expects a nonempty square matrix, got shape {a.shape}")
     if n > 4:
         raise ValueError("no algorithm exists for n >= 5; this solver stops at 4")
-    if not (np.isfinite(opts.tol) and opts.tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {opts.tol!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if force_path not in (None, "perturb"):
+        raise ValueError(f"force_path must be None or 'perturb', got {force_path!r}")
 
-    if n <= 2 or (opts.force_path is None and _off_max(a) == 0.0):
+    if n <= 2 or (force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial")
-    c, scale, shift = _centred(a)
+    c, scale, _ = _centred(a)
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
-    inner = replace(opts, tol=opts.tol * min(1.0, norm / scale))
-    direct = () if n == 4 and opts.force_path == "perturb" else _direct(c, inner)
-    ladder = _ladder(c, inner) if n == 4 else ()
-    for basis, provenance, cand, eps in chain(direct, ladder):
-        result = _result_from_flag(c, basis, provenance, eps, cand, norm=1.0)
-        if not _passes(result, inner.tol):
+    inner = tol * min(1.0, norm / scale)
+    direct = () if n == 4 and force_path == "perturb" else _direct(c, inner)
+    ladder = _ladder(c, inner, seed) if n == 4 else ()
+    for basis, provenance, eps in chain(direct, ladder):
+        result = _result_from_flag(c, basis, provenance, eps, norm=1.0)
+        if not _passes(result, inner):
             continue
         t = result.u @ a @ np.conj(result.u).T
-        if cand is not None:
-            cand = _unscale_candidate(cand, scale, shift)
-        result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300), candidate=cand)
-        if _passes(result, opts.tol):
+        result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300))
+        if _passes(result, tol):
             return result
-    raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={opts.tol:.1e}")
+    raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={tol:.1e}")
 
 
 def verify(result: TridiagResult, a) -> VerifyReport:

@@ -300,7 +300,7 @@ class TestSectionZeros:
             b = np.column_stack([v, a @ v, linalg.adjoint(a) @ v])
             s = np.linalg.svd(b, compute_uv=False)
             assert s[2] <= 1e-10 * s[0]
-            null = linalg.nullspace(b, tol=1e-8)
+            null = linalg.nullspace(b)
             assert null.shape[1] == 1
             assert linalg.projective_distance(null[:, 0], t) < 1e-8
 
