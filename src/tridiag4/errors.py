@@ -5,10 +5,6 @@ class SolverError(Exception):
     """Base class for all solver failures."""
 
 
-class ConvergenceFailure(SolverError):
-    """An iteration did not reach its tolerance within the step budget."""
-
-
 class Unsolved(SolverError):
     """All solution paths, including the perturbation ladder, failed."""
 

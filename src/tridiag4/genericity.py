@@ -154,13 +154,14 @@ def classify(a, seed: int = 0) -> GenericityReport:
     sv = np.linalg.svd(m, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])
     c, scale, shift = _centred(m)
-    s3, witness, quote, common, eig = True, None, None, [], None
+    s3, witness, quote, common = True, None, None, []
     if n == 4:
         pencil = Pencil(c)
-        eig = pencil.eigen
+        lam, right, _ = pencil.eigen
         s3, witness, quote = _pencil_rank(pencil, scale, shift, seed)
-        common = [] if eig is None else _common(eig[1], pencil.astar)
-    lam = np.linalg.eigvals(c) if eig is None else eig[0]
+        common = _common(right, pencil.astar)
+    else:
+        lam = np.linalg.eigvals(c)
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, 1)]
     gap = gaps.min() if gaps.size else np.inf
     s2 = bool(gap > 1e-8)

@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import ConvergenceFailure
 from .linalg import canonical_projective
 
 #: The one relative singular-value tolerance: the pencil's rank drop (``sigma3``,
@@ -70,16 +69,13 @@ class Pencil:
 
     @cached_property
     def eigen(self):
-        """:func:`linalg.eigen` of ``A``, taken on first use and kept; None when it fails.
+        """:func:`linalg.eigen` of ``A``, taken on first use and kept.
 
         The eigenvector points of the flag search, the common eigenvector
         test and the eigenvalue gap of :func:`genericity.classify` all read
         this one decomposition.
         """
-        try:
-            return linalg.eigen(self.a)
-        except ConvergenceFailure:
-            return None
+        return linalg.eigen(self.a)
 
 
 @dataclass
@@ -190,8 +186,6 @@ def _distinguished_seeds(pencil: Pencil):
     vector at ``t``.  The points of A come sorted by ``lam``, those of A*
     by ``nu``.
     """
-    if pencil.eigen is None:
-        return []
     lam, right, left = pencil.eigen
     nu = np.conj(lam)
     seeds = [(np.array([-lam[k], 1.0, 0.0]), right[:, k]) for k in range(len(lam))]

@@ -201,12 +201,11 @@ def _direct(c, tol: float):
         yield _flag3(c), "cubic_curve_3x3", 0.0
         return
     pencil = Pencil(c)
-    if pencil.eigen is not None:
-        common = _common(pencil.eigen[1], pencil.astar)
-        if common:
-            w = _completion(common[0][:, None])
-            basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
-            yield basis, "common_eigenvector_deflation", 0.0
+    common = _common(pencil.eigen[1], pencil.astar)
+    if common:
+        w = _completion(common[0][:, None])
+        basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
+        yield basis, "common_eigenvector_deflation", 0.0
     for cand in _flag_points(pencil):
         provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
         yield _flag_from_vector(c, pencil.astar, cand.point.v), provenance, 0.0
