@@ -49,9 +49,12 @@ for k in range(4):
     print(f"  sheet {k}: |h| = {abs(h):.3e},  sigma4 = {s[3] / s[0]:.3e}")
 
 # --- all flag points -------------------------------------------------------
-# the bases [1 : mu] of the flag points are the 12 roots of one dodecic;
-# each is certified, and a rejected root is refined on the dodecic and certified again
+# the bases [1 : mu] of the flag points are the 12 roots of one dodecic; a
+# point counts when its flag passes the solver's gate, and the rejected roots
+# are refined on the dodecic as one stack and gated again
 zeros = section_zeros(pencil)
-print(f"\ncertified flag points: {len(zeros)} (the roots of a dodecic: 12 for generic A)")
+print(f"\nflag points whose flags pass the gate: {len(zeros)} (the roots of a dodecic: 12 for generic A)")
+far = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2
 for z in zeros:
-    print(f"  t = {np.round(z.point.t, 4)}  sigma4 = {z.sigma4:.1e}")
+    t = np.conj(z.basis).T @ a @ z.basis  # U A U* for the point's flag U* = basis
+    print(f"  t = {np.round(z.point.t, 4)}  sigma4 = {z.sigma4:.1e}  off-band = {np.abs(t[far]).max() / np.linalg.norm(a, 2):.1e}")

@@ -8,7 +8,8 @@ matrices P, Q at two points of each line, the roots of the hyperplane's
 Krylov sextic on the base line [1 : mu], and the roots of the
 flag-point dodecic on the same line.  The points of the first two
 counts are certified all at once, by one stacked SVD of their pencil
-matrices; the dodecic's roots are certified one at a time.
+matrices; the dodecic's roots count when their flags, grown as one
+stack, pass the solver's gate.
 """
 
 from tridiag4 import Pencil, make_matrix, run_experiments

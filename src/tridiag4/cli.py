@@ -8,6 +8,7 @@ experiments run their trials one after another.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -244,7 +245,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; every later call, and so every ``main``, reuses it."""
     parser = argparse.ArgumentParser(
         prog="tridiag4",
         description="Unitary tridiagonalization of complex matrices up to 4x4.",
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tridiag", help="compute U with U A U* tridiagonal")
     add_io(p)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--all-flags", action="store_true", help="emit every certified flag point")
+    p.add_argument("--all-flags", action="store_true", help="emit every flag point whose flag passes the gate")
     p.add_argument("--verify", action="store_true", help="recompute residuals and spectrum match")
     p.set_defaults(func=cmd_tridiag)
 

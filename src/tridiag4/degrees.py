@@ -2,8 +2,8 @@
 
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
-meets the kernel curve in 6 points, and the certified flag points are
-12 in number.  Each count is of points found by one eigen-solve: the
+meets the kernel curve in 6 points, and the flag points whose flags
+pass the solver's gate are 12 in number.  Each count is of points found by one eigen-solve: the
 eigenvalues of a 4x4 eigenproblem per line, the roots of the
 hyperplane's Krylov sextic over the base line, and the roots of the
 flag-point dodecic there (see :mod:`tridiag4.pencil`).  The first two
@@ -137,10 +137,9 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
 
 
 def section_zero_count(pencil: Pencil) -> int:
-    """Number of certified flag points: the certified roots of the dodecic.
+    """Number of flag points whose flags pass the gate, over the roots of the dodecic.
 
-    Counts what :func:`pencil.section_zeros` returns, 0 when nothing
-    certifies.
+    Counts what :func:`pencil.section_zeros` returns, 0 when none does.
     """
     return len(section_zeros(pencil))
 

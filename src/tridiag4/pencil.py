@@ -18,10 +18,11 @@ its 12 roots are the bases of the paper's 12 flag points (see
 :func:`_dodecic_roots`), ordered best-conditioned first.  The solver's
 first candidate is the best sheet over the three best-conditioned roots;
 the sheets over the other nine are formed only when more candidates are
-asked for.  Points are certified in stacks by :func:`_certify`, the only
-acceptance gate; one that it rejects is refined on the dodecic itself
-(:func:`_refine_root`) and certified again; :func:`_flag_points` yields
-the certified points to the solver and to :func:`section_zeros`.
+asked for.  A point counts when its flag (:func:`_flag_bases`) passes
+:func:`_passes`, the solver's own gate (:func:`_certify`); the rejected
+roots are refined on the dodecic as one stack (:func:`_refine_root`) and
+gated again.  :func:`_flag_points` yields the accepted points, each with
+its flag, to the solver and to :func:`section_zeros`.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ import numpy as np
 from . import linalg
 from .linalg import canonical_projective
 
-#: The one relative singular-value tolerance: the pencil's rank drop (``sigma3``,
-#: in ``_certify_on_curve`` and ``classify``), its on-curve ``sigma4``, the span
-#: rank, the flag point's ``sigma4``, the closure ranks behind ``shortcut`` and
-#: the hyperplane value are all tested against it.
+#: The one relative tolerance: the pencil's rank drop (``sigma3``, in
+#: ``_certify_on_curve`` and ``classify``), its on-curve ``sigma4``, the
+#: off-band residual of a flag point's flag, the entries behind ``shortcut``
+#: and the hyperplane value are all tested against it.
 CERT_TOL = 1e-8
 
-#: Projective distance below which two certified points count as one.
+#: The unitarity gate ``||UU* - I||_2`` that every accepted flag and every returned result meets.
+UNITARITY_TOL = 1e-10
+
+#: Projective distance below which two accepted points count as one.
 DEDUPE_TOL = 1e-6
 
 #: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
@@ -88,11 +92,12 @@ class PencilPoint:
 
 @dataclass
 class SectionCandidate:
-    """A certified flag point, its ``sigma4`` (:func:`_section_score`) and whether a closure has rank 2."""
+    """A flag point whose flag passes the gate: the point, its ``sigma4`` (:func:`_section_score`), its flag basis, and whether ``W2`` is invariant under A or A*."""
 
     point: PencilPoint
     sigma4: float
-    shortcut: bool = False
+    basis: np.ndarray
+    shortcut: bool
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
@@ -117,7 +122,7 @@ def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
 
     Away from the eigenvectors of A the spans agree exactly where the
     dodecic's factor ``h = det[v, Av, A^2 v, A*^2 v]`` vanishes, but
-    ``sigma4``, not ``h``, is the certificate: it also rejects the
+    ``sigma4``, not ``h``, scores the points: it stays large at the
     degenerate zeros of ``h`` at eigenvectors.
     """
     s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
@@ -145,27 +150,84 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     return ok, t, v
 
 
-def _certify(pencil: Pencil, t) -> list[SectionCandidate | None]:
-    """The flag-point certificate of each row of a (k, 3) stack: a :class:`SectionCandidate`, or None.
+def _off_max(t: np.ndarray):
+    """The largest modulus off the tridiagonal band of ``T``, or of each matrix of a stack; 0 for n <= 2."""
+    n = t.shape[-1]
+    return np.abs(t[..., np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2]).max(axis=-1, initial=0.0)
 
-    A row certifies when it passes :func:`_certify_on_curve`, its kernel
-    vector ``v`` spans a 2-dimensional ``span(v, Av, A*v)``, and the seven
-    columns of :func:`_seven_columns` have ``sigma4 <= CERT_TOL``: the
-    paper's rank condition.  ``shortcut`` marks a row where one of the two
-    five-column closures already has rank 2.  Each test is one stacked SVD
-    over the rows; an empty stack gives ``[]``.
+
+def _unitarity(u: np.ndarray):
+    """``||UU* - I||_2`` of ``U``, or of each matrix of a stack: the largest ``|eigenvalue|`` of that Hermitian matrix."""
+    return np.abs(np.linalg.eigvalsh(u @ np.conj(u).swapaxes(-1, -2) - np.eye(u.shape[-1]))).max(axis=-1)
+
+
+def _passes(off, unitarity, tol):
+    """The gate of every flag, the solver's results and the counted flag points alike: ``off <= tol`` and ``||UU* - I||_2 <= UNITARITY_TOL``."""
+    return (off <= tol) & (unitarity <= UNITARITY_TOL)
+
+
+def _widest(q: np.ndarray, x: np.ndarray):
+    """Per stack entry, the column of ``x`` that sticks out of ``span(q)`` most, projected out of it twice and normalized, with its residual.
+
+    One pass leaves a vector that sticks out little visibly
+    non-orthogonal; the second makes it orthogonal to roundoff.
+    """
+    qh = np.conj(q).swapaxes(1, 2)
+    for _ in range(2):
+        x = x - q @ (qh @ x)
+    r = np.linalg.norm(x, axis=1)
+    rows, j = np.arange(len(x)), np.argmax(r, axis=1)
+    r = r[rows, j]
+    return x[rows, :, j] / np.maximum(r, 1e-300)[:, None], r
+
+
+def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The orthonormal flag bases grown from the rows of ``v`` (k, n), as a (k, n, n) stack of columns.
+
+    ``W1`` is the row, normalized and phase-fixed, and ``W_{j+1} = W_j +
+    A W_j + A* W_j``: each step normalizes every column of ``A Q`` and
+    ``A* Q`` for the basis ``Q`` so far and appends the one that sticks
+    out most (:func:`_widest`).  Where that residual is at roundoff the
+    span is invariant under both A and A*, and any completion works: the
+    row takes the unit coordinate vector that sticks out most instead, as
+    every row does for its last column.  For n = 3 and n = 4 alike,
+    ``U A U*`` is tridiagonal exactly when each ``W_{j+1}`` has dimension
+    at most ``j + 1``; the gate measures that, so nothing is checked here.
+    """
+    n = v.shape[1]
+    q = linalg.phase_fixed(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, None]
+    while q.shape[2] < n - 1:
+        y = np.concatenate([a @ q, astar @ q], axis=2)
+        x, r = _widest(q, y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300))
+        closed = r <= 1e-13
+        if closed.any():
+            x[closed] = _widest(q[closed], np.eye(n))[0]
+        q = np.concatenate([q, x[:, :, None]], axis=2)
+    return np.concatenate([q, _widest(q, np.eye(n))[0][:, :, None]], axis=2)
+
+
+def _certify(pencil: Pencil, t) -> list[SectionCandidate | None]:
+    """The flag point of each row of a (k, 3) stack: a :class:`SectionCandidate` when its flag passes the gate, or None.
+
+    A row passes :func:`_certify_on_curve`, and the flag grown from its
+    kernel vector ``v`` (:func:`_flag_bases`, all rows as one stack) passes
+    :func:`_passes` at ``CERT_TOL``: the solver's own gate, so a point
+    counts exactly when the solver would return its flag.  ``pencil`` is
+    that of a :func:`_centred` matrix (``||A||_2 = 1``), so the off-band
+    residual of ``T = U A U*`` is already relative.  ``shortcut`` marks a
+    row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``, where ``W2`` is
+    invariant under A or A*.  ``sigma4`` (:func:`_section_score`) only
+    orders and reports the points.  An empty stack gives ``[]``.
     """
     ok, t, v = _certify_on_curve(pencil, t, kernel=True)
-    seven = _seven_columns(pencil, v)
-    sw = np.linalg.svd(seven[:, :, :3], compute_uv=False)
-    ok &= (sw[:, 1] > CERT_TOL * sw[:, 0]) & (sw[:, 2] <= CERT_TOL * sw[:, 0])
-    s = np.linalg.svd(seven, compute_uv=False)
-    sigma4 = s[:, 3] / s[:, 0]
-    ok &= sigma4 <= CERT_TOL
-    closures = np.linalg.svd(seven[:, :, [[0, 1, 2, 3, 4], [0, 1, 2, 6, 5]]].transpose(0, 2, 1, 3), compute_uv=False)
-    shortcut = np.any(closures[:, :, 2] <= CERT_TOL * closures[:, :, 0], axis=1)
+    basis = _flag_bases(pencil.a, pencil.astar, v)
+    u = np.conj(basis).swapaxes(1, 2)
+    tri = u @ pencil.a @ basis
+    ok &= _passes(_off_max(tri), _unitarity(u), CERT_TOL)
+    shortcut = np.minimum(np.abs(tri[:, 2, 1]), np.abs(tri[:, 1, 2])) <= CERT_TOL
+    sigma4 = _section_score(pencil, v)
     return [
-        SectionCandidate(PencilPoint(t[i], v[i]), float(sigma4[i]), bool(shortcut[i])) if ok[i] else None
+        SectionCandidate(PencilPoint(t[i], v[i]), float(sigma4[i]), basis[i], bool(shortcut[i])) if ok[i] else None
         for i in range(len(t))
     ]
 
@@ -266,30 +328,36 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     return mu[np.argsort(-proxy, kind="stable")]
 
 
-def _refine_root(pencil: Pencil, mu: complex) -> complex:
-    """A root of the dodecic, refined by secant steps on its direct values.
+def _refine_root(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
+    """Roots of the dodecic, refined by secant steps on its direct values, all as one stack.
 
     :func:`_dodecic_values` is accurate to roundoff at any ``mu``, where
-    the coefficients the root came from are not.  Starts from
+    the coefficients the roots came from are not.  Each root starts from
     ``(mu*(1 + 1e-6), mu)``, takes at most ``SECANT_STEPS`` steps and
-    returns the iterate with the smallest ``|R|``: once the iteration
-    has converged, its further steps are roundoff noise.  Like
-    :func:`_dodecic_roots`, it expects the pencil of a :func:`_centred`
-    matrix.
+    ends at the iterate with the smallest ``|R|``: once the iteration has
+    converged, its further steps are roundoff noise.  A root stops moving
+    when its last two values agree or one of them, or its next step, is
+    not finite; each step is one :func:`_dodecic_values` call over the
+    roots still moving.  Like :func:`_dodecic_roots`, it expects the
+    pencil of a :func:`_centred` matrix.
     """
-    x0, x1 = mu * (1 + 1e-6), mu
-    f0, f1 = _dodecic_values(pencil, np.array([x0, x1]))
-    best, best_f = (x1, abs(f1)) if abs(f1) <= abs(f0) else (x0, abs(f0))
+    x0, x1 = mu * (1 + 1e-6), mu.astype(complex)
+    f0, f1 = np.split(_dodecic_values(pencil, np.concatenate([x0, x1])), 2)
+    best = np.where(np.abs(f1) <= np.abs(f0), x1, x0)
+    best_f = np.minimum(np.abs(f0), np.abs(f1))
+    moving = np.ones(mu.size, dtype=bool)
     for _ in range(SECANT_STEPS):
-        if f1 == f0 or not np.isfinite(f1):
+        with np.errstate(all="ignore"):  # a row that has stopped may divide by zero; its step is not taken
+            step = x1 - f1 * (x1 - x0) / (f1 - f0)
+        moving &= (f1 != f0) & np.isfinite(f1) & np.isfinite(step)
+        if not moving.any():
             break
-        x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not np.isfinite(x1):
-            break
-        f0, f1 = f1, _dodecic_values(pencil, np.array([x1]))[0]
-        if abs(f1) < best_f:
-            best, best_f = x1, abs(f1)
-    return complex(best)
+        x0, f0 = np.where(moving, x1, x0), np.where(moving, f1, f0)
+        x1 = np.where(moving, step, x1)
+        f1[moving] = _dodecic_values(pencil, x1[moving])
+        better = moving & (np.abs(f1) < best_f)
+        best[better], best_f[better] = x1[better], np.abs(f1[better])
+    return best
 
 
 def _best_sheets(pencil: Pencil, mu: np.ndarray):
@@ -308,57 +376,50 @@ def _best_sheets(pencil: Pencil, mu: np.ndarray):
 
 
 def _flag_points(pencil: Pencil):
-    """The certified flag-point candidates, one at a time.
+    """The flag points whose flags pass the gate, one at a time, each group gated by one :func:`_certify` stack.
 
-    First the eigenvector points of A and A* that certify as they are,
-    then the roots of the dodecic: over each root the sheet with the
-    smallest ``sigma4`` goes to :func:`_certify` as it is.  Only when that
-    rejects it is the root refined on the dodecic (:func:`_refine_root`;
-    a root at ``mu = 0`` is not) and the best sheet over the refined root
-    certified instead.  The eigenvector points are screened by one
-    batched ``sigma4`` of their kernel vectors, and only those at or below
-    ``sqrt(CERT_TOL)`` go on, as one stack, to :func:`_certify`, which
-    would reject the others anyway.  Of the three best-conditioned roots
-    (the first three of :func:`_dodecic_roots`) the one whose best sheet
-    has the smallest ``sigma4`` is certified alone; the other 11 follow
-    as one stack, sorted by ``sigma4``.  Deterministic, and lazy: the
-    dodecic is formed only when the eigenvector points have been
-    consumed, and the sheets over the other nine roots only when the
-    first root has.  ``pencil`` is that of a :func:`_centred` matrix, as
-    :func:`_dodecic_roots` requires.
+    First the eigenvector points of A and A* whose ``sigma4`` is at most
+    ``sqrt(CERT_TOL)`` (a flag with ``dim W3 = 4`` cannot tridiagonalize,
+    and ``sigma4`` measures how far ``W3`` is from dimension 3).  Then
+    over each root of the dodecic the sheet with the smallest ``sigma4``:
+    of the three best-conditioned roots (the first three of
+    :func:`_dodecic_roots`) the one whose sheet has the smallest
+    ``sigma4`` alone, then the other 11, sorted by ``sigma4``.  Only then
+    are the rejected roots refined on the dodecic (:func:`_refine_root`;
+    a root at ``mu = 0`` is not) and the best sheets over them gated: the
+    one with the largest ``sigma4`` alone, then the rest.  Deterministic,
+    and lazy: the dodecic is formed only when the eigenvector points have
+    been consumed, the sheets over the other nine roots only when the
+    first root has, and the refinement only when all twelve have.
+    ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
+    and :func:`_dodecic_roots` require.
     """
     seeds = _distinguished_seeds(pencil)
-    if seeds:
-        score = _section_score(pencil, np.array([v for _, v in seeds]))
-        screened = [t for (t, _), s in zip(seeds, score) if s <= np.sqrt(CERT_TOL)]
-        if screened:
-            yield from (cand for cand in _certify(pencil, np.array(screened)) if cand is not None)
+    score = _section_score(pencil, np.array([v for _, v in seeds]))
+    screened = [t for (t, _), s in zip(seeds, score) if s <= np.sqrt(CERT_TOL)]
+    if screened:
+        yield from filter(None, _certify(pencil, np.array(screened)))
     mu = _dodecic_roots(pencil)
     if mu.size == 0:
         return
     points, score = _best_sheets(pencil, mu[:_FIRST_ROOTS])
     best = int(np.argmin(score))
-    yield from _certified_roots(pencil, mu[[best]], points[[best]])
+    first = _certify(pencil, points[[best]])
+    yield from filter(None, first)
     more_points, more_score = _best_sheets(pencil, mu[_FIRST_ROOTS:])
     points, score = np.concatenate([points, more_points]), np.concatenate([score, more_score])
     order = np.argsort(score)
     order = order[order != best]
-    yield from _certified_roots(pencil, mu[order], points[order])
-
-
-def _certified_roots(pencil: Pencil, mu: np.ndarray, points: np.ndarray):
-    """The certified points among the best sheets ``points`` over the roots ``mu``, certified as one stack.
-
-    A rejected root is refined on the dodecic (:func:`_refine_root`; a
-    root at ``mu = 0`` is not) and the best sheet over the refined root
-    certified instead.
-    """
-    for m, cand in zip(mu, _certify(pencil, points)):
-        if cand is None and m != 0:
-            refined, _ = _best_sheets(pencil, np.array([_refine_root(pencil, m)]))
-            (cand,) = _certify(pencil, refined)
-        if cand is not None:
-            yield cand
+    rest = _certify(pencil, points[order])
+    yield from filter(None, rest)
+    order = np.concatenate([[best], order])
+    rejected = order[np.array([cand is None for cand in first + rest]) & (mu[order] != 0)]
+    if rejected.size:
+        worst = np.argmax(score[rejected])
+        for group in (rejected[[worst]], np.delete(rejected, worst)):
+            if group.size:
+                refined, _ = _best_sheets(pencil, _refine_root(pencil, mu[group]))
+                yield from filter(None, _certify(pencil, refined))
 
 
 def _centred(a: np.ndarray):
@@ -388,19 +449,21 @@ def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
 
 
 def section_zeros(pencil: Pencil):
-    """All certified flag points of the pencil, sorted by their sigma4.
+    """All flag points of the pencil whose flags pass the gate, sorted by their sigma4.
 
-    Collects :func:`_flag_points`: the eigenvector points of A and A*
-    that certify, and the roots of the dodecic, each kept only when it
-    passes :func:`_certify` (on-curve, 2-dimensional span, ``sigma4``
-    below ``CERT_TOL``).  Points within projective distance
+    Collects :func:`_flag_points`: the eigenvector points of A and A*,
+    and the roots of the dodecic, each kept only when it passes
+    :func:`_certify` (on the curve, with a flag whose off-band residual
+    is at most ``CERT_TOL`` and whose unitarity residual is at most
+    ``UNITARITY_TOL``), so there are never more than the solver could
+    return.  Points within projective distance
     ``DEDUPE_TOL`` of each other count once, with the smaller
     ``sigma4``: in that order, one Gram matrix of the points decides
     whether a point is near one kept before it.  On a generic matrix the
     result has exactly 12 entries.  The points are found on
     the matrix of :func:`_centred` and mapped back to the pencil of ``A``,
     so the count depends on neither the scale nor the shift of ``A``.
-    The result is empty when nothing certifies, as on degenerate inputs.
+    The result is empty when nothing passes, as on degenerate inputs.
     """
     c, scale, shift = _centred(pencil.a)
     cands = sorted(_flag_points(Pencil(c)), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
@@ -410,6 +473,6 @@ def section_zeros(pencil: Pencil):
     for i in range(len(cands)):
         if not near[i, kept].any():
             kept.append(i)
-    # only t moves to the pencil of A: v and the residuals stay
+    # only t moves to the pencil of A: v, sigma4 and the flag, which tridiagonalizes A too, stay
     kept_cands = [cands[i] for i in kept]
     return [replace(z, point=replace(z.point, t=_unscale_point(z.point.t, scale, shift))) for z in kept_cands]

@@ -6,8 +6,9 @@ one loop in :func:`tridiagonalize` runs over a lazy stream of candidate
 flag bases, those of :func:`_direct` and then of the perturbation ladder
 (:func:`_ladder`), and returns the first whose result, on ``C`` and
 rebuilt on ``A``, passes the gate on both of its residuals
-(:func:`_passes`).  Every basis is grown from its first vector by one
-builder (:func:`_flag_from_vector`), and its conjugate is ``U``
+(:func:`pencil._passes`, the gate the flag points are counted by as
+well).  Every basis is grown from its first vector by one stacked
+builder (:func:`pencil._flag_bases`), and its conjugate is ``U``
 (:func:`_result_from_flag`).
 """
 
@@ -21,10 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import Unsolved
 from .genericity import _common
-from .pencil import Pencil, _centred, _flag_points
-
-#: The unitarity gate ``||UU* - I||_2`` that every returned result meets.
-UNITARITY_TOL = 1e-10
+from .pencil import Pencil, _centred, _flag_bases, _flag_points, _off_max, _passes, _unitarity
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -68,14 +66,6 @@ class VerifyReport:
     matching: list
 
 
-def _off_max(t: np.ndarray) -> float:
-    n = t.shape[0]
-    if n <= 2:
-        return 0.0
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2
-    return float(np.max(np.abs(t[mask])))
-
-
 def flag_residuals(a, basis):
     """Residuals of the two flag characterizations, relative to ||A||.
 
@@ -104,21 +94,6 @@ def flag_residuals(a, basis):
     return r_contain / scale, r_perp / scale
 
 
-def _completion(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of the given columns."""
-    return linalg.nullspace(np.conj(cols).T)
-
-
-def _passes(result: TridiagResult, tol: float) -> bool:
-    """The gate of every returned result: both of its measured residuals."""
-    return result.off_residual <= tol and result.unitarity_residual <= UNITARITY_TOL
-
-
-def _unitarity(u: np.ndarray) -> float:
-    """``||UU* - I||_2``, taken as the largest ``|eigenvalue|`` of that Hermitian matrix."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(u @ np.conj(u).T - np.eye(u.shape[0])))))
-
-
 def _result_from_flag(a, basis, provenance, eps=0.0, norm=None) -> TridiagResult:
     """The result for a flag basis, with both residuals measured from its unitary.
 
@@ -131,8 +106,8 @@ def _result_from_flag(a, basis, provenance, eps=0.0, norm=None) -> TridiagResult
     return TridiagResult(
         u=u,
         t=t,
-        off_residual=_off_max(t) / scale,
-        unitarity_residual=_unitarity(u),
+        off_residual=float(_off_max(t)) / scale,
+        unitarity_residual=float(_unitarity(u)),
         provenance=provenance,
         perturbation_used=eps,
     )
@@ -140,33 +115,6 @@ def _result_from_flag(a, basis, provenance, eps=0.0, norm=None) -> TridiagResult
 
 # ---------------------------------------------------------------------------
 # flag construction
-
-
-def _flag_from_vector(a, astar, v) -> np.ndarray:
-    """Orthonormal flag basis grown from ``v``: ``W_{k+1} = W_k + A W_k + A* W_k``.
-
-    Each step normalizes every column of ``A Q`` and ``A* Q`` for the basis
-    ``Q`` so far, projects it out of ``span(Q)`` twice (one pass leaves a
-    vector that sticks out little visibly non-orthogonal), and appends the
-    one with the largest residual.  When that residual is at roundoff the
-    span is invariant under both A and A*, and any completion works.  For
-    n = 3 and n = 4 alike, ``U A U*`` is tridiagonal exactly when each
-    ``W_{k+1}`` has dimension at most ``k + 1``; the result's gate measures
-    that, so nothing is checked here.
-    """
-    n = a.shape[0]
-    q = linalg.canonical_projective(v)[:, None]
-    while q.shape[1] < n - 1:
-        x = np.concatenate([a @ q, astar @ q], axis=1)
-        x = x / np.maximum(np.linalg.norm(x, axis=0), 1e-300)
-        for _ in range(2):
-            x = x - q @ (np.conj(q).T @ x)
-        r = np.linalg.norm(x, axis=0)
-        k = int(np.argmax(r))
-        if r[k] <= 1e-13:
-            break
-        q = np.column_stack([q, x[:, k] / r[k]])
-    return np.column_stack([q, _completion(q)])
 
 
 def _flag3(b) -> np.ndarray:
@@ -177,7 +125,7 @@ def _flag3(b) -> np.ndarray:
     grown from the first one ``eigh`` returns.
     """
     bstar = linalg.adjoint(b)
-    return _flag_from_vector(b, bstar, np.linalg.eigh(b + bstar)[1][:, 0])
+    return _flag_bases(b, bstar, np.linalg.eigh(b + bstar)[1][:, 0][None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +140,10 @@ def _direct(c, tol: float):
     common eigenvector test and the eigenvector points of the flag
     search.  A common eigenvector ``v`` comes first: its flag is ``v``,
     then ``W`` times the 3x3 flag of ``W* C W`` for an orthonormal basis
-    ``W`` of its complement.  Then come the flags of the certified flag
-    points, and last the unitary refined from the Schur basis of ``C``
-    (the ``qr`` of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when
-    that converges.
+    ``W`` of its complement.  Then come the flags that :func:`_flag_points`
+    carries, already gated at ``CERT_TOL``, and last the unitary refined
+    from the Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector
+    matrix) to ``1e-2 * tol``, when that converges.
     """
     if c.shape[0] == 3:
         yield _flag3(c), "cubic_curve_3x3", 0.0
@@ -203,12 +151,11 @@ def _direct(c, tol: float):
     pencil = Pencil(c)
     common = _common(pencil.eigen[1], pencil.astar)
     if common:
-        w = _completion(common[0][:, None])
+        w = linalg.nullspace(np.conj(common[0])[None])
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
         yield basis, "common_eigenvector_deflation", 0.0
     for cand in _flag_points(pencil):
-        provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
-        yield _flag_from_vector(c, pencil.astar, cand.point.v), provenance, 0.0
+        yield cand.basis, "shortcut_dimW3" if cand.shortcut else "section_zero", 0.0
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
     u = _refine_unitary(c, np.conj(q).T, 1e-2 * tol)
     if u is not None:
@@ -258,7 +205,8 @@ def _ladder(c, tol: float, seed: int):
     for eps in LADDER:
         perturbed = _centred(c + eps * g)[0]
         for basis, *_ in _direct(perturbed, relaxed):
-            if _passes(_result_from_flag(perturbed, basis, "perturbed", norm=1.0), relaxed):
+            r = _result_from_flag(perturbed, basis, "perturbed", norm=1.0)
+            if _passes(r.off_residual, r.unitarity_residual, relaxed):
                 u = _refine_unitary(c, np.conj(basis).T, 1e-2 * tol * scale)
                 if u is not None:
                     yield np.conj(u).T, "perturbed", eps
@@ -307,11 +255,11 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     ladder = _ladder(c, inner, seed) if n == 4 else ()
     for basis, provenance, eps in chain(direct, ladder):
         result = _result_from_flag(c, basis, provenance, eps, norm=1.0)
-        if not _passes(result, inner):
+        if not _passes(result.off_residual, result.unitarity_residual, inner):
             continue
         t = result.u @ a @ np.conj(result.u).T
-        result = replace(result, t=t, off_residual=_off_max(t) / max(norm, 1e-300))
-        if _passes(result, tol):
+        result = replace(result, t=t, off_residual=float(_off_max(t)) / max(norm, 1e-300))
+        if _passes(result.off_residual, result.unitarity_residual, tol):
             return result
     raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={tol:.1e}")
 
@@ -327,8 +275,8 @@ def verify(result: TridiagResult, a) -> VerifyReport:
     scale = max(linalg.matrix_norm(a), 1e-300)
     u = result.u
     recomputed = u @ a @ np.conj(u).T
-    off = _off_max(recomputed) / scale
-    unit = _unitarity(u)
+    off = float(_off_max(recomputed)) / scale
+    unit = float(_unitarity(u))
     recompute_gap = float(np.max(np.abs(recomputed - result.t))) / scale
 
     lam_a = np.linalg.eigvals(a)

@@ -11,12 +11,14 @@ nonsingularity test takes one SVD of ``A`` itself directly, which is
 not counted.
 
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
-Gaussian certifies the best of the dodecic's three best-conditioned
-roots alone and the other 11 as one stack, so it makes two calls for its
-12 points.  A Gaussian solve stops at the first flag of its lazy
-candidate stream: one dodecic, the best sheets over its three
-best-conditioned roots alone, one certification of the best of them,
-and no root or unitary refinement.
+Gaussian gates the flag of the best of the dodecic's three
+best-conditioned roots alone and the other 11 as one stack, so it makes
+two calls for its 12 points.  Only then are the rejected roots refined,
+the one with the largest ``sigma4`` alone and the rest as one stack: at
+most two ``pencil._refine_root`` calls.  A Gaussian solve stops at the
+first flag of its lazy candidate stream: one dodecic, the best sheets
+over its three best-conditioned roots alone, one gate of the best of
+them, and no root or unitary refinement.
 """
 
 import sys
@@ -95,6 +97,17 @@ def test_section_zeros_certifies_in_two_stacks(monkeypatch):
         calls.clear()
         assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12, seed
         assert len(calls) == 2, seed
+
+
+@pytest.mark.parametrize("seed", [41, 361, 415, 1328])
+def test_section_zeros_refines_in_two_stacks(seed, monkeypatch):
+    # these seeds have 1, 7, 4 and 3 rejected roots: the one with the largest
+    # sigma4 is refined alone, the rest as one stack
+    calls = []
+    refine = pencil._refine_root
+    monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
+    assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12
+    assert 1 <= len(calls) <= 2
 
 
 def test_solve_takes_only_the_first_flag(monkeypatch):

@@ -372,6 +372,17 @@ class TestErrorExits:
         assert code == 2 and out == ""
         assert err.startswith("unsolved: no flag")
 
+    def test_parser_is_built_once(self, capsys):
+        # main reuses one parser; each parse still gives its own namespace
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, ["gen", "--seed", "3"])[0] == 0
+        assert run_cli(capsys, ["gen", "--seed", "3", "--n", "3"])[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+        parser = cli.build_parser()
+        tridiag, classify = parser.parse_args(["tridiag", "--tol", "1e-9"]), parser.parse_args(["classify"])
+        assert (tridiag.func, tridiag.tol) == (cli.cmd_tridiag, 1e-9)
+        assert classify.func == cli.cmd_classify and not hasattr(classify, "tol")
+
     @pytest.mark.parametrize("flag", ["--pretty", "--text"])
     def test_removed_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:

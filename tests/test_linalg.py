@@ -9,9 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from tridiag4 import linalg
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.tridiagonalize import _completion, _flag_from_vector
+from tridiag4.pencil import _flag_bases
 
 N4 = jordan_block(4)
+
+
+def flag_from_vector(a, v):
+    """The flag basis grown from one vector: a one-row stack of :func:`pencil._flag_bases`."""
+    return _flag_bases(a, linalg.adjoint(a), np.asarray(v, dtype=complex)[None])[0]
 
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -140,18 +145,20 @@ class TestRank:
 
 class TestOrthonormalize:
     # orthonormalization happens in the flag construction: Gram-Schmidt on
-    # v and the images of the basis so far, then the orthocomplement
+    # v and the images of the basis so far, then the orthocomplement, all
+    # in one stack
 
     def test_scaled_basis(self):
         # N4 e1 = 0 and N4* e_k = e_{k+1}: the flag of 2*e1 is the standard one
-        basis = _flag_from_vector(N4, linalg.adjoint(N4), 2 * np.eye(4)[0])
+        basis = flag_from_vector(N4, 2 * np.eye(4)[0])
         assert np.allclose(basis[:, :3], np.eye(4)[:, :3], atol=1e-14)
         assert abs(abs(basis[3, 3]) - 1.0) < 1e-14
 
     def test_two_dim_hand_computation(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        out = _completion(((e1 + e2) / np.sqrt(2))[:, None])
+        # n = 2: the builder's last column is the orthocomplement of the first
+        out = flag_from_vector(np.zeros((2, 2)), (e1 + e2) / np.sqrt(2))[:, 1:]
         assert out.shape == (2, 1)
         # the orthocomplement is (e1 - e2)/sqrt(2) up to phase
         assert abs(abs(np.vdot(out[:, 0], (e1 - e2) / np.sqrt(2))) - 1.0) < 1e-12
@@ -160,7 +167,7 @@ class TestOrthonormalize:
         a = make_matrix("gaussian", 4, 13)
         v = np.linalg.eig(a + (0.4 + 0.1j) * linalg.adjoint(a))[1][:, 1]
         av = a @ v
-        basis = _flag_from_vector(a, linalg.adjoint(a), v)[:, :2]
+        basis = flag_from_vector(a, v)[:, :2]
         for w in (v, av):
             recon = basis @ (np.conj(basis).T @ w)
             assert np.linalg.norm(recon - w) <= 1e-10 * np.linalg.norm(w)
@@ -169,14 +176,14 @@ class TestOrthonormalize:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        f = _flag_from_vector(a, linalg.adjoint(a), v)
+        f = flag_from_vector(a, v)
         assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 4 * 1e-10
 
     def test_common_eigenvector_is_completed(self):
         # Av and A*v both depend on v: span(v) is invariant, so the builder
         # stops growing it and completes the basis
         a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
-        f = _flag_from_vector(a, linalg.adjoint(a), np.array([0, 2.0, 0, 0]))
+        f = flag_from_vector(a, np.array([0, 2.0, 0, 0]))
         assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 1e-12
         assert linalg.projective_distance(f[:, 0], np.eye(4)[1]) <= 1e-14
 

@@ -14,6 +14,8 @@ from tridiag4.pencil import (
     _coefficients,
     _distinguished_seeds,
     _dodecic_roots,
+    _flag_bases,
+    _refine_root,
     _section_score,
     _unscale_point,
     pencil_matrix,
@@ -276,8 +278,17 @@ class TestSectionZeros:
         assert 1 <= len(zeros) <= 12
 
     def test_random_matrices_have_twelve(self):
+        # every counted point is a flag: the flag grown from its kernel vector
+        # on the centred matrix (||C||_2 = 1) passes the solver's 1e-8 gate
+        far = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2
         for seed in range(200):
-            assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12, seed
+            a = make_matrix("gaussian", 4, seed)
+            zeros = section_zeros(Pencil(a))
+            assert len(zeros) == 12, seed
+            c = _centred(a)[0]
+            f = _flag_bases(c, np.conj(c).T, np.array([z.point.v for z in zeros]))
+            t = np.conj(f).transpose(0, 2, 1) @ c @ f
+            assert np.abs(t[:, far]).max() <= 1e-8, seed
 
     def test_zero_membership_invariants(self):
         a = make_matrix("gaussian", 4, 16)
@@ -358,11 +369,22 @@ class TestSectionZeros:
         q = Pencil(_centred(p.a)[0])
         points, _ = _best_sheets(q, _dodecic_roots(q))
         assert None in _certify(q, points)
+        monkeypatch.setattr(pencil, "_refine_root", lambda q, mu: mu)
+        assert len(section_zeros(p)) < 12
         calls = []
-        refine = pencil._refine_root
-        monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
+        monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or _refine_root(*args))
         assert len(section_zeros(p)) == 12
         assert calls
+
+    def test_refined_stack_matches_roots_one_at_a_time(self):
+        # the secant steps of a stack stop root by root, as they would alone
+        q = Pencil(_centred(make_matrix("gaussian", 4, 361))[0])
+        mu = _dodecic_roots(q)
+        points, _ = _best_sheets(q, mu)
+        rejected = mu[[cand is None for cand in _certify(q, points)]]
+        assert rejected.size == 7
+        one_at_a_time = [_refine_root(q, rejected[i : i + 1])[0] for i in range(rejected.size)]
+        np.testing.assert_array_equal(_refine_root(q, rejected), one_at_a_time)
 
     def test_near_points_count_once(self, monkeypatch):
         # two candidates 1e-7 apart count once, with the smaller sigma4,
@@ -374,9 +396,9 @@ class TestSectionZeros:
         near = t + 1e-7 * step / np.linalg.norm(step)
         v = np.eye(4)[0]
         cands = [
-            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9),
-            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9),
-            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9),
+            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9, np.eye(4), False),
+            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9, np.eye(4), False),
+            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9, np.eye(4), False),
         ]
         assert 5e-8 < linalg.projective_distance(cands[0].point.t, cands[2].point.t) < 2e-7
         monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))
@@ -465,7 +487,7 @@ class TestDodecicRoots:
         assert mu[-1] == 0 and np.all(mu[:-1] != 0)
         refined = []
         refine = pencil._refine_root
-        monkeypatch.setattr(pencil, "_refine_root", lambda q, m: refined.append(m) or refine(q, m))
+        monkeypatch.setattr(pencil, "_refine_root", lambda q, m: refined.extend(m) or refine(q, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             list(pencil._flag_points(p))

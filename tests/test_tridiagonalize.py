@@ -8,11 +8,9 @@ from tridiag4 import linalg, pencil
 from tridiag4.errors import Unsolved
 from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
 from tridiag4.genericity import classify
-from tridiag4.pencil import Pencil, _centred, section_zeros
+from tridiag4.pencil import Pencil, _centred, _flag_bases, _passes, section_zeros
 from tridiag4.tridiagonalize import (
     _direct,
-    _flag_from_vector,
-    _passes,
     _result_from_flag,
     flag_residuals,
     tridiagonalize,
@@ -44,6 +42,11 @@ def near_structured(kind, d, seed):
             x = 1j * x + 2 * np.eye(4)
     g = random_gaussian(4, rng)
     return x + d * linalg.matrix_norm(x) * g / linalg.matrix_norm(g)
+
+
+def flag_from_vector(a, v):
+    """The flag basis grown from one vector: a one-row stack of :func:`pencil._flag_bases`."""
+    return _flag_bases(a, np.conj(a).T, v[None])[0]
 
 
 def assert_gates(a, r, key):
@@ -158,7 +161,8 @@ class TestDispatch:
         c = _centred(a)[0]
         basis, provenance, _ = next(_direct(c, 1e-8))
         assert provenance == "shortcut_dimW3"
-        assert _passes(_result_from_flag(c, basis, provenance, norm=1.0), 1e-8)
+        r = _result_from_flag(c, basis, provenance, norm=1.0)
+        assert _passes(r.off_residual, r.unitarity_residual, 1e-8)
 
     def test_spectrum_preserved(self):
         for seed in range(10):
@@ -227,6 +231,14 @@ class TestFlagPointCount:
 
         found = sum(count(near_structured(kind, d, seed)) == 12 for seed in range(20))
         assert found >= at_least
+
+    @pytest.mark.parametrize("d", [1e-4, 1e-6])
+    @pytest.mark.parametrize("kind", ["hermitian", "normal", "unitary", "skew_hermitian_plus_2i"])
+    def test_near_structured_count_at_most_twelve(self, kind, d):
+        # a point counts only when its flag passes the solver's gate; counted
+        # by sigma4 alone, every hermitian seed at 1e-4 gave 20
+        for seed in range(20):
+            assert len(section_zeros(Pencil(near_structured(kind, d, seed)))) <= 12, seed
 
 
 class TestThreeByThree:
@@ -312,7 +324,7 @@ class TestBuildFlag:
         cand = next(
             z for z in zeros if linalg.projective_distance(z.point.v, e1) < 1e-6
         )
-        basis = _flag_from_vector(a, np.conj(a).T, cand.point.v)
+        basis = flag_from_vector(a, cand.point.v)
         for k in range(4):
             assert abs(abs(basis[k, k]) - 1.0) < 1e-6
 
@@ -320,7 +332,7 @@ class TestBuildFlag:
         a = make_matrix("gaussian", 4, 5)
         zeros = section_zeros(Pencil(a))
         for cand in zeros[:4]:
-            r2, r3 = flag_residuals(a, _flag_from_vector(a, np.conj(a).T, cand.point.v))
+            r2, r3 = flag_residuals(a, flag_from_vector(a, cand.point.v))
             assert r2 <= 1e-8
             assert r3 <= 1e-8
 
@@ -330,7 +342,7 @@ class TestBuildFlag:
         a[2:, 2:] = make_matrix("gaussian", 2, 9)
         zeros = section_zeros(Pencil(a))
         cand = next(z for z in zeros if z.shortcut)
-        r2, _ = flag_residuals(a, _flag_from_vector(a, np.conj(a).T, cand.point.v))
+        r2, _ = flag_residuals(a, flag_from_vector(a, cand.point.v))
         assert r2 <= 1e-8
         # the input itself is tridiagonal; a unitary conjugate reaches the flag search
         q = random_unitary(4, np.random.default_rng(0))
