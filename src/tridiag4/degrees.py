@@ -3,10 +3,11 @@
 Three counts are reproduced numerically: a random projective line meets
 the determinant curve in 4 points (its degree), a random hyperplane
 meets the kernel curve in 6 points, and the flag points whose flags
-pass the solver's gate are 12 in number.  Each count is of points found by one eigen-solve: the
-eigenvalues of a 4x4 eigenproblem per line, the roots of the
-hyperplane's Krylov sextic over the base line, and the roots of the
-flag-point dodecic there (see :mod:`tridiag4.pencil`).  The first two
+pass the solver's gate are 12 in number.  Each count is of points
+found by one eigen-solve: the eigenvalues of a 4x4 eigenproblem per
+line, the roots of the hyperplane's Krylov sextic over the base line,
+and the roots of the flag-point dodecic there (see
+:mod:`tridiag4.pencil`).  The first two
 certify all of their points with one stacked SVD.  All run on the
 centred and normalized ``A``, so no count depends on its scale or shift.
 """
