@@ -22,9 +22,9 @@ from . import __version__
 from .degrees import run_experiments
 from .errors import ParseError, Unsolved
 from .generate import KINDS, make_matrix
-from .genericity import classify
-from .pencil import Pencil, section_zeros
-from .tridiagonalize import tridiagonalize, verify
+from .genericity import _classify, classify
+from .pencil import _Request, _section_zeros
+from .tridiagonalize import _solve, verify
 
 
 def _cvec(v) -> list:
@@ -127,12 +127,30 @@ def _read_input(path: str) -> np.ndarray:
     return a
 
 
-def _emit(payload: dict, pretty_lines, args) -> None:
+def _emit(payload: dict, text_lines, args) -> None:
+    """Print ``payload`` as JSON under ``--json``, otherwise the lines that ``text_lines()`` builds, only then."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        for line in pretty_lines:
+        for line in text_lines():
             print(line)
+
+
+def _tridiag_lines(result, payload: dict) -> list[str]:
+    """The text report of ``tridiag``: the result, ``T`` rounded, and the flag and verify summaries."""
+    lines = [
+        f"n = {payload['input']['n']}  provenance = {result.provenance}",
+        f"off_residual = {result.off_residual:.3e}  unitarity = {result.unitarity_residual:.3e}",
+        f"perturbation_used = {result.perturbation_used:.1e}",
+        "T =",
+    ]
+    with np.printoptions(precision=4, suppress=True, linewidth=120):
+        lines.extend("  " + row for row in str(np.round(result.t, 10)).splitlines())
+    if "flags" in payload:
+        lines.append(f"flag points: {len(payload['flags'])}")
+    if "verify" in payload:
+        lines.append(f"verify: spectrum_gap = {payload['verify']['spectrum_gap']:.3e}")
+    return lines
 
 
 def cmd_tridiag(args) -> int:
@@ -142,12 +160,16 @@ def cmd_tridiag(args) -> int:
     a = _read_input(args.input)
     timings["parse"] = 1e3 * (time.perf_counter() - t0)
 
+    # one preparation per request: the centring and, for n = 4, the
+    # eigen-decomposition and the common eigenvector test are paid under
+    # "classify", and the solve and --all-flags read them again
+    request = _Request(a)
     t0 = time.perf_counter()
-    genericity = classify(a, seed=args.seed).as_dict()
+    genericity = _classify(request, args.seed).as_dict()
     timings["classify"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    result = tridiagonalize(a, tol=args.tol, seed=args.seed)
+    result = _solve(request, tol=args.tol, seed=args.seed)
     timings["solve"] = 1e3 * (time.perf_counter() - t0)
 
     payload = {
@@ -173,7 +195,7 @@ def cmd_tridiag(args) -> int:
                 "sigma4": z.sigma4,
                 "shortcut": z.shortcut,
             }
-            for z in section_zeros(Pencil(a))
+            for z in _section_zeros(request)
         ]
         timings["all_flags"] = 1e3 * (time.perf_counter() - t0)
 
@@ -191,19 +213,7 @@ def cmd_tridiag(args) -> int:
 
     timings["total"] = 1e3 * (time.perf_counter() - t_start)
     payload["timings_ms"] = timings
-    lines = [
-        f"n = {a.shape[0]}  provenance = {result.provenance}",
-        f"off_residual = {result.off_residual:.3e}  unitarity = {result.unitarity_residual:.3e}",
-        f"perturbation_used = {result.perturbation_used:.1e}",
-        "T =",
-    ]
-    with np.printoptions(precision=4, suppress=True, linewidth=120):
-        lines.extend("  " + row for row in str(np.round(result.t, 10)).splitlines())
-    if "flags" in payload:
-        lines.append(f"flag points: {len(payload['flags'])}")
-    if "verify" in payload:
-        lines.append(f"verify: spectrum_gap = {payload['verify']['spectrum_gap']:.3e}")
-    _emit(payload, lines, args)
+    _emit(payload, lambda: _tridiag_lines(result, payload), args)
     return 0
 
 
@@ -216,7 +226,7 @@ def cmd_classify(args) -> int:
         f"common eigenvectors       : {len(block['common_eigenvectors'])}",
         f"details: {block['details']}",
     ]
-    _emit(block, lines, args)
+    _emit(block, lambda: lines, args)
     return 0
 
 
@@ -234,7 +244,7 @@ def cmd_degrees(args) -> int:
         lines.append(f"deg C observed = {report.deg_kernel_curve}  (expected 6)")
         lines.append(f"flag points    = {report.section_zero_count}  (expected 12)")
         lines.append(f"trials = {report.trials}")
-    _emit(payload, lines, args)
+    _emit(payload, lambda: lines, args)
     return 0
 
 

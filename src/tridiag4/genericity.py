@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .pencil import CERT_TOL, Pencil, _centred, _coefficients, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _coefficients, _Request, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -118,48 +117,36 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
     return False, _unscale_point(t[i], scale, shift), quote
 
 
-def _common(vectors: np.ndarray, astar: np.ndarray):
-    """The columns of ``vectors``, eigenvectors of ``C``, that are eigenvectors of ``astar = C*`` too.
-
-    Tests ``||C* v - mu v|| <= 1e-8`` with ``mu = v* C* v`` for each unit
-    column ``v``; duplicates (from repeated eigenvalues) are removed
-    projectively.
-    """
-    found: list[np.ndarray] = []
-    for v in vectors.T:
-        w = astar @ v
-        mu = np.vdot(v, w)
-        if np.linalg.norm(w - mu * v) <= 1e-8:
-            cv = linalg.canonical_projective(v)
-            if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
-                found.append(cv)
-    return found
-
-
 def classify(a, seed: int = 0) -> GenericityReport:
     """Decide each genericity test once for a square ``A`` with ``n <= 4``; ``ValueError`` on other shapes.
 
     ``s1`` is ``sigma_min > 1e-10 * sigma_max`` from one SVD of ``A``;
     ``s2`` is the smallest eigenvalue gap of the centred ``C`` above
     ``1e-8``.  For ``n = 4`` the rank screen (:func:`_pencil_rank`) and the
-    common eigenvector test read one ``Pencil`` of ``C`` and its one
-    eigen-decomposition; for ``n < 4`` ``s3`` is True, with no common
-    eigenvectors and no witness.  ``details`` quotes the number that
-    decided each failed test.
+    common eigenvector test read one ``Pencil`` of ``C``, its one
+    eigen-decomposition and its common eigenvectors
+    (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
+    common eigenvectors and no witness.  ``details`` quotes the number
+    that decided each failed test.
     """
-    m = linalg.as_matrix(a)
+    return _classify(_Request(a), seed)
+
+
+def _classify(request: _Request, seed: int) -> GenericityReport:
+    """:func:`classify` of a request, reading its centred ``C`` and, for n = 4, its ``Pencil``."""
+    m = request.a
     n = m.shape[0]
     if m.shape != (n, n) or not 1 <= n <= 4:
         raise ValueError(f"classify expects a square matrix with n <= 4, got shape {m.shape}")
     sv = np.linalg.svd(m, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])
-    c, scale, shift = _centred(m)
+    c, scale, shift = request.centred
     s3, witness, quote, common = True, None, None, []
     if n == 4:
-        pencil = Pencil(c)
-        lam, right, _ = pencil.eigen
+        pencil = request.pencil
+        lam = pencil.eigen[0]
         s3, witness, quote = _pencil_rank(pencil, scale, shift, seed)
-        common = _common(right, pencil.astar)
+        common = list(pencil.common)
     else:
         lam = np.linalg.eigvals(c)
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, 1)]

@@ -81,6 +81,26 @@ class Pencil:
         """
         return linalg.eigen(self.a)
 
+    @cached_property
+    def common(self) -> list[np.ndarray]:
+        """The eigenvectors of ``A`` (from :attr:`eigen`) that are eigenvectors of ``A*`` too, taken on first use and kept.
+
+        Tests ``||A* v - mu v|| <= 1e-8`` with ``mu = v* A* v`` for each
+        unit eigenvector ``v``; duplicates (from repeated eigenvalues) are
+        removed projectively.  The bound is absolute, so ``A`` is that of
+        a :func:`_centred` matrix.  :func:`genericity.classify` and the
+        solver's deflation both read this one result.
+        """
+        found: list[np.ndarray] = []
+        for v in self.eigen[1].T:
+            w = self.astar @ v
+            mu = np.vdot(v, w)
+            if np.linalg.norm(w - mu * v) <= 1e-8:
+                cv = canonical_projective(v)
+                if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
+                    found.append(cv)
+        return found
+
 
 @dataclass
 class PencilPoint:
@@ -435,6 +455,34 @@ def _centred(a: np.ndarray):
     return c / scale, scale, shift
 
 
+@dataclass(frozen=True)
+class _Request:
+    """One request's input, prepared once for the screen, the solve and the flag points.
+
+    ``a`` is the validated matrix.  :attr:`centred` is its
+    :func:`_centred` triple ``(C, scale, shift)`` and, for n = 4,
+    :attr:`pencil` is the :class:`Pencil` of ``C``, whose cached
+    ``eigen`` and ``common`` every reader shares; both are formed on first
+    use and kept, so a trivial solve forms neither.  ``classify``,
+    ``tridiagonalize`` and :func:`section_zeros` each build one from their
+    argument; the CLI builds one per request and hands it to all three
+    cores.
+    """
+
+    a: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", linalg.as_matrix(self.a))
+
+    @cached_property
+    def centred(self):
+        return _centred(self.a)
+
+    @cached_property
+    def pencil(self) -> Pencil:
+        return Pencil(self.centred[0])
+
+
 def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
     """A point ``[t0 : t1 : t2]`` on the pencil of ``(A - shift*I)/scale``, moved to the pencil of ``A``.
 
@@ -465,8 +513,13 @@ def section_zeros(pencil: Pencil):
     so the count depends on neither the scale nor the shift of ``A``.
     The result is empty when nothing passes, as on degenerate inputs.
     """
-    c, scale, shift = _centred(pencil.a)
-    cands = sorted(_flag_points(Pencil(c)), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
+    return _section_zeros(_Request(pencil.a))
+
+
+def _section_zeros(request: _Request):
+    """:func:`section_zeros` of a 4x4 request, on its centred pencil."""
+    _, scale, shift = request.centred
+    cands = sorted(_flag_points(request.pencil), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
     t = np.array([z.point.t for z in cands]).reshape(-1, 3)
     near = np.abs(t @ np.conj(t).T) ** 2 > 1 - DEDUPE_TOL**2
     kept: list[int] = []

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .genericity import _common
-from .pencil import Pencil, _centred, _flag_bases, _flag_points, _off_max, _passes, _unitarity
+from .pencil import _flag_bases, _flag_points, _off_max, _passes, _Request, _unitarity
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -132,24 +131,26 @@ def _flag3(b) -> np.ndarray:
 # the candidate flags
 
 
-def _direct(c, tol: float):
-    """The candidate flags ``(basis, provenance, eps)`` of a centred ``C``, lazily, in order.
+def _direct(request: _Request, tol: float):
+    """The candidate flags ``(basis, provenance, eps)`` of a request's centred ``C``, lazily, in order.
 
-    n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` gets one ``Pencil``
-    and one eigen-decomposition (:attr:`Pencil.eigen`), shared by the
-    common eigenvector test and the eigenvector points of the flag
-    search.  A common eigenvector ``v`` comes first: its flag is ``v``,
+    n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the request's
+    one ``Pencil`` and its one eigen-decomposition (:attr:`Pencil.eigen`),
+    shared by the common eigenvector test (:attr:`Pencil.common`), the
+    eigenvector points of the flag search and, on the CLI, the genericity
+    screen.  A common eigenvector ``v`` comes first: its flag is ``v``,
     then ``W`` times the 3x3 flag of ``W* C W`` for an orthonormal basis
     ``W`` of its complement.  Then come the flags that :func:`_flag_points`
     carries, already gated at ``CERT_TOL``, and last the unitary refined
     from the Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector
     matrix) to ``1e-2 * tol``, when that converges.
     """
+    c = request.centred[0]
     if c.shape[0] == 3:
         yield _flag3(c), "cubic_curve_3x3", 0.0
         return
-    pencil = Pencil(c)
-    common = _common(pencil.eigen[1], pencil.astar)
+    pencil = request.pencil
+    common = pencil.common
     if common:
         w = linalg.nullspace(np.conj(common[0])[None])
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
@@ -203,8 +204,9 @@ def _ladder(c, tol: float, seed: int):
     g = g / linalg.matrix_norm(g) * scale
     relaxed = max(tol, 1e-6)
     for eps in LADDER:
-        perturbed = _centred(c + eps * g)[0]
-        for basis, *_ in _direct(perturbed, relaxed):
+        request = _Request(c + eps * g)
+        perturbed = request.centred[0]
+        for basis, *_ in _direct(request, relaxed):
             r = _result_from_flag(perturbed, basis, "perturbed", norm=1.0)
             if _passes(r.off_residual, r.unitarity_residual, relaxed):
                 u = _refine_unitary(c, np.conj(basis).T, 1e-2 * tol * scale)
@@ -234,7 +236,12 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     are.  ``force_path="perturb"`` tries the ladder alone; n = 3 has no
     ladder.
     """
-    a = linalg.as_matrix(a)
+    return _solve(_Request(a), tol=tol, seed=seed, force_path=force_path)
+
+
+def _solve(request: _Request, *, tol: float, seed: int, force_path: str | None = None) -> TridiagResult:
+    """:func:`tridiagonalize` of a request, with every check and gate, reading its centred ``C`` and ``Pencil``."""
+    a = request.a
     n, m = a.shape
     if n != m or n == 0:
         raise ValueError(f"tridiagonalize expects a nonempty square matrix, got shape {a.shape}")
@@ -247,11 +254,11 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
 
     if n <= 2 or (force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial")
-    c, scale, _ = _centred(a)
+    c, scale, _ = request.centred
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
     inner = tol * min(1.0, norm / scale)
-    direct = () if n == 4 and force_path == "perturb" else _direct(c, inner)
+    direct = () if n == 4 and force_path == "perturb" else _direct(request, inner)
     ladder = _ladder(c, inner, seed) if n == 4 else ()
     for basis, provenance, eps in chain(direct, ladder):
         result = _result_from_flag(c, basis, provenance, eps, norm=1.0)

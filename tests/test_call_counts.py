@@ -19,13 +19,21 @@ most two ``pencil._refine_root`` calls.  A Gaussian solve stops at the
 first flag of its lazy candidate stream: one dodecic, the best sheets
 over its three best-conditioned roots alone, one gate of the best of
 them, and no root or unitary refinement.
+
+A ``tridiag`` request of the CLI prepares its input once: one
+``pencil._centred``, one ``linalg.eigen`` and one common eigenvector
+test (``Pencil.common``) serve the genericity screen, the solve and
+``--all-flags`` alike.  It takes three norms (the centring, ``||A||_2``
+and ``verify``'s), and under ``--json`` it never builds its text lines.
 """
 
+import functools
+import json
 import sys
 
 import pytest
 
-from tridiag4 import linalg, pencil
+from tridiag4 import cli, linalg, pencil
 from tridiag4.generate import make_matrix
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
@@ -141,3 +149,69 @@ def test_solve_takes_sheets_over_three_roots(monkeypatch):
         sizes.clear()
         assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
         assert sizes == [3], seed
+
+
+@pytest.fixture
+def request_calls(calls, monkeypatch):
+    """``calls``, plus every binding of ``pencil._centred`` in the package and the body of ``Pencil.common``."""
+    calls.update(_centred=0, common=0)
+    centred = pencil._centred
+
+    def counted_centred(*args):
+        calls["_centred"] += 1
+        return centred(*args)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tridiag4") and getattr(module, "_centred", None) is centred:
+            monkeypatch.setattr(module, "_centred", counted_centred)
+    common = Pencil.common.func
+
+    def counted_common(self):
+        calls["common"] += 1
+        return common(self)
+
+    prop = functools.cached_property(counted_common)
+    prop.__set_name__(Pencil, "common")
+    monkeypatch.setattr(Pencil, "common", prop)
+    return calls
+
+
+def tridiag_report(capsys, tmp_path, a, *flags):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cli.matrix_to_input(a)))
+    assert cli.main(["tridiag", str(path), "--json", "--verify", *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flags", [(), ("--all-flags",)])
+def test_cli_request_prepares_once(flags, request_calls, capsys, tmp_path):
+    for seed in SEEDS:
+        a = make_matrix("gaussian", 4, seed)
+        request_calls.update(eigen=0, matrix_norm=0, _centred=0, common=0)
+        report = tridiag_report(capsys, tmp_path, a, *flags)
+        assert report["result"]["provenance"] == "section_zero", seed
+        assert len(report.get("flags", [None] * 12)) == 12, seed
+        assert request_calls == {"eigen": 1, "matrix_norm": 3, "_centred": 1, "common": 1}, seed
+
+
+def test_cli_deflation_request_tests_common_eigenvectors_once(request_calls, capsys, tmp_path):
+    for seed in SEEDS:
+        a = make_matrix("hermitian", 4, seed)
+        request_calls.update(eigen=0, matrix_norm=0, _centred=0, common=0)
+        report = tridiag_report(capsys, tmp_path, a)
+        assert report["result"]["provenance"] == "common_eigenvector_deflation", seed
+        assert report["genericity"]["common_eigenvectors"], seed
+        assert request_calls == {"eigen": 1, "matrix_norm": 3, "_centred": 1, "common": 1}, seed
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_json_request_builds_no_text_lines(n, capsys, tmp_path, monkeypatch):
+    built = []
+    lines = cli._tridiag_lines
+    monkeypatch.setattr(cli, "_tridiag_lines", lambda *args: built.append(1) or lines(*args))
+    a = make_matrix("gaussian", n, 0)
+    tridiag_report(capsys, tmp_path, a, "--all-flags")
+    assert built == []
+    assert cli.main(["tridiag", str(tmp_path / "m.json")]) == 0
+    assert built == [1]
+    assert capsys.readouterr().out.startswith(f"n = {n}  provenance = ")

@@ -12,7 +12,9 @@ import pytest
 
 from tridiag4 import cli
 from tridiag4.errors import ParseError, Unsolved
-from tridiag4.generate import jordan_block, make_matrix
+from tridiag4.generate import KINDS, jordan_block, make_matrix
+from tridiag4.genericity import classify
+from tridiag4.tridiagonalize import tridiagonalize
 
 
 def run_cli(capsys, argv):
@@ -192,7 +194,7 @@ class TestTridiag:
         def broken(*args, **kwargs):
             raise RuntimeError("search bug")
 
-        monkeypatch.setattr(cli, "section_zeros", broken)
+        monkeypatch.setattr(cli, "_section_zeros", broken)
         _, out, _ = run_cli(capsys, ["gen", "--seed", "11"])
         path = tmp_path / "m.json"
         path.write_text(out)
@@ -261,6 +263,36 @@ class TestTridiag:
         _, err = proc.communicate(b"1 2 0\n3 4 1\n0 1 2\n", timeout=120)
         assert err == b""
         assert proc.returncode == 1
+
+
+class TestLibraryAgreement:
+    # one prepared request serves the screen and the solve; the report must be
+    # what the public calls give on their own, bit for bit (compared as JSON,
+    # which keeps the sign of a zero)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_report_equals_classify_and_tridiagonalize(self, capsys, tmp_path, kind, n):
+        path = tmp_path / "m.json"
+        for seed, tol in [(0, 1e-8), (1, 1e-9), (5, 1e-8)]:
+            a = make_matrix(kind, n, seed)
+            path.write_text(json.dumps(cli.matrix_to_input(a)))
+            argv = ["tridiag", str(path), "--json", "--verify", "--seed", str(seed), "--tol", str(tol)]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            payload = json.loads(out)
+            r = tridiagonalize(a, tol=tol, seed=seed)
+            result = {
+                "U": cli._cmat(r.u),
+                "T": cli._cmat(r.t),
+                "off_residual": r.off_residual,
+                "unitarity_residual": r.unitarity_residual,
+                "provenance": r.provenance,
+                "perturbation_used": r.perturbation_used,
+            }
+            assert json.dumps(payload["result"], sort_keys=True) == json.dumps(result, sort_keys=True), seed
+            genericity = classify(a, seed=seed).as_dict()
+            assert json.dumps(payload["genericity"], sort_keys=True) == json.dumps(genericity, sort_keys=True), seed
 
 
 class TestClassify:
@@ -365,7 +397,7 @@ class TestErrorExits:
         def unsolved(*args, **kwargs):
             raise Unsolved("no flag")
 
-        monkeypatch.setattr(cli, "tridiagonalize", unsolved)
+        monkeypatch.setattr(cli, "_solve", unsolved)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", 4, 0))))
         code, out, err = run_cli(capsys, ["tridiag", str(path), "--json"])
