@@ -23,7 +23,7 @@ from .degrees import run_experiments
 from .errors import ParseError, Unsolved
 from .generate import KINDS, make_matrix
 from .genericity import _classify, classify
-from .pencil import _Request, _section_zeros
+from .pencil import Pencil, section_zeros
 from .tridiagonalize import _solve, verify
 
 
@@ -163,13 +163,13 @@ def cmd_tridiag(args) -> int:
     # one preparation per request: the centring and, for n = 4, the
     # eigen-decomposition and the common eigenvector test are paid under
     # "classify", and the solve and --all-flags read them again
-    request = _Request(a)
+    pencil = Pencil(a)
     t0 = time.perf_counter()
-    genericity = _classify(request, args.seed).as_dict()
+    genericity = _classify(pencil, args.seed).as_dict()
     timings["classify"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    result = _solve(request, tol=args.tol, seed=args.seed)
+    result = _solve(pencil, tol=args.tol, seed=args.seed)
     timings["solve"] = 1e3 * (time.perf_counter() - t0)
 
     payload = {
@@ -195,7 +195,7 @@ def cmd_tridiag(args) -> int:
                 "sigma4": z.sigma4,
                 "shortcut": z.shortcut,
             }
-            for z in _section_zeros(request)
+            for z in section_zeros(pencil)
         ]
         timings["all_flags"] = 1e3 * (time.perf_counter() - t0)
 

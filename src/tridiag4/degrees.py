@@ -8,8 +8,9 @@ found by one eigen-solve: the eigenvalues of a 4x4 eigenproblem per
 line, the roots of the hyperplane's Krylov sextic over the base line,
 and the roots of the flag-point dodecic there (see
 :mod:`tridiag4.pencil`).  The first two
-certify all of their points with one stacked SVD.  All run on the
-centred and normalized ``A``, so no count depends on its scale or shift.
+certify all of their points with one stacked SVD.  All read the caller's
+centred and normalized ``A`` (:attr:`Pencil.unit`), so no count depends
+on its scale or shift.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import numpy as np
 
 from . import linalg
 from .errors import UnstableCountWarning
-from .genericity import _krylov_roots, classify
+from .genericity import _classify, _krylov_roots
 from .pencil import (
     CERT_TOL,
     Pencil,
-    _centred,
     _certify_on_curve,
     _unscale_point,
     pencil_matrix,
@@ -72,17 +72,16 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     on the centred and normalized ``A`` so that it depends on neither its
     scale nor its shift; all lines are solved and certified as one stack.
     Reports the modal count over the lines and warns when they disagree;
-    ``ValueError`` when ``lines < 1``.
+    ``ValueError`` when ``lines < 1`` or the pencil is not 4x4.
     """
     if lines < 1:
         raise ValueError(f"lines must be at least 1, got {lines}")
-    unit = Pencil(_centred(pencil.a)[0])
     # per line, in this order: p real, p imag, q real, q imag
     z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
     p, q = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
     p, q = p / np.linalg.norm(p, axis=1, keepdims=True), q / np.linalg.norm(q, axis=1, keepdims=True)
-    s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(unit, q), -pencil_matrix(unit, p)))
-    ok = _certify_on_curve(unit, (p[:, None] + s[:, :, None] * q[:, None]).reshape(-1, 3))[0]
+    s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(pencil.unit, q), -pencil_matrix(pencil.unit, p)))
+    ok = _certify_on_curve(pencil.unit, (p[:, None] + s[:, :, None] * q[:, None]).reshape(-1, 3))[0]
     modal, tally = _modal(ok.reshape(lines, 4).sum(axis=1))
     if len(tally) > 1:
         warnings.warn(f"line counts disagree: {tally}", UnstableCountWarning, stacklevel=2)
@@ -105,8 +104,8 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
 
     Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
     """
-    c, scale, shift = _centred(pencil.a)
-    unit = Pencil(c)
+    _, scale, shift = pencil.centred
+    unit = pencil.unit
     k, mus = _krylov_roots(unit.a.T, np.conj(unit.a), ell)
     bases = [(np.array([1.0, mu]) / np.linalg.norm([1.0, mu]), 1) for mu in mus]
     if k.size < 7:
@@ -126,13 +125,18 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
     Counts the certified roots of the hyperplane's Krylov sextic (see
     :func:`_hyperplane_points`); a tangential contact is a double root,
     which the companion matrix returns as two roots, so it counts twice.
-    With ``hyperplane=None`` a random one is drawn from ``seed``.
+    With ``hyperplane=None`` a random one is drawn from ``seed``; a given
+    one, 4 finite entries not all zero (``ValueError`` otherwise), is
+    divided by its largest modulus, so that its norm cannot underflow.
     """
     if hyperplane is None:
         rng = np.random.default_rng([seed, 13])
         ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     else:
-        ell = np.asarray(hyperplane, dtype=complex).reshape(4)
+        ell = linalg.as_vector(hyperplane)
+        if ell.size != 4 or not ell.any():
+            raise ValueError(f"hyperplane must have 4 entries, not all zero, got {hyperplane!r}")
+        ell = ell / np.abs(ell).max()
     ell = ell / np.linalg.norm(ell)
     return sum(m for _, _, m in _hyperplane_points(pencil, ell))
 
@@ -152,14 +156,15 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
     ``screen=True`` matrices outside the generic regime (common
     eigenvectors, rank-deficient pencil) skip the experiments with a
     notice, since the counts are only meaningful on the generic set.
-    ``ValueError`` when ``trials < 1``.
+    One :class:`Pencil` serves the screen and all three counts.
+    ``ValueError`` when ``trials < 1`` or ``A`` is not 4x4.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    a = linalg.as_matrix(a)
     pencil = Pencil(a)
+    pencil.unit  # ValueError unless 4x4, before the screen can skip the counts
     if screen:
-        report = classify(a, seed=seed)
+        report = _classify(pencil, seed)
         if report.common_eigenvectors or not report.in_generic_set:
             return DegreeReport(
                 deg_det_curve=None,

@@ -6,8 +6,8 @@ nonsingular, its eigenvalues are distinct, and the pencil ``t0*I + t1*A
 of ``A`` and ``A*`` splits off a deflation.  The rank condition is
 decided on the base line ``[t1 : t2]`` (see :func:`_pencil_rank`).  All
 but nonsingularity are decided on the centred and normalized matrix of
-:func:`pencil._centred`, so :func:`classify` gives the same answer for
-``c*A + b*I`` as for ``A``, except for nonsingularity, which a shift
+:attr:`pencil.Pencil.centred`, so :func:`classify` gives the same answer
+for ``c*A + b*I`` as for ``A``, except for nonsingularity, which a shift
 changes.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pencil import CERT_TOL, Pencil, _coefficients, _Request, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _coefficients, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -86,7 +86,7 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
 
     The rank of the pencil does not change under ``A -> A + c*I`` (only
     t0 moves), so the test runs on the pencil of ``C = (A - shift*I)/scale``
-    from :func:`pencil._centred`: the decision does not depend on the
+    from :attr:`pencil.Pencil.centred`: the decision does not depend on the
     scale of ``A``, and a near-scalar ``A`` keeps a well-resolved ``K``.
 
     Returns ``(ok, witness, quote)``; on failure the witness is a
@@ -123,30 +123,26 @@ def classify(a, seed: int = 0) -> GenericityReport:
     ``s1`` is ``sigma_min > 1e-10 * sigma_max`` from one SVD of ``A``;
     ``s2`` is the smallest eigenvalue gap of the centred ``C`` above
     ``1e-8``.  For ``n = 4`` the rank screen (:func:`_pencil_rank`) and the
-    common eigenvector test read one ``Pencil`` of ``C``, its one
-    eigen-decomposition and its common eigenvectors
-    (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
+    common eigenvector test read the ``Pencil`` of ``C``
+    (:attr:`Pencil.unit`), its one eigen-decomposition and its common
+    eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
     common eigenvectors and no witness.  ``details`` quotes the number
     that decided each failed test.
     """
-    return _classify(_Request(a), seed)
+    return _classify(Pencil(a), seed)
 
 
-def _classify(request: _Request, seed: int) -> GenericityReport:
-    """:func:`classify` of a request, reading its centred ``C`` and, for n = 4, its ``Pencil``."""
-    m = request.a
-    n = m.shape[0]
-    if m.shape != (n, n) or not 1 <= n <= 4:
-        raise ValueError(f"classify expects a square matrix with n <= 4, got shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
+def _classify(pencil: Pencil, seed: int) -> GenericityReport:
+    """:func:`classify` of a pencil, reading its centred ``C`` and, for n = 4, :attr:`Pencil.unit`."""
+    n = pencil.a.shape[0]
+    sv = np.linalg.svd(pencil.a, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])
-    c, scale, shift = request.centred
+    c, scale, shift = pencil.centred
     s3, witness, quote, common = True, None, None, []
     if n == 4:
-        pencil = request.pencil
-        lam = pencil.eigen[0]
-        s3, witness, quote = _pencil_rank(pencil, scale, shift, seed)
-        common = list(pencil.common)
+        lam = pencil.unit.eigen[0]
+        s3, witness, quote = _pencil_rank(pencil.unit, scale, shift, seed)
+        common = list(pencil.unit.common)
     else:
         lam = np.linalg.eigvals(c)
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, 1)]

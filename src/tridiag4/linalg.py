@@ -62,8 +62,6 @@ def eigen(m):
     """
     a = as_matrix(m)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1] or n > 4:
-        raise ValueError("eigen expects a square matrix with n <= 4")
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at n <= 4

@@ -59,17 +59,37 @@ _PAIRS = np.triu_indices(4, 1)
 
 @dataclass(frozen=True)
 class Pencil:
-    """A 4x4 matrix together with its cached adjoint and eigen-decomposition."""
+    """A finite square matrix with ``1 <= n <= 4`` (``ValueError`` otherwise) and its adjoint, prepared once for every reader.
+
+    :attr:`centred` is its :func:`_centred` triple and, for n = 4,
+    :attr:`unit` the ``Pencil`` of the centred ``C``, whose cached ``eigen``
+    and ``common`` the screen, the solve, the flag points and the counts
+    share; both are formed on first use, so a trivial solve forms neither.
+    ``classify``, ``tridiagonalize``, ``run_experiments`` and the CLI build
+    one per request; :func:`section_zeros` and the counts read the caller's.
+    """
 
     a: np.ndarray
     astar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a)
-        if a.shape != (4, 4):
-            raise ValueError("Pencil expects a 4x4 matrix")
+        if a.shape not in [(n, n) for n in range(1, 5)]:
+            raise ValueError(f"expected a square matrix with 1 <= n <= 4, got shape {a.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "astar", linalg.adjoint(a))
+
+    @cached_property
+    def centred(self):
+        """:func:`_centred` of ``A``: the one place a matrix is centred."""
+        return _centred(self.a)
+
+    @cached_property
+    def unit(self) -> Pencil:
+        """The ``Pencil`` of the centred ``C``; ``ValueError`` unless n = 4, since only the flag points and the counts read it."""
+        if self.a.shape[0] != 4:
+            raise ValueError(f"the flag points and the counts need a 4x4 matrix, got shape {self.a.shape}")
+        return Pencil(self.centred[0])
 
     @cached_property
     def eigen(self):
@@ -121,12 +141,12 @@ class SectionCandidate:
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
-    """The 4x4 matrix ``t0*I + t1*A + t2*A*``; a (k, 3) stack of ``t`` gives the (k, 4, 4) stack."""
+    """The n x n matrix ``t0*I + t1*A + t2*A*``; a (k, 3) stack of ``t`` gives the (k, n, n) stack."""
     t = np.asarray(t, dtype=complex)
     if t.shape[-1:] != (3,) or t.ndim > 2 or not np.all(np.isfinite(t)):
         raise ValueError("pencil parameter must have 3 finite coordinates, or be a stack of such rows")
     t0, t1, t2 = t.T[..., None, None]
-    return t0 * np.eye(4, dtype=complex) + t1 * pencil.a + t2 * pencil.astar
+    return t0 * np.eye(pencil.a.shape[0], dtype=complex) + t1 * pencil.a + t2 * pencil.astar
 
 
 def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
@@ -455,34 +475,6 @@ def _centred(a: np.ndarray):
     return c / scale, scale, shift
 
 
-@dataclass(frozen=True)
-class _Request:
-    """One request's input, prepared once for the screen, the solve and the flag points.
-
-    ``a`` is the validated matrix.  :attr:`centred` is its
-    :func:`_centred` triple ``(C, scale, shift)`` and, for n = 4,
-    :attr:`pencil` is the :class:`Pencil` of ``C``, whose cached
-    ``eigen`` and ``common`` every reader shares; both are formed on first
-    use and kept, so a trivial solve forms neither.  ``classify``,
-    ``tridiagonalize`` and :func:`section_zeros` each build one from their
-    argument; the CLI builds one per request and hands it to all three
-    cores.
-    """
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", linalg.as_matrix(self.a))
-
-    @cached_property
-    def centred(self):
-        return _centred(self.a)
-
-    @cached_property
-    def pencil(self) -> Pencil:
-        return Pencil(self.centred[0])
-
-
 def _unscale_point(t, scale: float, shift: complex = 0.0) -> np.ndarray:
     """A point ``[t0 : t1 : t2]`` on the pencil of ``(A - shift*I)/scale``, moved to the pencil of ``A``.
 
@@ -509,17 +501,13 @@ def section_zeros(pencil: Pencil):
     ``sigma4``: in that order, one Gram matrix of the points decides
     whether a point is near one kept before it.  On a generic matrix the
     result has exactly 12 entries.  The points are found on
-    the matrix of :func:`_centred` and mapped back to the pencil of ``A``,
-    so the count depends on neither the scale nor the shift of ``A``.
-    The result is empty when nothing passes, as on degenerate inputs.
+    :attr:`Pencil.unit`, the centred matrix, and mapped back to the pencil
+    of ``A``, so the count depends on neither the scale nor the shift of
+    ``A``.  The result is empty when nothing passes, as on degenerate
+    inputs; ``ValueError`` unless the pencil is 4x4.
     """
-    return _section_zeros(_Request(pencil.a))
-
-
-def _section_zeros(request: _Request):
-    """:func:`section_zeros` of a 4x4 request, on its centred pencil."""
-    _, scale, shift = request.centred
-    cands = sorted(_flag_points(request.pencil), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
+    _, scale, shift = pencil.centred
+    cands = sorted(_flag_points(pencil.unit), key=lambda z: (z.sigma4, tuple(np.round(z.point.t, 9).view(float))))
     t = np.array([z.point.t for z in cands]).reshape(-1, 3)
     near = np.abs(t @ np.conj(t).T) ** 2 > 1 - DEDUPE_TOL**2
     kept: list[int] = []
@@ -527,5 +515,4 @@ def _section_zeros(request: _Request):
         if not near[i, kept].any():
             kept.append(i)
     # only t moves to the pencil of A: v, sigma4 and the flag, which tridiagonalizes A too, stay
-    kept_cands = [cands[i] for i in kept]
-    return [replace(z, point=replace(z.point, t=_unscale_point(z.point.t, scale, shift))) for z in kept_cands]
+    return [replace(z, point=replace(z.point, t=_unscale_point(z.point.t, scale, shift))) for z in [cands[i] for i in kept]]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .pencil import _flag_bases, _flag_points, _off_max, _passes, _Request, _unitarity
+from .pencil import Pencil, _flag_bases, _flag_points, _off_max, _passes, _unitarity
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -131,11 +131,11 @@ def _flag3(b) -> np.ndarray:
 # the candidate flags
 
 
-def _direct(request: _Request, tol: float):
-    """The candidate flags ``(basis, provenance, eps)`` of a request's centred ``C``, lazily, in order.
+def _direct(pencil: Pencil, tol: float):
+    """The candidate flags ``(basis, provenance, eps)`` of a pencil's centred ``C``, lazily, in order.
 
-    n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the request's
-    one ``Pencil`` and its one eigen-decomposition (:attr:`Pencil.eigen`),
+    n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the pencil's
+    :attr:`Pencil.unit` and its one eigen-decomposition (:attr:`Pencil.eigen`),
     shared by the common eigenvector test (:attr:`Pencil.common`), the
     eigenvector points of the flag search and, on the CLI, the genericity
     screen.  A common eigenvector ``v`` comes first: its flag is ``v``,
@@ -145,17 +145,16 @@ def _direct(request: _Request, tol: float):
     from the Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector
     matrix) to ``1e-2 * tol``, when that converges.
     """
-    c = request.centred[0]
+    c = pencil.centred[0]
     if c.shape[0] == 3:
         yield _flag3(c), "cubic_curve_3x3", 0.0
         return
-    pencil = request.pencil
-    common = pencil.common
+    common = pencil.unit.common
     if common:
         w = linalg.nullspace(np.conj(common[0])[None])
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
         yield basis, "common_eigenvector_deflation", 0.0
-    for cand in _flag_points(pencil):
+    for cand in _flag_points(pencil.unit):
         yield cand.basis, "shortcut_dimW3" if cand.shortcut else "section_zero", 0.0
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
     u = _refine_unitary(c, np.conj(q).T, 1e-2 * tol)
@@ -204,10 +203,9 @@ def _ladder(c, tol: float, seed: int):
     g = g / linalg.matrix_norm(g) * scale
     relaxed = max(tol, 1e-6)
     for eps in LADDER:
-        request = _Request(c + eps * g)
-        perturbed = request.centred[0]
-        for basis, *_ in _direct(request, relaxed):
-            r = _result_from_flag(perturbed, basis, "perturbed", norm=1.0)
+        pencil = Pencil(c + eps * g)
+        for basis, *_ in _direct(pencil, relaxed):
+            r = _result_from_flag(pencil.centred[0], basis, "perturbed", norm=1.0)
             if _passes(r.off_residual, r.unitarity_residual, relaxed):
                 u = _refine_unitary(c, np.conj(basis).T, 1e-2 * tol * scale)
                 if u is not None:
@@ -219,12 +217,12 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     """Unitary U and tridiagonal T = U A U* for any complex matrix, n <= 4.
 
     ``seed`` seeds the perturbation ladder's direction.  ``ValueError``
-    on an empty or non-square ``A``, on n >= 5, on a ``tol`` that is not
-    positive and finite, and on a ``force_path`` other than None and
-    ``"perturb"``.  The returned result always satisfies
-    ``off_residual <= tol`` (relative to ||A||); :class:`Unsolved`
-    is raised only when no candidate flag, the ladder's included, does,
-    which indicates a bug rather than an expected outcome.
+    on an ``A`` that :class:`Pencil` rejects (not finite, not square, or
+    n outside 1..4), on a ``tol`` that is not positive and finite, and on
+    a ``force_path`` other than None and ``"perturb"``.  The returned
+    result always satisfies ``off_residual <= tol`` (relative to ||A||);
+    :class:`Unsolved` is raised only when no candidate flag, the ladder's
+    included, does, which indicates a bug rather than an expected outcome.
 
     ``A`` is centred and normalized once, at entry: the flags are sought
     for ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and
@@ -236,17 +234,13 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     are.  ``force_path="perturb"`` tries the ladder alone; n = 3 has no
     ladder.
     """
-    return _solve(_Request(a), tol=tol, seed=seed, force_path=force_path)
+    return _solve(Pencil(a), tol=tol, seed=seed, force_path=force_path)
 
 
-def _solve(request: _Request, *, tol: float, seed: int, force_path: str | None = None) -> TridiagResult:
-    """:func:`tridiagonalize` of a request, with every check and gate, reading its centred ``C`` and ``Pencil``."""
-    a = request.a
-    n, m = a.shape
-    if n != m or n == 0:
-        raise ValueError(f"tridiagonalize expects a nonempty square matrix, got shape {a.shape}")
-    if n > 4:
-        raise ValueError("no algorithm exists for n >= 5; this solver stops at 4")
+def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = None) -> TridiagResult:
+    """:func:`tridiagonalize` of a pencil, with every check and gate, reading its centred ``C`` and :attr:`Pencil.unit`."""
+    a = pencil.a
+    n = a.shape[0]
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if force_path not in (None, "perturb"):
@@ -254,11 +248,11 @@ def _solve(request: _Request, *, tol: float, seed: int, force_path: str | None =
 
     if n <= 2 or (force_path is None and _off_max(a) == 0.0):
         return _result_from_flag(a, np.eye(n, dtype=complex), "trivial")
-    c, scale, _ = request.centred
+    c, scale, _ = pencil.centred
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
     inner = tol * min(1.0, norm / scale)
-    direct = () if n == 4 and force_path == "perturb" else _direct(request, inner)
+    direct = () if n == 4 and force_path == "perturb" else _direct(pencil, inner)
     ladder = _ladder(c, inner, seed) if n == 4 else ()
     for basis, provenance, eps in chain(direct, ladder):
         result = _result_from_flag(c, basis, provenance, eps, norm=1.0)

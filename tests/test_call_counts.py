@@ -25,6 +25,8 @@ A ``tridiag`` request of the CLI prepares its input once: one
 test (``Pencil.common``) serve the genericity screen, the solve and
 ``--all-flags`` alike.  It takes three norms (the centring, ``||A||_2``
 and ``verify``'s), and under ``--json`` it never builds its text lines.
+``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
+its screen and its three counts, however many trials it runs.
 """
 
 import functools
@@ -34,6 +36,7 @@ import sys
 import pytest
 
 from tridiag4 import cli, linalg, pencil
+from tridiag4.degrees import run_experiments
 from tridiag4.generate import make_matrix
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
@@ -174,6 +177,17 @@ def request_calls(calls, monkeypatch):
     prop.__set_name__(Pencil, "common")
     monkeypatch.setattr(Pencil, "common", prop)
     return calls
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_run_experiments_prepares_once(trials, request_calls):
+    # the screen and the three counts read one Pencil: before it, a trial
+    # centred A four times and eigen-decomposed it twice
+    for seed in SEEDS:
+        request_calls.update(eigen=0, matrix_norm=0, _centred=0, common=0)
+        report = run_experiments(make_matrix("gaussian", 4, seed), trials=trials)
+        assert (report.deg_det_curve, report.deg_kernel_curve, report.section_zero_count) == (4, 6, 12), seed
+        assert (request_calls["_centred"], request_calls["eigen"]) == (1, 1), seed
 
 
 def tridiag_report(capsys, tmp_path, a, *flags):

@@ -194,7 +194,7 @@ class TestTridiag:
         def broken(*args, **kwargs):
             raise RuntimeError("search bug")
 
-        monkeypatch.setattr(cli, "_section_zeros", broken)
+        monkeypatch.setattr(cli, "section_zeros", broken)
         _, out, _ = run_cli(capsys, ["gen", "--seed", "11"])
         path = tmp_path / "m.json"
         path.write_text(out)

@@ -51,6 +51,12 @@ def test_no_unreferenced_private_functions():
     assert unused == []
 
 
+def test_only_pencil_centres():
+    # the centring rule lives in one module: every other reads Pencil.centred
+    referring = [name for name, tree in _modules().items() if "_centred" in _referenced_names(tree)]
+    assert referring == ["pencil.py"]
+
+
 #: Public functions that nothing in the package calls and ``__all__`` leaves out, with the reason each stays.
 UNCALLED_PUBLIC = {
     "tridiagonalize.flag_residuals": "the flag characterizations, the reference the tests measure flags by",

@@ -10,7 +10,7 @@ from tridiag4.degrees import (
     section_zero_count,
 )
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.pencil import Pencil, _certify_on_curve
+from tridiag4.pencil import Pencil, _certify_on_curve, section_zeros
 
 
 class TestDegreeOfDetCurve:
@@ -78,6 +78,24 @@ class TestDegreeOfKernelCurve:
 
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_scaled_hyperplane_counts_six(self, scale):
+        # the norm of [1e-300, 0, 0, 0] underflows to 0, and that of a
+        # hyperplane times 1e300 overflows: both counted 0
+        p = Pencil(make_matrix("gaussian", 4, 3))
+        ell = np.array([1.0, 2.0 - 1.0j, -0.5, 3.0j])
+        assert degree_of_kernel_curve(p, hyperplane=ell) == 6
+        assert degree_of_kernel_curve(p, hyperplane=scale * ell) == 6
+        assert degree_of_kernel_curve(p, hyperplane=[scale, 0, 0, 0]) == 6
+
+    @pytest.mark.parametrize(
+        "hyperplane",
+        [np.zeros(4), [np.nan, 1, 1, 1], [np.inf, 0, 0, 0], [1.0, 2.0, 3.0], np.ones(5)],
+    )
+    def test_rejects_bad_hyperplanes(self, hyperplane):
+        with pytest.raises(ValueError):
+            degree_of_kernel_curve(Pencil(make_matrix("gaussian", 4, 3)), hyperplane=hyperplane)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_scale_free(self, scale):
         # the points come back on the pencil of the scaled matrix itself
         for seed in range(5):
@@ -94,6 +112,27 @@ class TestSectionZeroCount:
     def test_random_matrix_at_most_twelve(self):
         p = Pencil(make_matrix("gaussian", 4, 6))
         assert section_zero_count(p) == 12  # the roots of the dodecic
+
+
+class TestFourByFourOnly:
+    # a Pencil holds any n <= 4, but the flag points and the counts exist
+    # for n = 4 alone: a 3x3 input is a ValueError, never an IndexError or
+    # a LinAlgError from inside a count
+    @pytest.mark.parametrize(
+        "count",
+        [
+            section_zeros,
+            section_zero_count,
+            degree_of_det_curve,
+            degree_of_kernel_curve,
+            lambda p: run_experiments(p.a, screen=True),
+            lambda p: run_experiments(p.a, screen=False),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["gaussian", "hermitian", "jordan"])
+    def test_three_by_three_rejected(self, count, kind):
+        with pytest.raises(ValueError, match="4x4"):
+            count(Pencil(make_matrix(kind, 3, 0)))
 
 
 class TestRunExperiments:

@@ -36,6 +36,35 @@ def curve_points(p, mu):
     return [(np.array([-lam[k], 1.0, mu]), vecs[:, k]) for k in range(4)]
 
 
+class TestPencil:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_holds_any_size_up_to_four(self, n):
+        a = make_matrix("gaussian", n, 0)
+        p = Pencil(a)
+        assert np.array_equal(p.a, a) and np.array_equal(p.astar, np.conj(a).T)
+        c, scale, shift = p.centred
+        assert np.allclose(scale * c + shift * np.eye(n), a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.ones((5, 5)), np.ones((3, 4)), np.ones((0, 0)), np.ones(4), np.full((4, 4), np.nan), np.full((3, 3), np.inf)],
+    )
+    def test_rejects_other_input(self, a):
+        with pytest.raises(ValueError):
+            Pencil(a)
+
+    def test_unit_needs_four_by_four(self):
+        assert Pencil(make_matrix("gaussian", 4, 0)).unit.a.shape == (4, 4)
+        with pytest.raises(ValueError, match="4x4"):
+            Pencil(make_matrix("gaussian", 3, 0)).unit
+
+    def test_three_by_three_pencil_is_singular_at_eigenvalues(self):
+        b = make_matrix("gaussian", 3, 5)
+        for lam in np.linalg.eigvals(b):
+            s = np.linalg.svd(pencil_matrix(Pencil(b), [-lam, 1.0, 0.0]), compute_uv=False)
+            assert s[-1] <= 1e-13 * s[0], lam
+
+
 class TestPencilMatrix:
     def test_unit_t0_gives_identity(self):
         p = Pencil(make_matrix("gaussian", 4, 0))

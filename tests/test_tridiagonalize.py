@@ -8,7 +8,7 @@ from tridiag4 import linalg, pencil
 from tridiag4.errors import Unsolved
 from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
 from tridiag4.genericity import classify
-from tridiag4.pencil import Pencil, _flag_bases, _passes, _Request, section_zeros
+from tridiag4.pencil import Pencil, _flag_bases, _passes, section_zeros
 from tridiag4.tridiagonalize import (
     _direct,
     _result_from_flag,
@@ -158,9 +158,9 @@ class TestDispatch:
         if kind.startswith("conjugated"):
             u = random_unitary(4, np.random.default_rng(7))
             a = u @ a @ np.conj(u).T
-        request = _Request(a)
-        c = request.centred[0]
-        basis, provenance, _ = next(_direct(request, 1e-8))
+        p = Pencil(a)
+        c = p.centred[0]
+        basis, provenance, _ = next(_direct(p, 1e-8))
         assert provenance == "shortcut_dimW3"
         r = _result_from_flag(c, basis, provenance, norm=1.0)
         assert _passes(r.off_residual, r.unitarity_residual, 1e-8)
