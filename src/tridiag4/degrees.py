@@ -127,7 +127,7 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
     which the companion matrix returns as two roots, so it counts twice.
     With ``hyperplane=None`` a random one is drawn from ``seed``; a given
     one, 4 finite entries not all zero (``ValueError`` otherwise), is
-    divided by its largest modulus, so that its norm cannot underflow.
+    divided by its largest modulus, so its norm can neither under- nor overflow.
     """
     if hyperplane is None:
         rng = np.random.default_rng([seed, 13])
