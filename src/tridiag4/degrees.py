@@ -56,10 +56,16 @@ class DegreeReport:
 
 
 def _modal(counts):
-    """The most frequent count (ties to the larger) and the tally ``{count: frequency}``."""
-    values, freq = np.unique(counts, return_counts=True)
-    tally = dict(zip(values.tolist(), freq.tolist()))
+    """The most frequent count (ties to the larger) and the ascending tally ``{count: frequency}``."""
+    tally = {c: f for c, f in enumerate(np.bincount(counts).tolist()) if f}
     return max(tally, key=lambda c: (tally[c], c)), tally
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer other than a ``bool``; ``ValueError`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
@@ -70,17 +76,24 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     and ``q``: at the eigenvalues of ``-Q^{-1} P``.  The count of a line is
     the number of those points that pass the on-curve certificate, taken
     on the centred and normalized ``A`` so that it depends on neither its
-    scale nor its shift; all lines are solved and certified as one stack.
-    Reports the modal count over the lines and warns when they disagree;
-    ``ValueError`` when ``lines < 1`` or the pencil is not 4x4.
+    scale nor its shift; the unit ``q`` and ``p`` of all lines are
+    normalized as one stack, and their ``Q`` and ``P`` built as one,
+    solved as one and certified as one.  Reports the modal count over
+    the lines and warns when they disagree.  ``lines`` and ``seed`` are
+    Python or numpy integers (not ``bool``); ``ValueError`` otherwise,
+    when ``lines < 1``, or when the pencil is not 4x4.
     """
+    lines, seed = _integer("lines", lines), _integer("seed", seed)
     if lines < 1:
         raise ValueError(f"lines must be at least 1, got {lines}")
     # per line, in this order: p real, p imag, q real, q imag
     z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
-    p, q = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
-    p, q = p / np.linalg.norm(p, axis=1, keepdims=True), q / np.linalg.norm(q, axis=1, keepdims=True)
-    s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(pencil.unit, q), -pencil_matrix(pencil.unit, p)))
+    # the unit q of every line, then its unit p: one stack, normalized row by row
+    w = (z[:, 2::-2] + 1j * z[:, 3::-2]).swapaxes(0, 1).reshape(-1, 3)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    q, p = w[:lines], w[lines:]
+    qp = pencil_matrix(pencil.unit, w)
+    s = np.linalg.eigvals(np.linalg.solve(qp[:lines], -qp[lines:]))
     ok = _certify_on_curve(pencil.unit, (p[:, None] + s[:, :, None] * q[:, None]).reshape(-1, 3))[0]
     modal, tally = _modal(ok.reshape(lines, 4).sum(axis=1))
     if len(tally) > 1:
@@ -157,8 +170,10 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
     eigenvectors, rank-deficient pencil) skip the experiments with a
     notice, since the counts are only meaningful on the generic set.
     One :class:`Pencil` serves the screen and all three counts.
-    ``ValueError`` when ``trials < 1`` or ``A`` is not 4x4.
+    ``trials`` and ``seed`` are Python or numpy integers (not ``bool``);
+    ``ValueError`` otherwise, when ``trials < 1``, or when ``A`` is not 4x4.
     """
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     pencil = Pencil(a)

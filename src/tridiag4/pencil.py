@@ -64,7 +64,8 @@ class Pencil:
     :attr:`centred` is its :func:`_centred` triple and, for n = 4,
     :attr:`unit` the ``Pencil`` of the centred ``C``, whose cached ``eigen``
     and ``common`` the screen, the solve, the flag points and the counts
-    share; both are formed on first use, so a trivial solve forms neither.
+    share, and whose private ``_roots`` the flag points share; each is
+    formed on first use, so a trivial solve forms none.
     ``classify``, ``tridiagonalize``, ``run_experiments`` and the CLI build
     one per request; :func:`section_zeros` and the counts read the caller's.
     """
@@ -100,6 +101,18 @@ class Pencil:
         this one decomposition.
         """
         return linalg.eigen(self.a)
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """:func:`_dodecic_roots` of this pencil, read-only, taken on first use and kept.
+
+        Read only by :func:`_flag_points`, on a :attr:`unit`, as
+        :func:`_dodecic_roots` requires: the solve's flag points and
+        :func:`section_zeros` on the same ``unit`` share this one dodecic.
+        """
+        mu = _dodecic_roots(self)
+        mu.flags.writeable = False
+        return mu
 
     @cached_property
     def common(self) -> list[np.ndarray]:
@@ -423,14 +436,15 @@ def _flag_points(pencil: Pencil):
     and ``sigma4`` measures how far ``W3`` is from dimension 3).  Then
     over each root of the dodecic the sheet with the smallest ``sigma4``:
     of the three best-conditioned roots (the first three of
-    :func:`_dodecic_roots`) the one whose sheet has the smallest
-    ``sigma4`` alone, then the other 11, sorted by ``sigma4``.  Only then
-    are the rejected roots refined on the dodecic (:func:`_refine_root`;
-    a root at ``mu = 0`` is not) and the best sheets over them gated: the
-    one with the largest ``sigma4`` alone, then the rest.  Deterministic,
-    and lazy: the dodecic is formed only when the eigenvector points have
-    been consumed, the sheets over the other nine roots only when the
-    first root has, and the refinement only when all twelve have.
+    :attr:`Pencil._roots`) the one whose sheet has the smallest ``sigma4``
+    alone, then the other 11, sorted by ``sigma4``.  Only then are the
+    rejected roots refined on the dodecic (:func:`_refine_root`; a root at
+    ``mu = 0`` is not) and the best sheets over them gated: the one with
+    the largest ``sigma4`` alone, then the rest.  Deterministic, and lazy:
+    the dodecic is formed only when the eigenvector points have been
+    consumed, and once per pencil; the sheets over the other nine roots
+    only when the first root has, and the refinement only when all twelve
+    have.
     ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
     and :func:`_dodecic_roots` require.
     """
@@ -439,7 +453,7 @@ def _flag_points(pencil: Pencil):
     screened = [t for (t, _), s in zip(seeds, score) if s <= np.sqrt(CERT_TOL)]
     if screened:
         yield from filter(None, _certify(pencil, np.array(screened)))
-    mu = _dodecic_roots(pencil)
+    mu = pencil._roots
     if mu.size == 0:
         return
     points, score = _best_sheets(pencil, mu[:_FIRST_ROOTS])

@@ -18,12 +18,15 @@ the one with the largest ``sigma4`` alone and the rest as one stack: at
 most two ``pencil._refine_root`` calls.  A Gaussian solve stops at the
 first flag of its lazy candidate stream: one dodecic, the best sheets
 over its three best-conditioned roots alone, one gate of the best of
-them, and no root or unitary refinement.
+them, and no root or unitary refinement.  The dodecic is kept on its
+``Pencil`` (``Pencil._roots``): ``section_zeros`` called twice on one
+pencil forms it once.
 
 A ``tridiag`` request of the CLI prepares its input once: one
 ``pencil._centred``, one ``linalg.eigen`` and one common eigenvector
 test (``Pencil.common``) serve the genericity screen, the solve and
-``--all-flags`` alike.  It takes three norms (the centring, ``||A||_2``
+``--all-flags`` alike, and with ``--all-flags`` the solve and the flag
+list share one dodecic.  It takes three norms (the centring, ``||A||_2``
 and ``verify``'s), and under ``--json`` it never builds its text lines.
 ``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
 its screen and its three counts, however many trials it runs.
@@ -155,6 +158,23 @@ def test_solve_takes_sheets_over_three_roots(monkeypatch):
 
 
 @pytest.fixture
+def dodecics(monkeypatch):
+    """The list that each ``pencil._dodecic_roots`` call appends to."""
+    calls = []
+    roots = pencil._dodecic_roots
+    monkeypatch.setattr(pencil, "_dodecic_roots", lambda *args: calls.append(1) or roots(*args))
+    return calls
+
+
+def test_section_zeros_twice_forms_one_dodecic(dodecics):
+    for seed in SEEDS:
+        dodecics.clear()
+        p = Pencil(make_matrix("gaussian", 4, seed))
+        assert len(section_zeros(p)) == len(section_zeros(p)) == 12, seed
+        assert dodecics == [1], seed
+
+
+@pytest.fixture
 def request_calls(calls, monkeypatch):
     """``calls``, plus every binding of ``pencil._centred`` in the package and the body of ``Pencil.common``."""
     calls.update(_centred=0, common=0)
@@ -206,6 +226,16 @@ def test_cli_request_prepares_once(flags, request_calls, capsys, tmp_path):
         assert report["result"]["provenance"] == "section_zero", seed
         assert len(report.get("flags", [None] * 12)) == 12, seed
         assert request_calls == {"eigen": 1, "matrix_norm": 3, "_centred": 1, "common": 1}, seed
+
+
+def test_all_flags_request_forms_one_dodecic(dodecics, capsys, tmp_path):
+    # the solve and the flag list read one Pencil._roots
+    for seed in SEEDS:
+        dodecics.clear()
+        report = tridiag_report(capsys, tmp_path, make_matrix("gaussian", 4, seed), "--all-flags")
+        assert report["result"]["provenance"] == "section_zero", seed
+        assert len(report["flags"]) == 12, seed
+        assert dodecics == [1], seed
 
 
 def test_cli_deflation_request_tests_common_eigenvectors_once(request_calls, capsys, tmp_path):

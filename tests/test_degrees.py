@@ -1,16 +1,42 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tridiag4 import linalg
 from tridiag4.degrees import (
     _hyperplane_points,
+    _modal,
     degree_of_det_curve,
     degree_of_kernel_curve,
     run_experiments,
     section_zero_count,
 )
 from tridiag4.generate import jordan_block, make_matrix
-from tridiag4.pencil import Pencil, _certify_on_curve, section_zeros
+from tridiag4.pencil import Pencil, _certify_on_curve, pencil_matrix, section_zeros
+
+#: Arguments that are not integers, or are bools: each is a ValueError.
+NOT_INTEGERS = [2.5, True, np.float64(3.0), np.array([1, 2]), "10", None]
+
+
+def det_curve_reference(pencil, lines, seed):
+    """The count and tally with ``Q`` and ``P`` built apart and counts tallied by ``np.unique``."""
+    z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
+    p, q = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+    p, q = p / np.linalg.norm(p, axis=1, keepdims=True), q / np.linalg.norm(q, axis=1, keepdims=True)
+    unit = pencil.unit
+    s = np.linalg.eigvals(np.linalg.solve(pencil_matrix(unit, q), -pencil_matrix(unit, p)))
+    ok = _certify_on_curve(unit, (p[:, None] + s[:, :, None] * q[:, None]).reshape(-1, 3))[0]
+    values, freq = np.unique(ok.reshape(lines, 4).sum(axis=1), return_counts=True)
+    tally = dict(zip(values.tolist(), freq.tolist()))
+    return max(tally, key=lambda c: (tally[c], c)), tally
+
+
+def det_curve_and_warnings(pencil, lines, seed):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        count = degree_of_det_curve(pencil, lines=lines, seed=seed)
+    return count, [str(w.message) for w in caught]
 
 
 class TestDegreeOfDetCurve:
@@ -38,6 +64,47 @@ class TestDegreeOfDetCurve:
     def test_rejects_no_lines(self):
         with pytest.raises(ValueError, match="lines"):
             degree_of_det_curve(Pencil(make_matrix("gaussian", 4, 0)), lines=0)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["lines", "seed"])
+    def test_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            degree_of_det_curve(Pencil(make_matrix("gaussian", 4, 0)), **{name: value})
+
+    def test_numpy_integers_as_python_ones(self):
+        for g in range(5):
+            p = Pencil(make_matrix("gaussian", 4, g))
+            expected = det_curve_and_warnings(p, 10, 42)
+            assert det_curve_and_warnings(p, np.int32(10), np.int64(42)) == expected, g
+
+    @pytest.mark.parametrize("lines", [1, 10])
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_matches_a_reference(self, seed, lines):
+        # the one stacked, one-normalization pencil and the bincount tally change no count and no warning
+        inputs = [make_matrix("gaussian", 4, g) for g in range(40)]
+        inputs += [np.diag([1.0, 1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 1.0, 2.0]), jordan_block(4)]
+        for k, a in enumerate(inputs):
+            p = Pencil(a)
+            modal, tally = det_curve_reference(p, lines, seed)
+            expected = [f"line counts disagree: {tally}"] if len(tally) > 1 else []
+            assert det_curve_and_warnings(p, lines, seed) == (modal, expected), k
+
+
+class TestModal:
+    @pytest.mark.parametrize(
+        "counts, expected",
+        [
+            ([3, 4, 4, 3], (4, {3: 2, 4: 2})),  # a tie goes to the larger count
+            (np.array([0, 0, 4]), (0, {0: 2, 4: 1})),
+            ([4], (4, {4: 1})),
+            (np.array([2, 4, 1, 4, 2, 4]), (4, {1: 1, 2: 2, 4: 3})),
+        ],
+    )
+    def test_modal_and_tally(self, counts, expected):
+        modal, tally = _modal(counts)
+        assert (modal, tally) == expected
+        assert list(tally) == sorted(tally)
+        assert all(type(k) is int and type(v) is int for k, v in tally.items()) and type(modal) is int
 
 
 class TestDegreeOfKernelCurve:
@@ -155,6 +222,18 @@ class TestRunExperiments:
     def test_rejects_no_trials(self):
         with pytest.raises(ValueError, match="trials"):
             run_experiments(make_matrix("gaussian", 4, 0), trials=0)
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    def test_rejects_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_experiments(make_matrix("gaussian", 4, 0), **{name: value})
+
+    def test_numpy_integers_as_python_ones(self):
+        a = make_matrix("gaussian", 4, 7)
+        report = run_experiments(a, trials=np.int64(2), seed=np.int32(7))
+        assert report.as_dict() == run_experiments(a, trials=2, seed=7).as_dict()
+        assert type(report.trials) is int
 
     def test_hermitian_skipped_with_notice(self):
         a = make_matrix("hermitian", 4, 8)
