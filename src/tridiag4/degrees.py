@@ -61,13 +61,6 @@ def _modal(counts):
     return max(tally, key=lambda c: (tally[c], c)), tally
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int`` when it is a Python or numpy integer other than a ``bool``; ``ValueError`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     """Intersection count of the determinant curve with random lines.
 
@@ -83,7 +76,7 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     Python or numpy integers (not ``bool``); ``ValueError`` otherwise,
     when ``lines < 1``, or when the pencil is not 4x4.
     """
-    lines, seed = _integer("lines", lines), _integer("seed", seed)
+    lines, seed = linalg.as_integer("lines", lines), linalg.as_integer("seed", seed)
     if lines < 1:
         raise ValueError(f"lines must be at least 1, got {lines}")
     # per line, in this order: p real, p imag, q real, q imag
@@ -141,7 +134,9 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
     With ``hyperplane=None`` a random one is drawn from ``seed``; a given
     one, 4 finite entries not all zero (``ValueError`` otherwise), is
     divided by its largest modulus, so its norm can neither under- nor overflow.
+    ``seed`` is a Python or numpy integer (not ``bool``); ``ValueError`` otherwise.
     """
+    seed = linalg.as_integer("seed", seed)
     if hyperplane is None:
         rng = np.random.default_rng([seed, 13])
         ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -173,7 +168,7 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
     ``trials`` and ``seed`` are Python or numpy integers (not ``bool``);
     ``ValueError`` otherwise, when ``trials < 1``, or when ``A`` is not 4x4.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed = linalg.as_integer("trials", trials), linalg.as_integer("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     pencil = Pencil(a)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .pencil import CERT_TOL, Pencil, _coefficients, _unscale_point, pencil_matrix
 
 
@@ -127,13 +128,16 @@ def classify(a, seed: int = 0) -> GenericityReport:
     (:attr:`Pencil.unit`), its one eigen-decomposition and its common
     eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
     common eigenvectors and no witness.  ``details`` quotes the number
-    that decided each failed test.
+    that decided each failed test.  ``seed``, which draws the rank
+    screen's vector, is a Python or numpy integer (not ``bool``);
+    ``ValueError`` otherwise.
     """
     return _classify(Pencil(a), seed)
 
 
 def _classify(pencil: Pencil, seed: int) -> GenericityReport:
     """:func:`classify` of a pencil, reading its centred ``C`` and, for n = 4, :attr:`Pencil.unit`."""
+    seed = linalg.as_integer("seed", seed)
     n = pencil.a.shape[0]
     sv = np.linalg.svd(pencil.a, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])

@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernels for the small matrices of the solver (n <= 4).
 
-Input validation, the adjoint and the spectral norm, eigenvalues with
-right and left eigenvectors from one SVD stack, null spaces, and the
-canonical representative and distance of projective points.  Everything
+Input validation (of matrices, vectors and integer arguments), the
+adjoint and the spectral norm, eigenvalues with right and left
+eigenvectors from one SVD stack, null spaces, and the canonical
+representative and distance of projective points.  Everything
 here is a pure function of its inputs.  Matrices are plain
 ``numpy.ndarray`` of dtype complex128; rank decisions are always made
 relative to the largest singular value.
@@ -34,6 +35,13 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("vector entries must be finite")
     return a
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer other than a ``bool``; ``ValueError`` naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -53,8 +53,23 @@ SECANT_STEPS = 12
 #: Best-conditioned roots the first candidate is chosen from (one alone let a Gaussian's ``off_residual`` reach 1.5e-9).
 _FIRST_ROOTS = 3
 
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """``x``, made read-only: a constant or a cached array that no reader may change."""
+    x.flags.writeable = False
+    return x
+
+
 #: The index pairs ``i < j`` of four eigenvalues.
-_PAIRS = np.triu_indices(4, 1)
+_PAIRS = tuple(_frozen(i) for i in np.triu_indices(4, 1))
+
+#: Per size n = 1..4, built once: the complex identity, and the mask of the
+#: entries off the tridiagonal band (``|i - j| >= 2``) that :func:`_off_max` reads.
+_EYE = {n: _frozen(np.eye(n, dtype=complex)) for n in range(1, 5)}
+_FAR = {n: _frozen(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2) for n in range(1, 5)}
+
+#: The 13th roots of unity, where :func:`_dodecic_roots` samples the dodecic.
+_ROOTS13 = _frozen(np.exp(2j * np.pi * np.arange(13) / 13))
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,10 @@ class Pencil:
     :attr:`centred` is its :func:`_centred` triple and, for n = 4,
     :attr:`unit` the ``Pencil`` of the centred ``C``, whose cached ``eigen``
     and ``common`` the screen, the solve, the flag points and the counts
-    share, and whose private ``_roots`` the flag points share; each is
-    formed on first use, so a trivial solve forms none.
+    share, and whose private ``_roots`` and ``_first_sheets`` the flag
+    points share; each is formed on first use, so a trivial solve forms
+    none.  The private ``_ops`` is the read-only operator stack that
+    every ``sigma4`` and dodecic value of the pencil reads.
     ``classify``, ``tridiagonalize``, ``run_experiments`` and the CLI build
     one per request; :func:`section_zeros` and the counts read the caller's.
     """
@@ -103,6 +120,16 @@ class Pencil:
         return linalg.eigen(self.a)
 
     @cached_property
+    def _ops(self) -> np.ndarray:
+        """The read-only (7, n, n) stack ``[I, A, A*, A^2, A A*, A* A, A*^2]``, formed on first use and kept.
+
+        :func:`_seven_columns` applies all seven to kernel vectors as one
+        product, and :func:`_dodecic_values` reads ``A^2`` and ``A*^2``.
+        """
+        a, astar = self.a, self.astar
+        return _frozen(np.stack([_EYE[a.shape[0]], a, astar, a @ a, a @ astar, astar @ a, astar @ astar]))
+
+    @cached_property
     def _roots(self) -> np.ndarray:
         """:func:`_dodecic_roots` of this pencil, read-only, taken on first use and kept.
 
@@ -110,28 +137,36 @@ class Pencil:
         :func:`_dodecic_roots` requires: the solve's flag points and
         :func:`section_zeros` on the same ``unit`` share this one dodecic.
         """
-        mu = _dodecic_roots(self)
-        mu.flags.writeable = False
-        return mu
+        return _frozen(_dodecic_roots(self))
+
+    @cached_property
+    def _first_sheets(self):
+        """:func:`_best_sheets` over the ``_FIRST_ROOTS`` best-conditioned roots of :attr:`_roots`, read-only, taken on first use and kept.
+
+        Read only by :func:`_flag_points` when :attr:`_roots` is not
+        empty: the solve's first candidate and :func:`section_zeros` on the
+        same ``unit`` share these sheets.
+        """
+        return tuple(_frozen(x) for x in _best_sheets(self, self._roots[:_FIRST_ROOTS]))
 
     @cached_property
     def common(self) -> list[np.ndarray]:
         """The eigenvectors of ``A`` (from :attr:`eigen`) that are eigenvectors of ``A*`` too, taken on first use and kept.
 
-        Tests ``||A* v - mu v|| <= 1e-8`` with ``mu = v* A* v`` for each
-        unit eigenvector ``v``; duplicates (from repeated eigenvalues) are
-        removed projectively.  The bound is absolute, so ``A`` is that of
-        a :func:`_centred` matrix.  :func:`genericity.classify` and the
-        solver's deflation both read this one result.
+        Tests ``||A* v - mu v|| <= 1e-8`` with ``mu = v* A* v`` for every
+        unit eigenvector ``v`` as one stack; of those that pass, duplicates
+        (from repeated eigenvalues) are removed projectively.  The bound is
+        absolute, so ``A`` is that of a :func:`_centred` matrix.
+        :func:`genericity.classify` and the solver's deflation both read
+        this one result.
         """
+        v = self.eigen[1]
+        w = self.astar @ v
+        ok = np.linalg.norm(w - np.sum(np.conj(v) * w, axis=0) * v, axis=0) <= 1e-8
         found: list[np.ndarray] = []
-        for v in self.eigen[1].T:
-            w = self.astar @ v
-            mu = np.vdot(v, w)
-            if np.linalg.norm(w - mu * v) <= 1e-8:
-                cv = canonical_projective(v)
-                if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
-                    found.append(cv)
+        for cv in map(canonical_projective, v.T[ok]):
+            if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
+                found.append(cv)
         return found
 
 
@@ -145,12 +180,20 @@ class PencilPoint:
 
 @dataclass
 class SectionCandidate:
-    """A flag point whose flag passes the gate: the point, its ``sigma4`` (:func:`_section_score`), its flag basis, and whether ``W2`` is invariant under A or A*."""
+    """A flag point whose flag passes the gate: the point, its ``sigma4`` (:func:`_section_score`), its flag basis, and whether ``W2`` is invariant under A or A*.
+
+    ``tri``, ``off`` and ``unitarity`` are ``T = U A U*`` for ``U`` the
+    conjugated basis, its largest off-band modulus and ``||UU* - I||_2``,
+    as the gate measured them on the pencil the point was found on.
+    """
 
     point: PencilPoint
     sigma4: float
     basis: np.ndarray
     shortcut: bool
+    tri: np.ndarray
+    off: float
+    unitarity: float
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
@@ -159,15 +202,13 @@ def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
     if t.shape[-1:] != (3,) or t.ndim > 2 or not np.all(np.isfinite(t)):
         raise ValueError("pencil parameter must have 3 finite coordinates, or be a stack of such rows")
     t0, t1, t2 = t.T[..., None, None]
-    return t0 * np.eye(pencil.a.shape[0], dtype=complex) + t1 * pencil.a + t2 * pencil.astar
+    return t0 * _EYE[pencil.a.shape[0]] + t1 * pencil.a + t2 * pencil.astar
 
 
 def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
-    """The (k, 4, 7) stack ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]`` for kernel vectors v (k, 4)."""
-    a_t, astar_t = pencil.a.T, pencil.astar.T
-    av = v @ a_t
-    asv = v @ astar_t
-    return np.stack([v, av, asv, av @ a_t, asv @ a_t, av @ astar_t, asv @ astar_t], axis=2)
+    """The (k, 4, 7) stack ``[v, Av, A*v, A^2 v, A A* v, A* A v, A*^2 v]`` for kernel vectors v (k, 4): one product with :attr:`Pencil._ops`."""
+    n = v.shape[1]
+    return (v @ pencil._ops.reshape(-1, n).T).reshape(-1, 7, n).swapaxes(1, 2)
 
 
 def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
@@ -204,14 +245,13 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
 
 
 def _off_max(t: np.ndarray):
-    """The largest modulus off the tridiagonal band of ``T``, or of each matrix of a stack; 0 for n <= 2."""
-    n = t.shape[-1]
-    return np.abs(t[..., np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2]).max(axis=-1, initial=0.0)
+    """The largest modulus off the tridiagonal band of an n x n ``T`` (n <= 4), or of each matrix of a stack; 0 for n <= 2."""
+    return np.abs(t[..., _FAR[t.shape[-1]]]).max(axis=-1, initial=0.0)
 
 
 def _unitarity(u: np.ndarray):
-    """``||UU* - I||_2`` of ``U``, or of each matrix of a stack: the largest ``|eigenvalue|`` of that Hermitian matrix."""
-    return np.abs(np.linalg.eigvalsh(u @ np.conj(u).swapaxes(-1, -2) - np.eye(u.shape[-1]))).max(axis=-1)
+    """``||UU* - I||_2`` of an n x n ``U`` (n <= 4), or of each matrix of a stack: the largest ``|eigenvalue|`` of that Hermitian matrix."""
+    return np.abs(np.linalg.eigvalsh(u @ np.conj(u).swapaxes(-1, -2) - _EYE[u.shape[-1]])).max(axis=-1)
 
 
 def _passes(off, unitarity, tol):
@@ -254,9 +294,9 @@ def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
         x, r = _widest(q, y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300))
         closed = r <= 1e-13
         if closed.any():
-            x[closed] = _widest(q[closed], np.eye(n))[0]
+            x[closed] = _widest(q[closed], _EYE[n])[0]
         q = np.concatenate([q, x[:, :, None]], axis=2)
-    return np.concatenate([q, _widest(q, np.eye(n))[0][:, :, None]], axis=2)
+    return np.concatenate([q, _widest(q, _EYE[n])[0][:, :, None]], axis=2)
 
 
 def _certify(pencil: Pencil, t) -> list[SectionCandidate | None]:
@@ -270,23 +310,30 @@ def _certify(pencil: Pencil, t) -> list[SectionCandidate | None]:
     residual of ``T = U A U*`` is already relative.  ``shortcut`` marks a
     row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``, where ``W2`` is
     invariant under A or A*.  ``sigma4`` (:func:`_section_score`) only
-    orders and reports the points.  An empty stack gives ``[]``.
+    orders and reports the points.  Each candidate keeps ``T`` and the
+    two residuals the gate measured, so the solver gates it without
+    measuring again.  An empty stack gives ``[]``.
     """
     ok, t, v = _certify_on_curve(pencil, t, kernel=True)
     basis = _flag_bases(pencil.a, pencil.astar, v)
     u = np.conj(basis).swapaxes(1, 2)
     tri = u @ pencil.a @ basis
-    ok &= _passes(_off_max(tri), _unitarity(u), CERT_TOL)
+    off, unitarity = _off_max(tri), _unitarity(u)
+    ok &= _passes(off, unitarity, CERT_TOL)
     shortcut = np.minimum(np.abs(tri[:, 2, 1]), np.abs(tri[:, 1, 2])) <= CERT_TOL
     sigma4 = _section_score(pencil, v)
     return [
-        SectionCandidate(PencilPoint(t[i], v[i]), float(sigma4[i]), basis[i], bool(shortcut[i])) if ok[i] else None
+        SectionCandidate(
+            PencilPoint(t[i], v[i]), float(sigma4[i]), basis[i], bool(shortcut[i]), tri[i], float(off[i]), float(unitarity[i])
+        )
+        if ok[i]
+        else None
         for i in range(len(t))
     ]
 
 
 def _distinguished_seeds(pencil: Pencil):
-    """Pencil points carried by eigenvectors of A and of A*, as ``(t, v)`` pairs.
+    """Pencil points carried by eigenvectors of A and of A*, as a ``(2n, 3)`` stack ``t`` of points and a ``(2n, n)`` stack ``v`` of kernel vectors.
 
     An eigenvector of A with eigenvalue lam corresponds to the point
     [-lam : 1 : 0]; an eigenvector of A* with eigenvalue nu to
@@ -298,14 +345,17 @@ def _distinguished_seeds(pencil: Pencil):
     ``v`` is the smallest right singular vector of ``A - lam*I`` for the
     points of A, and its smallest left singular vector, at ``nu =
     conj(lam)``, for those of A*; either way it is the pencil's kernel
-    vector at ``t``.  The points of A come sorted by ``lam``, those of A*
-    by ``nu``.
+    vector at ``t``.  The points of A come first, sorted by ``lam``, then
+    those of A*, sorted by ``nu``.
     """
     lam, right, left = pencil.eigen
     nu = np.conj(lam)
-    seeds = [(np.array([-lam[k], 1.0, 0.0]), right[:, k]) for k in range(len(lam))]
-    seeds += [(np.array([-nu[k], 0.0, 1.0]), left[:, k]) for k in np.lexsort((nu.imag, nu.real))]
-    return seeds
+    order = np.lexsort((nu.imag, nu.real))
+    n = lam.size
+    t = np.zeros((2 * n, 3), dtype=complex)
+    t[:n, 0], t[:n, 1] = -lam, 1.0
+    t[n:, 0], t[n:, 2] = -nu[order], 1.0
+    return t, np.concatenate([right.T, left.T[order]])
 
 
 def _dodecic_values(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
@@ -313,11 +363,11 @@ def _dodecic_values(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
 
     One ``eig`` of the stack ``A + mu*A*`` and one ``det`` of the stack of
     span matrices ``[v, Av, A^2 v, A*^2 v]`` over every base (axis 0) and
-    sheet (axis 1).
+    sheet (axis 1), with ``A^2`` and ``A*^2`` read from :attr:`Pencil._ops`.
     """
-    a, astar = pencil.a, pencil.astar
+    a, astar, ops = pencil.a, pencil.astar, pencil._ops
     lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
-    h = np.linalg.det(np.stack([vecs, a @ vecs, a @ a @ vecs, astar @ astar @ vecs], axis=-1).swapaxes(1, 2))
+    h = np.linalg.det(np.stack([vecs, a @ vecs, ops[3] @ vecs, ops[6] @ vecs], axis=-1).swapaxes(1, 2))
     gaps = lam[:, _PAIRS[0]] - lam[:, _PAIRS[1]]
     return np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
 
@@ -369,7 +419,7 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     last.
     Returns no roots when ``R`` is not finite or vanishes identically.
     """
-    r = _coefficients(_dodecic_values(pencil, np.exp(2j * np.pi * np.arange(13) / 13)))
+    r = _coefficients(_dodecic_values(pencil, _ROOTS13))
     if r.size <= 1 or not np.all(np.isfinite(r)):
         return np.empty(0, dtype=complex)
     mu = np.roots(r[::-1])
@@ -436,27 +486,27 @@ def _flag_points(pencil: Pencil):
     and ``sigma4`` measures how far ``W3`` is from dimension 3).  Then
     over each root of the dodecic the sheet with the smallest ``sigma4``:
     of the three best-conditioned roots (the first three of
-    :attr:`Pencil._roots`) the one whose sheet has the smallest ``sigma4``
-    alone, then the other 11, sorted by ``sigma4``.  Only then are the
+    :attr:`Pencil._roots`, whose sheets are :attr:`Pencil._first_sheets`)
+    the one whose sheet has the smallest ``sigma4`` alone, then the other
+    11, sorted by ``sigma4``.  Only then are the
     rejected roots refined on the dodecic (:func:`_refine_root`; a root at
     ``mu = 0`` is not) and the best sheets over them gated: the one with
     the largest ``sigma4`` alone, then the rest.  Deterministic, and lazy:
-    the dodecic is formed only when the eigenvector points have been
-    consumed, and once per pencil; the sheets over the other nine roots
-    only when the first root has, and the refinement only when all twelve
-    have.
+    the dodecic and the sheets over its first three roots are formed only
+    when the eigenvector points have been consumed, and once per pencil;
+    the sheets over the other nine roots only when the first root has, and
+    the refinement only when all twelve have.
     ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
     and :func:`_dodecic_roots` require.
     """
-    seeds = _distinguished_seeds(pencil)
-    score = _section_score(pencil, np.array([v for _, v in seeds]))
-    screened = [t for (t, _), s in zip(seeds, score) if s <= np.sqrt(CERT_TOL)]
-    if screened:
-        yield from filter(None, _certify(pencil, np.array(screened)))
+    t, v = _distinguished_seeds(pencil)
+    screened = t[_section_score(pencil, v) <= np.sqrt(CERT_TOL)]
+    if screened.size:
+        yield from filter(None, _certify(pencil, screened))
     mu = pencil._roots
     if mu.size == 0:
         return
-    points, score = _best_sheets(pencil, mu[:_FIRST_ROOTS])
+    points, score = pencil._first_sheets
     best = int(np.argmin(score))
     first = _certify(pencil, points[[best]])
     yield from filter(None, first)

@@ -8,8 +8,9 @@ flag bases, those of :func:`_direct` and then of the perturbation ladder
 rebuilt on ``A``, passes the gate on both of its residuals
 (:func:`pencil._passes`, the gate the flag points are counted by as
 well).  Every basis is grown from its first vector by one stacked
-builder (:func:`pencil._flag_bases`), and its conjugate is ``U``
-(:func:`_result_from_flag`).
+builder (:func:`pencil._flag_bases`), and its conjugate is ``U``.  A
+flag point's candidate carries the residuals its gate measured; every
+other candidate is measured by :func:`_result_from_flag`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .pencil import Pencil, _flag_bases, _flag_points, _off_max, _passes, _unitarity
+from .pencil import _EYE, _FAR, Pencil, _flag_bases, _flag_points, _frozen, _off_max, _passes, _unitarity
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -39,10 +40,8 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return np.array(real + imag)
 
 
-# the entries of a 4x4 matrix that a tridiagonal one leaves zero, and the
-# generators H_k of the refinement's steps exp(iH)
-_FAR = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2
-_GENERATORS = _hermitian_basis(4)
+# the generators H_k of the refinement's steps exp(iH)
+_GENERATORS = _frozen(_hermitian_basis(4))
 
 
 @dataclass
@@ -132,7 +131,7 @@ def _flag3(b) -> np.ndarray:
 
 
 def _direct(pencil: Pencil, tol: float):
-    """The candidate flags ``(basis, provenance, eps)`` of a pencil's centred ``C``, lazily, in order.
+    """The candidate results of a pencil's centred ``C`` (:class:`TridiagResult` on ``C``), lazily, in order.
 
     n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the pencil's
     :attr:`Pencil.unit` and its one eigen-decomposition (:attr:`Pencil.eigen`),
@@ -141,25 +140,28 @@ def _direct(pencil: Pencil, tol: float):
     screen.  A common eigenvector ``v`` comes first: its flag is ``v``,
     then ``W`` times the 3x3 flag of ``W* C W`` for an orthonormal basis
     ``W`` of its complement.  Then come the flags that :func:`_flag_points`
-    carries, already gated at ``CERT_TOL``, and last the unitary refined
-    from the Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector
-    matrix) to ``1e-2 * tol``, when that converges.
+    carries, already gated at ``CERT_TOL``, each with the ``T`` and the
+    residuals that gate measured, and last the unitary refined from the
+    Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector matrix) to
+    ``1e-2 * tol``, when that converges.  ``C`` has norm 1, so every
+    off-band residual is relative to it.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
-        yield _flag3(c), "cubic_curve_3x3", 0.0
+        yield _result_from_flag(c, _flag3(c), "cubic_curve_3x3", norm=1.0)
         return
     common = pencil.unit.common
     if common:
         w = linalg.nullspace(np.conj(common[0])[None])
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
-        yield basis, "common_eigenvector_deflation", 0.0
+        yield _result_from_flag(c, basis, "common_eigenvector_deflation", norm=1.0)
     for cand in _flag_points(pencil.unit):
-        yield cand.basis, "shortcut_dimW3" if cand.shortcut else "section_zero", 0.0
+        provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
+        yield TridiagResult(np.conj(cand.basis).T, cand.tri, cand.off, cand.unitarity, provenance)
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
     u = _refine_unitary(c, np.conj(q).T, 1e-2 * tol)
     if u is not None:
-        yield np.conj(u).T, "refined", 0.0
+        yield _result_from_flag(c, np.conj(u).T, "refined", norm=1.0)
 
 
 def _refine_unitary(a, u, goal: float):
@@ -176,10 +178,10 @@ def _refine_unitary(a, u, goal: float):
     """
     for _ in range(REFINE_STEPS):
         t = u @ a @ np.conj(u).T
-        off = t[_FAR]
+        off = t[_FAR[4]]
         if np.max(np.abs(off)) <= goal:
             return u
-        cols = 1j * (_GENERATORS @ t - t @ _GENERATORS)[:, _FAR]
+        cols = 1j * (_GENERATORS @ t - t @ _GENERATORS)[:, _FAR[4]]
         jac = np.concatenate([cols.real, cols.imag], axis=1).T
         x = np.linalg.lstsq(jac, -np.concatenate([off.real, off.imag]), rcond=None)[0]
         w, q = np.linalg.eigh(np.tensordot(x, _GENERATORS, axes=1))
@@ -188,9 +190,9 @@ def _refine_unitary(a, u, goal: float):
 
 
 def _ladder(c, tol: float, seed: int):
-    """The perturbation ladder of a centred 4x4 ``C``: at most one flag per ``eps`` in ``LADDER``.
+    """The perturbation ladder of a centred 4x4 ``C``: at most one candidate result on ``C`` per ``eps`` in ``LADDER``.
 
-    It takes the first flag of :func:`_direct` on the centred
+    It takes the first candidate of :func:`_direct` on the centred
     ``C + eps * G``, for a seeded Gaussian ``G`` with ``||G||_2 = ||C||_2``,
     that passes the gate relaxed to ``max(tol, 1e-6)``, since it only has
     to give a unitary worth refining, and yields that unitary when
@@ -203,13 +205,11 @@ def _ladder(c, tol: float, seed: int):
     g = g / linalg.matrix_norm(g) * scale
     relaxed = max(tol, 1e-6)
     for eps in LADDER:
-        pencil = Pencil(c + eps * g)
-        for basis, *_ in _direct(pencil, relaxed):
-            r = _result_from_flag(pencil.centred[0], basis, "perturbed", norm=1.0)
+        for r in _direct(Pencil(c + eps * g), relaxed):
             if _passes(r.off_residual, r.unitarity_residual, relaxed):
-                u = _refine_unitary(c, np.conj(basis).T, 1e-2 * tol * scale)
+                u = _refine_unitary(c, r.u, 1e-2 * tol * scale)
                 if u is not None:
-                    yield np.conj(u).T, "perturbed", eps
+                    yield _result_from_flag(c, np.conj(u).T, "perturbed", eps, norm=1.0)
                 break
 
 
@@ -218,8 +218,9 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
 
     ``seed`` seeds the perturbation ladder's direction.  ``ValueError``
     on an ``A`` that :class:`Pencil` rejects (not finite, not square, or
-    n outside 1..4), on a ``tol`` that is not positive and finite, and on
-    a ``force_path`` other than None and ``"perturb"``.  The returned
+    n outside 1..4), on a ``tol`` that is not positive and finite, on a
+    ``seed`` that is not a Python or numpy integer (or is a ``bool``), and
+    on a ``force_path`` other than None and ``"perturb"``.  The returned
     result always satisfies ``off_residual <= tol`` (relative to ||A||);
     :class:`Unsolved` is raised only when no candidate flag, the ladder's
     included, does, which indicates a bug rather than an expected outcome.
@@ -243,19 +244,19 @@ def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = No
     n = a.shape[0]
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    seed = linalg.as_integer("seed", seed)
     if force_path not in (None, "perturb"):
         raise ValueError(f"force_path must be None or 'perturb', got {force_path!r}")
 
     if n <= 2 or (force_path is None and _off_max(a) == 0.0):
-        return _result_from_flag(a, np.eye(n, dtype=complex), "trivial")
+        return _result_from_flag(a, _EYE[n], "trivial")
     c, scale, _ = pencil.centred
     norm = linalg.matrix_norm(a)
     # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
     inner = tol * min(1.0, norm / scale)
     direct = () if n == 4 and force_path == "perturb" else _direct(pencil, inner)
     ladder = _ladder(c, inner, seed) if n == 4 else ()
-    for basis, provenance, eps in chain(direct, ladder):
-        result = _result_from_flag(c, basis, provenance, eps, norm=1.0)
+    for result in chain(direct, ladder):
         if not _passes(result.off_residual, result.unitarity_residual, inner):
             continue
         t = result.u @ a @ np.conj(result.u).T
@@ -265,11 +266,31 @@ def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = No
     raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={tol:.1e}")
 
 
+def _match(lam_a: np.ndarray, lam_t: np.ndarray):
+    """Greedy nearest-neighbour pairs of two spectra, sorted by (real, imag), and the largest distance of a pair.
+
+    Each ``lam_a[i]`` in turn takes the nearest ``lam_t`` not yet taken,
+    the first of equally near ones, all read from one distance matrix.
+    Its entries are ``hypot``, the modulus Python's ``abs`` takes of one
+    difference, to the bit (the vectorized ``np.abs`` of a complex array
+    can differ in the last one).
+    """
+    diff = lam_a[:, None] - lam_t
+    dist = np.hypot(diff.real, diff.imag)
+    free = dist.copy()
+    cols = []
+    for row in free:
+        cols.append(int(np.argmin(row)))
+        free[:, cols[-1]] = np.inf
+    pairs = [(complex(la), complex(lt)) for la, lt in zip(lam_a, lam_t[cols])]
+    return pairs, float(dist[np.arange(len(cols)), cols].max(initial=0.0))
+
+
 def verify(result: TridiagResult, a) -> VerifyReport:
     """Recompute all residuals of a result from scratch.
 
-    Includes the spectrum check: eigenvalues of T and of A are matched
-    greedily (sorted by real part, nearest-neighbour pairing) and the
+    Includes the spectrum check: the eigenvalues of A and of T, from one
+    stacked ``eigvals``, are matched greedily (:func:`_match`) and the
     largest matched gap reported.
     """
     a = linalg.as_matrix(a)
@@ -280,21 +301,12 @@ def verify(result: TridiagResult, a) -> VerifyReport:
     unit = float(_unitarity(u))
     recompute_gap = float(np.max(np.abs(recomputed - result.t))) / scale
 
-    lam_a = np.linalg.eigvals(a)
-    lam_t = np.linalg.eigvals(result.t)
-    lam_a = lam_a[np.lexsort((lam_a.imag, lam_a.real))]
-    lam_t = list(lam_t[np.lexsort((lam_t.imag, lam_t.real))])
-    matching = []
-    gap = 0.0
-    for la in lam_a:
-        j = int(np.argmin([abs(la - lt) for lt in lam_t]))
-        lt = lam_t.pop(j)
-        matching.append((complex(la), complex(lt)))
-        gap = max(gap, abs(la - lt))
+    lam_a, lam_t = (lam[np.lexsort((lam.imag, lam.real))] for lam in np.linalg.eigvals(np.stack([a, result.t])))
+    matching, gap = _match(lam_a, lam_t)
     return VerifyReport(
         off_residual=off,
         unitarity_residual=unit,
-        spectrum_gap=float(gap),
+        spectrum_gap=gap,
         recompute_gap=recompute_gap,
         matching=matching,
     )

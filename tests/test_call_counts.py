@@ -26,7 +26,8 @@ A ``tridiag`` request of the CLI prepares its input once: one
 ``pencil._centred``, one ``linalg.eigen`` and one common eigenvector
 test (``Pencil.common``) serve the genericity screen, the solve and
 ``--all-flags`` alike, and with ``--all-flags`` the solve and the flag
-list share one dodecic.  It takes three norms (the centring, ``||A||_2``
+list share one dodecic and the best sheets over its three
+best-conditioned roots (``Pencil._first_sheets``).  It takes three norms (the centring, ``||A||_2``
 and ``verify``'s), and under ``--json`` it never builds its text lines.
 ``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
 its screen and its three counts, however many trials it runs.
@@ -236,6 +237,20 @@ def test_all_flags_request_forms_one_dodecic(dodecics, capsys, tmp_path):
         assert report["result"]["provenance"] == "section_zero", seed
         assert len(report["flags"]) == 12, seed
         assert dodecics == [1], seed
+
+
+def test_all_flags_request_forms_the_first_sheets_once(capsys, tmp_path, monkeypatch):
+    # the solve's first candidate and the flag list read one Pencil._first_sheets;
+    # only the flag list goes on to the other nine roots
+    sizes = []
+    best_sheets = pencil._best_sheets
+    monkeypatch.setattr(pencil, "_best_sheets", lambda *args: sizes.append(args[1].size) or best_sheets(*args))
+    for seed in SEEDS:
+        sizes.clear()
+        report = tridiag_report(capsys, tmp_path, make_matrix("gaussian", 4, seed), "--all-flags")
+        assert report["result"]["provenance"] == "section_zero", seed
+        assert len(report["flags"]) == 12, seed
+        assert sizes == [3, 9], seed
 
 
 def test_cli_deflation_request_tests_common_eigenvectors_once(request_calls, capsys, tmp_path):

@@ -124,6 +124,16 @@ class TestDegreeOfKernelCurve:
             p = Pencil(make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4))
             assert degree_of_kernel_curve(p, seed=seed) == 6, seed
 
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            degree_of_kernel_curve(Pencil(make_matrix("gaussian", 4, 0)), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        # the seed draws the hyperplane; the same one gives the same points
+        p = Pencil(make_matrix("gaussian", 4, 3))
+        assert degree_of_kernel_curve(p, seed=np.int64(5)) == degree_of_kernel_curve(p, seed=5) == 6
+
     def test_hyperplane_through_known_point(self):
         # a hyperplane through an eigenvector of A (a curve point over the
         # base [1 : 0], a root mu = 0 of the sextic) or of A* (over [0 : 1],

@@ -201,3 +201,13 @@ class TestClassify:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError):
             classify(np.ones(shape))
+
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            classify(make_matrix("gaussian", 4, 0), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        for g in range(5):
+            a = make_matrix("gaussian", 4, g) if g else N4
+            assert classify(a, seed=np.int64(7)).as_dict() == classify(a, seed=7).as_dict(), g

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -15,8 +16,10 @@ from tridiag4.pencil import (
     _distinguished_seeds,
     _dodecic_roots,
     _flag_bases,
+    _off_max,
     _refine_root,
     _section_score,
+    _seven_columns,
     _unscale_point,
     pencil_matrix,
     section_zeros,
@@ -63,6 +66,103 @@ class TestPencil:
         for lam in np.linalg.eigvals(b):
             s = np.linalg.svd(pencil_matrix(Pencil(b), [-lam, 1.0, 0.0]), compute_uv=False)
             assert s[-1] <= 1e-13 * s[0], lam
+
+
+def common_one_at_a_time(p):
+    """:attr:`Pencil.common` as the per-vector rule: one eigenvector of ``A`` tested, canonicalized and deduplicated at a time."""
+    found = []
+    for v in p.eigen[1].T:
+        w = p.astar @ v
+        mu = np.vdot(v, w)
+        if np.linalg.norm(w - mu * v) <= 1e-8:
+            cv = linalg.canonical_projective(v)
+            if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
+                found.append(cv)
+    return found
+
+
+def structured(kind, seed):
+    """A 4x4 input of one of the kinds the common eigenvector test tells apart."""
+    rng = np.random.default_rng([seed, 41])
+    if kind == "gaussian":
+        return make_matrix("gaussian", 4, seed)
+    if kind == "hermitian":
+        return make_matrix("hermitian", 4, seed)
+    q = random_unitary(4, rng)
+    if kind == "normal_repeated":
+        # unconjugated on even seeds: both eigenvectors for the repeated
+        # eigenvalue come out as one, which the deduplication removes
+        d = np.diag([1.0, 1.0, 2.0j, -1.5 + 0.5j])
+        return d if seed % 2 == 0 else q @ d @ np.conj(q).T
+    a = np.zeros((4, 4), dtype=complex)
+    a[:2, :2] = make_matrix("gaussian", 2, rng)
+    a[2:, 2:] = make_matrix("hermitian", 2, rng)
+    return a if kind == "blocks_2_2" else q @ a @ np.conj(q).T
+
+
+class TestPreparedOnce:
+    """The per-size constants and the operator stack of a pencil are built once, read-only, and agree with what each call used to build."""
+
+    def test_constants_and_cached_arrays_are_read_only(self):
+        solver = sys.modules["tridiag4.tridiagonalize"]
+        p = Pencil(make_matrix("gaussian", 4, 3)).unit
+        assert len(section_zeros(Pencil(p.a))) == 12
+        arrays = [pencil._ROOTS13, *pencil._PAIRS, *pencil._EYE.values(), *pencil._FAR.values(), solver._GENERATORS]
+        arrays += [p._ops, p._roots, *p._first_sheets]
+        for x in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                x[(0,) * x.ndim] = x[(0,) * x.ndim]
+
+    def test_constants_are_what_each_call_built(self):
+        np.testing.assert_array_equal(pencil._ROOTS13, np.exp(2j * np.pi * np.arange(13) / 13))
+        for n in range(1, 5):
+            np.testing.assert_array_equal(pencil._EYE[n], np.eye(n))
+            assert pencil._EYE[n].dtype == complex
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_off_max_is_the_banded_maximum(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+
+        def banded(t):
+            return max([abs(t[i, j]) for i in range(n) for j in range(n) if abs(i - j) >= 2], default=0.0)
+
+        np.testing.assert_allclose(_off_max(stack[0]), banded(stack[0]), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(_off_max(stack), [banded(t) for t in stack], rtol=1e-15, atol=0.0)
+        assert _off_max(stack).shape == (6,)
+
+    def test_operator_stack(self):
+        p = Pencil(make_matrix("gaussian", 4, 5))
+        a, s = p.a, p.astar
+        expected = [np.eye(4), a, s, a @ a, a @ s, s @ a, s @ s]
+        assert p._ops.shape == (7, 4, 4)
+        for k, m in enumerate(expected):
+            np.testing.assert_array_equal(p._ops[k], m)
+        assert Pencil(make_matrix("gaussian", 3, 5))._ops.shape == (7, 3, 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seven_columns_match_one_product_at_a_time(self, seed):
+        p = Pencil(make_matrix("gaussian", 4, seed))
+        a, s = p.a, p.astar
+        rng = np.random.default_rng([seed, 43])
+        v = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        one_at_a_time = np.array([np.column_stack([x, a @ x, s @ x, a @ (a @ x), a @ (s @ x), s @ (a @ x), s @ (s @ x)]) for x in v])
+        got = _seven_columns(p, v)
+        assert got.shape == (6, 4, 7)
+        assert np.max(np.abs(got - one_at_a_time)) <= 1e-14 * np.max(np.abs(one_at_a_time))
+
+    @pytest.mark.parametrize("kind", ["hermitian", "normal_repeated", "blocks_2_2", "conjugated_blocks_2_2", "gaussian"])
+    def test_stacked_common_is_the_per_vector_rule(self, kind):
+        sizes = set()
+        for seed in range(10):
+            p = Pencil(structured(kind, seed)).unit
+            expected = common_one_at_a_time(p)
+            assert len(p.common) == len(expected), seed
+            for got, want in zip(p.common, expected):
+                np.testing.assert_array_equal(got, want)
+            sizes.add(len(expected))
+        # each kind reaches the branch it is here for
+        assert sizes == {"hermitian": {4}, "normal_repeated": {3, 4}, "gaussian": {0}}.get(kind, {2})
 
 
 class TestPencilMatrix:
@@ -168,7 +268,7 @@ class TestKernelVector:
             a[0, 2] = 0.3 + 0.2j
             a[1, 3] = -0.1j
         p = Pencil(a)
-        seeds = _distinguished_seeds(p)
+        seeds = list(zip(*_distinguished_seeds(p)))
         assert [abs(t[2]) for t, _ in seeds[:4]] == [0.0] * 4
         assert [abs(t[1]) for t, _ in seeds[4:]] == [0.0] * 4
         for t, v in seeds:
@@ -423,11 +523,11 @@ class TestSectionZeros:
         t, far = t / np.linalg.norm(t), far / np.linalg.norm(far)
         step = np.cross(np.conj(t), far)  # orthogonal to t
         near = t + 1e-7 * step / np.linalg.norm(step)
-        v = np.eye(4)[0]
+        v, eye = np.eye(4)[0], np.eye(4)
         cands = [
-            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9, np.eye(4), False),
-            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9, np.eye(4), False),
-            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9, np.eye(4), False),
+            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9, eye, False, eye, 0.0, 0.0),
         ]
         assert 5e-8 < linalg.projective_distance(cands[0].point.t, cands[2].point.t) < 2e-7
         monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))

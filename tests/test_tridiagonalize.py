@@ -11,6 +11,7 @@ from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, _flag_bases, _passes, section_zeros
 from tridiag4.tridiagonalize import (
     _direct,
+    _match,
     _result_from_flag,
     flag_residuals,
     tridiagonalize,
@@ -88,6 +89,16 @@ class TestDispatch:
         with pytest.raises(ValueError, match="force_path"):
             tridiagonalize(make_matrix("gaussian", 4, 0), force_path=force_path)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            tridiagonalize(make_matrix("gaussian", 4, 0), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        # the forced ladder draws its direction from the seed
+        r = solve_quiet(N4, seed=np.int64(42), force_path="perturb")
+        np.testing.assert_array_equal(r.u, solve_quiet(N4, seed=42, force_path="perturb").u)
+
     def test_random_4x4(self):
         for seed in range(25):
             a = make_matrix("gaussian", 4, seed)
@@ -160,7 +171,8 @@ class TestDispatch:
             a = u @ a @ np.conj(u).T
         p = Pencil(a)
         c = p.centred[0]
-        basis, provenance, _ = next(_direct(p, 1e-8))
+        first = next(_direct(p, 1e-8))
+        basis, provenance = np.conj(first.u).T, first.provenance
         assert provenance == "shortcut_dimW3"
         r = _result_from_flag(c, basis, provenance, norm=1.0)
         assert _passes(r.off_residual, r.unitarity_residual, 1e-8)
@@ -396,7 +408,51 @@ class TestPerturbAndRetry:
             tridiagonalize(N4, force_path="perturb")
 
 
+def greedy_one_list(lam_a, lam_t):
+    """The matching of ``verify`` as a list: each ``lam_a`` in turn pops the nearest remaining ``lam_t``."""
+    rest = list(lam_t)
+    matching, gap = [], 0.0
+    for la in lam_a:
+        lt = rest.pop(int(np.argmin([abs(la - x) for x in rest])))
+        matching.append((complex(la), complex(lt)))
+        gap = max(gap, abs(la - lt))
+    return matching, float(gap)
+
+
+def sorted_spectrum(lam):
+    return lam[np.lexsort((lam.imag, lam.real))]
+
+
 class TestVerify:
+    def test_matching_is_the_list_based_greedy_rule(self):
+        # near ties: clusters of four at roundoff distance, exact ties, points
+        # on a circle round their partner, and a spectrum whose greedy
+        # matching is not the closest overall
+        rng = np.random.default_rng(29)
+        cases = [
+            (np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.5, 0.5, 0.5, 0.5])),
+            (np.array([0.0, 1.0]), np.array([0.6, 2.0])),
+            (np.zeros(4), np.exp(2j * np.pi * np.arange(4) / 4)),
+        ]
+        for scale in (1e-16, 1e-15, 1e-12):
+            for _ in range(50):
+                # each spectrum draws its four values from two centres
+                centre = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                lam_a, lam_t = centre[rng.integers(0, 2, (2, 4))] + scale * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+                cases.append((lam_a, lam_t))
+        for lam_a, lam_t in cases:
+            lam_a, lam_t = sorted_spectrum(lam_a.astype(complex)), sorted_spectrum(lam_t.astype(complex))
+            assert _match(lam_a, lam_t) == greedy_one_list(lam_a, lam_t)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectrum_check_on_a_repeated_eigenvalue(self, seed):
+        q = random_unitary(4, np.random.default_rng(seed))
+        a = q @ np.diag([1.0, 1.0, 1.0 + 1e-12, 2.0j]) @ np.conj(q).T
+        r = solve_quiet(a)
+        rep = verify(r, a)
+        matching, gap = greedy_one_list(sorted_spectrum(np.linalg.eigvals(a)), sorted_spectrum(np.linalg.eigvals(r.t)))
+        assert (rep.matching, rep.spectrum_gap) == (matching, gap)
+
     def test_valid_result_reports_small_residuals(self):
         a = make_matrix("gaussian", 4, 15)
         r = solve_quiet(a, seed=15)
