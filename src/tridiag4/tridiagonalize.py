@@ -291,9 +291,10 @@ def verify(result: TridiagResult, a) -> VerifyReport:
 
     Includes the spectrum check: the eigenvalues of A and of T, from one
     stacked ``eigvals``, are matched greedily (:func:`_match`) and the
-    largest matched gap reported.
+    largest matched gap reported.  ``ValueError`` on an ``A`` that
+    :class:`Pencil` rejects, as :func:`tridiagonalize` does.
     """
-    a = linalg.as_matrix(a)
+    a = Pencil(a).a
     scale = max(linalg.matrix_norm(a), 1e-300)
     u = result.u
     recomputed = u @ a @ np.conj(u).T

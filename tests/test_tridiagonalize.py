@@ -10,6 +10,7 @@ from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, _flag_bases, _passes, section_zeros
 from tridiag4.tridiagonalize import (
+    TridiagResult,
     _direct,
     _match,
     _result_from_flag,
@@ -467,6 +468,12 @@ class TestVerify:
         r.u[0, 0] += 1e-3
         rep = verify(r, a)
         assert 1e-4 < rep.unitarity_residual < 1e-2
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 4)])
+    def test_rejects_what_the_solver_rejects(self, shape):
+        r = TridiagResult(np.eye(shape[0]), np.ones(shape), 0.0, 0.0, "trivial")
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            verify(r, np.ones(shape))
 
     def test_spectrum_matching_on_random(self):
         a = make_matrix("gaussian", 4, 17)
