@@ -106,7 +106,6 @@ class TestPreparedOnce:
     def test_constants_and_cached_arrays_are_read_only(self):
         solver = sys.modules["tridiag4.tridiagonalize"]
         p = Pencil(make_matrix("gaussian", 4, 3)).unit
-        assert len(section_zeros(Pencil(p.a))) == 12
         arrays = [pencil._ROOTS13, *pencil._PAIRS, *pencil._EYE.values(), *pencil._FAR.values(), solver._GENERATORS]
         arrays += [p._ops, p._roots, *p._first_sheets]
         for x in arrays:
