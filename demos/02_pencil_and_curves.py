@@ -51,10 +51,11 @@ for k in range(4):
 # --- all flag points -------------------------------------------------------
 # the bases [1 : mu] of the flag points are the 12 roots of one dodecic; a
 # point counts when its flag passes the solver's gate, and the rejected roots
-# are refined on the dodecic as one stack and gated again
+# are refined on the dodecic, the worst one alone and then the rest as one
+# stack, and gated again
 zeros = section_zeros(pencil)
 print(f"\nflag points whose flags pass the gate: {len(zeros)} (the roots of a dodecic: 12 for generic A)")
 far = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2
 for z in zeros:
     t = np.conj(z.basis).T @ a @ z.basis  # U A U* for the point's flag U* = basis
-    print(f"  t = {np.round(z.point.t, 4)}  sigma4 = {z.sigma4:.1e}  off-band = {np.abs(t[far]).max() / np.linalg.norm(a, 2):.1e}")
+    print(f"  t = {np.round(z.t, 4)}  sigma4 = {z.sigma4:.1e}  off-band = {np.abs(t[far]).max() / np.linalg.norm(a, 2):.1e}")

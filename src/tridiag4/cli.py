@@ -23,21 +23,14 @@ from .degrees import run_experiments
 from .errors import ParseError, Unsolved
 from .generate import KINDS, make_matrix
 from .genericity import _classify, classify
+from .linalg import complex_pairs
 from .pencil import Pencil, section_zeros
 from .tridiagonalize import _solve, verify
 
 
-def _cvec(v) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def _cmat(m) -> list:
-    return [_cvec(row) for row in np.asarray(m, dtype=complex)]
-
-
 def matrix_to_input(a) -> dict:
     a = np.asarray(a, dtype=complex)
-    return {"n": a.shape[0], "entries": _cmat(a)}
+    return {"n": a.shape[0], "entries": complex_pairs(a)}
 
 
 _TOKEN_RE = re.compile(r"^[0-9+\-.eEij]+$")
@@ -175,8 +168,8 @@ def cmd_tridiag(args) -> int:
     payload = {
         "input": matrix_to_input(a),
         "result": {
-            "U": _cmat(result.u),
-            "T": _cmat(result.t),
+            "U": complex_pairs(result.u),
+            "T": complex_pairs(result.t),
             "off_residual": result.off_residual,
             "unitarity_residual": result.unitarity_residual,
             "provenance": result.provenance,
@@ -190,8 +183,8 @@ def cmd_tridiag(args) -> int:
         t0 = time.perf_counter()
         payload["flags"] = [
             {
-                "t": _cvec(z.point.t),
-                "v": _cvec(z.point.v),
+                "t": complex_pairs(z.t),
+                "v": complex_pairs(z.v),
                 "sigma4": z.sigma4,
                 "shortcut": z.shortcut,
             }
@@ -207,7 +200,7 @@ def cmd_tridiag(args) -> int:
             "unitarity_residual": rep.unitarity_residual,
             "spectrum_gap": rep.spectrum_gap,
             "recompute_gap": rep.recompute_gap,
-            "matching": [[[la.real, la.imag], [lt.real, lt.imag]] for la, lt in rep.matching],
+            "matching": complex_pairs(rep.matching),
         }
         timings["verify"] = 1e3 * (time.perf_counter() - t0)
 

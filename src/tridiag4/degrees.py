@@ -73,12 +73,10 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     normalized as one stack, and their ``Q`` and ``P`` built as one,
     solved as one and certified as one.  Reports the modal count over
     the lines and warns when they disagree.  ``lines`` and ``seed`` are
-    Python or numpy integers (not ``bool``); ``ValueError`` otherwise,
-    when ``lines < 1``, or when the pencil is not 4x4.
+    Python or numpy integers (not ``bool``), ``lines >= 1`` and ``seed >=
+    0``; ``ValueError`` otherwise, or when the pencil is not 4x4.
     """
-    lines, seed = linalg.as_integer("lines", lines), linalg.as_integer("seed", seed)
-    if lines < 1:
-        raise ValueError(f"lines must be at least 1, got {lines}")
+    lines, seed = linalg.as_integer("lines", lines, 1), linalg.as_integer("seed", seed, 0)
     # per line, in this order: p real, p imag, q real, q imag
     z = np.random.default_rng([seed, 11]).standard_normal((lines, 4, 3))
     # the unit q of every line, then its unit p: one stack, normalized row by row
@@ -106,7 +104,7 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     there passes the on-curve certificate, which makes ``v, Av, A*v``
     dependent, and has ``|ell . v| <= CERT_TOL``, all certified as one
     stack.  This runs on the centred and normalized
-    ``A``, and each point is mapped back to the pencil of ``A``.
+    ``A``, and the points are mapped back to the pencil of ``A`` as one stack.
 
     Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
     """
@@ -121,8 +119,9 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     ok, t, v = _certify_on_curve(unit, np.column_stack([-lam.ravel(), np.repeat(b, 4, axis=0)]), kernel=True)
     value = np.where(ok, np.abs(v @ ell), np.inf).reshape(-1, 4)
     best = 4 * np.arange(len(b)) + np.argmin(value, axis=1)
-    keep = [(i, mult) for i, (_, mult) in zip(best, bases) if value.flat[i] <= CERT_TOL]
-    return [(_unscale_point(t[i], scale, shift), v[i], mult) for i, mult in keep]
+    keep = value.flat[best] <= CERT_TOL
+    rows = best[keep]
+    return list(zip(_unscale_point(t[rows], scale, shift), v[rows], [m for (_, m), k in zip(bases, keep) if k]))
 
 
 def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> int:
@@ -134,9 +133,10 @@ def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> in
     With ``hyperplane=None`` a random one is drawn from ``seed``; a given
     one, 4 finite entries not all zero (``ValueError`` otherwise), is
     divided by its largest modulus, so its norm can neither under- nor overflow.
-    ``seed`` is a Python or numpy integer (not ``bool``); ``ValueError`` otherwise.
+    ``seed`` is a Python or numpy integer (not ``bool``) of at least 0,
+    also when ``hyperplane`` is given; ``ValueError`` otherwise.
     """
-    seed = linalg.as_integer("seed", seed)
+    seed = linalg.as_integer("seed", seed, 0)
     if hyperplane is None:
         rng = np.random.default_rng([seed, 13])
         ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -165,12 +165,11 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
     eigenvectors, rank-deficient pencil) skip the experiments with a
     notice, since the counts are only meaningful on the generic set.
     One :class:`Pencil` serves the screen and all three counts.
-    ``trials`` and ``seed`` are Python or numpy integers (not ``bool``);
-    ``ValueError`` otherwise, when ``trials < 1``, or when ``A`` is not 4x4.
+    ``trials`` and ``seed`` are Python or numpy integers (not ``bool``),
+    ``trials >= 1`` and ``seed >= 0``; ``ValueError`` otherwise, or when
+    ``A`` is not 4x4.
     """
-    trials, seed = linalg.as_integer("trials", trials), linalg.as_integer("seed", seed)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials, seed = linalg.as_integer("trials", trials, 1), linalg.as_integer("seed", seed, 0)
     pencil = Pencil(a)
     pencil.unit  # ValueError unless 4x4, before the screen can skip the counts
     if screen:

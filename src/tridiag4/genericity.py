@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pencil import CERT_TOL, Pencil, _coefficients, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _circle_roots, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -39,12 +39,8 @@ class GenericityReport:
             "s1": self.nonsingular,
             "s2": self.distinct_eigenvalues,
             "s3": self.pencil_rank_ok,
-            "common_eigenvectors": [
-                [[z.real, z.imag] for z in v] for v in self.common_eigenvectors
-            ],
-            "witness": None
-            if self.witness is None
-            else [[z.real, z.imag] for z in self.witness],
+            "common_eigenvectors": [linalg.complex_pairs(v) for v in self.common_eigenvectors],
+            "witness": None if self.witness is None else linalg.complex_pairs(self.witness),
             "details": self.details,
         }
 
@@ -54,17 +50,13 @@ def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
 
     ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
     Returns its trimmed coefficients, from 7 samples on ``|mu| = 1`` taken
-    by one stacked ``det``, and its roots, taken from the companion matrix
-    as simple roots; a ``K`` that is constant or not finite has none.
+    by one stacked ``det``, and its roots (:func:`pencil._circle_roots`).
     """
     n = p + np.exp(2j * np.pi * np.arange(7) / 7)[:, None, None] * q
     cols = [np.broadcast_to(x, (7, 4))]
     for _ in range(3):
         cols.append(np.einsum("kij,kj->ki", n, cols[-1]))
-    k = _coefficients(np.linalg.det(np.stack(cols, axis=-1)))
-    if k.size <= 1 or not np.all(np.isfinite(k)):
-        return k, np.empty(0, dtype=complex)
-    return k, np.roots(k[::-1])
+    return _circle_roots(np.linalg.det(np.stack(cols, axis=-1)))
 
 
 def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
@@ -115,7 +107,7 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
         return True, None, None
     i = np.argmax(fail)
     quote = f"sigma1 = {s[i, 0]:.2e}" if vanishes[i] else f"sigma3/sigma1 = {s[i, 2] / s[i, 0]:.2e}"
-    return False, _unscale_point(t[i], scale, shift), quote
+    return False, _unscale_point(t[[i]], scale, shift)[0], quote
 
 
 def classify(a, seed: int = 0) -> GenericityReport:
@@ -129,15 +121,15 @@ def classify(a, seed: int = 0) -> GenericityReport:
     eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
     common eigenvectors and no witness.  ``details`` quotes the number
     that decided each failed test.  ``seed``, which draws the rank
-    screen's vector, is a Python or numpy integer (not ``bool``);
-    ``ValueError`` otherwise.
+    screen's vector, is a Python or numpy integer (not ``bool``) of at
+    least 0, for every ``n``; ``ValueError`` otherwise.
     """
     return _classify(Pencil(a), seed)
 
 
 def _classify(pencil: Pencil, seed: int) -> GenericityReport:
     """:func:`classify` of a pencil, reading its centred ``C`` and, for n = 4, :attr:`Pencil.unit`."""
-    seed = linalg.as_integer("seed", seed)
+    seed = linalg.as_integer("seed", seed, 0)
     n = pencil.a.shape[0]
     sv = np.linalg.svd(pencil.a, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])

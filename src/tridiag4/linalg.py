@@ -2,8 +2,8 @@
 
 Input validation (of matrices, vectors and integer arguments), the
 adjoint and the spectral norm, eigenvalues with right and left
-eigenvectors from one SVD stack, null spaces, and the canonical
-representative and distance of projective points.  Everything
+eigenvectors from one SVD stack, the canonical representative and
+distance of projective points, and the JSON form of complex arrays.  Everything
 here is a pure function of its inputs.  Matrices are plain
 ``numpy.ndarray`` of dtype complex128; rank decisions are always made
 relative to the largest singular value.
@@ -37,10 +37,12 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def as_integer(name: str, value) -> int:
-    """``value`` as an ``int`` when it is a Python or numpy integer other than a ``bool``; ``ValueError`` naming ``name`` otherwise."""
+def as_integer(name: str, value, least: int) -> int:
+    """``value`` as an ``int`` when it is a Python or numpy integer other than a ``bool`` and at least ``least``; ``ValueError`` naming ``name`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
     return int(value)
 
 
@@ -79,19 +81,6 @@ def eigen(m):
     return values, np.conj(vh[:, -1, :]).T, u[:, :, -1].T
 
 
-def nullspace(m) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical nullspace.
-
-    The rank counts singular values above ``1e-10 * sigma_max``, so the
-    zero matrix has a full nullspace.
-    """
-    a = as_matrix(m)
-    _, s, vh = np.linalg.svd(a)
-    cutoff = 1e-10 * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return np.conj(vh[rank:]).T.copy()
-
-
 def phase_fixed(x: np.ndarray) -> np.ndarray:
     """Unit rows ``x`` (k, n), each turned so that its first coordinate above ``PHASE_TOL`` is real positive."""
     lead = x[np.arange(len(x)), np.argmax(np.abs(x) > PHASE_TOL, axis=1)]
@@ -99,17 +88,22 @@ def phase_fixed(x: np.ndarray) -> np.ndarray:
 
 
 def canonical_projective(v) -> np.ndarray:
-    """Canonical representative of a projective point.
+    """Canonical representative of a projective point, or of each row of a (k, n) stack of them.
 
     Unit norm, and the first coordinate with ``|coord| > 1e-12 * norm``
     is rotated to be real positive (:func:`phase_fixed`).  This makes the
-    representation unique and point deduplication deterministic.
+    representation unique and point deduplication deterministic.  A row
+    of a stack comes out as it would alone, to the bit: its norm is the
+    ``dot`` of its real and of its imaginary part that ``np.linalg.norm`` takes.
     """
-    a = as_vector(v)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    a = np.asarray(v, dtype=complex)
+    if a.ndim not in (1, 2) or not np.all(np.isfinite(a)):
+        raise ValueError("projective points must be finite vectors, or a stack of them as rows")
+    rows = a.reshape(-1, a.shape[-1])
+    norm = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    if not np.all(norm > 0.0):
         raise ValueError("projective point must be nonzero")
-    return phase_fixed((a / norm)[None])[0]
+    return phase_fixed(rows / norm[:, None]).reshape(a.shape)
 
 
 def projective_distance(u, v) -> float:
@@ -126,3 +120,9 @@ def projective_distance(u, v) -> float:
         raise ValueError("projective points must be nonzero")
     a, b = a / na, b / nb
     return float(min(1.0, np.linalg.norm(b - a * np.vdot(a, b))))
+
+
+def complex_pairs(x) -> list:
+    """The JSON form of a complex array of any shape: nested lists with each entry a ``[re, im]`` pair of floats."""
+    x = np.asarray(x, dtype=complex)
+    return np.stack([x.real, x.imag], axis=-1).tolist()

@@ -138,13 +138,14 @@ def _direct(pencil: Pencil, tol: float):
     shared by the common eigenvector test (:attr:`Pencil.common`), the
     eigenvector points of the flag search and, on the CLI, the genericity
     screen.  A common eigenvector ``v`` comes first: its flag is ``v``,
-    then ``W`` times the 3x3 flag of ``W* C W`` for an orthonormal basis
-    ``W`` of its complement.  Then come the flags that :func:`_flag_points`
-    carries, already gated at ``CERT_TOL``, each with the ``T`` and the
-    residuals that gate measured, and last the unitary refined from the
-    Schur basis of ``C`` (the ``qr`` of ``eig``'s eigenvector matrix) to
-    ``1e-2 * tol``, when that converges.  ``C`` has norm 1, so every
-    off-band residual is relative to it.
+    then ``W`` times the 3x3 flag of ``W* C W`` for the orthonormal basis
+    ``W`` of its complement that one SVD of the row ``v*`` gives.  Then
+    come the flags that :func:`_flag_points` carries, already gated at
+    ``CERT_TOL``, each with the ``T`` and the residuals that gate
+    measured, and last the unitary refined from the Schur basis of ``C``
+    (the ``qr`` of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when
+    that converges.  ``C`` has norm 1, so every off-band residual is
+    relative to it.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
@@ -152,7 +153,7 @@ def _direct(pencil: Pencil, tol: float):
         return
     common = pencil.unit.common
     if common:
-        w = linalg.nullspace(np.conj(common[0])[None])
+        w = np.conj(np.linalg.svd(np.conj(common[0])[None])[2][1:]).T
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
         yield _result_from_flag(c, basis, "common_eigenvector_deflation", norm=1.0)
     for cand in _flag_points(pencil.unit):
@@ -219,7 +220,8 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     ``seed`` seeds the perturbation ladder's direction.  ``ValueError``
     on an ``A`` that :class:`Pencil` rejects (not finite, not square, or
     n outside 1..4), on a ``tol`` that is not positive and finite, on a
-    ``seed`` that is not a Python or numpy integer (or is a ``bool``), and
+    ``seed`` that is not a Python or numpy integer of at least 0 (or is a
+    ``bool``), whichever path the input takes, and
     on a ``force_path`` other than None and ``"perturb"``.  The returned
     result always satisfies ``off_residual <= tol`` (relative to ||A||);
     :class:`Unsolved` is raised only when no candidate flag, the ladder's
@@ -244,7 +246,7 @@ def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = No
     n = a.shape[0]
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    seed = linalg.as_integer("seed", seed)
+    seed = linalg.as_integer("seed", seed, 0)
     if force_path not in (None, "perturb"):
         raise ValueError(f"force_path must be None or 'perturb', got {force_path!r}")
 

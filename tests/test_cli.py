@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tridiag4 import cli
+from tridiag4 import cli, linalg
 from tridiag4.errors import ParseError, Unsolved
 from tridiag4.generate import KINDS, jordan_block, make_matrix
 from tridiag4.genericity import classify
@@ -283,8 +283,8 @@ class TestLibraryAgreement:
             payload = json.loads(out)
             r = tridiagonalize(a, tol=tol, seed=seed)
             result = {
-                "U": cli._cmat(r.u),
-                "T": cli._cmat(r.t),
+                "U": linalg.complex_pairs(r.u),
+                "T": linalg.complex_pairs(r.t),
                 "off_residual": r.off_residual,
                 "unitarity_residual": r.unitarity_residual,
                 "provenance": r.provenance,
@@ -392,6 +392,14 @@ class TestErrorExits:
         code, out, err = run_cli(capsys, ["degrees", str(path)])
         assert code == 1 and out == ""
         assert "input error: degree experiments need a 4x4 matrix" in err
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_negative_seed_exits_1(self, capsys, tmp_path, n):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(cli.matrix_to_input(make_matrix("gaussian", n, 0))))
+        code, out, err = run_cli(capsys, ["tridiag", str(path), "--seed", "-1"])
+        assert code == 1 and out == ""
+        assert "input error: seed must be at least 0, got -1" in err
 
     def test_unsolved_exits_2(self, capsys, tmp_path, monkeypatch):
         def unsolved(*args, **kwargs):

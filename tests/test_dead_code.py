@@ -57,10 +57,22 @@ def test_only_pencil_centres():
     assert referring == ["pencil.py"]
 
 
+def test_only_pencil_roots_circle_samples():
+    # np.fft and np.roots turn circle samples into roots in one place, pencil._circle_roots
+    def numpy_roots(tree):
+        return any(
+            isinstance(node, ast.Attribute) and node.attr in ("fft", "roots") and _name(node.value) == "np"
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in _modules().items() if numpy_roots(tree)] == ["pencil.py"]
+
+
 #: Public functions that nothing in the package calls and ``__all__`` leaves out, with the reason each stays.
 UNCALLED_PUBLIC = {
     "tridiagonalize.flag_residuals": "the flag characterizations, the reference the tests measure flags by",
     "generate.random_unitary": "Haar unitaries, the structured inputs of the tests and the demos",
+    "linalg.projective_distance": "the Fubini-Study distance, the reference the tests measure points and clusters by",
 }
 
 

@@ -124,10 +124,13 @@ class TestDegreeOfKernelCurve:
             p = Pencil(make_matrix("gaussian", 4, seed) + 1e8 * np.eye(4))
             assert degree_of_kernel_curve(p, seed=seed) == 6, seed
 
-    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2]), -1], ids=["bool", "float", "array", "negative"])
     def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            degree_of_kernel_curve(Pencil(make_matrix("gaussian", 4, 0)), seed=seed)
+        # a given hyperplane draws nothing, and the seed is refused all the same
+        p = Pencil(make_matrix("gaussian", 4, 0))
+        for hyperplane in (None, np.ones(4)):
+            with pytest.raises(ValueError, match="seed must be (an integer|at least 0)"):
+                degree_of_kernel_curve(p, hyperplane=hyperplane, seed=seed)
 
     def test_numpy_integer_seed(self):
         # the seed draws the hyperplane; the same one gives the same points
@@ -238,6 +241,12 @@ class TestRunExperiments:
     def test_rejects_non_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_experiments(make_matrix("gaussian", 4, 0), **{name: value})
+
+    def test_negative_seed_is_refused_at_entry(self):
+        a = make_matrix("gaussian", 4, 0)
+        for run in (lambda: run_experiments(a, seed=-1), lambda: degree_of_det_curve(Pencil(a), seed=-1)):
+            with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+                run()
 
     def test_numpy_integers_as_python_ones(self):
         a = make_matrix("gaussian", 4, 7)

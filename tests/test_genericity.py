@@ -202,10 +202,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(np.ones(shape))
 
-    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2]), -1], ids=["bool", "float", "array", "negative"])
     def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            classify(make_matrix("gaussian", 4, 0), seed=seed)
+        # n = 3 draws nothing, and is refused all the same
+        for n in (3, 4):
+            with pytest.raises(ValueError, match="seed must be (an integer|at least 0)"):
+                classify(make_matrix("gaussian", n, 0), seed=seed)
 
     def test_numpy_integer_seed(self):
         for g in range(5):

@@ -12,7 +12,8 @@ from tridiag4.pencil import (
     _centred,
     _certify,
     _certify_on_curve,
-    _coefficients,
+    _circle_roots,
+    _distinct,
     _distinguished_seeds,
     _dodecic_roots,
     _flag_bases,
@@ -343,16 +344,17 @@ class TestCertifyOnCurve:
 class TestCertify:
     @staticmethod
     def assert_stack_matches_rows(p, rows):
-        stacked = _certify(p, rows)
-        single = [_certify(p, row[None, :])[0] for row in rows]
-        assert [c is None for c in stacked] == [c is None for c in single]
-        for got, want in zip(stacked, single):
-            if want is not None:
-                np.testing.assert_allclose(got.point.t, want.point.t, rtol=0, atol=1e-15)
-                np.testing.assert_allclose(got.point.v, want.point.v, rtol=0, atol=1e-15)
-                assert abs(got.sigma4 - want.sigma4) <= 1e-15
-                assert got.shortcut == want.shortcut
-        return stacked
+        ok, stacked = _certify(p, rows)
+        single = [_certify(p, row[None, :]) for row in rows]
+        assert ok.tolist() == [bool(one_ok[0]) for one_ok, _ in single]
+        alone = [cands[0] for _, cands in single if cands]
+        assert len(stacked) == len(alone)
+        for got, want in zip(stacked, alone):
+            np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-15)
+            assert abs(got.sigma4 - want.sigma4) <= 1e-15
+            assert got.shortcut == want.shortcut
+        return ok, stacked
 
     def test_stack_matches_rows(self):
         # the best sheets over a Gaussian's dodecic roots, mixed with rows
@@ -362,9 +364,9 @@ class TestCertify:
         q = Pencil(_centred(make_matrix("gaussian", 4, 22))[0])
         points, _ = _best_sheets(q, _dodecic_roots(q))
         rows = np.concatenate([points[:6], off[:2], points[6:], off[2:]])
-        stacked = self.assert_stack_matches_rows(q, rows)
-        assert sum(c is not None for c in stacked) == 12
-        assert all(c is None for c in stacked[6:8] + stacked[-2:])
+        ok, stacked = self.assert_stack_matches_rows(q, rows)
+        assert len(stacked) == 12
+        assert not ok[6:8].any() and not ok[-2:].any()
 
     def test_stack_with_shortcut_points(self):
         # the eigenvector points [0 : 1 : 0] and [0 : 0 : 1] of N4 certify
@@ -372,12 +374,13 @@ class TestCertify:
         rng = np.random.default_rng(24)
         off = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         rows = np.array([[0, 1, 0], off[0], [0, 0, 1], off[1]], dtype=complex)
-        stacked = self.assert_stack_matches_rows(Pencil(N4), rows)
-        assert [c is not None and c.shortcut for c in stacked] == [True, False, True, False]
-        assert stacked[1] is None and stacked[3] is None
+        ok, stacked = self.assert_stack_matches_rows(Pencil(N4), rows)
+        assert ok.tolist() == [True, False, True, False]
+        assert [c.shortcut for c in stacked] == [True, True]
 
     def test_empty_stack(self):
-        assert _certify(Pencil(N4), np.empty((0, 3))) == []
+        ok, cands = _certify(Pencil(N4), np.empty((0, 3)))
+        assert ok.shape == (0,) and cands == []
 
 
 class TestSectionResidual:
@@ -398,7 +401,7 @@ class TestSectionZeros:
         a = make_matrix("tridiagonal", 4, 14)
         zeros = section_zeros(Pencil(a))
         e1 = np.eye(4)[0]
-        assert any(linalg.projective_distance(z.point.v, e1) < 1e-6 for z in zeros)
+        assert any(linalg.projective_distance(z.v, e1) < 1e-6 for z in zeros)
 
     def test_random_matrix_count_within_bound(self):
         a = make_matrix("gaussian", 4, 15)
@@ -414,7 +417,7 @@ class TestSectionZeros:
             zeros = section_zeros(Pencil(a))
             assert len(zeros) == 12, seed
             c = _centred(a)[0]
-            f = _flag_bases(c, np.conj(c).T, np.array([z.point.v for z in zeros]))
+            f = _flag_bases(c, np.conj(c).T, np.array([z.v for z in zeros]))
             t = np.conj(f).transpose(0, 2, 1) @ c @ f
             assert np.abs(t[:, far]).max() <= 1e-8, seed
 
@@ -423,9 +426,9 @@ class TestSectionZeros:
         p = Pencil(a)
         zeros = section_zeros(p)
         for z in zeros:
-            m = pencil_matrix(p, z.point.t)
-            assert np.linalg.norm(m @ z.point.v) <= 1e-8 * np.linalg.norm(m, 2)
-            v = z.point.v
+            m = pencil_matrix(p, z.t)
+            assert np.linalg.norm(m @ z.v) <= 1e-8 * np.linalg.norm(m, 2)
+            v = z.v
             s = np.linalg.svd(np.column_stack([v, a @ v, p.astar @ v]), compute_uv=False)
             assert s[2] <= 1e-8 * s[0]
             assert z.sigma4 <= 1e-8
@@ -437,11 +440,10 @@ class TestSectionZeros:
         p = Pencil(a)
         for t, v in curve_points(p, -0.4 + 0.2j):
             b = np.column_stack([v, a @ v, linalg.adjoint(a) @ v])
-            s = np.linalg.svd(b, compute_uv=False)
+            _, s, vh = np.linalg.svd(b)
             assert s[2] <= 1e-10 * s[0]
-            null = linalg.nullspace(b)
-            assert null.shape[1] == 1
-            assert linalg.projective_distance(null[:, 0], t) < 1e-8
+            assert s[1] > 1e-10 * s[0]  # rank 2: the kernel is one line
+            assert linalg.projective_distance(np.conj(vh[-1]), t) < 1e-8
 
     def test_sorted_by_sigma4(self):
         a = make_matrix("gaussian", 4, 18)
@@ -461,7 +463,7 @@ class TestSectionZeros:
             assert len(zeros) == 12, seed
             # each point lies on the pencil of the scaled input itself
             for z in zeros:
-                s = np.linalg.svd(pencil_matrix(p, z.point.t), compute_uv=False)
+                s = np.linalg.svd(pencil_matrix(p, z.t), compute_uv=False)
                 assert s[3] <= 1e-8 * s[0], seed
 
     @pytest.mark.parametrize("shift", [1e2, 1e4, 1e6, 1e8, 1e12])
@@ -474,9 +476,9 @@ class TestSectionZeros:
             assert len(zeros) == 12, seed
             if shift <= 1e4:
                 # the kernel vectors do not move with the shift
-                reference = [z.point.v for z in section_zeros(Pencil(g))]
+                reference = [z.v for z in section_zeros(Pencil(g))]
                 for z in zeros:
-                    assert min(linalg.projective_distance(z.point.v, u) for u in reference) <= 1e-6, seed
+                    assert min(linalg.projective_distance(z.v, u) for u in reference) <= 1e-6, seed
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e300])
     def test_jordan_block_at_large_scale(self, scale):
@@ -486,7 +488,7 @@ class TestSectionZeros:
         assert len(zeros) == 2
         corners = [np.eye(3)[1], np.eye(3)[2]]
         for z in zeros:
-            assert min(linalg.projective_distance(z.point.t, c) for c in corners) < 1e-12
+            assert min(linalg.projective_distance(z.t, c) for c in corners) < 1e-12
 
     @pytest.mark.parametrize("seed", [41, 361, 415, 1328])
     def test_rejected_roots_are_refined(self, seed, monkeypatch):
@@ -496,7 +498,7 @@ class TestSectionZeros:
         p = Pencil(make_matrix("gaussian", 4, seed))
         q = Pencil(_centred(p.a)[0])
         points, _ = _best_sheets(q, _dodecic_roots(q))
-        assert None in _certify(q, points)
+        assert not _certify(q, points)[0].all()
         monkeypatch.setattr(pencil, "_refine_root", lambda q, mu: mu)
         assert len(section_zeros(p)) < 12
         calls = []
@@ -509,7 +511,7 @@ class TestSectionZeros:
         q = Pencil(_centred(make_matrix("gaussian", 4, 361))[0])
         mu = _dodecic_roots(q)
         points, _ = _best_sheets(q, mu)
-        rejected = mu[[cand is None for cand in _certify(q, points)]]
+        rejected = mu[~_certify(q, points)[0]]
         assert rejected.size == 7
         one_at_a_time = [_refine_root(q, rejected[i : i + 1])[0] for i in range(rejected.size)]
         np.testing.assert_array_equal(_refine_root(q, rejected), one_at_a_time)
@@ -524,16 +526,16 @@ class TestSectionZeros:
         near = t + 1e-7 * step / np.linalg.norm(step)
         v, eye = np.eye(4)[0], np.eye(4)
         cands = [
-            pencil.SectionCandidate(pencil.PencilPoint(t, v), 3e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(pencil.PencilPoint(far, v), 2e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(pencil.PencilPoint(near / np.linalg.norm(near), v), 1e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(t, v, 3e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(far, v, 2e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(near / np.linalg.norm(near), v, 1e-9, eye, False, eye, 0.0, 0.0),
         ]
-        assert 5e-8 < linalg.projective_distance(cands[0].point.t, cands[2].point.t) < 2e-7
+        assert 5e-8 < linalg.projective_distance(cands[0].t, cands[2].t) < 2e-7
         monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))
         zeros = section_zeros(Pencil(N4))  # centred already: the points come back as they went in
         assert [z.sigma4 for z in zeros] == [1e-9, 2e-9]
-        assert linalg.projective_distance(zeros[0].point.t, near) < 1e-12
-        assert linalg.projective_distance(zeros[1].point.t, far) < 1e-12
+        assert linalg.projective_distance(zeros[0].t, near) < 1e-12
+        assert linalg.projective_distance(zeros[1].t, far) < 1e-12
 
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points
@@ -564,8 +566,8 @@ def _scalar_dodecic(p):
 def test_batched_dodecic_matches_scalar_samples(monkeypatch):
     # the stacked samples give the same coefficients as sampling one mu at a time
     seen = []
-    coefficients = pencil._coefficients
-    monkeypatch.setattr(pencil, "_coefficients", lambda v: seen.append(coefficients(v)) or seen[-1])
+    circle_roots = pencil._circle_roots
+    monkeypatch.setattr(pencil, "_circle_roots", lambda v: seen.append(circle_roots(v)[0]) or circle_roots(v))
     for seed in range(50):
         p = Pencil(make_matrix("gaussian", 4, seed))
         seen.clear()
@@ -584,8 +586,8 @@ def _ordering_proxy(c, mu):
 class TestDodecicRoots:
     def test_roots_of_the_coefficients_best_conditioned_first(self, monkeypatch):
         seen = []
-        coefficients = pencil._coefficients
-        monkeypatch.setattr(pencil, "_coefficients", lambda v: seen.append(coefficients(v)) or seen[-1])
+        circle_roots = pencil._circle_roots
+        monkeypatch.setattr(pencil, "_circle_roots", lambda v: seen.append(circle_roots(v)[0]) or circle_roots(v))
         for seed in range(5):
             seen.clear()
             mu = _dodecic_roots(Pencil(_centred(make_matrix("gaussian", 4, seed))[0]))
@@ -634,7 +636,7 @@ class TestCoefficients:
             v = p + s * q
             return np.linalg.det(np.column_stack([v, m @ v, m @ m @ v, v[::-1]]))
 
-        coeffs = _coefficients(np.array([f(s) for s in np.exp(2j * np.pi * np.arange(5) / 5)]))
+        coeffs = _circle_roots(np.array([f(s) for s in np.exp(2j * np.pi * np.arange(5) / 5)]))[0]
         assert coeffs.shape == (5,)
         for s in (0.3 + 0.1j, -1.2, 2.0j):
             direct = f(s)
@@ -644,18 +646,56 @@ class TestCoefficients:
     def test_leading_coefficients_are_trimmed(self):
         omega = np.exp(2j * np.pi * np.arange(7) / 7)
         for c, kept in (([1.0, 2.0, 1e-15], 2), ([1.0, 2.0, 1e-12], 3), ([3.0], 1), ([0.0, 1.0], 2)):
-            coeffs = _coefficients(np.polynomial.polynomial.polyval(omega, c))
+            coeffs = _circle_roots(np.polynomial.polynomial.polyval(omega, c))[0]
             assert coeffs.size == kept, c
             np.testing.assert_allclose(coeffs, np.asarray(c)[:kept], atol=1e-14)
 
     def test_zero_gives_zero_constant(self):
-        np.testing.assert_array_equal(_coefficients(np.zeros(7)), [0.0])
+        coeffs, roots = _circle_roots(np.zeros(7))
+        np.testing.assert_array_equal(coeffs, [0.0])
+        assert roots.size == 0
+
+
+def distinct_one_pair_at_a_time(rows, tol):
+    """:func:`pencil._distinct` as the greedy rule on :func:`linalg.projective_distance`, one pair at a time."""
+    kept = []
+    for i, row in enumerate(rows):
+        if all(linalg.projective_distance(row, rows[j]) > tol for j in kept):
+            kept.append(i)
+    return kept
+
+
+@pytest.mark.parametrize("sep", [1e-9, 1e-7, 1e-6])
+@pytest.mark.parametrize("tol", [1e-8, pencil.DEDUPE_TOL])
+def test_distinct_is_the_pairwise_rule(sep, tol):
+    # three clusters of eight unit points, each point about sep from its
+    # centre, shuffled; tol is that of Pencil.common and of section_zeros.
+    # At sep = 1e-9 and tol = 1e-8 a distance from 1 - |<a, b>|^2 keeps
+    # points that are one
+    rng = np.random.default_rng(27)
+    centres = linalg.canonical_projective(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    noise = (rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))) / np.sqrt(8)
+    rows = linalg.canonical_projective(rng.permutation(np.repeat(centres, 8, axis=0) + sep * noise))
+    kept = _distinct(rows, tol)
+    assert kept == distinct_one_pair_at_a_time(rows, tol)
+    assert 3 <= len(kept) <= 24
+    assert _distinct(np.empty((0, 4), dtype=complex), tol) == []
 
 
 def test_unscale_point():
     # [t0 : t1 : t2] on (A - shift*I)/scale is [scale*t0 - shift*t1 - conj(shift)*t2 : t1 : t2] on A
     t = linalg.canonical_projective([0.3, 1.0, 0.5j])
     expected = linalg.canonical_projective([2.0 * t[0] - (1 + 1j) * t[1] - (1 - 1j) * t[2], t[1], t[2]])
-    np.testing.assert_allclose(_unscale_point(t, 2.0, 1 + 1j), expected, atol=1e-15)
+    np.testing.assert_allclose(_unscale_point(t[None], 2.0, 1 + 1j), [expected], atol=1e-15)
     # at a large scale t1 and t2 shrink by 1e-200, and the point must not underflow
-    np.testing.assert_allclose(_unscale_point(np.array([0.0, 1.0, 0.0]), 1e200, 0.0), [0.0, 1.0, 0.0])
+    np.testing.assert_allclose(_unscale_point(np.array([[0.0, 1.0, 0.0]]), 1e200, 0.0), [[0.0, 1.0, 0.0]])
+    # a stack moves each row to the bit as the scalar arithmetic of that
+    # point alone does, and an empty stack stays empty
+    rng = np.random.default_rng(26)
+    rows = linalg.canonical_projective(rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3)))
+    scale, shift = 0.7, np.complex128(0.3 + 2.1j)
+    m = max(scale, abs(shift), 1.0)
+    for row, got in zip(rows, _unscale_point(rows, scale, shift)):
+        w = np.array([(scale / m) * row[0] - (shift / m) * row[1] - (np.conj(shift) / m) * row[2], row[1] / m, row[2] / m])
+        np.testing.assert_array_equal(got, linalg.canonical_projective(w / np.max(np.abs(w))))
+    assert _unscale_point(np.empty((0, 3), dtype=complex), scale, shift).shape == (0, 3)

@@ -90,10 +90,12 @@ class TestDispatch:
         with pytest.raises(ValueError, match="force_path"):
             tridiagonalize(make_matrix("gaussian", 4, 0), force_path=force_path)
 
-    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2])], ids=["bool", "float", "array"])
+    @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2]), -1], ids=["bool", "float", "array", "negative"])
     def test_seed_must_be_an_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be an integer"):
-            tridiagonalize(make_matrix("gaussian", 4, 0), seed=seed)
+        # the direct path draws nothing and the forced ladder draws from the seed: both refuse it
+        for force_path in (None, "perturb"):
+            with pytest.raises(ValueError, match="seed must be (an integer|at least 0)"):
+                tridiagonalize(make_matrix("gaussian", 4, 0), seed=seed, force_path=force_path)
 
     def test_numpy_integer_seed(self):
         # the forced ladder draws its direction from the seed
@@ -336,9 +338,9 @@ class TestBuildFlag:
         zeros = section_zeros(Pencil(a))
         e1 = np.eye(4)[0]
         cand = next(
-            z for z in zeros if linalg.projective_distance(z.point.v, e1) < 1e-6
+            z for z in zeros if linalg.projective_distance(z.v, e1) < 1e-6
         )
-        basis = flag_from_vector(a, cand.point.v)
+        basis = flag_from_vector(a, cand.v)
         for k in range(4):
             assert abs(abs(basis[k, k]) - 1.0) < 1e-6
 
@@ -346,7 +348,7 @@ class TestBuildFlag:
         a = make_matrix("gaussian", 4, 5)
         zeros = section_zeros(Pencil(a))
         for cand in zeros[:4]:
-            r2, r3 = flag_residuals(a, flag_from_vector(a, cand.point.v))
+            r2, r3 = flag_residuals(a, flag_from_vector(a, cand.v))
             assert r2 <= 1e-8
             assert r3 <= 1e-8
 
@@ -356,7 +358,7 @@ class TestBuildFlag:
         a[2:, 2:] = make_matrix("gaussian", 2, 9)
         zeros = section_zeros(Pencil(a))
         cand = next(z for z in zeros if z.shortcut)
-        r2, _ = flag_residuals(a, flag_from_vector(a, cand.point.v))
+        r2, _ = flag_residuals(a, flag_from_vector(a, cand.v))
         assert r2 <= 1e-8
         # the input itself is tridiagonal; a unitary conjugate reaches the flag search
         q = random_unitary(4, np.random.default_rng(0))
