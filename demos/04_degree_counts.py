@@ -12,8 +12,7 @@ matrices; the dodecic's roots count when their flags, grown as one
 stack, pass the solver's gate.
 """
 
-from tridiag4 import Pencil, make_matrix, run_experiments
-from tridiag4.degrees import degree_of_det_curve, degree_of_kernel_curve, section_zero_count
+from tridiag4 import Pencil, degree_of_det_curve, degree_of_kernel_curve, make_matrix, run_experiments, section_zeros
 
 a = make_matrix("gaussian", 4, seed=99)
 pencil = Pencil(a)
@@ -21,7 +20,7 @@ pencil = Pencil(a)
 print("one matrix, one experiment each:")
 print(f"  determinant-curve degree (expected 4): {degree_of_det_curve(pencil, seed=1)}")
 print(f"  kernel-curve degree      (expected 6): {degree_of_kernel_curve(pencil, seed=1)}")
-print(f"  flag points             (expected 12): {section_zero_count(pencil)}")
+print(f"  flag points             (expected 12): {len(section_zeros(pencil))}")
 
 print("\nfull report with 3 independent trials:")
 report = run_experiments(a, trials=3, seed=99)

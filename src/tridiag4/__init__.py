@@ -11,11 +11,11 @@ are certified points of one eigen-solve each (a line's 4x4 eigenproblem,
 a hyperplane's Krylov sextic, and the flag-point dodecic).
 """
 
-from .errors import ParseError, SolverError, Unsolved, UnstableCountWarning
+from .errors import ParseError, Unsolved, UnstableCountWarning
 from .pencil import Pencil, section_zeros
 from .genericity import classify
 from .tridiagonalize import TridiagResult, tridiagonalize, verify
-from .degrees import degree_of_det_curve, degree_of_kernel_curve, run_experiments, section_zero_count
+from .degrees import degree_of_det_curve, degree_of_kernel_curve, run_experiments
 from .generate import make_matrix
 
 __version__ = "0.1.0"
@@ -30,9 +30,7 @@ __all__ = [
     "classify",
     "degree_of_det_curve",
     "degree_of_kernel_curve",
-    "section_zero_count",
     "run_experiments",
-    "SolverError",
     "Unsolved",
     "ParseError",
     "UnstableCountWarning",

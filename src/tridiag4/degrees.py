@@ -124,37 +124,18 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     return list(zip(_unscale_point(t[rows], scale, shift), v[rows], [m for (_, m), k in zip(bases, keep) if k]))
 
 
-def degree_of_kernel_curve(pencil: Pencil, hyperplane=None, seed: int = 0) -> int:
-    """Intersection count of the kernel curve with a hyperplane.
+def degree_of_kernel_curve(pencil: Pencil, seed: int = 0) -> int:
+    """Intersection count of the kernel curve with a random hyperplane, drawn from ``seed``.
 
     Counts the certified roots of the hyperplane's Krylov sextic (see
     :func:`_hyperplane_points`); a tangential contact is a double root,
     which the companion matrix returns as two roots, so it counts twice.
-    With ``hyperplane=None`` a random one is drawn from ``seed``; a given
-    one, 4 finite entries not all zero (``ValueError`` otherwise), is
-    divided by its largest modulus, so its norm can neither under- nor overflow.
-    ``seed`` is a Python or numpy integer (not ``bool``) of at least 0,
-    also when ``hyperplane`` is given; ``ValueError`` otherwise.
+    ``seed`` is a Python or numpy integer (not ``bool``) of at least 0;
+    ``ValueError`` otherwise.
     """
-    seed = linalg.as_integer("seed", seed, 0)
-    if hyperplane is None:
-        rng = np.random.default_rng([seed, 13])
-        ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    else:
-        ell = linalg.as_vector(hyperplane)
-        if ell.size != 4 or not ell.any():
-            raise ValueError(f"hyperplane must have 4 entries, not all zero, got {hyperplane!r}")
-        ell = ell / np.abs(ell).max()
-    ell = ell / np.linalg.norm(ell)
-    return sum(m for _, _, m in _hyperplane_points(pencil, ell))
-
-
-def section_zero_count(pencil: Pencil) -> int:
-    """Number of flag points whose flags pass the gate, over the roots of the dodecic.
-
-    Counts what :func:`pencil.section_zeros` returns, 0 when none does.
-    """
-    return len(section_zeros(pencil))
+    rng = np.random.default_rng([linalg.as_integer("seed", seed, 0), 13])
+    ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return sum(m for _, _, m in _hyperplane_points(pencil, ell / np.linalg.norm(ell)))
 
 
 def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> DegreeReport:
@@ -184,7 +165,7 @@ def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> 
                 notice=f"input outside the generic regime, experiments skipped ({report.details})",
             )
 
-    zeros = section_zero_count(pencil)
+    zeros = len(section_zeros(pencil))
     detail = [
         {
             "trial": k,

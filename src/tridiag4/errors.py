@@ -1,11 +1,7 @@
 """Exception and warning types shared across the solver."""
 
 
-class SolverError(Exception):
-    """Base class for all solver failures."""
-
-
-class Unsolved(SolverError):
+class Unsolved(Exception):
     """All solution paths, including the perturbation ladder, failed."""
 
 

@@ -39,14 +39,12 @@ from .linalg import canonical_projective
 #: The one relative tolerance: the pencil's rank drop (``sigma3``, in
 #: ``_certify_on_curve`` and ``classify``), its on-curve ``sigma4``, the
 #: off-band residual of a flag point's flag, the entries behind ``shortcut``
-#: and the hyperplane value are all tested against it.
+#: and the hyperplane value are all tested against it, and it is the cluster
+#: radius of :func:`_distinct`.
 CERT_TOL = 1e-8
 
 #: The unitarity gate ``||UU* - I||_2`` that every accepted flag and every returned result meets.
 UNITARITY_TOL = 1e-10
-
-#: Projective distance below which two accepted points count as one.
-DEDUPE_TOL = 1e-6
 
 #: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
 SECANT_STEPS = 12
@@ -154,21 +152,21 @@ class Pencil:
     def common(self) -> list[np.ndarray]:
         """The eigenvectors of ``A`` (from :attr:`eigen`) that are eigenvectors of ``A*`` too, taken on first use and kept.
 
-        Tests ``||A* v - mu v|| <= 1e-8`` with ``mu = v* A* v`` for every
+        Tests ``||A* v - mu v|| <= CERT_TOL`` with ``mu = v* A* v`` for every
         unit eigenvector ``v`` as one stack; those that pass are made
-        canonical, and duplicates (from repeated eigenvalues) within 1e-8
-        of one kept before them are removed (:func:`_distinct`).  The bound
-        is absolute, so ``A`` is that of a :func:`_centred` matrix.
+        canonical, and duplicates (from repeated eigenvalues) are removed
+        (:func:`_distinct`).  The bound is absolute, so ``A`` is that of a
+        :func:`_centred` matrix.
         :func:`genericity.classify` and the solver's deflation both read
         this one result.
         """
         v = self.eigen[1]
         w = self.astar @ v
-        ok = np.linalg.norm(w - np.sum(np.conj(v) * w, axis=0) * v, axis=0) <= 1e-8
+        ok = np.linalg.norm(w - np.sum(np.conj(v) * w, axis=0) * v, axis=0) <= CERT_TOL
         if not ok.any():
             return []
         rows = canonical_projective(v.T[ok])
-        return list(rows[_distinct(rows, 1e-8)])
+        return list(rows[_distinct(rows)])
 
 
 @dataclass
@@ -551,8 +549,8 @@ def _unscale_point(t: np.ndarray, scale: float, shift: complex) -> np.ndarray:
     return canonical_projective(w / np.abs(w).max(axis=1, keepdims=True))
 
 
-def _distinct(rows: np.ndarray, tol: float) -> list[int]:
-    """The indices of the rows of a (k, n) stack of unit rows that are kept when, in order, each row is kept unless within ``tol`` of one kept before it.
+def _distinct(rows: np.ndarray) -> list[int]:
+    """The indices of the rows of a (k, n) stack of unit rows that are kept when, in order, each row is kept unless within ``CERT_TOL`` of one kept before it.
 
     The distance of unit ``a`` and ``b`` is ``||b - a<a, b>||``, the sine
     of the angle between their lines, which resolves distances below
@@ -564,7 +562,7 @@ def _distinct(rows: np.ndarray, tol: float) -> list[int]:
     dist = np.linalg.norm(rows[None, :, :] - gram[:, :, None] * rows[:, None, :], axis=2)
     kept: list[int] = []
     for i in range(len(rows)):
-        if not (dist[kept, i] <= tol).any():
+        if not (dist[kept, i] <= CERT_TOL).any():
             kept.append(i)
     return kept
 
@@ -577,7 +575,7 @@ def section_zeros(pencil: Pencil):
     :func:`_certify` (on the curve, with a flag whose off-band residual
     is at most ``CERT_TOL`` and whose unitarity residual is at most
     ``UNITARITY_TOL``), so there are never more than the solver could
-    return.  Points within projective distance ``DEDUPE_TOL`` of each
+    return.  Points within projective distance ``CERT_TOL`` of each
     other count once, with the smaller ``sigma4``: in that order,
     :func:`_distinct` keeps a point unless it is that near one kept before
     it.  On a generic matrix the result has exactly 12 entries.  The
@@ -590,6 +588,6 @@ def section_zeros(pencil: Pencil):
     _, scale, shift = pencil.centred
     cands = sorted(_flag_points(pencil.unit), key=lambda z: (z.sigma4, tuple(np.round(z.t, 9).view(float))))
     t = np.array([z.t for z in cands]).reshape(-1, 3)
-    kept = _distinct(t, DEDUPE_TOL)
+    kept = _distinct(t)
     # only t moves to the pencil of A: v, sigma4 and the flag, which tridiagonalizes A too, stay
     return [replace(cands[i], t=u) for i, u in zip(kept, _unscale_point(t[kept], scale, shift))]

@@ -92,19 +92,20 @@ def flag_residuals(a, basis):
     return r_contain / scale, r_perp / scale
 
 
-def _result_from_flag(a, basis, provenance, eps=0.0, norm=None) -> TridiagResult:
+def _result_from_flag(a, basis, provenance, eps=0.0) -> TridiagResult:
     """The result for a flag basis, with both residuals measured from its unitary.
 
-    ``U`` is the conjugated basis (``U* e_i`` is column i); ``norm`` is
-    ``||A||_2`` when the caller already has it, otherwise it is measured.
+    ``U`` is the conjugated basis (``U* e_i`` is column i).  Every caller
+    passes a centred ``C`` with ``||C||_2 = 1`` (or ``C = 0``), or a trivial
+    ``A`` with nothing off the band, so the largest off-band modulus of
+    ``T`` is already relative.
     """
     u = np.conj(basis).T
     t = u @ a @ np.conj(u).T
-    scale = max(linalg.matrix_norm(a) if norm is None else norm, 1e-300)
     return TridiagResult(
         u=u,
         t=t,
-        off_residual=float(_off_max(t)) / scale,
+        off_residual=float(_off_max(t)),
         unitarity_residual=float(_unitarity(u)),
         provenance=provenance,
         perturbation_used=eps,
@@ -149,23 +150,23 @@ def _direct(pencil: Pencil, tol: float):
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
-        yield _result_from_flag(c, _flag3(c), "cubic_curve_3x3", norm=1.0)
+        yield _result_from_flag(c, _flag3(c), "cubic_curve_3x3")
         return
     common = pencil.unit.common
     if common:
         w = np.conj(np.linalg.svd(np.conj(common[0])[None])[2][1:]).T
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
-        yield _result_from_flag(c, basis, "common_eigenvector_deflation", norm=1.0)
+        yield _result_from_flag(c, basis, "common_eigenvector_deflation")
     for cand in _flag_points(pencil.unit):
         provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
         yield TridiagResult(np.conj(cand.basis).T, cand.tri, cand.off, cand.unitarity, provenance)
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
-    u = _refine_unitary(c, np.conj(q).T, 1e-2 * tol)
+    u = _refine_unitary(c, np.conj(q).T, tol)
     if u is not None:
-        yield _result_from_flag(c, np.conj(u).T, "refined", norm=1.0)
+        yield _result_from_flag(c, np.conj(u).T, "refined")
 
 
-def _refine_unitary(a, u, goal: float):
+def _refine_unitary(a, u, tol: float):
     """Gauss-Newton on the unitary group: ``U <- exp(iH) U`` until ``U A U*`` is tridiagonal.
 
     The residual is the six entries of ``T = U A U*`` with ``|i - j| >= 2``
@@ -173,10 +174,11 @@ def _refine_unitary(a, u, goal: float):
     ``i[H_k, T]`` over an orthonormal basis ``H_k`` of the 4x4 Hermitian
     matrices, and each step takes the minimum-norm least-squares ``H``,
     exponentiated through ``eigh`` so that ``U`` stays unitary.  Returns
-    the refined ``U`` once the largest far entry is at most ``goal`` (the
-    callers take ``1e-2 * tol * ||A||_2``), or None after ``REFINE_STEPS``
-    steps.
+    the refined ``U`` once the largest far entry is at most ``1e-2 * tol``,
+    or None after ``REFINE_STEPS`` steps.  Both callers pass a centred ``A``
+    with ``||A||_2 = 1`` (or ``A = 0``), so that goal is relative.
     """
+    goal = 1e-2 * tol
     for _ in range(REFINE_STEPS):
         t = u @ a @ np.conj(u).T
         off = t[_FAR[4]]
@@ -194,23 +196,22 @@ def _ladder(c, tol: float, seed: int):
     """The perturbation ladder of a centred 4x4 ``C``: at most one candidate result on ``C`` per ``eps`` in ``LADDER``.
 
     It takes the first candidate of :func:`_direct` on the centred
-    ``C + eps * G``, for a seeded Gaussian ``G`` with ``||G||_2 = ||C||_2``,
-    that passes the gate relaxed to ``max(tol, 1e-6)``, since it only has
-    to give a unitary worth refining, and yields that unitary when
-    :func:`_refine_unitary` pulls it back onto ``C`` to
-    ``1e-2 * tol * ||C||_2``.
+    ``C + eps * G``, for a seeded Gaussian ``G`` with ``||G||_2 = 1``, the
+    norm of ``C`` (unless ``C = 0``), that passes the gate relaxed to
+    ``max(tol, 1e-6)``, since it only has to give a unitary worth refining,
+    and yields that unitary when :func:`_refine_unitary` pulls it back onto
+    ``C`` to ``1e-2 * tol``.
     """
-    scale = max(linalg.matrix_norm(c), 1e-300)
     rng = np.random.default_rng([seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    g = g / linalg.matrix_norm(g) * scale
+    g = g / linalg.matrix_norm(g)
     relaxed = max(tol, 1e-6)
     for eps in LADDER:
         for r in _direct(Pencil(c + eps * g), relaxed):
             if _passes(r.off_residual, r.unitarity_residual, relaxed):
-                u = _refine_unitary(c, r.u, 1e-2 * tol * scale)
+                u = _refine_unitary(c, r.u, tol)
                 if u is not None:
-                    yield _result_from_flag(c, np.conj(u).T, "perturbed", eps, norm=1.0)
+                    yield _result_from_flag(c, np.conj(u).T, "perturbed", eps)
                 break
 
 

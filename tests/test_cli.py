@@ -67,6 +67,10 @@ class TestGen:
         _, out2, _ = run_cli(capsys, ["gen", "--seed", "7"])
         assert out1 == out2
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            make_matrix("unitary", 4, 0)
+
     def test_roundtrip_validates_for_every_kind(self, capsys):
         validate = load_schema("input.schema.json")
         for kind in ("gaussian", "hermitian", "tridiagonal", "jordan"):
@@ -161,6 +165,14 @@ class TestTridiag:
         validate(payload)
         assert len(payload["flags"]) == 12
         assert all(flag["sigma4"] <= 1e-8 for flag in payload["flags"])
+
+    def test_all_flags_text_report_counts_twelve(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, ["gen", "--seed", "7"])
+        path = tmp_path / "m.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, ["tridiag", str(path), "--all-flags"])
+        assert code == 0
+        assert "flag points: 12" in out.splitlines()
 
     def test_near_hermitian_reports_refined(self, capsys, tmp_path):
         # no flag point certifies this close to a Hermitian matrix, so the

@@ -3,15 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from tridiag4 import linalg
+from tridiag4 import degrees, linalg
 from tridiag4.degrees import (
     _hyperplane_points,
     _modal,
     degree_of_det_curve,
     degree_of_kernel_curve,
     run_experiments,
-    section_zero_count,
 )
+from tridiag4.errors import UnstableCountWarning
 from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.pencil import Pencil, _certify_on_curve, pencil_matrix, section_zeros
 
@@ -60,6 +60,17 @@ class TestDegreeOfDetCurve:
         for seed in range(5):
             p = Pencil(scale * make_matrix("gaussian", 4, seed))
             assert degree_of_det_curve(p, lines=10, seed=seed) == 4, seed
+
+    def test_warns_when_lines_disagree(self, monkeypatch):
+        # one point rejected: its line counts 3 and the other nine count 4
+        def reject_first(pencil, t, kernel=False):
+            ok, t, v = _certify_on_curve(pencil, t, kernel)
+            ok[0] = False
+            return ok, t, v
+
+        monkeypatch.setattr(degrees, "_certify_on_curve", reject_first)
+        with pytest.warns(UnstableCountWarning, match=r"line counts disagree: \{3: 1, 4: 9\}"):
+            assert degree_of_det_curve(Pencil(make_matrix("gaussian", 4, 0)), lines=10, seed=0) == 4
 
     def test_rejects_no_lines(self):
         with pytest.raises(ValueError, match="lines"):
@@ -126,11 +137,9 @@ class TestDegreeOfKernelCurve:
 
     @pytest.mark.parametrize("seed", [True, 1.5, np.array([1, 2]), -1], ids=["bool", "float", "array", "negative"])
     def test_seed_must_be_an_integer(self, seed):
-        # a given hyperplane draws nothing, and the seed is refused all the same
         p = Pencil(make_matrix("gaussian", 4, 0))
-        for hyperplane in (None, np.ones(4)):
-            with pytest.raises(ValueError, match="seed must be (an integer|at least 0)"):
-                degree_of_kernel_curve(p, hyperplane=hyperplane, seed=seed)
+        with pytest.raises(ValueError, match="seed must be (an integer|at least 0)"):
+            degree_of_kernel_curve(p, seed=seed)
 
     def test_numpy_integer_seed(self):
         # the seed draws the hyperplane; the same one gives the same points
@@ -153,27 +162,8 @@ class TestDegreeOfKernelCurve:
 
             points = _hyperplane_points(p, ell / np.linalg.norm(ell))
             assert sum(mult for _, _, mult in points) == 6
-            assert degree_of_kernel_curve(p, hyperplane=ell) == 6
             assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v, _ in points)
 
-
-    @pytest.mark.parametrize("scale", [1e-300, 1e300])
-    def test_scaled_hyperplane_counts_six(self, scale):
-        # the norm of [1e-300, 0, 0, 0] underflows to 0, and that of a
-        # hyperplane times 1e300 overflows: both counted 0
-        p = Pencil(make_matrix("gaussian", 4, 3))
-        ell = np.array([1.0, 2.0 - 1.0j, -0.5, 3.0j])
-        assert degree_of_kernel_curve(p, hyperplane=ell) == 6
-        assert degree_of_kernel_curve(p, hyperplane=scale * ell) == 6
-        assert degree_of_kernel_curve(p, hyperplane=[scale, 0, 0, 0]) == 6
-
-    @pytest.mark.parametrize(
-        "hyperplane",
-        [np.zeros(4), [np.nan, 1, 1, 1], [np.inf, 0, 0, 0], [1.0, 2.0, 3.0], np.ones(5)],
-    )
-    def test_rejects_bad_hyperplanes(self, hyperplane):
-        with pytest.raises(ValueError):
-            degree_of_kernel_curve(Pencil(make_matrix("gaussian", 4, 3)), hyperplane=hyperplane)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_scale_free(self, scale):
@@ -191,7 +181,7 @@ class TestDegreeOfKernelCurve:
 class TestSectionZeroCount:
     def test_random_matrix_at_most_twelve(self):
         p = Pencil(make_matrix("gaussian", 4, 6))
-        assert section_zero_count(p) == 12  # the roots of the dodecic
+        assert len(section_zeros(p)) == 12  # the roots of the dodecic
 
 
 class TestFourByFourOnly:
@@ -202,7 +192,6 @@ class TestFourByFourOnly:
         "count",
         [
             section_zeros,
-            section_zero_count,
             degree_of_det_curve,
             degree_of_kernel_curve,
             lambda p: run_experiments(p.a, screen=True),

@@ -204,6 +204,21 @@ class TestProjective:
         assert np.allclose(c1, c2, atol=1e-12)
         assert np.allclose(c1, linalg.canonical_projective(c1), atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "v, match",
+        [
+            (np.ones((2, 2, 2)), "finite vectors"),
+            ([1.0, np.nan], "finite vectors"),
+            ([[1.0, 0.0], [np.inf, 1.0]], "finite vectors"),
+            ([0.0, 0.0], "nonzero"),
+            ([[1.0, 0.0], [0.0, 0.0]], "nonzero"),
+        ],
+        ids=["three axes", "nan", "inf row", "zero", "zero row"],
+    )
+    def test_canonical_rejects_what_is_no_point(self, v, match):
+        with pytest.raises(ValueError, match=match):
+            linalg.canonical_projective(v)
+
     def test_projective_distance_phase_invariant(self):
         u = np.array([1.0, 1j, 0.0, 0.5])
         assert linalg.projective_distance(u, 1j * u) < 1e-12

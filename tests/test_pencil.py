@@ -181,6 +181,15 @@ class TestPencilMatrix:
         a = make_matrix("gaussian", 4, 1)
         assert np.allclose(pencil_matrix(Pencil(a), [0.0, 1.0, 0.0]), a)
 
+    @pytest.mark.parametrize(
+        "t",
+        [[1.0, 0.0], np.ones((2, 2, 3)), [np.nan, 1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, np.inf, 1.0]]],
+        ids=["two coordinates", "three axes", "nan", "inf row"],
+    )
+    def test_rejects_what_is_no_point(self, t):
+        with pytest.raises(ValueError, match="3 finite coordinates"):
+            pencil_matrix(Pencil(N4), t)
+
     def test_minor_homogeneity(self):
         # every 3x3 minor of the pencil is homogeneous of degree 3 in t
         a = make_matrix("gaussian", 4, 2)
@@ -517,25 +526,29 @@ class TestSectionZeros:
         np.testing.assert_array_equal(_refine_root(q, rejected), one_at_a_time)
 
     def test_near_points_count_once(self, monkeypatch):
-        # two candidates 1e-7 apart count once, with the smaller sigma4,
-        # whichever comes first; a third, far one is kept as well
+        # two candidates 1e-9 apart count once, with the smaller sigma4,
+        # whichever comes first; one 1e-7 away counts apart (the cluster
+        # radius is CERT_TOL), and a far one is kept as well
         rng = np.random.default_rng(25)
         t, far = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         t, far = t / np.linalg.norm(t), far / np.linalg.norm(far)
         step = np.cross(np.conj(t), far)  # orthogonal to t
-        near = t + 1e-7 * step / np.linalg.norm(step)
+        near, apart = (t + d * step / np.linalg.norm(step) for d in (1e-9, 1e-7))
+        near, apart = near / np.linalg.norm(near), apart / np.linalg.norm(apart)
         v, eye = np.eye(4)[0], np.eye(4)
         cands = [
             pencil.SectionCandidate(t, v, 3e-9, eye, False, eye, 0.0, 0.0),
             pencil.SectionCandidate(far, v, 2e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(near / np.linalg.norm(near), v, 1e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(near, v, 1e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(apart, v, 4e-9, eye, False, eye, 0.0, 0.0),
         ]
-        assert 5e-8 < linalg.projective_distance(cands[0].t, cands[2].t) < 2e-7
+        assert 5e-10 < linalg.projective_distance(t, near) < 2e-9
+        assert 5e-8 < linalg.projective_distance(t, apart) < 2e-7
         monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))
         zeros = section_zeros(Pencil(N4))  # centred already: the points come back as they went in
-        assert [z.sigma4 for z in zeros] == [1e-9, 2e-9]
-        assert linalg.projective_distance(zeros[0].t, near) < 1e-12
-        assert linalg.projective_distance(zeros[1].t, far) < 1e-12
+        assert [z.sigma4 for z in zeros] == [1e-9, 2e-9, 4e-9]
+        for z, point in zip(zeros, (near, far, apart)):
+            assert linalg.projective_distance(z.t, point) < 1e-12
 
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points
@@ -666,20 +679,20 @@ def distinct_one_pair_at_a_time(rows, tol):
 
 
 @pytest.mark.parametrize("sep", [1e-9, 1e-7, 1e-6])
-@pytest.mark.parametrize("tol", [1e-8, pencil.DEDUPE_TOL])
+@pytest.mark.parametrize("tol", [pencil.CERT_TOL])
 def test_distinct_is_the_pairwise_rule(sep, tol):
     # three clusters of eight unit points, each point about sep from its
-    # centre, shuffled; tol is that of Pencil.common and of section_zeros.
-    # At sep = 1e-9 and tol = 1e-8 a distance from 1 - |<a, b>|^2 keeps
-    # points that are one
+    # centre, shuffled; tol is the cluster radius CERT_TOL of Pencil.common
+    # and of section_zeros.  At sep = 1e-9 a distance from 1 - |<a, b>|^2
+    # keeps points that are one
     rng = np.random.default_rng(27)
     centres = linalg.canonical_projective(rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
     noise = (rng.standard_normal((24, 4)) + 1j * rng.standard_normal((24, 4))) / np.sqrt(8)
     rows = linalg.canonical_projective(rng.permutation(np.repeat(centres, 8, axis=0) + sep * noise))
-    kept = _distinct(rows, tol)
+    kept = _distinct(rows)
     assert kept == distinct_one_pair_at_a_time(rows, tol)
     assert 3 <= len(kept) <= 24
-    assert _distinct(np.empty((0, 4), dtype=complex), tol) == []
+    assert _distinct(np.empty((0, 4), dtype=complex)) == []
 
 
 def test_unscale_point():

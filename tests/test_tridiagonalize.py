@@ -13,6 +13,7 @@ from tridiag4.tridiagonalize import (
     TridiagResult,
     _direct,
     _match,
+    _refine_unitary,
     _result_from_flag,
     flag_residuals,
     tridiagonalize,
@@ -177,7 +178,7 @@ class TestDispatch:
         first = next(_direct(p, 1e-8))
         basis, provenance = np.conj(first.u).T, first.provenance
         assert provenance == "shortcut_dimW3"
-        r = _result_from_flag(c, basis, provenance, norm=1.0)
+        r = _result_from_flag(c, basis, provenance)
         assert _passes(r.off_residual, r.unitarity_residual, 1e-8)
 
     def test_spectrum_preserved(self):
@@ -207,6 +208,17 @@ class TestSectionPath:
             assert r.provenance == "section_zero", seed
             worst = max(worst, r.off_residual)
         assert worst <= 1e-10
+
+    def test_flag_points_over_a_tight_gate_are_skipped(self):
+        # at tol = 1e-13 no flag of this Gaussian's 12 flag points meets the
+        # gate: the loop passes over all of them to the refined Schur basis
+        a = make_matrix("gaussian", 4, 6)
+        flags = [r for r in _direct(Pencil(a), 1e-13) if r.provenance == "section_zero"]
+        assert len(flags) == 12 and min(r.off_residual for r in flags) > 1e-13
+        r = tridiagonalize(a, tol=1e-13)
+        assert r.provenance == "refined"
+        assert_gates(a, r, 6)
+        assert r.off_residual <= 1e-13
 
     def test_every_returned_result_passes_the_unitarity_gate(self):
         # on these near-scalar inputs an uncentred flag could meet the
@@ -404,6 +416,17 @@ class TestPerturbAndRetry:
         r = solve_quiet(a, force_path="perturb")
         assert r.off_residual <= 1e-8
 
+    def test_refinement_gives_up_after_its_steps(self, monkeypatch):
+        # from the Schur basis of a Gaussian C the far entries are far from
+        # the goal; with its step budget spent the refinement returns None
+        c = Pencil(make_matrix("gaussian", 4, 3)).centred[0]
+        u = np.conj(np.linalg.qr(np.linalg.eig(c)[1])[0]).T
+        assert pencil._off_max(u @ c @ np.conj(u).T) > 1e-2
+        refined = _refine_unitary(c, u, 1e-8)
+        assert pencil._off_max(refined @ c @ np.conj(refined).T) <= 1e-10
+        monkeypatch.setattr(sys.modules["tridiag4.tridiagonalize"], "REFINE_STEPS", 0)
+        assert _refine_unitary(c, u, 1e-8) is None
+
     def test_unsolved_when_ladder_empty(self, monkeypatch):
         # the dotted path "tridiag4.tridiagonalize" names the function, not the module
         monkeypatch.setattr(sys.modules["tridiag4.tridiagonalize"], "LADDER", ())
@@ -488,9 +511,9 @@ class TestVerify:
 class TestOffResidual:
     def test_measures_relative_max_entry(self):
         # identity flag: T = A, so the residual is the largest entry off the
-        # tridiagonal band over ||A||
-        a = np.diag([2.0, 0, 0, 0]).astype(complex)
-        a[3, 0] = 2e-5
+        # tridiagonal band over ||A||, which is 1, as on every centred C
+        a = np.diag([1.0, 0, 0, 0]).astype(complex)
+        a[3, 1] = 2e-5
         r = _result_from_flag(a, np.eye(4, dtype=complex), "section_zero")
         assert r.off_residual == pytest.approx(2e-5 / linalg.matrix_norm(a))
         assert r.unitarity_residual == 0.0
