@@ -84,6 +84,7 @@ class Pencil:
     every ``sigma4`` and dodecic value of the pencil reads.
     ``classify``, ``tridiagonalize``, ``run_experiments`` and the CLI build
     one per request; :func:`section_zeros` and the counts read the caller's.
+    ``a`` and ``astar`` are the pencil's own read-only arrays.
     """
 
     a: np.ndarray
@@ -93,8 +94,9 @@ class Pencil:
         a = linalg.as_matrix(self.a)
         if a.shape not in [(n, n) for n in range(1, 5)]:
             raise ValueError(f"expected a square matrix with 1 <= n <= 4, got shape {a.shape}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "astar", linalg.adjoint(a))
+        # a frozen copy: writing into the caller's array cannot leave astar and the cached properties stale
+        object.__setattr__(self, "a", _frozen(a.copy()))
+        object.__setattr__(self, "astar", _frozen(linalg.adjoint(a)))
 
     @cached_property
     def centred(self):
@@ -173,9 +175,8 @@ class Pencil:
 class SectionCandidate:
     """A flag point whose flag passes the gate: the canonical point ``t``, its canonical kernel vector ``v``, its ``sigma4`` (:func:`_section_score`), its flag basis, and whether ``W2`` is invariant under A or A*.
 
-    ``tri``, ``off`` and ``unitarity`` are ``T = U A U*`` for ``U`` the
-    conjugated basis, its largest off-band modulus and ``||UU* - I||_2``,
-    as the gate measured them on the pencil the point was found on.
+    The conjugated basis is the solver's candidate unitary, which the
+    solver measures on its own ``A`` (:func:`_measure`).
     """
 
     t: np.ndarray
@@ -183,9 +184,6 @@ class SectionCandidate:
     sigma4: float
     basis: np.ndarray
     shortcut: bool
-    tri: np.ndarray
-    off: float
-    unitarity: float
 
 
 def pencil_matrix(pencil: Pencil, t) -> np.ndarray:
@@ -251,6 +249,18 @@ def _passes(off, unitarity, tol):
     return (off <= tol) & (unitarity <= UNITARITY_TOL)
 
 
+def _measure(a: np.ndarray, u: np.ndarray):
+    """What :func:`_passes` reads of a unitary ``U`` on ``A`` (n <= 4), or of each matrix of a stack: ``T = U A U*``, its :func:`_off_max` and its :func:`_unitarity`.
+
+    The one measurement of a candidate: :func:`_certify`, the solver's
+    gate, the ladder's relaxed gate and ``verify`` all take it here.  The
+    off-band maximum is absolute; a caller divides it by ``||A||_2``
+    unless ``A`` is centred, with norm 1.
+    """
+    t = u @ a @ np.conj(u).swapaxes(-1, -2)
+    return t, _off_max(t), _unitarity(u)
+
+
 def _widest(q: np.ndarray, x: np.ndarray):
     """Per stack entry, the column of ``x`` that sticks out of ``span(q)`` most, projected out of it twice and normalized, with its residual.
 
@@ -302,22 +312,17 @@ def _certify(pencil: Pencil, t) -> tuple[np.ndarray, list[SectionCandidate]]:
     residual of ``T = U A U*`` is already relative.  ``shortcut`` marks a
     row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``, where ``W2`` is
     invariant under A or A*.  ``sigma4`` (:func:`_section_score`) only
-    orders and reports the points.  Each candidate keeps ``T`` and the
-    two residuals the gate measured, so the solver gates it without
-    measuring again.  An empty stack gives an empty mask and ``[]``.
+    orders and reports the points.  ``T`` and the residuals are taken by
+    :func:`_measure`, all rows as one stack.  An empty stack gives an
+    empty mask and ``[]``.
     """
     ok, t, v = _certify_on_curve(pencil, t, kernel=True)
     basis = _flag_bases(pencil.a, pencil.astar, v)
-    u = np.conj(basis).swapaxes(1, 2)
-    tri = u @ pencil.a @ basis
-    off, unitarity = _off_max(tri), _unitarity(u)
+    tri, off, unitarity = _measure(pencil.a, np.conj(basis).swapaxes(1, 2))
     ok &= _passes(off, unitarity, CERT_TOL)
     shortcut = np.minimum(np.abs(tri[:, 2, 1]), np.abs(tri[:, 1, 2])) <= CERT_TOL
     sigma4 = _section_score(pencil, v)
-    return ok, [
-        SectionCandidate(t[i], v[i], float(sigma4[i]), basis[i], bool(shortcut[i]), tri[i], float(off[i]), float(unitarity[i]))
-        for i in np.flatnonzero(ok)
-    ]
+    return ok, [SectionCandidate(t[i], v[i], float(sigma4[i]), basis[i], bool(shortcut[i])) for i in np.flatnonzero(ok)]
 
 
 def _distinguished_seeds(pencil: Pencil):

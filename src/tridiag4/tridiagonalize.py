@@ -2,27 +2,26 @@
 
 n <= 2 and exactly tridiagonal inputs are trivial.  Every other input
 is centred (``C = A - tr(A)/n * I``) and divided by ``||C||_2``; then
-one loop in :func:`tridiagonalize` runs over a lazy stream of candidate
-flag bases, those of :func:`_direct` and then of the perturbation ladder
-(:func:`_ladder`), and returns the first whose result, on ``C`` and
-rebuilt on ``A``, passes the gate on both of its residuals
-(:func:`pencil._passes`, the gate the flag points are counted by as
-well).  Every basis is grown from its first vector by one stacked
-builder (:func:`pencil._flag_bases`), and its conjugate is ``U``.  A
-flag point's candidate carries the residuals its gate measured; every
-other candidate is measured by :func:`_result_from_flag`.
+one loop in :func:`_solve` runs over a lazy stream of candidate
+unitaries, those of :func:`_direct` and then of the perturbation ladder
+(:func:`_ladder`), each with its provenance.  It measures each on ``A``
+(:func:`pencil._measure`), once, and returns the first that passes the
+gate on both of its residuals (:func:`pencil._passes`, the gate the flag
+points are counted by as well) as the only :class:`TridiagResult` it
+builds.  Every flag basis is grown from its first vector by one stacked
+builder (:func:`pencil._flag_bases`), and its conjugate is ``U``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .pencil import _EYE, _FAR, Pencil, _flag_bases, _flag_points, _frozen, _off_max, _passes, _unitarity
+from .pencil import _EYE, _FAR, Pencil, _flag_bases, _flag_points, _frozen, _measure, _off_max, _passes
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -92,26 +91,6 @@ def flag_residuals(a, basis):
     return r_contain / scale, r_perp / scale
 
 
-def _result_from_flag(a, basis, provenance, eps=0.0) -> TridiagResult:
-    """The result for a flag basis, with both residuals measured from its unitary.
-
-    ``U`` is the conjugated basis (``U* e_i`` is column i).  Every caller
-    passes a centred ``C`` with ``||C||_2 = 1`` (or ``C = 0``), or a trivial
-    ``A`` with nothing off the band, so the largest off-band modulus of
-    ``T`` is already relative.
-    """
-    u = np.conj(basis).T
-    t = u @ a @ np.conj(u).T
-    return TridiagResult(
-        u=u,
-        t=t,
-        off_residual=float(_off_max(t)),
-        unitarity_residual=float(_unitarity(u)),
-        provenance=provenance,
-        perturbation_used=eps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # flag construction
 
@@ -132,8 +111,10 @@ def _flag3(b) -> np.ndarray:
 
 
 def _direct(pencil: Pencil, tol: float):
-    """The candidate results of a pencil's centred ``C`` (:class:`TridiagResult` on ``C``), lazily, in order.
+    """The candidate unitaries of a pencil's centred ``C``, each with its provenance, lazily, in order.
 
+    Each ``U`` is the conjugate of a flag basis (``U* e_i`` is column i),
+    unmeasured: the caller measures it (:func:`pencil._measure`).
     n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the pencil's
     :attr:`Pencil.unit` and its one eigen-decomposition (:attr:`Pencil.eigen`),
     shared by the common eigenvector test (:attr:`Pencil.common`), the
@@ -142,28 +123,25 @@ def _direct(pencil: Pencil, tol: float):
     then ``W`` times the 3x3 flag of ``W* C W`` for the orthonormal basis
     ``W`` of its complement that one SVD of the row ``v*`` gives.  Then
     come the flags that :func:`_flag_points` carries, already gated at
-    ``CERT_TOL``, each with the ``T`` and the residuals that gate
-    measured, and last the unitary refined from the Schur basis of ``C``
-    (the ``qr`` of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when
-    that converges.  ``C`` has norm 1, so every off-band residual is
-    relative to it.
+    ``CERT_TOL`` on ``C``, and last the unitary refined from the Schur
+    basis of ``C`` (the ``qr`` of ``eig``'s eigenvector matrix) to
+    ``1e-2 * tol``, when that converges.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
-        yield _result_from_flag(c, _flag3(c), "cubic_curve_3x3")
+        yield np.conj(_flag3(c)).T, "cubic_curve_3x3"
         return
     common = pencil.unit.common
     if common:
         w = np.conj(np.linalg.svd(np.conj(common[0])[None])[2][1:]).T
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
-        yield _result_from_flag(c, basis, "common_eigenvector_deflation")
+        yield np.conj(basis).T, "common_eigenvector_deflation"
     for cand in _flag_points(pencil.unit):
-        provenance = "shortcut_dimW3" if cand.shortcut else "section_zero"
-        yield TridiagResult(np.conj(cand.basis).T, cand.tri, cand.off, cand.unitarity, provenance)
+        yield np.conj(cand.basis).T, "shortcut_dimW3" if cand.shortcut else "section_zero"
     q = np.linalg.qr(np.linalg.eig(c)[1])[0]
     u = _refine_unitary(c, np.conj(q).T, tol)
     if u is not None:
-        yield _result_from_flag(c, np.conj(u).T, "refined")
+        yield u, "refined"
 
 
 def _refine_unitary(a, u, tol: float):
@@ -193,25 +171,27 @@ def _refine_unitary(a, u, tol: float):
 
 
 def _ladder(c, tol: float, seed: int):
-    """The perturbation ladder of a centred 4x4 ``C``: at most one candidate result on ``C`` per ``eps`` in ``LADDER``.
+    """The perturbation ladder of a centred 4x4 ``C``: at most one candidate unitary per ``eps`` in ``LADDER``, as ``(U, "perturbed", eps)``.
 
     It takes the first candidate of :func:`_direct` on the centred
-    ``C + eps * G``, for a seeded Gaussian ``G`` with ``||G||_2 = 1``, the
-    norm of ``C`` (unless ``C = 0``), that passes the gate relaxed to
-    ``max(tol, 1e-6)``, since it only has to give a unitary worth refining,
-    and yields that unitary when :func:`_refine_unitary` pulls it back onto
-    ``C`` to ``1e-2 * tol``.
+    ``C' = C + eps * G`` (normalized again), for a seeded Gaussian ``G``
+    with ``||G||_2 = 1``, the norm of ``C`` (unless ``C = 0``), that passes
+    the gate relaxed to ``max(tol, 1e-6)`` on ``C'``, norm 1, since it only
+    has to give a unitary worth refining, and yields that unitary when
+    :func:`_refine_unitary` pulls it back onto ``C`` to ``1e-2 * tol``.
     """
     rng = np.random.default_rng([seed, 17])
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = g / linalg.matrix_norm(g)
     relaxed = max(tol, 1e-6)
     for eps in LADDER:
-        for r in _direct(Pencil(c + eps * g), relaxed):
-            if _passes(r.off_residual, r.unitarity_residual, relaxed):
-                u = _refine_unitary(c, r.u, tol)
+        perturbed = Pencil(c + eps * g)
+        for u, _ in _direct(perturbed, relaxed):
+            _, off, unitarity = _measure(perturbed.centred[0], u)
+            if _passes(off, unitarity, relaxed):
+                u = _refine_unitary(c, u, tol)
                 if u is not None:
-                    yield _result_from_flag(c, np.conj(u).T, "perturbed", eps)
+                    yield u, "perturbed", eps
                 break
 
 
@@ -232,17 +212,20 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
     for ``C = (A - tau*I)/s`` with ``tau = tr(A)/n`` and
     ``s = ||A - tau*I||_2``, which has the same tridiagonalizing
     unitaries, so the outcome depends on neither the scale nor the shift
-    of ``A``.  Each flag is gated on ``C``; then ``T`` and the off-band
-    residual are rebuilt on ``A``, against ``||A||_2``, taken once, and
-    gated again.  ``U``, and so its unitarity residual, stay as they
-    are.  ``force_path="perturb"`` tries the ladder alone; n = 3 has no
-    ladder.
+    of ``A``.  Each candidate unitary is measured and gated once, on
+    ``A``: ``T = U A U*``, its off-band residual against ``||A||_2``,
+    taken once, and ``||UU* - I||_2``.  ``force_path="perturb"`` tries
+    the ladder alone; n = 3 has no ladder.
     """
     return _solve(Pencil(a), tol=tol, seed=seed, force_path=force_path)
 
 
 def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = None) -> TridiagResult:
-    """:func:`tridiagonalize` of a pencil, with every check and gate, reading its centred ``C`` and :attr:`Pencil.unit`."""
+    """:func:`tridiagonalize` of a pencil, with every check and gate, reading its centred ``C`` and :attr:`Pencil.unit`.
+
+    The one place a candidate is measured on ``A`` (:func:`pencil._measure`),
+    gated and made a :class:`TridiagResult`.
+    """
     a = pencil.a
     n = a.shape[0]
     if not (np.isfinite(tol) and tol > 0):
@@ -252,20 +235,21 @@ def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = No
         raise ValueError(f"force_path must be None or 'perturb', got {force_path!r}")
 
     if n <= 2 or (force_path is None and _off_max(a) == 0.0):
-        return _result_from_flag(a, _EYE[n], "trivial")
-    c, scale, _ = pencil.centred
-    norm = linalg.matrix_norm(a)
-    # the gate is relative to ||A||, which can be as small as ||A - shift*I||/2
-    inner = tol * min(1.0, norm / scale)
-    direct = () if n == 4 and force_path == "perturb" else _direct(pencil, inner)
-    ladder = _ladder(c, inner, seed) if n == 4 else ()
-    for result in chain(direct, ladder):
-        if not _passes(result.off_residual, result.unitarity_residual, inner):
-            continue
-        t = result.u @ a @ np.conj(result.u).T
-        result = replace(result, t=t, off_residual=float(_off_max(t)) / max(norm, 1e-300))
-        if _passes(result.off_residual, result.unitarity_residual, tol):
-            return result
+        # nothing is off the band, so the residual is 0 without an SVD for ||A||
+        norm, candidates = 1.0, [(np.conj(_EYE[n]), "trivial")]
+    else:
+        c, scale, _ = pencil.centred
+        norm = linalg.matrix_norm(a)
+        # C is solved to a tolerance that makes the gate on ||A|| hold, and ||A|| can be as small as ||A - shift*I||/2
+        inner = tol * min(1.0, norm / scale)
+        direct = () if n == 4 and force_path == "perturb" else _direct(pencil, inner)
+        candidates = chain(direct, _ladder(c, inner, seed) if n == 4 else ())
+    # a ladder candidate is (U, provenance, eps), and eps is the result's perturbation_used
+    for u, provenance, *eps in candidates:
+        t, off, unitarity = _measure(a, u)
+        off = float(off) / max(norm, 1e-300)
+        if _passes(off, unitarity, tol):
+            return TridiagResult(u, t, off, float(unitarity), provenance, *eps)
     raise Unsolved(f"no candidate flag, the ladder {LADDER} included, met the gate tol={tol:.1e}")
 
 
@@ -299,17 +283,14 @@ def verify(result: TridiagResult, a) -> VerifyReport:
     """
     a = Pencil(a).a
     scale = max(linalg.matrix_norm(a), 1e-300)
-    u = result.u
-    recomputed = u @ a @ np.conj(u).T
-    off = float(_off_max(recomputed)) / scale
-    unit = float(_unitarity(u))
+    recomputed, off, unitarity = _measure(a, result.u)
     recompute_gap = float(np.max(np.abs(recomputed - result.t))) / scale
 
     lam_a, lam_t = (lam[np.lexsort((lam.imag, lam.real))] for lam in np.linalg.eigvals(np.stack([a, result.t])))
     matching, gap = _match(lam_a, lam_t)
     return VerifyReport(
-        off_residual=off,
-        unitarity_residual=unit,
+        off_residual=float(off) / scale,
+        unitarity_residual=float(unitarity),
         spectrum_gap=gap,
         recompute_gap=recompute_gap,
         matching=matching,

@@ -57,6 +57,23 @@ def test_only_pencil_centres():
     assert referring == ["pencil.py"]
 
 
+def _callers(name):
+    """``module:owner`` for each call of ``name`` in the package, ``owner`` the top-level function or class it sits in (``None`` at module level)."""
+    return [
+        f"{module}:{getattr(stmt, 'name', None)}"
+        for module, tree in _modules().items()
+        for stmt in tree.body
+        for call in ast.walk(stmt)
+        if isinstance(call, ast.Call) and _name(call.func) == name
+    ]
+
+
+def test_one_measurement_one_result():
+    # a candidate unitary is measured in one function and made a result in one place, the solver's gate
+    assert _callers("TridiagResult") == ["tridiagonalize.py:_solve"]
+    assert _callers("_unitarity") == ["pencil.py:_measure"]
+
+
 def test_only_pencil_roots_circle_samples():
     # np.fft and np.roots turn circle samples into roots in one place, pencil._circle_roots
     def numpy_roots(tree):

@@ -113,6 +113,20 @@ class TestPreparedOnce:
             with pytest.raises(ValueError, match="read-only"):
                 x[(0,) * x.ndim] = x[(0,) * x.ndim]
 
+    def test_pencil_keeps_its_own_frozen_copy(self):
+        # writing into the caller's array afterwards changes neither A, A*
+        # nor what is cached from them, and the pencil's own arrays refuse writes
+        a = make_matrix("gaussian", 4, 1)
+        p = Pencil(a)
+        held, held_star, count = p.a.copy(), p.astar.copy(), len(section_zeros(p))
+        a[:] = np.diag([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(p.a, held)
+        np.testing.assert_array_equal(p.astar, held_star)
+        assert len(section_zeros(p)) == count == 12
+        for x in (p.a, p.astar):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0, 0] = 0.0
+
     def test_constants_are_what_each_call_built(self):
         np.testing.assert_array_equal(pencil._ROOTS13, np.exp(2j * np.pi * np.arange(13) / 13))
         for n in range(1, 5):
@@ -537,10 +551,10 @@ class TestSectionZeros:
         near, apart = near / np.linalg.norm(near), apart / np.linalg.norm(apart)
         v, eye = np.eye(4)[0], np.eye(4)
         cands = [
-            pencil.SectionCandidate(t, v, 3e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(far, v, 2e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(near, v, 1e-9, eye, False, eye, 0.0, 0.0),
-            pencil.SectionCandidate(apart, v, 4e-9, eye, False, eye, 0.0, 0.0),
+            pencil.SectionCandidate(t, v, 3e-9, eye, False),
+            pencil.SectionCandidate(far, v, 2e-9, eye, False),
+            pencil.SectionCandidate(near, v, 1e-9, eye, False),
+            pencil.SectionCandidate(apart, v, 4e-9, eye, False),
         ]
         assert 5e-10 < linalg.projective_distance(t, near) < 2e-9
         assert 5e-8 < linalg.projective_distance(t, apart) < 2e-7

@@ -8,13 +8,12 @@ from tridiag4 import linalg, pencil
 from tridiag4.errors import Unsolved
 from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
 from tridiag4.genericity import classify
-from tridiag4.pencil import Pencil, _flag_bases, _passes, section_zeros
+from tridiag4.pencil import Pencil, _flag_bases, _measure, _passes, section_zeros
 from tridiag4.tridiagonalize import (
     TridiagResult,
     _direct,
     _match,
     _refine_unitary,
-    _result_from_flag,
     flag_residuals,
     tridiagonalize,
     verify,
@@ -75,6 +74,9 @@ class TestDispatch:
         r = tridiagonalize(a)
         assert r.provenance == "trivial"
         assert np.array_equal(r.t, a)
+        # U and T are the result's own writeable arrays, not the pencil's read-only A or a shared constant
+        r.u[0, 0] = r.t[0, 0] = 0.0
+        assert tridiagonalize(a).u[0, 0] == 1.0
 
     @pytest.mark.parametrize("shape", [(5, 5), (8, 8), (0, 0), (3, 4)])
     def test_other_shapes_rejected(self, shape):
@@ -174,12 +176,10 @@ class TestDispatch:
             u = random_unitary(4, np.random.default_rng(7))
             a = u @ a @ np.conj(u).T
         p = Pencil(a)
-        c = p.centred[0]
-        first = next(_direct(p, 1e-8))
-        basis, provenance = np.conj(first.u).T, first.provenance
+        u, provenance = next(_direct(p, 1e-8))
         assert provenance == "shortcut_dimW3"
-        r = _result_from_flag(c, basis, provenance)
-        assert _passes(r.off_residual, r.unitarity_residual, 1e-8)
+        _, off, unitarity = _measure(p.centred[0], u)
+        assert _passes(off, unitarity, 1e-8)
 
     def test_spectrum_preserved(self):
         for seed in range(10):
@@ -213,8 +213,9 @@ class TestSectionPath:
         # at tol = 1e-13 no flag of this Gaussian's 12 flag points meets the
         # gate: the loop passes over all of them to the refined Schur basis
         a = make_matrix("gaussian", 4, 6)
-        flags = [r for r in _direct(Pencil(a), 1e-13) if r.provenance == "section_zero"]
-        assert len(flags) == 12 and min(r.off_residual for r in flags) > 1e-13
+        p = Pencil(a)
+        flags = [u for u, provenance in _direct(p, 1e-13) if provenance == "section_zero"]
+        assert len(flags) == 12 and min(_measure(p.centred[0], u)[1] for u in flags) > 1e-13
         r = tridiagonalize(a, tol=1e-13)
         assert r.provenance == "refined"
         assert_gates(a, r, 6)
@@ -479,6 +480,38 @@ class TestVerify:
         matching, gap = greedy_one_list(sorted_spectrum(np.linalg.eigvals(a)), sorted_spectrum(np.linalg.eigvals(r.t)))
         assert (rep.matching, rep.spectrum_gap) == (matching, gap)
 
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            "trivial",
+            "cubic_curve_3x3",
+            "common_eigenvector_deflation",
+            "section_zero",
+            "shortcut_dimW3",
+            "refined",
+            "perturbed",
+        ],
+    )
+    def test_result_reports_what_verify_measures(self, provenance):
+        # every path's residuals are those verify recomputes, to the bit
+        u = random_unitary(4, np.random.default_rng([0, 5]))
+        j22 = np.diag([1.0, 0.0, 1.0], 1) + 2 * np.eye(4)
+        a, kw = {
+            "trivial": (make_matrix("gaussian", 2, 0), {}),
+            "cubic_curve_3x3": (make_matrix("gaussian", 3, 0), {}),
+            "common_eigenvector_deflation": (make_matrix("hermitian", 4, 0), {}),
+            "section_zero": (make_matrix("gaussian", 4, 0), {}),
+            "shortcut_dimW3": (u @ N4 @ np.conj(u).T, {}),
+            "refined": (u @ j22 @ np.conj(u).T, {}),
+            "perturbed": (make_matrix("gaussian", 4, 0), {"force_path": "perturb"}),
+        }[provenance]
+        r = solve_quiet(a, **kw)
+        assert r.provenance == provenance
+        rep = verify(r, a)
+        assert rep.off_residual == r.off_residual
+        assert rep.unitarity_residual == r.unitarity_residual
+        assert rep.recompute_gap == 0.0
+
     def test_valid_result_reports_small_residuals(self):
         a = make_matrix("gaussian", 4, 15)
         r = solve_quiet(a, seed=15)
@@ -511,11 +544,12 @@ class TestVerify:
 class TestOffResidual:
     def test_measures_relative_max_entry(self):
         # identity flag: T = A, so the residual is the largest entry off the
-        # tridiagonal band over ||A||, which is 1, as on every centred C
+        # tridiagonal band; it is relative, since ||A|| is 1 to 2e-10, as on
+        # every centred C
         a = np.diag([1.0, 0, 0, 0]).astype(complex)
         a[3, 1] = 2e-5
-        r = _result_from_flag(a, np.eye(4, dtype=complex), "section_zero")
-        assert r.off_residual == pytest.approx(2e-5 / linalg.matrix_norm(a))
-        assert r.unitarity_residual == 0.0
-        r2 = _result_from_flag(np.ones((2, 2)), np.eye(2, dtype=complex), "trivial")
-        assert r2.off_residual == 0.0
+        t, off, unitarity = _measure(a, np.eye(4, dtype=complex))
+        np.testing.assert_array_equal(t, a)
+        assert off == pytest.approx(2e-5 / linalg.matrix_norm(a))
+        assert unitarity == 0.0
+        assert _measure(np.ones((2, 2)), np.eye(2, dtype=complex))[1] == 0.0
