@@ -18,10 +18,12 @@ its 12 roots are the bases of the paper's 12 flag points (see
 :func:`_dodecic_roots`), ordered best-conditioned first.  The solver's
 first candidate is the best sheet over the three best-conditioned roots;
 the sheets over the other nine are formed only when more candidates are
-asked for.  A point counts when its flag (:func:`_flag_bases`) passes
-:func:`_passes`, the solver's own gate (:func:`_certify`); the rejected
-roots are refined on the dodecic (:func:`_refine_root`), the worst one
-alone and then the rest as one stack, and gated again.
+asked for.  The dodecic's 13 samples on the unit circle come from
+``eigh``, since there ``N`` is a phase times a Hermitian matrix.  A point
+counts when its flag (:func:`_flag_bases`) passes :func:`_passes`, the
+solver's own gate (:func:`_certify`); when a root is rejected, all twelve
+are refined together by Aberth-Ehrlich steps on the dodecic's direct
+values (:func:`_refine_roots`), and the rejected ones are gated again.
 :func:`_flag_points` yields the accepted points, each with its flag, to
 the solver and to :func:`section_zeros`.
 """
@@ -46,8 +48,8 @@ CERT_TOL = 1e-8
 #: The unitarity gate ``||UU* - I||_2`` that every accepted flag and every returned result meets.
 UNITARITY_TOL = 1e-10
 
-#: Step cap of the secant refinement of a dodecic root (a close pair needs ~12).
-SECANT_STEPS = 12
+#: Step cap of the joint refinement of the dodecic's roots (:func:`_refine_roots`).
+ROOT_STEPS = 20
 
 #: Best-conditioned roots the first candidate is chosen from (one alone let a Gaussian's ``off_residual`` reach 1.5e-9).
 _FIRST_ROOTS = 3
@@ -351,15 +353,25 @@ def _distinguished_seeds(pencil: Pencil):
     return t, np.concatenate([right.T, left.T[order]])
 
 
-def _dodecic_values(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
+def _dodecic_values(pencil: Pencil, mu: np.ndarray, circle: bool = False) -> np.ndarray:
     """The dodecic ``R(mu)`` of :func:`_dodecic_roots` at each entry of ``mu``.
 
-    One ``eig`` of the stack ``A + mu*A*`` and one ``det`` of the stack of
-    span matrices ``[v, Av, A^2 v, A*^2 v]`` over every base (axis 0) and
-    sheet (axis 1), with ``A^2`` and ``A*^2`` read from :attr:`Pencil._ops`.
+    One eigen-decomposition of the stack ``N = A + mu*A*`` and one ``det``
+    of the stack of span matrices ``[v, Av, A^2 v, A*^2 v]`` over every
+    base (axis 0) and sheet (axis 1), with ``A^2`` and ``A*^2`` read from
+    :attr:`Pencil._ops`.  Off the unit circle it is a general ``eig``.
+    With ``circle``, every ``mu`` has modulus 1 and ``N = s*H`` for
+    ``s = sqrt(mu)`` and the Hermitian ``H = conj(s)*A + s*A*``, so
+    ``eigh`` of ``H`` gives the eigenvectors and ``s`` times its
+    eigenvalues those of ``N``.
     """
     a, astar, ops = pencil.a, pencil.astar, pencil._ops
-    lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
+    if circle:
+        s = np.sqrt(mu)[:, None]
+        w, vecs = np.linalg.eigh(np.conj(s)[..., None] * a + s[..., None] * astar)
+        lam = s * w
+    else:
+        lam, vecs = np.linalg.eig(a + mu[:, None, None] * astar)
     h = np.linalg.det(np.stack([vecs, a @ vecs, ops[3] @ vecs, ops[6] @ vecs], axis=-1).swapaxes(1, 2))
     gaps = lam[:, _PAIRS[0]] - lam[:, _PAIRS[1]]
     return np.prod(gaps, axis=1) ** 4 * np.prod(h, axis=1) / np.linalg.det(vecs) ** 4 / mu**8
@@ -403,7 +415,7 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     gives ``P`` an 8-fold zero at ``mu = 0``; those of A* sit at
     ``mu = oo``.  So ``R = P / mu^8`` is a dodecic, recovered from 13
     samples on ``|mu| = 1``, all taken by one call of
-    :func:`_dodecic_values`.  ``pencil`` must be that of a
+    :func:`_dodecic_values`, by ``eigh``.  ``pencil`` must be that of a
     :func:`_centred` matrix (``tr A = 0``, ``||A||_2 = 1``), on which the
     samples are well scaled; the solver and :func:`section_zeros` pass
     one.
@@ -417,7 +429,7 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     last.
     Returns no roots when ``R`` is not finite or vanishes identically.
     """
-    r, mu = _circle_roots(_dodecic_values(pencil, _ROOTS13))
+    r, mu = _circle_roots(_dodecic_values(pencil, _ROOTS13, circle=True))
     k = np.arange(r.size)
     with np.errstate(all="ignore"):
         size = np.abs(mu)[:, None] ** k @ np.abs(r)
@@ -426,36 +438,34 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     return mu[np.argsort(-proxy, kind="stable")]
 
 
-def _refine_root(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
-    """Roots of the dodecic, refined by secant steps on its direct values, all as one stack.
+def _refine_roots(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
+    """All roots of the dodecic, refined together by Aberth-Ehrlich steps on its direct values.
 
     :func:`_dodecic_values` is accurate to roundoff at any ``mu``, where
-    the coefficients the roots came from are not.  Each root starts from
-    ``(mu*(1 + 1e-6), mu)``, takes at most ``SECANT_STEPS`` steps and
-    ends at the iterate with the smallest ``|R|``: once the iteration has
-    converged, its further steps are roundoff noise.  A root stops moving
-    when its last two values agree or one of them, or its next step, is
-    not finite; each step is one :func:`_dodecic_values` call over the
-    roots still moving.  Like :func:`_dodecic_roots`, it expects the
-    pencil of a :func:`_centred` matrix.
+    the coefficients the roots came from are not.  Each step moves every
+    root still moving by ``N/(1 - N*sum_j 1/(z - z_j))`` over the other
+    roots ``z_j``, with the Newton step ``N = R/R'``; ``R'`` is a central
+    difference with step ``1e-6*max(1, |z|)``, and one
+    :func:`_dodecic_values` call takes ``R`` at the moving roots and at
+    both their offsets.  The sum keeps two roots from converging to one.
+    A root stops when its step is at most ``1e-14`` relative or is not
+    finite (as at ``mu = 0``), or after ``ROOT_STEPS`` steps.  Like
+    :func:`_dodecic_roots`, it expects the pencil of a :func:`_centred`
+    matrix.
     """
-    x0, x1 = mu * (1 + 1e-6), mu.astype(complex)
-    f0, f1 = np.split(_dodecic_values(pencil, np.concatenate([x0, x1])), 2)
-    best = np.where(np.abs(f1) <= np.abs(f0), x1, x0)
-    best_f = np.minimum(np.abs(f0), np.abs(f1))
-    moving = np.ones(mu.size, dtype=bool)
-    for _ in range(SECANT_STEPS):
-        with np.errstate(all="ignore"):  # a row that has stopped may divide by zero; its step is not taken
-            step = x1 - f1 * (x1 - x0) / (f1 - f0)
-        moving &= (f1 != f0) & np.isfinite(f1) & np.isfinite(step)
-        if not moving.any():
+    z, i = mu.astype(complex), np.arange(mu.size)  # i: the roots still moving
+    for _ in range(ROOT_STEPS):
+        h = 1e-6 * np.maximum(1.0, np.abs(z[i]))
+        with np.errstate(all="ignore"):  # a root at mu = 0, or two that meet, gives a step that is not finite and is not taken
+            r, up, down = np.split(_dodecic_values(pencil, np.concatenate([z[i], z[i] + h, z[i] - h])), 3)
+            newton = 2 * h * r / (up - down)
+            step = newton / (1 - newton * np.sum(1 / (z[i, None] - z), axis=1, where=i[:, None] != np.arange(z.size)))
+        go = np.isfinite(step) & (np.abs(step) > 1e-14 * np.abs(z[i]))
+        z[i[go]] -= step[go]
+        i = i[go]
+        if not i.size:
             break
-        x0, f0 = np.where(moving, x1, x0), np.where(moving, f1, f0)
-        x1 = np.where(moving, step, x1)
-        f1[moving] = _dodecic_values(pencil, x1[moving])
-        better = moving & (np.abs(f1) < best_f)
-        best[better], best_f[better] = x1[better], np.abs(f1[better])
-    return best
+    return z
 
 
 def _best_sheets(pencil: Pencil, mu: np.ndarray):
@@ -483,10 +493,12 @@ def _flag_points(pencil: Pencil):
     of the three best-conditioned roots (the first three of
     :attr:`Pencil._roots`, whose sheets are :attr:`Pencil._first_sheets`)
     the one whose sheet has the smallest ``sigma4`` alone, then the other
-    11, sorted by ``sigma4``.  Only then are the
-    rejected roots refined on the dodecic (:func:`_refine_root`; a root at
-    ``mu = 0`` is not) and the best sheets over them gated: the one with
-    the largest ``sigma4`` alone, then the rest.  Deterministic, and lazy:
+    11, sorted by ``sigma4``.  Only then, when some root is rejected and
+    the dodecic has all 12 roots, are all twelve refined together
+    (:func:`_refine_roots`) and the best sheets over the rejected ones
+    gated as one stack.  A dodecic of lower degree is left alone: on a
+    nilpotent Jordan block it collapses to about ``mu^6``, and its refined
+    roots certified 8 points where 2 are right.  Deterministic, and lazy:
     the dodecic and the sheets over its first three roots are formed only
     when the eigenvector points have been consumed, and once per pencil;
     the sheets over the other nine roots only when the first root has, and
@@ -511,15 +523,10 @@ def _flag_points(pencil: Pencil):
     order = order[order != best]
     ok_rest, rest = _certify(pencil, points[order])
     yield from rest
-    order = np.concatenate([[best], order])
-    rejected = order[~np.concatenate([ok_first, ok_rest]) & (mu[order] != 0)]
-    if rejected.size:
-        worst = np.argmax(score[rejected])
-        # two groups, not one stack: one stack raised the near-structured corpus's solve p50 from about 3.5 to about 6 ms
-        for group in (rejected[[worst]], np.delete(rejected, worst)):
-            if group.size:
-                refined, _ = _best_sheets(pencil, _refine_root(pencil, mu[group]))
-                yield from _certify(pencil, refined)[1]
+    rejected = np.concatenate([[best], order])[~np.concatenate([ok_first, ok_rest])]
+    if rejected.size and mu.size == 12:
+        refined, _ = _best_sheets(pencil, _refine_roots(pencil, mu)[rejected])
+        yield from _certify(pencil, refined)[1]
 
 
 def _centred(a: np.ndarray):

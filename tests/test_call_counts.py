@@ -13,12 +13,12 @@ not counted.
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
 Gaussian gates the flag of the best of the dodecic's three
 best-conditioned roots alone and the other 11 as one stack, so it makes
-two calls for its 12 points.  Only then are the rejected roots refined,
-the one with the largest ``sigma4`` alone and the rest as one stack: at
-most two ``pencil._refine_root`` calls.  A Gaussian solve stops at the
-first flag of its lazy candidate stream: one dodecic, the best sheets
-over its three best-conditioned roots alone, one gate of the best of
-them, and no root or unitary refinement.  The dodecic is kept on its
+two calls for its 12 points.  Only then, and only when all 12 roots are
+there, are the rejected roots refined: one joint pass over all twelve
+(``pencil._refine_roots``) and one more gate.  A Gaussian solve stops
+at the first flag of its lazy candidate stream: one dodecic, the best
+sheets over its three best-conditioned roots alone, one gate of the
+best of them, and no root or unitary refinement.  The dodecic is kept on its
 ``Pencil`` (``Pencil._roots``): ``section_zeros`` called twice on one
 pencil forms it once.
 
@@ -114,15 +114,19 @@ def test_section_zeros_certifies_in_two_stacks(monkeypatch):
         assert len(calls) == 2, seed
 
 
-@pytest.mark.parametrize("seed", [41, 361, 415, 1328])
-def test_section_zeros_refines_in_two_stacks(seed, monkeypatch):
-    # these seeds have 1, 7, 4 and 3 rejected roots: the one with the largest
-    # sigma4 is refined alone, the rest as one stack
+def test_section_zeros_refines_in_one_pass(monkeypatch):
+    # roots started 1e-3 off the dodecic's are all rejected, so after the two
+    # gates all twelve are refined by one joint pass and gated by one more stack
     calls = []
-    refine = pencil._refine_root
-    monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or refine(*args))
-    assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12
-    assert 1 <= len(calls) <= 2
+    certify, refine = pencil._certify, pencil._refine_roots
+    monkeypatch.setattr(pencil, "_certify", lambda *args: calls.append("certify") or certify(*args))
+    monkeypatch.setattr(pencil, "_refine_roots", lambda *args: calls.append("refine") or refine(*args))
+    for seed in SEEDS:
+        calls.clear()
+        p = Pencil(make_matrix("gaussian", 4, seed))
+        p.unit.__dict__["_roots"] = pencil._frozen(pencil._dodecic_roots(p.unit) * (1 + 1e-3))
+        assert len(section_zeros(p)) == 12, seed
+        assert calls == ["certify", "certify", "refine", "certify"], seed
 
 
 def test_solve_takes_only_the_first_flag(monkeypatch):
@@ -139,12 +143,12 @@ def test_solve_takes_only_the_first_flag(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in [(pencil, "_certify"), (pencil, "_dodecic_roots"), (pencil, "_refine_root"), (solver, "_refine_unitary")]:
+    for module, name in [(pencil, "_certify"), (pencil, "_dodecic_roots"), (pencil, "_refine_roots"), (solver, "_refine_unitary")]:
         counted(module, name)
     for seed in SEEDS:
-        counts.update(_certify=0, _dodecic_roots=0, _refine_root=0, _refine_unitary=0)
+        counts.update(_certify=0, _dodecic_roots=0, _refine_roots=0, _refine_unitary=0)
         assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
-        assert counts == {"_certify": 1, "_dodecic_roots": 1, "_refine_root": 0, "_refine_unitary": 0}, seed
+        assert counts == {"_certify": 1, "_dodecic_roots": 1, "_refine_roots": 0, "_refine_unitary": 0}, seed
 
 
 def test_solve_takes_sheets_over_three_roots(monkeypatch):

@@ -17,8 +17,9 @@ from tridiag4.pencil import (
     _distinguished_seeds,
     _dodecic_roots,
     _flag_bases,
+    _frozen,
     _off_max,
-    _refine_root,
+    _refine_roots,
     _section_score,
     _seven_columns,
     _unscale_point,
@@ -513,31 +514,50 @@ class TestSectionZeros:
         for z in zeros:
             assert min(linalg.projective_distance(z.t, c) for c in corners) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e160, 1e300])
+    def test_degree_guard_skips_the_joint_pass(self, scale, monkeypatch):
+        # on N4 the dodecic collapses to degree 6 and no sheet over its roots
+        # passes the gate; refined all the same, they once certified 8 points
+        calls = []
+        monkeypatch.setattr(pencil, "_refine_roots", lambda *args: calls.append(1) or _refine_roots(*args))
+        p = Pencil(scale * N4)
+        q = p.unit
+        assert q._roots.size < 12
+        assert not _certify(q, _best_sheets(q, q._roots)[0])[0].any()
+        assert len(section_zeros(p)) == 2
+        assert not calls
+
     @pytest.mark.parametrize("seed", [41, 361, 415, 1328])
     def test_rejected_roots_are_refined(self, seed, monkeypatch):
-        # an unrefined root of the dodecic of the centred matrix, which
-        # section_zeros searches, fails _certify on these seeds, so the
-        # twelve are reached only through _refine_root
-        p = Pencil(make_matrix("gaussian", 4, seed))
-        q = Pencil(_centred(p.a)[0])
-        points, _ = _best_sheets(q, _dodecic_roots(q))
-        assert not _certify(q, points)[0].all()
-        monkeypatch.setattr(pencil, "_refine_root", lambda q, mu: mu)
-        assert len(section_zeros(p)) < 12
-        calls = []
-        monkeypatch.setattr(pencil, "_refine_root", lambda *args: calls.append(1) or _refine_root(*args))
-        assert len(section_zeros(p)) == 12
-        assert calls
+        # started 1e-3 off the roots of the dodecic, no sheet passes the gate,
+        # so all twelve points are reached through the one joint pass
+        def perturbed():
+            p = Pencil(make_matrix("gaussian", 4, seed))
+            p.unit.__dict__["_roots"] = _frozen(_dodecic_roots(p.unit) * (1 + 1e-3))
+            return p
 
-    def test_refined_stack_matches_roots_one_at_a_time(self):
-        # the secant steps of a stack stop root by root, as they would alone
-        q = Pencil(_centred(make_matrix("gaussian", 4, 361))[0])
-        mu = _dodecic_roots(q)
-        points, _ = _best_sheets(q, mu)
-        rejected = mu[~_certify(q, points)[0]]
-        assert rejected.size == 7
-        one_at_a_time = [_refine_root(q, rejected[i : i + 1])[0] for i in range(rejected.size)]
-        np.testing.assert_array_equal(_refine_root(q, rejected), one_at_a_time)
+        q = perturbed().unit
+        assert not _certify(q, _best_sheets(q, q._roots)[0])[0].any()
+        monkeypatch.setattr(pencil, "_refine_roots", lambda q, mu: mu)
+        assert len(section_zeros(perturbed())) == 0
+        calls = []
+        monkeypatch.setattr(pencil, "_refine_roots", lambda *args: calls.append(1) or _refine_roots(*args))
+        assert len(section_zeros(perturbed())) == 12
+        assert calls == [1]
+
+    @pytest.mark.parametrize("start", ["roots", "perturbed", "collided"])
+    def test_joint_pass_finds_every_root(self, start):
+        # from the roots themselves, from 1e-2 off them, or with the second
+        # root started at the first, the pass ends one-to-one at the twelve
+        # roots of the dodecic: the Aberth sum keeps two roots from meeting
+        for seed in range(5):
+            q = Pencil(_centred(make_matrix("gaussian", 4, seed))[0])
+            mu = _dodecic_roots(q)
+            z = {"roots": mu, "perturbed": mu * (1 + 1e-2), "collided": np.where(np.arange(12) == 1, mu[0] * (1 + 1e-3), mu)}[start]
+            refined = _refine_roots(q, z)
+            gap = np.abs(refined[:, None] - mu[None, :]) / np.maximum(1.0, np.abs(mu))
+            assert sorted(np.argmin(gap, axis=1)) == list(range(12)), seed
+            assert gap.min(axis=1).max() <= 1e-9, seed
 
     def test_near_points_count_once(self, monkeypatch):
         # two candidates 1e-9 apart count once, with the smaller sigma4,
@@ -627,28 +647,34 @@ class TestDodecicRoots:
     def test_root_at_zero_sorts_last(self, monkeypatch):
         # integer samples that sum to zero give c0 = 0 exactly, so np.roots
         # returns mu = 0, where the proxy's denominator vanishes; its sheets
-        # are the eigenvector points of A, which fail _certify, and a root at
-        # mu = 0 is not refined
+        # are the eigenvector points of A, which fail _certify, and the joint
+        # pass leaves mu = 0 where it is, without a warning
         rng = np.random.default_rng(3)
         samples = (rng.integers(-5, 6, 13) + 1j * rng.integers(-5, 6, 13)).astype(complex)
         samples[-1] -= samples.sum()
         c = np.fft.fft(samples) / 13
         assert c[0] == 0
         polyval = np.polynomial.polynomial.polyval
-        monkeypatch.setattr(pencil, "_dodecic_values", lambda p, mu: samples if mu.size == 13 else polyval(mu, c))
+        monkeypatch.setattr(pencil, "_dodecic_values", lambda p, mu, circle=False: samples if circle else polyval(mu, c))
         p = Pencil(_centred(make_matrix("gaussian", 4, 0))[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mu = _dodecic_roots(p)
         assert mu.size == 12
         assert mu[-1] == 0 and np.all(mu[:-1] != 0)
-        refined = []
-        refine = pencil._refine_root
-        monkeypatch.setattr(pencil, "_refine_root", lambda q, m: refined.extend(m) or refine(q, m))
+        passes = []
+
+        def refine(q, m):
+            passes.append((m, _refine_roots(q, m)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(pencil, "_refine_roots", refine)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             list(pencil._flag_points(p))
-        assert refined and 0 not in refined
+        [(start, refined)] = passes
+        np.testing.assert_array_equal(start, mu)
+        assert refined[-1] == 0
 
 
 class TestCoefficients:
