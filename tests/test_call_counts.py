@@ -129,6 +129,18 @@ def test_section_zeros_refines_in_one_pass(monkeypatch):
         assert calls == ["certify", "certify", "refine", "certify"], seed
 
 
+@pytest.mark.parametrize("seed", [41, 361, 415, 1328])
+def test_section_zeros_refines_in_two_stacks(seed, monkeypatch):
+    # Gaussians with roots near rejection: the two gate stacks come first, and
+    # any rejected root is refined by at most one joint pass and one more gate
+    calls = []
+    certify, refine = pencil._certify, pencil._refine_roots
+    monkeypatch.setattr(pencil, "_certify", lambda *args: calls.append("certify") or certify(*args))
+    monkeypatch.setattr(pencil, "_refine_roots", lambda *args: calls.append("refine") or refine(*args))
+    assert len(section_zeros(Pencil(make_matrix("gaussian", 4, seed)))) == 12
+    assert calls in (["certify", "certify"], ["certify", "certify", "refine", "certify"])
+
+
 def test_solve_takes_only_the_first_flag(monkeypatch):
     # the package attribute "tridiagonalize" is the function, not the module
     solver = sys.modules["tridiag4.tridiagonalize"]
