@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +196,7 @@ def cmd_tridiag(args) -> int:
     if args.verify:
         t0 = time.perf_counter()
         rep = verify(result, a)
-        payload["verify"] = {
-            "off_residual": rep.off_residual,
-            "unitarity_residual": rep.unitarity_residual,
-            "spectrum_gap": rep.spectrum_gap,
-            "recompute_gap": rep.recompute_gap,
-            "matching": complex_pairs(rep.matching),
-        }
+        payload["verify"] = {**asdict(rep), "matching": complex_pairs(rep.matching)}
         timings["verify"] = 1e3 * (time.perf_counter() - t0)
 
     timings["total"] = 1e3 * (time.perf_counter() - t_start)

@@ -6,8 +6,11 @@ meets the kernel curve in 6 points, and the flag points whose flags
 pass the solver's gate are 12 in number.  Each count is of points
 found by one eigen-solve: the eigenvalues of a 4x4 eigenproblem per
 line, the roots of the hyperplane's Krylov sextic over the base line,
-and the roots of the flag-point dodecic there (see
-:mod:`tridiag4.pencil`).  The first two
+and the roots of the flag-point dodecic there.  The base line lives in
+:mod:`tridiag4.pencil`: the sextic (:func:`pencil._krylov_roots`,
+sampled on ``pencil._CIRCLE``) and the curve points over its roots
+(:func:`pencil._base_points`) come from there, and this module imports
+only ``_classify`` from :mod:`tridiag4.genericity`.  The first two
 certify all of their points with one stacked SVD.  All read the caller's
 centred and normalized ``A`` (:attr:`Pencil.unit`), so no count depends
 on its scale or shift.
@@ -22,11 +25,13 @@ import numpy as np
 
 from . import linalg
 from .errors import UnstableCountWarning
-from .genericity import _classify, _krylov_roots
+from .genericity import _classify
 from .pencil import (
     CERT_TOL,
     Pencil,
+    _base_points,
     _certify_on_curve,
+    _krylov_roots,
     _unscale_point,
     pencil_matrix,
     section_zeros,
@@ -96,32 +101,29 @@ def _hyperplane_points(pencil: Pencil, ell: np.ndarray):
     """Certified points of the kernel curve on the hyperplane ``ell . v = 0``.
 
     Over a base ``[1 : mu]`` the curve's points are the eigenvectors of
-    ``N = A + mu*A*``, and one of them lies on the hyperplane exactly when
-    ``ell`` is not a cyclic vector of ``N^T``: a root of the Krylov sextic
-    of ``ell`` under ``N^T = A^T + mu*conj(A)``.  A degree drop of the
-    sextic puts the missing roots, with that multiplicity, at the base
-    ``[0 : 1]``.  A root counts only when an eigenvector ``v`` of ``N``
-    there passes the on-curve certificate, which makes ``v, Av, A*v``
+    ``N = A + mu*A*`` (:func:`pencil._base_points`), and one of them lies
+    on the hyperplane exactly when ``ell`` is not a cyclic vector of
+    ``N^T``: a root of the Krylov sextic (:func:`pencil._krylov_roots`) of
+    ``ell`` under ``N^T = A^T + mu*conj(A)``.  A degree drop of the
+    sextic puts each missing root at the base ``[0 : 1]``, a row of its
+    own.  A root counts only when an eigenvector ``v`` of ``N`` there
+    passes the on-curve certificate, which makes ``v, Av, A*v``
     dependent, and has ``|ell . v| <= CERT_TOL``, all certified as one
-    stack.  This runs on the centred and normalized
-    ``A``, and the points are mapped back to the pencil of ``A`` as one stack.
+    stack.  This runs on the centred and normalized ``A``, and the points
+    are mapped back to the pencil of ``A`` as one stack.
 
-    Returns ``(t, v, multiplicity)`` per certified base, ``ell`` unit.
+    Returns a ``(t, v)`` pair per certified root, ``ell`` unit.
     """
     _, scale, shift = pencil.centred
     unit = pencil.unit
-    k, mus = _krylov_roots(unit.a.T, np.conj(unit.a), ell)
-    bases = [(np.array([1.0, mu]) / np.linalg.norm([1.0, mu]), 1) for mu in mus]
-    if k.size < 7:
-        bases.append((np.array([0.0, 1.0]), 7 - k.size))
-    b = np.array([b for b, _ in bases]).reshape(-1, 2)
-    lam = np.linalg.eigvals(b[:, 0, None, None] * unit.a + b[:, 1, None, None] * unit.astar)
-    ok, t, v = _certify_on_curve(unit, np.column_stack([-lam.ravel(), np.repeat(b, 4, axis=0)]), kernel=True)
+    k, mu = _krylov_roots(unit.a.T, np.conj(unit.a), ell)
+    # each root that a degree drop takes from the sextic sits at [0 : 1]
+    bases = np.vstack([np.column_stack([np.ones_like(mu), mu]), np.tile([0.0, 1.0], (7 - k.size, 1))])
+    ok, t, v = _certify_on_curve(unit, _base_points(unit, bases)[0].reshape(-1, 3), kernel=True)
     value = np.where(ok, np.abs(v @ ell), np.inf).reshape(-1, 4)
-    best = 4 * np.arange(len(b)) + np.argmin(value, axis=1)
-    keep = value.flat[best] <= CERT_TOL
-    rows = best[keep]
-    return list(zip(_unscale_point(t[rows], scale, shift), v[rows], [m for (_, m), k in zip(bases, keep) if k]))
+    best = 4 * np.arange(len(bases)) + np.argmin(value, axis=1)
+    rows = best[value.flat[best] <= CERT_TOL]
+    return list(zip(_unscale_point(t[rows], scale, shift), v[rows]))
 
 
 def degree_of_kernel_curve(pencil: Pencil, seed: int = 0) -> int:
@@ -135,7 +137,7 @@ def degree_of_kernel_curve(pencil: Pencil, seed: int = 0) -> int:
     """
     rng = np.random.default_rng([linalg.as_integer("seed", seed, 0), 13])
     ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return sum(m for _, _, m in _hyperplane_points(pencil, ell / np.linalg.norm(ell)))
+    return len(_hyperplane_points(pencil, ell / np.linalg.norm(ell)))
 
 
 def run_experiments(a, trials: int = 1, seed: int = 42, screen: bool = True) -> DegreeReport:

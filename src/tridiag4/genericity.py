@@ -4,7 +4,11 @@ The direct 4x4 path needs three open conditions: the matrix is
 nonsingular, its eigenvalues are distinct, and the pencil ``t0*I + t1*A
 + t2*A*`` never drops to rank <= 2 for nonzero t; a common eigenvector
 of ``A`` and ``A*`` splits off a deflation.  The rank condition is
-decided on the base line ``[t1 : t2]`` (see :func:`_pencil_rank`).  All
+decided on the base line ``[t1 : t2]`` (see :func:`_pencil_rank`), which
+this module only asks questions of: the curve points over its bases
+(:func:`pencil._base_points`), the Krylov sextic
+(:func:`pencil._krylov_roots`) and its circle grid (``pencil._CIRCLE``)
+all come from :mod:`tridiag4.pencil`.  All
 but nonsingularity are decided on the centred and normalized matrix of
 :attr:`pencil.Pencil.centred`, so :func:`classify` gives the same answer
 for ``c*A + b*I`` as for ``A``, except for nonsingularity, which a shift
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pencil import CERT_TOL, Pencil, _circle_roots, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _base_points, _krylov_roots, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -45,21 +49,7 @@ class GenericityReport:
         }
 
 
-def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
-    """The Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]``, ``N = p + mu*q``.
-
-    ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
-    Returns its trimmed coefficients, from 7 samples on ``|mu| = 1`` taken
-    by one stacked ``det``, and its roots (:func:`pencil._circle_roots`).
-    """
-    n = p + np.exp(2j * np.pi * np.arange(7) / 7)[:, None, None] * q
-    cols = [np.broadcast_to(x, (7, 4))]
-    for _ in range(3):
-        cols.append(np.einsum("kij,kj->ki", n, cols[-1]))
-    return _circle_roots(np.linalg.det(np.stack(cols, axis=-1)))
-
-
-def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
+def _pencil_rank(pencil: Pencil, seed: int):
     """Decide whether the pencil keeps rank >= 3 away from t = 0.
 
     Over a base point ``[t1 : t2]`` the pencil drops to rank <= 2 exactly
@@ -67,7 +57,8 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
     independent eigenvectors), and a derogatory ``N`` has no cyclic
     vector.  So for a random ``x`` every such base is a root of the
     Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]`` with
-    ``N = A + mu*A*``, or the base ``[0 : 1]`` where its degree drops.
+    ``N = A + mu*A*`` (:func:`pencil._krylov_roots`), or the base
+    ``[0 : 1]`` where its degree drops.
     When ``K`` vanishes identically ``N`` is derogatory on the whole base
     line, in particular at ``[1 : 1]``, where ``A + A*`` is Hermitian and
     a repeated eigenvalue is semisimple.  Beside the roots of ``K``, the
@@ -75,12 +66,14 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
     ``[z : -1]`` that minimizes ``||z*A - A*||``: a rank-0 point
     (``A* = z*A`` once ``A`` is trace-free) sits there exactly, while the
     computed 6-fold root of ``K`` can miss it by more than the ``1e-14``
-    floor of the certificate.
+    floor of the certificate.  The candidate points over all bases are
+    those of :func:`pencil._base_points`, with every base made unit.
 
     The rank of the pencil does not change under ``A -> A + c*I`` (only
-    t0 moves), so the test runs on the pencil of ``C = (A - shift*I)/scale``
-    from :attr:`pencil.Pencil.centred`: the decision does not depend on the
-    scale of ``A``, and a near-scalar ``A`` keeps a well-resolved ``K``.
+    t0 moves), so the test runs on :attr:`pencil.Pencil.unit`, the pencil
+    of ``C = (A - shift*I)/scale`` from :attr:`pencil.Pencil.centred` of the
+    request's ``pencil``: the decision does not depend on the scale of
+    ``A``, and a near-scalar ``A`` keeps a well-resolved ``K``.
 
     Returns ``(ok, witness, quote)``; on failure the witness is a
     projective point where the pencil of ``A`` has rank <= 2, certified by
@@ -89,18 +82,18 @@ def _pencil_rank(pencil: Pencil, scale: float, shift: complex, seed: int):
     base.  ``quote`` gives the ratio that failed there on the pencil of
     ``C``: ``sigma1`` if it fired, otherwise ``sigma3/sigma1``.
     """
+    _, scale, shift = pencil.centred
+    unit = pencil.unit
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x /= np.linalg.norm(x)
 
-    z = np.vdot(pencil.a, pencil.astar) / max(np.vdot(pencil.a, pencil.a).real, 1e-300)
-    bases = [np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([z, -1.0])]
-    bases += [np.array([1.0, mu]) for mu in _krylov_roots(pencil.a, pencil.astar, x)[1]]
-
-    b = np.array([b / np.linalg.norm(b) for b in bases])
-    lam = np.linalg.eigvals(b[:, 0, None, None] * pencil.a + b[:, 1, None, None] * pencil.astar).reshape(-1)
-    t = np.column_stack([-lam, np.repeat(b, 4, axis=0)]) / np.sqrt(lam.real**2 + 1.0 + lam.imag**2)[:, None]
-    s = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=False)
+    z = np.vdot(unit.a, unit.astar) / max(np.vdot(unit.a, unit.a).real, 1e-300)
+    mu = _krylov_roots(unit.a, unit.astar, x)[1]
+    bases = np.vstack([[[0.0, 1.0], [1.0, 1.0], [z, -1.0]], np.column_stack([np.ones_like(mu), mu])])
+    t = _base_points(unit, bases)[0].reshape(-1, 3)
+    t /= np.sqrt(t[:, 0].real ** 2 + 1.0 + t[:, 0].imag ** 2)[:, None]  # unit rows, since every base is unit
+    s = np.linalg.svd(pencil_matrix(unit, t), compute_uv=False)
     vanishes = s[:, 0] <= 1e-14
     fail = vanishes | (s[:, 2] <= CERT_TOL * s[:, 0])
     if not np.any(fail):
@@ -115,12 +108,12 @@ def classify(a, seed: int = 0) -> GenericityReport:
 
     ``s1`` is ``sigma_min > 1e-10 * sigma_max`` from one SVD of ``A``;
     ``s2`` is the smallest eigenvalue gap of the centred ``C`` above
-    ``1e-8``.  For ``n = 4`` the rank screen (:func:`_pencil_rank`) and the
-    common eigenvector test read the ``Pencil`` of ``C``
+    ``CERT_TOL``.  For ``n = 4`` the rank screen (:func:`_pencil_rank`)
+    and the common eigenvector test read the ``Pencil`` of ``C``
     (:attr:`Pencil.unit`), its one eigen-decomposition and its common
-    eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True, with no
-    common eigenvectors and no witness.  ``details`` quotes the number
-    that decided each failed test.  ``seed``, which draws the rank
+    eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True,
+    with no common eigenvectors and no witness.  ``details`` quotes the
+    number that decided each failed test.  ``seed``, which draws the rank
     screen's vector, is a Python or numpy integer (not ``bool``) of at
     least 0, for every ``n``; ``ValueError`` otherwise.
     """
@@ -133,17 +126,16 @@ def _classify(pencil: Pencil, seed: int) -> GenericityReport:
     n = pencil.a.shape[0]
     sv = np.linalg.svd(pencil.a, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])
-    c, scale, shift = pencil.centred
     s3, witness, quote, common = True, None, None, []
     if n == 4:
         lam = pencil.unit.eigen[0]
-        s3, witness, quote = _pencil_rank(pencil.unit, scale, shift, seed)
+        s3, witness, quote = _pencil_rank(pencil, seed)
         common = list(pencil.unit.common)
     else:
-        lam = np.linalg.eigvals(c)
+        lam = np.linalg.eigvals(pencil.centred[0])
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, 1)]
     gap = gaps.min() if gaps.size else np.inf
-    s2 = bool(gap > 1e-8)
+    s2 = bool(gap > CERT_TOL)
 
     notes = []
     if not s1:

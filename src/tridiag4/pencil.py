@@ -26,6 +26,13 @@ are refined together by Aberth-Ehrlich steps on the dodecic's direct
 values (:func:`_refine_roots`), and the rejected ones are gated again.
 :func:`_flag_points` yields the accepted points, each with its flag, to
 the solver and to :func:`section_zeros`.
+
+This module is the base line's one home: :func:`_base_points` forms the
+curve points over a stack of bases, ``_CIRCLE`` holds the circle grids,
+:func:`_krylov_roots` is the Krylov sextic and :func:`_circle_roots`
+roots every polynomial sampled there.  The flag points, the rank screen
+of :mod:`tridiag4.genericity` and the counts of :mod:`tridiag4.degrees`
+take them from here.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ from .linalg import canonical_projective
 
 #: The one relative tolerance: the pencil's rank drop (``sigma3``, in
 #: ``_certify_on_curve`` and ``classify``), its on-curve ``sigma4``, the
-#: off-band residual of a flag point's flag, the entries behind ``shortcut``
-#: and the hyperplane value are all tested against it, and it is the cluster
-#: radius of :func:`_distinct`.
+#: off-band residual of a flag point's flag, the entries behind ``shortcut``,
+#: the hyperplane value and the eigenvalue gap of ``classify`` (``s2``) are
+#: all tested against it, and it is the cluster radius of :func:`_distinct`.
 CERT_TOL = 1e-8
 
 #: The unitarity gate ``||UU* - I||_2`` that every accepted flag and every returned result meets.
@@ -69,8 +76,9 @@ _PAIRS = tuple(_frozen(i) for i in np.triu_indices(4, 1))
 _EYE = {n: _frozen(np.eye(n, dtype=complex)) for n in range(1, 5)}
 _FAR = {n: _frozen(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2) for n in range(1, 5)}
 
-#: The 13th roots of unity, where :func:`_dodecic_roots` samples the dodecic.
-_ROOTS13 = _frozen(np.exp(2j * np.pi * np.arange(13) / 13))
+#: The n-th roots of unity for n = 7 and 13, built once: where :func:`_krylov_roots`
+#: samples a Krylov sextic and :func:`_dodecic_roots` the dodecic.
+_CIRCLE = {n: _frozen(np.exp(2j * np.pi * np.arange(n) / n)) for n in (7, 13)}
 
 
 @dataclass(frozen=True)
@@ -399,6 +407,22 @@ def _circle_roots(values: np.ndarray):
     return c, np.roots(c[::-1])
 
 
+def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
+    """The Krylov sextic ``K(mu) = det[x, Nx, N^2 x, N^3 x]``, ``N = p + mu*q``.
+
+    ``K`` vanishes exactly where ``x`` is not a cyclic vector of ``N``.
+    Returns its trimmed coefficients, from its 7 samples on ``|mu| = 1``
+    (``_CIRCLE[7]``) taken by one stacked ``det``, and its roots
+    (:func:`_circle_roots`).  The rank screen passes ``(A, A*)`` and the
+    kernel-curve count ``(A^T, conj(A))``.
+    """
+    n = p + _CIRCLE[7][:, None, None] * q
+    cols = [np.broadcast_to(x, (7, 4))]
+    for _ in range(3):
+        cols.append(np.einsum("kij,kj->ki", n, cols[-1]))
+    return _circle_roots(np.linalg.det(np.stack(cols, axis=-1)))
+
+
 def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     """The bases ``mu`` of the flag points: the 12 roots of a dodecic.
 
@@ -429,7 +453,7 @@ def _dodecic_roots(pencil: Pencil) -> np.ndarray:
     last.
     Returns no roots when ``R`` is not finite or vanishes identically.
     """
-    r, mu = _circle_roots(_dodecic_values(pencil, _ROOTS13, circle=True))
+    r, mu = _circle_roots(_dodecic_values(pencil, _CIRCLE[13], circle=True))
     k = np.arange(r.size)
     with np.errstate(all="ignore"):
         size = np.abs(mu)[:, None] ** k @ np.abs(r)
@@ -468,19 +492,33 @@ def _refine_roots(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
     return z
 
 
+def _base_points(pencil: Pencil, bases: np.ndarray):
+    """The curve points over each base ``[b0 : b1]`` of a (k, 2) stack: the eigenvectors of ``N = b0*A + b1*A*``.
+
+    Each base is made unit first, all as one stack, and one stacked
+    ``eig`` of ``N`` gives the eigenvalues ``lam`` and the eigenvectors.
+    Returns the (k, 4, 3) points ``[-lam : b0 : b1]``, one row per
+    eigenvalue, and the (k, 4, 4) eigenvectors, one column per point.
+    The flag points' sheets, the rank screen and the kernel-curve count
+    all take their curve points here.
+    """
+    bases = bases / np.linalg.norm(bases, axis=1, keepdims=True)
+    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
+    points = np.concatenate([-lam[..., None], np.broadcast_to(bases[:, None], (len(bases), 4, 2))], axis=2)
+    return points, vecs
+
+
 def _best_sheets(pencil: Pencil, mu: np.ndarray):
     """Over each base ``[1 : mu]`` the curve point with the smallest ``sigma4``.
 
-    Returns the points ``[-lam : 1 : mu]``, normalized, as rows, and
-    their ``sigma4``.
+    Returns the points ``[-lam : 1 : mu]`` (:func:`_base_points`), with
+    the base normalized, as rows, and their ``sigma4``.
     """
-    bases = np.column_stack([np.ones_like(mu), mu])
-    bases /= np.linalg.norm(bases, axis=1, keepdims=True)
-    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
+    points, vecs = _base_points(pencil, np.column_stack([np.ones_like(mu), mu]))
     score = _section_score(pencil, vecs.transpose(0, 2, 1).reshape(-1, 4)).reshape(-1, 4)
     rows = np.arange(mu.size)
     sheet = np.argmin(score, axis=1)
-    return np.column_stack([-lam[rows, sheet], bases]), score[rows, sheet]
+    return points[rows, sheet], score[rows, sheet]
 
 
 def _flag_points(pencil: Pencil):

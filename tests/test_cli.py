@@ -71,6 +71,14 @@ class TestGen:
         with pytest.raises(ValueError, match="unknown kind"):
             make_matrix("unitary", 4, 0)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_size_is_validated_for_every_kind(self, kind):
+        # the jordan kind once returned a 1x1 zero matrix for n = 0 and n = -2
+        for n in (0, -2, 1.5, True):
+            with pytest.raises(ValueError, match="^n must be"):
+                make_matrix(kind, n, 0)
+        assert make_matrix(kind, 1, 0).shape == (1, 1)
+
     def test_roundtrip_validates_for_every_kind(self, capsys):
         validate = load_schema("input.schema.json")
         for kind in ("gaussian", "hermitian", "tridiagonal", "jordan"):

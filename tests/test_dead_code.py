@@ -85,6 +85,28 @@ def test_only_pencil_roots_circle_samples():
     assert [name for name, tree in _modules().items() if numpy_roots(tree)] == ["pencil.py"]
 
 
+def test_only_pencil_builds_the_circle_grid():
+    # the roots of unity are built once, in pencil._CIRCLE: no other module refers to np.pi
+    def refers_to_pi(tree):
+        return any(
+            isinstance(node, ast.Attribute) and node.attr == "pi" and _name(node.value) == "np"
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in _modules().items() if refers_to_pi(tree)] == ["pencil.py"]
+
+
+def test_counts_take_only_the_screen_from_genericity():
+    # the Krylov sextic and the curve points live in pencil.py; degrees.py asks genericity.py for the screen alone
+    imported = [
+        alias.name
+        for node in ast.walk(_modules()["degrees.py"])
+        if isinstance(node, ast.ImportFrom) and node.module == "genericity"
+        for alias in node.names
+    ]
+    assert imported == ["_classify"]
+
+
 #: Public functions that nothing in the package calls and ``__all__`` leaves out, with the reason each stays.
 UNCALLED_PUBLIC = {
     "tridiagonalize.flag_residuals": "the flag characterizations, the reference the tests measure flags by",
@@ -162,6 +184,8 @@ def test_exports_are_documented():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     undocumented = [name for name in tridiag4.__all__ if not re.search(rf"`{re.escape(name)}\b", readme)]
     assert undocumented == []
+    # and README states the number of exported names as it is
+    assert re.findall(r"exports these (\d+) names", readme) == [str(len(tridiag4.__all__))]
 
 
 def test_benchmark_lookups_are_exported():

@@ -161,8 +161,8 @@ class TestDegreeOfKernelCurve:
             assert abs(np.dot(ell, v0)) < 1e-10
 
             points = _hyperplane_points(p, ell / np.linalg.norm(ell))
-            assert sum(mult for _, _, mult in points) == 6
-            assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v, _ in points)
+            assert len(points) == 6
+            assert any(linalg.projective_distance(v, v0) < 1e-6 for _, v in points)
 
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
@@ -174,8 +174,8 @@ class TestDegreeOfKernelCurve:
             rng = np.random.default_rng(seed)
             ell = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             points = _hyperplane_points(p, ell / np.linalg.norm(ell))
-            assert sum(mult for _, _, mult in points) == 6, seed
-            assert all(_certify_on_curve(p, np.array([t for t, _, _ in points]))[0]), seed
+            assert len(points) == 6, seed
+            assert all(_certify_on_curve(p, np.array([t for t, _ in points]))[0]), seed
 
 
 class TestSectionZeroCount:

@@ -108,7 +108,8 @@ class TestPreparedOnce:
     def test_constants_and_cached_arrays_are_read_only(self):
         solver = sys.modules["tridiag4.tridiagonalize"]
         p = Pencil(make_matrix("gaussian", 4, 3)).unit
-        arrays = [pencil._ROOTS13, *pencil._PAIRS, *pencil._EYE.values(), *pencil._FAR.values(), solver._GENERATORS]
+        arrays = [*pencil._CIRCLE.values(), *pencil._PAIRS, *pencil._EYE.values(), *pencil._FAR.values()]
+        arrays += [solver._GENERATORS]
         arrays += [p._ops, p._roots, *p._first_sheets]
         for x in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -129,7 +130,8 @@ class TestPreparedOnce:
                 x[0, 0] = 0.0
 
     def test_constants_are_what_each_call_built(self):
-        np.testing.assert_array_equal(pencil._ROOTS13, np.exp(2j * np.pi * np.arange(13) / 13))
+        for n in (7, 13):
+            np.testing.assert_array_equal(pencil._CIRCLE[n], np.exp(2j * np.pi * np.arange(n) / n))
         for n in range(1, 5):
             np.testing.assert_array_equal(pencil._EYE[n], np.eye(n))
             assert pencil._EYE[n].dtype == complex

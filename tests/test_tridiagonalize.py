@@ -278,8 +278,8 @@ class TestFlagPointCount:
             inputs, bound = [near_structured(kind, 1e-1, seed) for seed in range(20)], 1e-11
         for seed, a in enumerate(inputs):
             q = Pencil(a).unit
-            by_eig = pencil._dodecic_values(q, pencil._ROOTS13)
-            by_eigh = pencil._dodecic_values(q, pencil._ROOTS13, circle=True)
+            by_eig = pencil._dodecic_values(q, pencil._CIRCLE[13])
+            by_eigh = pencil._dodecic_values(q, pencil._CIRCLE[13], circle=True)
             assert np.abs(by_eigh - by_eig).max() <= bound * np.abs(by_eig).max(), seed
 
     @pytest.mark.parametrize("d", [1e-4, 1e-6])
