@@ -91,7 +91,7 @@ def _pencil_rank(pencil: Pencil, seed: int):
     z = np.vdot(unit.a, unit.astar) / max(np.vdot(unit.a, unit.a).real, 1e-300)
     mu = _krylov_roots(unit.a, unit.astar, x)[1]
     bases = np.vstack([[[0.0, 1.0], [1.0, 1.0], [z, -1.0]], np.column_stack([np.ones_like(mu), mu])])
-    t = _base_points(unit, bases)[0].reshape(-1, 3)
+    t = _base_points(unit, bases, vectors=False)[0].reshape(-1, 3)
     t /= np.sqrt(t[:, 0].real ** 2 + 1.0 + t[:, 0].imag ** 2)[:, None]  # unit rows, since every base is unit
     s = np.linalg.svd(pencil_matrix(unit, t), compute_uv=False)
     vanishes = s[:, 0] <= 1e-14

@@ -24,6 +24,11 @@ counts when its flag (:func:`_flag_bases`) passes :func:`_passes`, the
 solver's own gate (:func:`_certify`); when a root is rejected, all twelve
 are refined together by Aberth-Ehrlich steps on the dodecic's direct
 values (:func:`_refine_roots`), and the rejected ones are gated again.
+Every point reaches the gate with the kernel vector and ``sigma4`` it was
+found with: a sheet's eigenvector of ``N``, or an eigenvector point's
+singular vector from :attr:`Pencil.eigen`, whose ``sigma4`` the screen
+takes only where a determinant bound cannot clear it.  So the gate takes
+one SVD, the on-curve test's singular values.
 :func:`_flag_points` yields the accepted points, each with its flag, to
 the solver and to :func:`section_zeros`.
 
@@ -154,9 +159,11 @@ class Pencil:
     def _first_sheets(self):
         """:func:`_best_sheets` over the ``_FIRST_ROOTS`` best-conditioned roots of :attr:`_roots`, read-only, taken on first use and kept.
 
-        Read only by :func:`_flag_points` when :attr:`_roots` is not
-        empty: the solve's first candidate and :func:`section_zeros` on the
-        same ``unit`` share these sheets.
+        The rows ``(t, v, sigma4)``: each sheet's point, the eigenvector of
+        ``N`` that spans the pencil's kernel there, and its ``sigma4``, as
+        :func:`_certify` takes them.  Read only by :func:`_flag_points`
+        when :attr:`_roots` is not empty: the solve's first candidate and
+        :func:`section_zeros` on the same ``unit`` share these sheets.
         """
         return tuple(_frozen(x) for x in _best_sheets(self, self._roots[:_FIRST_ROOTS]))
 
@@ -211,16 +218,28 @@ def _seven_columns(pencil: Pencil, v: np.ndarray) -> np.ndarray:
     return (v @ pencil._ops.reshape(-1, n).T).reshape(-1, 7, n).swapaxes(1, 2)
 
 
-def _section_score(pencil: Pencil, v: np.ndarray) -> np.ndarray:
+def _section_score(pencil: Pencil, v: np.ndarray, screen: bool = False) -> np.ndarray:
     """``sigma4`` for kernel vectors ``v`` (k, 4): the fourth singular value of :func:`_seven_columns`, normalized.
 
     Away from the eigenvectors of A the spans agree exactly where the
     dodecic's factor ``h = det[v, Av, A^2 v, A*^2 v]`` vanishes, but
     ``sigma4``, not ``h``, scores the points: it stays large at the
-    degenerate zeros of ``h`` at eigenvectors.
+    degenerate zeros of ``h`` at eigenvectors.  With ``screen``, for unit
+    ``v``, a row whose ``sqrt(det G) / tr(G)^2`` (for ``G = M M*`` and the
+    seven columns ``M``; a lower bound on ``sigma4``, since it is
+    ``s1 s2 s3 s4 / (sum s_i^2)^2``) exceeds ``2*sqrt(CERT_TOL)`` fails
+    the eigenvector-point screen for sure and scores ``inf`` without an
+    SVD; the other rows score exactly as without ``screen``.
     """
-    s7 = np.linalg.svd(_seven_columns(pencil, v), compute_uv=False)
-    return s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
+    m = _seven_columns(pencil, v)
+    score, near = np.full(len(m), np.inf), slice(None)
+    if screen:
+        g = m @ np.conj(m).swapaxes(1, 2)
+        near = np.sqrt(np.abs(np.linalg.det(g / np.trace(g, axis1=1, axis2=2).real[:, None, None]))) <= 2 * np.sqrt(CERT_TOL)
+    if len(m[near]):
+        s7 = np.linalg.svd(m[near], compute_uv=False)
+        score[near] = s7[:, 3] / np.maximum(s7[:, 0], 1e-300)
+    return score
 
 
 def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
@@ -274,12 +293,12 @@ def _measure(a: np.ndarray, u: np.ndarray):
 def _widest(q: np.ndarray, x: np.ndarray):
     """Per stack entry, the column of ``x`` that sticks out of ``span(q)`` most, projected out of it twice and normalized, with its residual.
 
-    One pass leaves a vector that sticks out little visibly
-    non-orthogonal; the second makes it orthogonal to roundoff.
+    Both passes apply ``I - QQ*``, formed once.  One pass leaves a vector
+    that sticks out little visibly non-orthogonal; the second makes it
+    orthogonal to roundoff.
     """
-    qh = np.conj(q).swapaxes(1, 2)
-    for _ in range(2):
-        x = x - q @ (qh @ x)
+    p = _EYE[q.shape[1]] - q @ np.conj(q).swapaxes(1, 2)
+    x = p @ (p @ x)
     r = np.linalg.norm(x, axis=1)
     rows, j = np.arange(len(x)), np.argmax(r, axis=1)
     r = r[rows, j]
@@ -299,10 +318,12 @@ def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``U A U*`` is tridiagonal exactly when each ``W_{j+1}`` has dimension
     at most ``j + 1``; the gate measures that, so nothing is checked here.
     """
-    n = v.shape[1]
+    k, n = v.shape
+    both = np.concatenate([a, astar])
     q = linalg.phase_fixed(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, None]
-    while q.shape[2] < n - 1:
-        y = np.concatenate([a @ q, astar @ q], axis=2)
+    for j in range(1, n - 1):
+        # [A; A*] Q as one product, its halves side by side: the columns A Q, then A* Q
+        y = (both @ q).reshape(k, 2, n, j).swapaxes(1, 2).reshape(k, n, 2 * j)
         x, r = _widest(q, y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300))
         closed = r <= 1e-13
         if closed.any():
@@ -311,28 +332,32 @@ def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([q, _widest(q, _EYE[n])[0][:, :, None]], axis=2)
 
 
-def _certify(pencil: Pencil, t) -> tuple[np.ndarray, list[SectionCandidate]]:
-    """The rows of a (k, 3) stack whose flags pass the gate: their mask, and a :class:`SectionCandidate` for each, in order.
+def _certify(pencil: Pencil, t, v, sigma4) -> tuple[np.ndarray, list[SectionCandidate]]:
+    """The rows ``(t, v, sigma4)`` whose flags pass the gate: their mask, and a :class:`SectionCandidate` for each, in order.
 
-    A row passes :func:`_certify_on_curve`, and the flag grown from its
-    kernel vector ``v`` (:func:`_flag_bases`, all rows as one stack) passes
-    :func:`_passes` at ``CERT_TOL``: the solver's own gate, so a point
-    counts exactly when the solver would return its flag.  ``pencil`` is
-    that of a :func:`_centred` matrix (``||A||_2 = 1``), so the off-band
-    residual of ``T = U A U*`` is already relative.  ``shortcut`` marks a
-    row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``, where ``W2`` is
-    invariant under A or A*.  ``sigma4`` (:func:`_section_score`) only
-    orders and reports the points.  ``T`` and the residuals are taken by
-    :func:`_measure`, all rows as one stack.  An empty stack gives an
-    empty mask and ``[]``.
+    Each row is a point ``t`` of a (k, 3) stack, a kernel vector ``v`` of
+    the pencil there (k, 4), as the caller already holds it (an eigenvector
+    of ``N`` over a sheet's base, a singular vector of :attr:`Pencil.eigen`
+    at an eigenvector point), and its ``sigma4`` (:func:`_section_score`),
+    which only orders and reports the points.  A row passes
+    :func:`_certify_on_curve`, which takes singular values only, and the
+    flag grown from ``v`` (:func:`_flag_bases`, all rows as one stack)
+    passes :func:`_passes` at ``CERT_TOL``: the solver's own gate, so a
+    point counts exactly when the solver would return its flag.
+    ``pencil`` is that of a :func:`_centred` matrix (``||A||_2 = 1``), so
+    the off-band residual of ``T = U A U*`` is already relative.
+    ``shortcut`` marks a row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``,
+    where ``W2`` is invariant under A or A*.  A candidate's ``v`` is its
+    flag's first column: ``v``, normalized and phase-fixed.  ``T`` and the
+    residuals are taken by :func:`_measure`, all rows as one stack.  An
+    empty stack gives an empty mask and ``[]``.
     """
-    ok, t, v = _certify_on_curve(pencil, t, kernel=True)
+    ok, t, _ = _certify_on_curve(pencil, t)
     basis = _flag_bases(pencil.a, pencil.astar, v)
     tri, off, unitarity = _measure(pencil.a, np.conj(basis).swapaxes(1, 2))
     ok &= _passes(off, unitarity, CERT_TOL)
     shortcut = np.minimum(np.abs(tri[:, 2, 1]), np.abs(tri[:, 1, 2])) <= CERT_TOL
-    sigma4 = _section_score(pencil, v)
-    return ok, [SectionCandidate(t[i], v[i], float(sigma4[i]), basis[i], bool(shortcut[i])) for i in np.flatnonzero(ok)]
+    return ok, [SectionCandidate(t[i], basis[i, :, 0], float(sigma4[i]), basis[i], bool(shortcut[i])) for i in np.flatnonzero(ok)]
 
 
 def _distinguished_seeds(pencil: Pencil):
@@ -391,10 +416,12 @@ def _circle_roots(values: np.ndarray):
     The values at ``exp(2j*pi*k/n)``, ``k = 0..n-1``, are an inverse DFT of
     the ascending coefficients.  Leading coefficients with ``|c| <= 1e-14
     * max|c|`` are dropped, so a polynomial that vanishes identically gives
-    ``[0]``.  The roots come from the companion matrix (``np.roots``) as
-    simple roots; a constant polynomial, or one that is not finite, has
-    none.  The dodecic of the flag points and the Krylov sextics of the
-    rank screen and the kernel-curve count are all rooted here.
+    ``[0]``.  The roots are the eigenvalues of the companion matrix
+    (``eigvals``), taken as simple roots, after the roots at exactly 0 are
+    split off: to the bit what ``np.roots`` gives, without its overhead.
+    A constant polynomial, or one that is not finite, has none.  The
+    dodecic of the flag points and the Krylov sextics of the rank screen
+    and the kernel-curve count are all rooted here.
     """
     c = np.fft.fft(values) / len(values)
     top = np.max(np.abs(c))
@@ -404,7 +431,10 @@ def _circle_roots(values: np.ndarray):
     c = c[: d + 1]
     if d == 0 or not np.all(np.isfinite(c)):
         return c, np.empty(0, dtype=complex)
-    return c, np.roots(c[::-1])
+    k = np.flatnonzero(c)[0]  # exact roots at 0, split off first as np.roots does
+    companion = np.eye(d - k, k=-1, dtype=complex)
+    companion[:1] = -c[k:d][::-1] / c[d]
+    return c, np.concatenate([np.linalg.eigvals(companion), np.zeros(k, dtype=complex)])
 
 
 def _krylov_roots(p: np.ndarray, q: np.ndarray, x: np.ndarray):
@@ -492,18 +522,20 @@ def _refine_roots(pencil: Pencil, mu: np.ndarray) -> np.ndarray:
     return z
 
 
-def _base_points(pencil: Pencil, bases: np.ndarray):
+def _base_points(pencil: Pencil, bases: np.ndarray, vectors: bool = True):
     """The curve points over each base ``[b0 : b1]`` of a (k, 2) stack: the eigenvectors of ``N = b0*A + b1*A*``.
 
     Each base is made unit first, all as one stack, and one stacked
     ``eig`` of ``N`` gives the eigenvalues ``lam`` and the eigenvectors.
     Returns the (k, 4, 3) points ``[-lam : b0 : b1]``, one row per
-    eigenvalue, and the (k, 4, 4) eigenvectors, one column per point.
-    The flag points' sheets, the rank screen and the kernel-curve count
-    all take their curve points here.
+    eigenvalue, and the (k, 4, 4) eigenvectors, one column per point;
+    ``vectors=False`` takes ``eigvals`` instead and returns None for them.
+    The flag points' sheets and the kernel-curve count take their curve
+    points here with the vectors, the rank screen without.
     """
     bases = bases / np.linalg.norm(bases, axis=1, keepdims=True)
-    lam, vecs = np.linalg.eig(bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar)
+    n = bases[:, 0, None, None] * pencil.a + bases[:, 1, None, None] * pencil.astar
+    lam, vecs = np.linalg.eig(n) if vectors else (np.linalg.eigvals(n), None)
     points = np.concatenate([-lam[..., None], np.broadcast_to(bases[:, None], (len(bases), 4, 2))], axis=2)
     return points, vecs
 
@@ -511,14 +543,18 @@ def _base_points(pencil: Pencil, bases: np.ndarray):
 def _best_sheets(pencil: Pencil, mu: np.ndarray):
     """Over each base ``[1 : mu]`` the curve point with the smallest ``sigma4``.
 
-    Returns the points ``[-lam : 1 : mu]`` (:func:`_base_points`), with
-    the base normalized, as rows, and their ``sigma4``.
+    Returns the rows ``(t, v, sigma4)`` that :func:`_certify` takes: the
+    points ``[-lam : 1 : mu]`` (:func:`_base_points`), with the base
+    normalized, their eigenvectors of ``N = A + mu*A*``, which span the
+    pencil's kernel there since ``(-lam*I + A + mu*A*) v = 0``, and their
+    ``sigma4``.
     """
     points, vecs = _base_points(pencil, np.column_stack([np.ones_like(mu), mu]))
-    score = _section_score(pencil, vecs.transpose(0, 2, 1).reshape(-1, 4)).reshape(-1, 4)
+    vecs = vecs.swapaxes(1, 2)
+    score = _section_score(pencil, vecs.reshape(-1, 4)).reshape(-1, 4)
     rows = np.arange(mu.size)
     sheet = np.argmin(score, axis=1)
-    return points[rows, sheet], score[rows, sheet]
+    return points[rows, sheet], vecs[rows, sheet], score[rows, sheet]
 
 
 def _flag_points(pencil: Pencil):
@@ -526,7 +562,10 @@ def _flag_points(pencil: Pencil):
 
     First the eigenvector points of A and A* whose ``sigma4`` is at most
     ``sqrt(CERT_TOL)`` (a flag with ``dim W3 = 4`` cannot tridiagonalize,
-    and ``sigma4`` measures how far ``W3`` is from dimension 3).  Then
+    and ``sigma4`` measures how far ``W3`` is from dimension 3); the
+    screen takes the SVD only of the points its determinant bound keeps
+    (:func:`_section_score` with ``screen``), which on a Gaussian is
+    usually none.  Then
     over each root of the dodecic the sheet with the smallest ``sigma4``:
     of the three best-conditioned roots (the first three of
     :attr:`Pencil._roots`, whose sheets are :attr:`Pencil._first_sheets`)
@@ -545,26 +584,25 @@ def _flag_points(pencil: Pencil):
     and :func:`_dodecic_roots` require.
     """
     t, v = _distinguished_seeds(pencil)
-    screened = t[_section_score(pencil, v) <= np.sqrt(CERT_TOL)]
-    if screened.size:
-        yield from _certify(pencil, screened)[1]
+    score = _section_score(pencil, v, screen=True)
+    screened = score <= np.sqrt(CERT_TOL)
+    if screened.any():
+        yield from _certify(pencil, t[screened], v[screened], score[screened])[1]
     mu = pencil._roots
     if mu.size == 0:
         return
-    points, score = pencil._first_sheets
-    best = int(np.argmin(score))
-    ok_first, first = _certify(pencil, points[[best]])
+    sheets = pencil._first_sheets
+    best = int(np.argmin(sheets[2]))
+    ok_first, first = _certify(pencil, *(x[[best]] for x in sheets))
     yield from first
-    more_points, more_score = _best_sheets(pencil, mu[_FIRST_ROOTS:])
-    points, score = np.concatenate([points, more_points]), np.concatenate([score, more_score])
-    order = np.argsort(score)
+    sheets = [np.concatenate(x) for x in zip(sheets, _best_sheets(pencil, mu[_FIRST_ROOTS:]))]
+    order = np.argsort(sheets[2])
     order = order[order != best]
-    ok_rest, rest = _certify(pencil, points[order])
+    ok_rest, rest = _certify(pencil, *(x[order] for x in sheets))
     yield from rest
     rejected = np.concatenate([[best], order])[~np.concatenate([ok_first, ok_rest])]
     if rejected.size and mu.size == 12:
-        refined, _ = _best_sheets(pencil, _refine_roots(pencil, mu)[rejected])
-        yield from _certify(pencil, refined)[1]
+        yield from _certify(pencil, *_best_sheets(pencil, _refine_roots(pencil, mu)[rejected]))[1]
 
 
 def _centred(a: np.ndarray):

@@ -31,17 +31,22 @@ best-conditioned roots (``Pencil._first_sheets``).  It takes three norms (the ce
 and ``verify``'s), and under ``--json`` it never builds its text lines.
 ``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
 its screen and its three counts, however many trials it runs.
+
+``np.linalg.svd`` is wrapped too: a Gaussian solve takes at most six SVDs
+(it took seven on every seed while ``pencil._certify`` took a kernel
+vector and ``sigma4`` of its own), and each ``_certify`` call takes one.
 """
 
 import functools
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from tridiag4 import cli, linalg, pencil
 from tridiag4.degrees import run_experiments
-from tridiag4.generate import make_matrix
+from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
 from tridiag4.tridiagonalize import tridiagonalize
@@ -102,6 +107,44 @@ def test_classify_makes_one_eigen_call_and_one_norm(calls):
         report = classify(a)
         assert report.in_generic_set and not report.common_eigenvectors, seed
         assert calls == {"eigen": 1, "matrix_norm": 1}, seed
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """The list that each ``np.linalg.svd`` call appends to, with vectors or without."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    return calls
+
+
+def test_solve_takes_at_most_six_svds(svds):
+    # two norms, the eigen-decomposition, sigma4 over the first sheets and
+    # the certificate's on-curve test; the eigenvector-point screen takes its
+    # SVD only of rows its determinant bound keeps, which on most seeds is none
+    for seed in SEEDS:
+        svds.clear()
+        assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
+        assert len(svds) <= 6, seed
+
+
+def test_certify_takes_one_svd(svds, monkeypatch):
+    # the kernel vector and sigma4 come with each row, so only the on-curve
+    # test is left: on the sheets of Gaussians and the eigenvector points of N4
+    per_call = []
+    certify = pencil._certify
+
+    def counted(*args):
+        before = len(svds)
+        result = certify(*args)
+        per_call.append(len(svds) - before)
+        return result
+
+    monkeypatch.setattr(pencil, "_certify", counted)
+    for a in [make_matrix("gaussian", 4, seed) for seed in SEEDS] + [jordan_block(4)]:
+        section_zeros(Pencil(a))
+    assert len(per_call) >= 2 * len(SEEDS) + 1
+    assert set(per_call) == {1}
 
 
 def test_section_zeros_certifies_in_two_stacks(monkeypatch):

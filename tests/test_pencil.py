@@ -370,8 +370,8 @@ class TestCertifyOnCurve:
 class TestCertify:
     @staticmethod
     def assert_stack_matches_rows(p, rows):
-        ok, stacked = _certify(p, rows)
-        single = [_certify(p, row[None, :]) for row in rows]
+        ok, stacked = _certify(p, *rows)
+        single = [_certify(p, *(x[[i]] for x in rows)) for i in range(len(rows[0]))]
         assert ok.tolist() == [bool(one_ok[0]) for one_ok, _ in single]
         alone = [cands[0] for _, cands in single if cands]
         assert len(stacked) == len(alone)
@@ -387,9 +387,11 @@ class TestCertify:
         # off the curve, certify in one call as they do one at a time
         rng = np.random.default_rng(23)
         off = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        off_v = linalg.canonical_projective(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         q = Pencil(_centred(make_matrix("gaussian", 4, 22))[0])
-        points, _ = _best_sheets(q, _dodecic_roots(q))
-        rows = np.concatenate([points[:6], off[:2], points[6:], off[2:]])
+        sheets = _best_sheets(q, _dodecic_roots(q))
+        off_rows = (off, off_v, _section_score(q, off_v))
+        rows = [np.concatenate([x[:6], y[:2], x[6:], y[2:]]) for x, y in zip(sheets, off_rows)]
         ok, stacked = self.assert_stack_matches_rows(q, rows)
         assert len(stacked) == 12
         assert not ok[6:8].any() and not ok[-2:].any()
@@ -399,13 +401,15 @@ class TestCertify:
         # through the closure shortcut; off-curve rows between them do not
         rng = np.random.default_rng(24)
         off = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        rows = np.array([[0, 1, 0], off[0], [0, 0, 1], off[1]], dtype=complex)
-        ok, stacked = self.assert_stack_matches_rows(Pencil(N4), rows)
+        t = np.array([[0, 1, 0], off[0], [0, 0, 1], off[1]], dtype=complex)
+        # e1 spans the kernel of N4 at [0 : 1 : 0], e4 that of N4* at [0 : 0 : 1]
+        v = linalg.canonical_projective(np.array([np.eye(4)[0], rng.standard_normal(4), np.eye(4)[3], rng.standard_normal(4)], dtype=complex))
+        ok, stacked = self.assert_stack_matches_rows(Pencil(N4), (t, v, _section_score(Pencil(N4), v)))
         assert ok.tolist() == [True, False, True, False]
         assert [c.shortcut for c in stacked] == [True, True]
 
     def test_empty_stack(self):
-        ok, cands = _certify(Pencil(N4), np.empty((0, 3)))
+        ok, cands = _certify(Pencil(N4), np.empty((0, 3)), np.empty((0, 4)), np.empty(0))
         assert ok.shape == (0,) and cands == []
 
 
@@ -525,7 +529,7 @@ class TestSectionZeros:
         p = Pencil(scale * N4)
         q = p.unit
         assert q._roots.size < 12
-        assert not _certify(q, _best_sheets(q, q._roots)[0])[0].any()
+        assert not _certify(q, *_best_sheets(q, q._roots))[0].any()
         assert len(section_zeros(p)) == 2
         assert not calls
 
@@ -539,7 +543,7 @@ class TestSectionZeros:
             return p
 
         q = perturbed().unit
-        assert not _certify(q, _best_sheets(q, q._roots)[0])[0].any()
+        assert not _certify(q, *_best_sheets(q, q._roots))[0].any()
         monkeypatch.setattr(pencil, "_refine_roots", lambda q, mu: mu)
         assert len(section_zeros(perturbed())) == 0
         calls = []
@@ -709,6 +713,23 @@ class TestCoefficients:
         coeffs, roots = _circle_roots(np.zeros(7))
         np.testing.assert_array_equal(coeffs, [0.0])
         assert roots.size == 0
+
+    def test_roots_are_those_of_np_roots(self, monkeypatch):
+        # the companion matrix is rooted as np.roots roots it, to the bit: on
+        # dodecic and Krylov samples, and with its exact roots at 0 split off
+        samples = []
+        circle_roots = pencil._circle_roots
+        monkeypatch.setattr(pencil, "_circle_roots", lambda values: samples.append(values) or circle_roots(values))
+        for seed in range(20):
+            q = Pencil(make_matrix("gaussian", 4, seed)).unit
+            _dodecic_roots(q)
+            pencil._krylov_roots(q.a, q.astar, np.full(4, 0.5))
+        omega = np.array([1, 1j, -1, -1j])  # the 4th roots of unity, exactly
+        exact = [omega * omega * omega + 2 * omega * omega + 3 * omega, omega * omega]
+        assert all(_circle_roots(values)[0][0] == 0 for values in exact)
+        for values in samples + exact:
+            c, roots = _circle_roots(values)
+            np.testing.assert_array_equal(roots, np.roots(c[::-1]))
 
 
 def distinct_one_pair_at_a_time(rows, tol):

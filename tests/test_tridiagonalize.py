@@ -181,6 +181,31 @@ class TestDispatch:
         _, off, unitarity = _measure(p.centred[0], u)
         assert _passes(off, unitarity, 1e-8)
 
+    def test_determinant_bound_keeps_the_screen(self):
+        # sqrt(det G)/tr(G)^2 is a lower bound on sigma4, so a row it clears
+        # fails the screen anyway: the mask is that of sigma4 alone, and every
+        # row it keeps scores exactly as without the bound
+        blocks = np.zeros((4, 4), dtype=complex)
+        blocks[:2, :2] = make_matrix("gaussian", 2, 19)
+        blocks[2:, 2:] = make_matrix("gaussian", 2, 20)
+        u = random_unitary(4, np.random.default_rng(7))
+        inputs = [x for a in (N4.astype(complex), blocks) for x in (a, u @ a @ np.conj(u).T)]
+        # near N4 the eight points pass with sigma4 from 1e-6 to 7e-5, and bounds about an eighth of that
+        inputs += [N4 + d * make_matrix("gaussian", 4, 500 + seed) for d in (1e-5, 1e-6, 1e-7) for seed in range(3)]
+        kinds = ["hermitian", "normal", "unitary", "skew_hermitian_plus_2i"]
+        inputs += [near_structured(kind, 10.0**-e, seed) for kind in kinds for e in range(1, 10) for seed in range(5)]
+        inputs += [make_matrix("gaussian", 4, seed) for seed in range(100)]
+        cleared = kept = 0
+        for i, a in enumerate(inputs):
+            q = Pencil(a).unit
+            v = pencil._distinguished_seeds(q)[1]
+            plain, screened = pencil._section_score(q, v), pencil._section_score(q, v, screen=True)
+            np.testing.assert_array_equal(screened <= np.sqrt(pencil.CERT_TOL), plain <= np.sqrt(pencil.CERT_TOL), err_msg=str(i))
+            near = np.isfinite(screened)
+            np.testing.assert_array_equal(screened[near], plain[near], err_msg=str(i))
+            cleared, kept = cleared + np.sum(~near), kept + np.sum(screened <= np.sqrt(pencil.CERT_TOL))
+        assert cleared > 0 and kept > 0
+
     def test_spectrum_preserved(self):
         for seed in range(10):
             a = make_matrix("gaussian", 4, seed)
@@ -563,6 +588,12 @@ class TestVerify:
 
 
 class TestOffResidual:
+    def test_gaussian_residuals_stay_at_roundoff(self):
+        # the first flag grows from the eigenvector of its sheet; over these
+        # seeds the largest off-band residual is 3.3e-12
+        worst = max(tridiagonalize(make_matrix("gaussian", 4, seed)).off_residual for seed in range(10000, 10200))
+        assert worst <= 1e-10
+
     def test_measures_relative_max_entry(self):
         # identity flag: T = A, so the residual is the largest entry off the
         # tridiagonal band; it is relative, since ||A|| is 1 to 2e-10, as on
