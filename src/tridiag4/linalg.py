@@ -1,12 +1,11 @@
 """Dense complex linear algebra kernels for the small matrices of the solver (n <= 4).
 
-Input validation (of matrices, vectors and integer arguments), the
-adjoint and the spectral norm, eigenvalues with right and left
-eigenvectors from one SVD stack, the canonical representative and
-distance of projective points, and the JSON form of complex arrays.  Everything
-here is a pure function of its inputs.  Matrices are plain
-``numpy.ndarray`` of dtype complex128; rank decisions are always made
-relative to the largest singular value.
+Input validation (of matrices and integer arguments), the adjoint and
+the spectral norm, eigenvalues with right and left eigenvectors from
+one SVD stack, the canonical representative of projective points, and
+the JSON form of complex arrays.  Everything here is a pure function of
+its inputs.  Matrices are plain ``numpy.ndarray`` of dtype complex128;
+rank decisions are always made relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -27,13 +26,6 @@ def as_matrix(m) -> np.ndarray:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return a
-
-
-def as_vector(v) -> np.ndarray:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
     return a
 
 
@@ -104,22 +96,6 @@ def canonical_projective(v) -> np.ndarray:
     if not np.all(norm > 0.0):
         raise ValueError("projective point must be nonzero")
     return phase_fixed(rows / norm[:, None]).reshape(a.shape)
-
-
-def projective_distance(u, v) -> float:
-    """sin of the angle between the lines spanned by u and v (Fubini-Study).
-
-    Taken as ``||b - a<a, b>||`` for unit ``a`` and ``b``, which, unlike
-    ``sqrt(1 - |<a, b>|^2)``, resolves distances below ``1e-8``.
-    """
-    a = as_vector(u)
-    b = as_vector(v)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("projective points must be nonzero")
-    a, b = a / na, b / nb
-    return float(min(1.0, np.linalg.norm(b - a * np.vdot(a, b))))
 
 
 def complex_pairs(x) -> list:

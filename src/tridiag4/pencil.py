@@ -16,10 +16,12 @@ them, made scale-free, is a polynomial of degree 20 whose factor
 ``mu^8`` comes from the eigenvectors of A.  The rest is a dodecic, and
 its 12 roots are the bases of the paper's 12 flag points (see
 :func:`_dodecic_roots`), ordered best-conditioned first.  The solver's
-first candidate is the best sheet over the three best-conditioned roots;
-the sheets over the other nine are formed only when more candidates are
-asked for.  The dodecic's 13 samples on the unit circle come from
-``eigh``, since there ``N`` is a phase times a Hermitian matrix.  A point
+first candidate is the best sheet over the three best-conditioned roots,
+gated before the eigenvector points of A and A* are screened, so a
+generic solve forms no :attr:`Pencil.eigen`; the sheets over the other
+nine are formed only when more candidates are asked for.  The dodecic's
+13 samples on the unit circle come from ``eigh``, since there ``N`` is a
+phase times a Hermitian matrix.  A point
 counts when its flag (:func:`_flag_bases`) passes :func:`_passes`, the
 solver's own gate (:func:`_certify`); when a root is rejected, all twelve
 are refined together by Aberth-Ehrlich steps on the dodecic's direct
@@ -95,8 +97,9 @@ class Pencil:
     and ``common`` the screen, the solve, the flag points and the counts
     share, and whose private ``_roots`` and ``_first_sheets`` the flag
     points share; each is formed on first use, so a trivial solve forms
-    none.  The private ``_ops`` is the read-only operator stack that
-    every ``sigma4`` and dodecic value of the pencil reads.
+    none and a generic 4x4 solve no ``eigen``.  The private ``_ops`` is
+    the read-only operator stack that every ``sigma4`` and dodecic value
+    of the pencil reads.
     ``classify``, ``tridiagonalize``, ``run_experiments`` and the CLI build
     one per request; :func:`section_zeros` and the counts read the caller's.
     ``a`` and ``astar`` are the pencil's own read-only arrays.
@@ -131,7 +134,9 @@ class Pencil:
 
         The eigenvector points of the flag search, the common eigenvector
         test and the eigenvalue gap of :func:`genericity.classify` all read
-        this one decomposition.
+        this one decomposition.  A generic solve reads none of them: its
+        commutator bound clears :attr:`common` and its first flag comes
+        before the eigenvector points, so it forms no ``eigen``.
         """
         return linalg.eigen(self.a)
 
@@ -175,10 +180,25 @@ class Pencil:
         unit eigenvector ``v`` as one stack; those that pass are made
         canonical, and duplicates (from repeated eigenvalues) are removed
         (:func:`_distinct`).  The bound is absolute, so ``A`` is that of a
-        :func:`_centred` matrix.
+        :func:`_centred` matrix: ``||A||_2 <= 1``, as on :attr:`unit`, the
+        only pencil any reader asks.
         :func:`genericity.classify` and the solver's deflation both read
         this one result.
+
+        A commutator bound answers first, without :attr:`eigen`: when every
+        eigenvalue of the Hermitian ``K = A A* - A* A`` exceeds ``4*CERT_TOL``
+        in modulus, no eigenvector passes.  For a unit eigenvector ``v``
+        with ``A v = lam*v + s`` (``|s| = delta``, at roundoff, since
+        :func:`linalg.eigen` takes ``v`` as the smallest singular vector of
+        ``A - lam*I``) and ``A* v = mu*v + r`` (``|r| = eps``), ``K v = mu*s
+        + A r - lam*r - A* s``, so ``|K v| <= 2*eps + 2*delta`` when
+        ``||A||_2 <= 1``.  A ``v`` that passes (``eps <= CERT_TOL``) makes
+        ``min |eigvalsh(K)| <= 2*CERT_TOL + 2*delta``.  The bound only
+        clears: any other ``A`` takes the test above.  ``K`` changes by a
+        unitary similarity with ``A`` and not at all by a unit phase of ``A``.
         """
+        if np.abs(np.linalg.eigvalsh(self.a @ self.astar - self.astar @ self.a)).min() > 4 * CERT_TOL:
+            return []
         v = self.eigen[1]
         w = self.astar @ v
         ok = np.linalg.norm(w - np.sum(np.conj(v) * w, axis=0) * v, axis=0) <= CERT_TOL
@@ -374,7 +394,9 @@ def _distinguished_seeds(pencil: Pencil):
     points of A, and its smallest left singular vector, at ``nu =
     conj(lam)``, for those of A*; either way it is the pencil's kernel
     vector at ``t``.  The points of A come first, sorted by ``lam``, then
-    those of A*, sorted by ``nu``.
+    those of A*, sorted by ``nu``.  :func:`_flag_points` asks for them only
+    after the first dodecic candidate, so a solve that takes that one
+    forms no eigen-decomposition.
     """
     lam, right, left = pencil.eigen
     nu = np.conj(lam)
@@ -560,41 +582,44 @@ def _best_sheets(pencil: Pencil, mu: np.ndarray):
 def _flag_points(pencil: Pencil):
     """The flag points whose flags pass the gate, one at a time, each group gated by one :func:`_certify` stack.
 
-    First the eigenvector points of A and A* whose ``sigma4`` is at most
-    ``sqrt(CERT_TOL)`` (a flag with ``dim W3 = 4`` cannot tridiagonalize,
-    and ``sigma4`` measures how far ``W3`` is from dimension 3); the
-    screen takes the SVD only of the points its determinant bound keeps
-    (:func:`_section_score` with ``screen``), which on a Gaussian is
-    usually none.  Then
-    over each root of the dodecic the sheet with the smallest ``sigma4``:
-    of the three best-conditioned roots (the first three of
-    :attr:`Pencil._roots`, whose sheets are :attr:`Pencil._first_sheets`)
-    the one whose sheet has the smallest ``sigma4`` alone, then the other
-    11, sorted by ``sigma4``.  Only then, when some root is rejected and
-    the dodecic has all 12 roots, are all twelve refined together
+    Over each root of the dodecic the candidate is the sheet with the
+    smallest ``sigma4``.  First, of the three best-conditioned roots (the
+    first three of :attr:`Pencil._roots`, whose sheets are
+    :attr:`Pencil._first_sheets`), the one whose sheet has the smallest
+    ``sigma4``, alone: the generic input's flag.  Then the eigenvector
+    points of A and A* whose ``sigma4`` is at most ``sqrt(CERT_TOL)`` (a
+    flag with ``dim W3 = 4`` cannot tridiagonalize, and ``sigma4``
+    measures how far ``W3`` is from dimension 3); the screen takes the SVD
+    only of the points its determinant bound keeps (:func:`_section_score`
+    with ``screen``), which on a Gaussian is usually none.  Then the other
+    11 roots, sorted by ``sigma4``.  Only then, when some root is rejected
+    and the dodecic has all 12 roots, are all twelve refined together
     (:func:`_refine_roots`) and the best sheets over the rejected ones
     gated as one stack.  A dodecic of lower degree is left alone: on a
     nilpotent Jordan block it collapses to about ``mu^6``, and its refined
     roots certified 8 points where 2 are right.  Deterministic, and lazy:
-    the dodecic and the sheets over its first three roots are formed only
-    when the eigenvector points have been consumed, and once per pencil;
-    the sheets over the other nine roots only when the first root has, and
-    the refinement only when all twelve have.
+    the dodecic and the sheets over its first three roots are formed
+    once per pencil, on first use; the eigenvector points, and with them
+    :attr:`Pencil.eigen`, only when the first root's candidate has been
+    consumed; the sheets over the other nine roots only when the
+    eigenvector points have, and the refinement only when all twelve
+    have.
     ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
     and :func:`_dodecic_roots` require.
     """
+    mu = pencil._roots
+    if mu.size:
+        sheets = pencil._first_sheets
+        best = int(np.argmin(sheets[2]))
+        ok_first, first = _certify(pencil, *(x[[best]] for x in sheets))
+        yield from first
     t, v = _distinguished_seeds(pencil)
     score = _section_score(pencil, v, screen=True)
     screened = score <= np.sqrt(CERT_TOL)
     if screened.any():
         yield from _certify(pencil, t[screened], v[screened], score[screened])[1]
-    mu = pencil._roots
     if mu.size == 0:
         return
-    sheets = pencil._first_sheets
-    best = int(np.argmin(sheets[2]))
-    ok_first, first = _certify(pencil, *(x[[best]] for x in sheets))
-    yield from first
     sheets = [np.concatenate(x) for x in zip(sheets, _best_sheets(pencil, mu[_FIRST_ROOTS:]))]
     order = np.argsort(sheets[2])
     order = order[order != best]

@@ -63,34 +63,6 @@ class VerifyReport:
     matching: list
 
 
-def flag_residuals(a, basis):
-    """Residuals of the two flag characterizations, relative to ||A||.
-
-    First value: how far A W_i (and A* W_i) sticks out of W_{i+1}.
-    Second: how far A maps the orthocomplement of W_{i+1} outside the
-    orthocomplement of W_i.  Both vanish exactly on a tridiagonalizing
-    flag.
-    """
-    a = linalg.as_matrix(a)
-    f = np.asarray(basis, dtype=complex)
-    n = a.shape[0]
-    astar = linalg.adjoint(a)
-    scale = max(linalg.matrix_norm(a), 1e-300)
-    eye = np.eye(n)
-    r_contain = 0.0
-    r_perp = 0.0
-    for i in range(1, n):
-        fi = f[:, :i]
-        fip = f[:, : i + 1]
-        proj_next = fip @ np.conj(fip).T
-        q_next = eye - proj_next
-        r_contain = max(r_contain, float(np.linalg.norm(q_next @ (a @ fi), 2)))
-        r_contain = max(r_contain, float(np.linalg.norm(q_next @ (astar @ fi), 2)))
-        proj_i = fi @ np.conj(fi).T
-        r_perp = max(r_perp, float(np.linalg.norm(proj_i @ a @ q_next, 2)))
-    return r_contain / scale, r_perp / scale
-
-
 # ---------------------------------------------------------------------------
 # flag construction
 
@@ -116,16 +88,19 @@ def _direct(pencil: Pencil, tol: float):
     Each ``U`` is the conjugate of a flag basis (``U* e_i`` is column i),
     unmeasured: the caller measures it (:func:`pencil._measure`).
     n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the pencil's
-    :attr:`Pencil.unit` and its one eigen-decomposition (:attr:`Pencil.eigen`),
-    shared by the common eigenvector test (:attr:`Pencil.common`), the
-    eigenvector points of the flag search and, on the CLI, the genericity
-    screen.  A common eigenvector ``v`` comes first: its flag is ``v``,
-    then ``W`` times the 3x3 flag of ``W* C W`` for the orthonormal basis
-    ``W`` of its complement that one SVD of the row ``v*`` gives.  Then
-    come the flags that :func:`_flag_points` carries, already gated at
-    ``CERT_TOL`` on ``C``, and last the unitary refined from the Schur
-    basis of ``C`` (the ``qr`` of ``eig``'s eigenvector matrix) to
-    ``1e-2 * tol``, when that converges.
+    :attr:`Pencil.unit`, whose one eigen-decomposition (:attr:`Pencil.eigen`)
+    the common eigenvector test (:attr:`Pencil.common`), the eigenvector
+    points of the flag search and, on the CLI, the genericity screen
+    share; a generic ``C`` forms none, since the commutator bound of
+    :attr:`Pencil.common` clears it and the first flag of
+    :func:`_flag_points` comes from the dodecic.  A common eigenvector
+    ``v`` comes first: its flag is ``v``, then ``W`` times the 3x3 flag of
+    ``W* C W`` for the orthonormal basis ``W`` of its complement that one
+    SVD of the row ``v*`` gives.  Then come the flags that
+    :func:`_flag_points` carries, already gated at ``CERT_TOL`` on ``C``,
+    and last the unitary refined from the Schur basis of ``C`` (the ``qr``
+    of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when that
+    converges.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:

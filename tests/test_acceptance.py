@@ -17,7 +17,9 @@ from tridiag4.degrees import degree_of_det_curve, degree_of_kernel_curve
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
-from tridiag4.tridiagonalize import flag_residuals, tridiagonalize, verify
+from tridiag4.tridiagonalize import tridiagonalize, verify
+
+from helpers import flag_residuals
 
 N_FULL = 1000
 N_COUNT = 50

@@ -3,12 +3,14 @@
 ``linalg.eigen`` and ``linalg.matrix_norm`` (an SVD) are wrapped to count
 their calls.  Every solve centres ``A`` (one norm) and takes ``||A||_2``
 (one more), and no route measures another: a 3x3 solve takes no
-eigen-decomposition; a 4x4 one, Gaussian or Hermitian, shares one
-between the common eigenvector test and the flag search or the
-deflation.  On generic 4x4 Gaussians ``classify`` centres once and
-shares one eigen-decomposition between its three tests.  Its
-nonsingularity test takes one SVD of ``A`` itself directly, which is
-not counted.
+eigen-decomposition, and neither does a Gaussian 4x4 one, whose
+commutator bound clears the common eigenvector test and whose first
+flag comes from the dodecic, before the eigenvector points; a
+Hermitian one, which the bound cannot clear, shares one between the
+common eigenvector test and the deflation.  On generic 4x4 Gaussians
+``classify`` centres once and shares one eigen-decomposition between
+its three tests.  Its nonsingularity test takes one SVD of ``A`` itself
+directly, which is not counted.
 
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
 Gaussian gates the flag of the best of the dodecic's three
@@ -23,18 +25,21 @@ best of them, and no root or unitary refinement.  The dodecic is kept on its
 pencil forms it once.
 
 A ``tridiag`` request of the CLI prepares its input once: one
-``pencil._centred``, one ``linalg.eigen`` and one common eigenvector
-test (``Pencil.common``) serve the genericity screen, the solve and
-``--all-flags`` alike, and with ``--all-flags`` the solve and the flag
+``pencil._centred``, one common eigenvector test (``Pencil.common``)
+and one ``linalg.eigen``, which the screen's eigenvalue gap forms and
+the solve does not need, serve the genericity screen, the solve and ``--all-flags``
+alike, and with ``--all-flags`` the solve and the flag
 list share one dodecic and the best sheets over its three
 best-conditioned roots (``Pencil._first_sheets``).  It takes three norms (the centring, ``||A||_2``
 and ``verify``'s), and under ``--json`` it never builds its text lines.
 ``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
 its screen and its three counts, however many trials it runs.
 
-``np.linalg.svd`` is wrapped too: a Gaussian solve takes at most six SVDs
+``np.linalg.svd`` is wrapped too: a Gaussian solve takes at most four SVDs
 (it took seven on every seed while ``pencil._certify`` took a kernel
-vector and ``sigma4`` of its own), and each ``_certify`` call takes one.
+vector and ``sigma4`` of its own, and up to six while it formed
+``Pencil.eigen`` and screened the eigenvector points before its first
+flag), and each ``_certify`` call takes one.
 """
 
 import functools
@@ -72,14 +77,13 @@ def calls(monkeypatch):
     return counts
 
 
-def test_solve_makes_one_eigen_call_and_two_norms(calls):
+def test_solve_makes_no_eigen_call_and_two_norms(calls):
     for seed in SEEDS:
         a = make_matrix("gaussian", 4, seed)
         calls.update(eigen=0, matrix_norm=0)
         r = tridiagonalize(a)
         assert r.provenance == "section_zero", seed
-        assert calls["eigen"] == 1, seed
-        assert calls["matrix_norm"] <= 2, seed
+        assert calls == {"eigen": 0, "matrix_norm": 2}, seed
 
 
 def test_three_by_three_solve_makes_two_norms(calls):
@@ -118,14 +122,14 @@ def svds(monkeypatch):
     return calls
 
 
-def test_solve_takes_at_most_six_svds(svds):
-    # two norms, the eigen-decomposition, sigma4 over the first sheets and
-    # the certificate's on-curve test; the eigenvector-point screen takes its
-    # SVD only of rows its determinant bound keeps, which on most seeds is none
+def test_solve_takes_at_most_four_svds(svds):
+    # two norms, sigma4 over the first sheets and the certificate's on-curve
+    # test: the first flag comes before the eigen-decomposition and the
+    # eigenvector-point screen
     for seed in SEEDS:
         svds.clear()
         assert tridiagonalize(make_matrix("gaussian", 4, seed)).provenance == "section_zero", seed
-        assert len(svds) <= 6, seed
+        assert len(svds) <= 4, seed
 
 
 def test_certify_takes_one_svd(svds, monkeypatch):

@@ -109,9 +109,7 @@ def test_counts_take_only_the_screen_from_genericity():
 
 #: Public functions that nothing in the package calls and ``__all__`` leaves out, with the reason each stays.
 UNCALLED_PUBLIC = {
-    "tridiagonalize.flag_residuals": "the flag characterizations, the reference the tests measure flags by",
     "generate.random_unitary": "Haar unitaries, the structured inputs of the tests and the demos",
-    "linalg.projective_distance": "the Fubini-Study distance, the reference the tests measure points and clusters by",
 }
 
 

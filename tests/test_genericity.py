@@ -8,6 +8,8 @@ from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, pencil_matrix
 
+from helpers import projective_distance
+
 N4 = jordan_block(4)
 
 
@@ -97,7 +99,7 @@ class TestCommonEigenvectors:
         found = classify(a).common_eigenvectors
         for k in (2, 3):
             ek = np.eye(4)[k]
-            assert any(linalg.projective_distance(v, ek) < 1e-8 for v in found)
+            assert any(projective_distance(v, ek) < 1e-8 for v in found)
 
     def test_random_matrix_has_none(self):
         for s in range(30):

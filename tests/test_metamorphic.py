@@ -8,6 +8,11 @@ shift lands within roundoff of an eigenvalue).  So ``tridiagonalize``
 must pass both residual gates on the transformed input, ``classify``
 must give the same ``(s1, s2, s3, #common)``, and the counting
 experiments must still give ``(4, 6, 12)``; the provenance may change.
+
+The commutator bound of ``Pencil.common`` reads ``A A* - A* A``, which a
+unitary similarity conjugates and a unit phase leaves alone: whether it
+clears, and the number of common eigenvectors, do not change under
+either, near the common-eigenvector set as well as away from it.
 """
 
 import numpy as np
@@ -17,7 +22,10 @@ from hypothesis import strategies as st
 from tridiag4.degrees import run_experiments
 from tridiag4.generate import make_matrix, random_unitary
 from tridiag4.genericity import classify
+from tridiag4.pencil import Pencil
 from tridiag4.tridiagonalize import tridiagonalize
+
+from helpers import near_common
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -80,3 +88,20 @@ def test_adjoint(seed):
 def test_transpose(seed):
     a = make_matrix("gaussian", 4, seed)
     check(a, a.T)
+
+
+def common_bound(a):
+    """Whether the commutator bound clears ``A``'s unit pencil (it forms no ``eigen``), and how many common eigenvectors it has."""
+    p = Pencil(a).unit
+    count = len(p.common)
+    return "eigen" not in vars(p), count
+
+
+@given(seeds, seeds, st.sampled_from([1e-10, 1e-6, 1e-4, 1e-2]), st.floats(0, 2 * np.pi))
+@settings(max_examples=40, deadline=None)
+def test_common_bound_under_similarity_and_phase(seed, v_seed, d, theta):
+    a = near_common(d, seed)
+    v = random_unitary(4, np.random.default_rng(v_seed))
+    expected = common_bound(a)
+    assert common_bound(v @ a @ np.conj(v).T) == expected
+    assert common_bound(np.exp(1j * theta) * a) == expected

@@ -27,6 +27,8 @@ from tridiag4.pencil import (
     section_zeros,
 )
 
+from helpers import near_common, projective_distance
+
 N4 = jordan_block(4)
 
 
@@ -78,7 +80,7 @@ def common_one_at_a_time(p):
         mu = np.vdot(v, w)
         if np.linalg.norm(w - mu * v) <= 1e-8:
             cv = linalg.canonical_projective(v)
-            if all(linalg.projective_distance(cv, u) > 1e-8 for u in found):
+            if all(projective_distance(cv, u) > 1e-8 for u in found):
                 found.append(cv)
     return found
 
@@ -182,6 +184,31 @@ class TestPreparedOnce:
         assert sizes == {"hermitian": {4}, "normal_repeated": {3, 4}, "gaussian": {0}}.get(kind, {2})
 
 
+class TestCommutatorBound:
+    """:attr:`Pencil.common` clears with the bound ``min |eigvalsh(A A* - A* A)| > 4*CERT_TOL`` before it forms :attr:`Pencil.eigen`, and never clears a pencil with a common eigenvector."""
+
+    def test_bound_never_clears_a_common_eigenvector(self):
+        reached = set()
+        for d in 10.0 ** np.arange(-11, -1):
+            for seed in range(20):
+                p = Pencil(near_common(d, seed)).unit
+                got, cleared = p.common, "eigen" not in vars(p)
+                # the per-vector rule reads p.eigen, so it runs after the bound has answered
+                expected = common_one_at_a_time(p)
+                assert len(got) == len(expected), (d, seed)
+                for g, e in zip(got, expected):
+                    np.testing.assert_array_equal(g, e)
+                reached.add((cleared, bool(expected)))
+        # cleared with nothing to find, not cleared with a common eigenvector, and not cleared with none
+        assert reached == {(True, False), (False, True), (False, False)}
+
+    def test_gaussians_are_cleared_without_eigen(self):
+        for seed in range(2000):
+            p = Pencil(make_matrix("gaussian", 4, seed)).unit
+            assert p.common == [], seed
+            assert "eigen" not in vars(p), seed
+
+
 class TestPencilMatrix:
     def test_unit_t0_gives_identity(self):
         p = Pencil(make_matrix("gaussian", 4, 0))
@@ -239,7 +266,7 @@ class TestFiberPoints:
         assert len(pts) == 4
         expected = linalg.canonical_projective([0.0, 1.0, 0.0])
         for t, _ in pts:
-            assert linalg.projective_distance(t, expected) < 1e-8
+            assert projective_distance(t, expected) < 1e-8
 
     def test_fiber_points_lie_on_curve(self):
         a = make_matrix("gaussian", 4, 4)
@@ -256,7 +283,7 @@ class TestFiberPoints:
         pts = curve_points(Pencil(a), 0.3 - 0.8j)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert linalg.projective_distance(pts[i][0], pts[j][0]) > 1e-6
+                assert projective_distance(pts[i][0], pts[j][0]) > 1e-6
 
 
 class TestKernelVector:
@@ -431,7 +458,7 @@ class TestSectionZeros:
         a = make_matrix("tridiagonal", 4, 14)
         zeros = section_zeros(Pencil(a))
         e1 = np.eye(4)[0]
-        assert any(linalg.projective_distance(z.v, e1) < 1e-6 for z in zeros)
+        assert any(projective_distance(z.v, e1) < 1e-6 for z in zeros)
 
     def test_random_matrix_count_within_bound(self):
         a = make_matrix("gaussian", 4, 15)
@@ -473,7 +500,7 @@ class TestSectionZeros:
             _, s, vh = np.linalg.svd(b)
             assert s[2] <= 1e-10 * s[0]
             assert s[1] > 1e-10 * s[0]  # rank 2: the kernel is one line
-            assert linalg.projective_distance(np.conj(vh[-1]), t) < 1e-8
+            assert projective_distance(np.conj(vh[-1]), t) < 1e-8
 
     def test_sorted_by_sigma4(self):
         a = make_matrix("gaussian", 4, 18)
@@ -508,7 +535,7 @@ class TestSectionZeros:
                 # the kernel vectors do not move with the shift
                 reference = [z.v for z in section_zeros(Pencil(g))]
                 for z in zeros:
-                    assert min(linalg.projective_distance(z.v, u) for u in reference) <= 1e-6, seed
+                    assert min(projective_distance(z.v, u) for u in reference) <= 1e-6, seed
 
     @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200, 1e300])
     def test_jordan_block_at_large_scale(self, scale):
@@ -518,7 +545,7 @@ class TestSectionZeros:
         assert len(zeros) == 2
         corners = [np.eye(3)[1], np.eye(3)[2]]
         for z in zeros:
-            assert min(linalg.projective_distance(z.t, c) for c in corners) < 1e-12
+            assert min(projective_distance(z.t, c) for c in corners) < 1e-12
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e160, 1e300])
     def test_degree_guard_skips_the_joint_pass(self, scale, monkeypatch):
@@ -582,13 +609,13 @@ class TestSectionZeros:
             pencil.SectionCandidate(near, v, 1e-9, eye, False),
             pencil.SectionCandidate(apart, v, 4e-9, eye, False),
         ]
-        assert 5e-10 < linalg.projective_distance(t, near) < 2e-9
-        assert 5e-8 < linalg.projective_distance(t, apart) < 2e-7
+        assert 5e-10 < projective_distance(t, near) < 2e-9
+        assert 5e-8 < projective_distance(t, apart) < 2e-7
         monkeypatch.setattr(pencil, "_flag_points", lambda p: iter(cands))
         zeros = section_zeros(Pencil(N4))  # centred already: the points come back as they went in
         assert [z.sigma4 for z in zeros] == [1e-9, 2e-9, 4e-9]
         for z, point in zip(zeros, (near, far, apart)):
-            assert linalg.projective_distance(z.t, point) < 1e-12
+            assert projective_distance(z.t, point) < 1e-12
 
     def test_block_matrix_shortcut(self):
         # a 2+2 block matrix has an invariant plane; its eigenvector points
@@ -736,7 +763,7 @@ def distinct_one_pair_at_a_time(rows, tol):
     """:func:`pencil._distinct` as the greedy rule on :func:`linalg.projective_distance`, one pair at a time."""
     kept = []
     for i, row in enumerate(rows):
-        if all(linalg.projective_distance(row, rows[j]) > tol for j in kept):
+        if all(projective_distance(row, rows[j]) > tol for j in kept):
             kept.append(i)
     return kept
 

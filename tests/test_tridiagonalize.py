@@ -14,10 +14,11 @@ from tridiag4.tridiagonalize import (
     _direct,
     _match,
     _refine_unitary,
-    flag_residuals,
     tridiagonalize,
     verify,
 )
+
+from helpers import flag_residuals, projective_distance
 
 N4 = jordan_block(4)
 SCALES = (1e-150, 1e-40, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e40, 1e150)
@@ -397,7 +398,7 @@ class TestBuildFlag:
         zeros = section_zeros(Pencil(a))
         e1 = np.eye(4)[0]
         cand = next(
-            z for z in zeros if linalg.projective_distance(z.v, e1) < 1e-6
+            z for z in zeros if projective_distance(z.v, e1) < 1e-6
         )
         basis = flag_from_vector(a, cand.v)
         for k in range(4):
