@@ -50,9 +50,9 @@ for k in range(4):
 
 # --- all flag points -------------------------------------------------------
 # the bases [1 : mu] of the flag points are the 12 roots of one dodecic; a
-# point counts when its flag passes the solver's gate, and the rejected roots
-# are refined on the dodecic, the worst one alone and then the rest as one
-# stack, and gated again
+# point counts when its flag passes the solver's gate, and when a root is
+# rejected the count refines all twelve together on the dodecic and gates the
+# rejected ones again, as one stack
 zeros = section_zeros(pencil)
 print(f"\nflag points whose flags pass the gate: {len(zeros)} (the roots of a dodecic: 12 for generic A)")
 far = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) >= 2

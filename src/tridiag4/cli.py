@@ -154,9 +154,9 @@ def cmd_tridiag(args) -> int:
     a = _read_input(args.input)
     timings["parse"] = 1e3 * (time.perf_counter() - t0)
 
-    # one preparation per request: the centring and, for n = 4, the
-    # eigen-decomposition and the common eigenvector test are paid under
-    # "classify", and the solve and --all-flags read them again
+    # one preparation per request: the centring and, for n = 4, the common
+    # eigenvector test are paid under "classify", and the solve and
+    # --all-flags read them again
     pencil = Pencil(a)
     t0 = time.perf_counter()
     genericity = _classify(pencil, args.seed).as_dict()

@@ -108,10 +108,11 @@ def classify(a, seed: int = 0) -> GenericityReport:
 
     ``s1`` is ``sigma_min > 1e-10 * sigma_max`` from one SVD of ``A``;
     ``s2`` is the smallest eigenvalue gap of the centred ``C`` above
-    ``CERT_TOL``.  For ``n = 4`` the rank screen (:func:`_pencil_rank`)
-    and the common eigenvector test read the ``Pencil`` of ``C``
-    (:attr:`Pencil.unit`), its one eigen-decomposition and its common
-    eigenvectors (:attr:`Pencil.common`); for ``n < 4`` ``s3`` is True,
+    ``CERT_TOL``, from one ``eigvals`` of ``C``.  For ``n = 4`` the rank
+    screen (:func:`_pencil_rank`) and the common eigenvector test read the
+    ``Pencil`` of ``C`` (:attr:`Pencil.unit`) and its common eigenvectors
+    (:attr:`Pencil.common`), whose commutator bound clears a generic ``C``
+    without an eigen-decomposition; for ``n < 4`` ``s3`` is True,
     with no common eigenvectors and no witness.  ``details`` quotes the
     number that decided each failed test.  ``seed``, which draws the rank
     screen's vector, is a Python or numpy integer (not ``bool``) of at
@@ -126,13 +127,9 @@ def _classify(pencil: Pencil, seed: int) -> GenericityReport:
     n = pencil.a.shape[0]
     sv = np.linalg.svd(pencil.a, compute_uv=False)
     s1 = bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0])
-    s3, witness, quote, common = True, None, None, []
-    if n == 4:
-        lam = pencil.unit.eigen[0]
-        s3, witness, quote = _pencil_rank(pencil, seed)
-        common = list(pencil.unit.common)
-    else:
-        lam = np.linalg.eigvals(pencil.centred[0])
+    s3, witness, quote = _pencil_rank(pencil, seed) if n == 4 else (True, None, None)
+    common = list(pencil.unit.common) if n == 4 else []
+    lam = np.linalg.eigvals(pencil.centred[0])
     gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, 1)]
     gap = gaps.min() if gaps.size else np.inf
     s2 = bool(gap > CERT_TOL)

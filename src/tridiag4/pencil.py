@@ -23,9 +23,11 @@ nine are formed only when more candidates are asked for.  The dodecic's
 13 samples on the unit circle come from ``eigh``, since there ``N`` is a
 phase times a Hermitian matrix.  A point
 counts when its flag (:func:`_flag_bases`) passes :func:`_passes`, the
-solver's own gate (:func:`_certify`); when a root is rejected, all twelve
-are refined together by Aberth-Ehrlich steps on the dodecic's direct
-values (:func:`_refine_roots`), and the rejected ones are gated again.
+solver's own gate (:func:`_certify`).  Only the count goes further: when
+a root is rejected, :func:`section_zeros` refines all twelve together by
+Aberth-Ehrlich steps on the dodecic's direct values (:func:`_refine_roots`)
+and gates the rejected ones again, where the solver starts Gauss-Newton
+from the flags of the best sheets instead.
 Every point reaches the gate with the kernel vector and ``sigma4`` it was
 found with: a sheet's eigenvector of ``N``, or an eigenvector point's
 singular vector from :attr:`Pencil.eigen`, whose ``sigma4`` the screen
@@ -132,11 +134,12 @@ class Pencil:
     def eigen(self):
         """:func:`linalg.eigen` of ``A``, taken on first use and kept.
 
-        The eigenvector points of the flag search, the common eigenvector
-        test and the eigenvalue gap of :func:`genericity.classify` all read
-        this one decomposition.  A generic solve reads none of them: its
-        commutator bound clears :attr:`common` and its first flag comes
-        before the eigenvector points, so it forms no ``eigen``.
+        The eigenvector points of the flag search and the common
+        eigenvector test both read this one decomposition.  A generic solve
+        or ``classify`` reads neither: the commutator bound clears
+        :attr:`common`, a solve's first flag comes before the eigenvector
+        points, and ``classify`` takes its eigenvalue gap from ``eigvals``,
+        so neither forms ``eigen``.
         """
         return linalg.eigen(self.a)
 
@@ -154,9 +157,10 @@ class Pencil:
     def _roots(self) -> np.ndarray:
         """:func:`_dodecic_roots` of this pencil, read-only, taken on first use and kept.
 
-        Read only by :func:`_flag_points`, on a :attr:`unit`, as
-        :func:`_dodecic_roots` requires: the solve's flag points and
-        :func:`section_zeros` on the same ``unit`` share this one dodecic.
+        Read on a :attr:`unit`, as :func:`_dodecic_roots` requires, by
+        :func:`_flag_points`, by the solver's Gauss-Newton starts and by the
+        joint pass of :func:`section_zeros`: a solve and a count on the same
+        ``unit`` share this one dodecic.
         """
         return _frozen(_dodecic_roots(self))
 
@@ -202,8 +206,6 @@ class Pencil:
         v = self.eigen[1]
         w = self.astar @ v
         ok = np.linalg.norm(w - np.sum(np.conj(v) * w, axis=0) * v, axis=0) <= CERT_TOL
-        if not ok.any():
-            return []
         rows = canonical_projective(v.T[ok])
         return list(rows[_distinct(rows)])
 
@@ -592,18 +594,14 @@ def _flag_points(pencil: Pencil):
     measures how far ``W3`` is from dimension 3); the screen takes the SVD
     only of the points its determinant bound keeps (:func:`_section_score`
     with ``screen``), which on a Gaussian is usually none.  Then the other
-    11 roots, sorted by ``sigma4``.  Only then, when some root is rejected
-    and the dodecic has all 12 roots, are all twelve refined together
-    (:func:`_refine_roots`) and the best sheets over the rejected ones
-    gated as one stack.  A dodecic of lower degree is left alone: on a
-    nilpotent Jordan block it collapses to about ``mu^6``, and its refined
-    roots certified 8 points where 2 are right.  Deterministic, and lazy:
-    the dodecic and the sheets over its first three roots are formed
-    once per pencil, on first use; the eigenvector points, and with them
-    :attr:`Pencil.eigen`, only when the first root's candidate has been
-    consumed; the sheets over the other nine roots only when the
-    eigenvector points have, and the refinement only when all twelve
-    have.
+    11 roots, sorted by ``sigma4``.  The generator's return value is the
+    indices into :attr:`Pencil._roots` of the rejected roots, and ``[]``
+    when the dodecic is empty: :func:`section_zeros` alone refines them.
+    Deterministic, and lazy: the dodecic and the sheets over its first
+    three roots are formed once per pencil, on first use; the eigenvector
+    points, and with them :attr:`Pencil.eigen`, only when the first root's
+    candidate has been consumed; the sheets over the other nine roots only
+    when the eigenvector points have.
     ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
     and :func:`_dodecic_roots` require.
     """
@@ -619,15 +617,13 @@ def _flag_points(pencil: Pencil):
     if screened.any():
         yield from _certify(pencil, t[screened], v[screened], score[screened])[1]
     if mu.size == 0:
-        return
+        return []
     sheets = [np.concatenate(x) for x in zip(sheets, _best_sheets(pencil, mu[_FIRST_ROOTS:]))]
     order = np.argsort(sheets[2])
     order = order[order != best]
     ok_rest, rest = _certify(pencil, *(x[order] for x in sheets))
     yield from rest
-    rejected = np.concatenate([[best], order])[~np.concatenate([ok_first, ok_rest])]
-    if rejected.size and mu.size == 12:
-        yield from _certify(pencil, *_best_sheets(pencil, _refine_roots(pencil, mu)[rejected]))[1]
+    return np.concatenate([[best], order])[~np.concatenate([ok_first, ok_rest])]
 
 
 def _centred(a: np.ndarray):
@@ -684,11 +680,11 @@ def section_zeros(pencil: Pencil):
     """All flag points of the pencil whose flags pass the gate, sorted by their sigma4.
 
     Collects :func:`_flag_points`: the eigenvector points of A and A*,
-    and the roots of the dodecic, each kept only when it passes
-    :func:`_certify` (on the curve, with a flag whose off-band residual
-    is at most ``CERT_TOL`` and whose unitarity residual is at most
-    ``UNITARITY_TOL``), so there are never more than the solver could
-    return.  Points within projective distance ``CERT_TOL`` of each
+    and the roots of the dodecic, refined as below, each kept only when
+    it passes :func:`_certify` (on the curve, with a flag whose off-band
+    residual is at most ``CERT_TOL`` and whose unitarity residual is at
+    most ``UNITARITY_TOL``), so there are never more than the solver
+    could return.  Points within projective distance ``CERT_TOL`` of each
     other count once, with the smaller ``sigma4``: in that order,
     :func:`_distinct` keeps a point unless it is that near one kept before
     it.  On a generic matrix the result has exactly 12 entries.  The
@@ -697,9 +693,22 @@ def section_zeros(pencil: Pencil):
     on neither the scale nor the shift of ``A``.  The result is empty when
     nothing passes, as on degenerate inputs; ``ValueError`` unless the
     pencil is 4x4.
+
+    When :func:`_flag_points` rejects a root and the dodecic has all 12,
+    all twelve are refined together (:func:`_refine_roots`) and the best
+    sheets over the rejected ones gated as one stack.  A dodecic of lower
+    degree is left alone: on a nilpotent Jordan block it collapses to about
+    ``mu^6``, and its refined roots certified 8 points where 2 are right.
     """
     _, scale, shift = pencil.centred
-    cands = sorted(_flag_points(pencil.unit), key=lambda z: (z.sigma4, tuple(np.round(z.t, 9).view(float))))
+    unit = pencil.unit
+
+    def points():
+        rejected = yield from _flag_points(unit)
+        if len(rejected) and unit._roots.size == 12:
+            yield from _certify(unit, *_best_sheets(unit, _refine_roots(unit, unit._roots)[rejected]))[1]
+
+    cands = sorted(points(), key=lambda z: (z.sigma4, tuple(np.round(z.t, 9).view(float))))
     t = np.array([z.t for z in cands]).reshape(-1, 3)
     kept = _distinct(t)
     # only t moves to the pencil of A: v, sigma4 and the flag, which tridiagonalizes A too, stay

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .pencil import _EYE, _FAR, Pencil, _flag_bases, _flag_points, _frozen, _measure, _off_max, _passes
+from .pencil import _EYE, _FAR, Pencil, _best_sheets, _flag_bases, _flag_points, _frozen, _measure, _off_max, _passes
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -89,18 +89,21 @@ def _direct(pencil: Pencil, tol: float):
     unmeasured: the caller measures it (:func:`pencil._measure`).
     n = 3 yields the :func:`_flag3` flag.  A 4x4 ``C`` reads the pencil's
     :attr:`Pencil.unit`, whose one eigen-decomposition (:attr:`Pencil.eigen`)
-    the common eigenvector test (:attr:`Pencil.common`), the eigenvector
-    points of the flag search and, on the CLI, the genericity screen
-    share; a generic ``C`` forms none, since the commutator bound of
-    :attr:`Pencil.common` clears it and the first flag of
-    :func:`_flag_points` comes from the dodecic.  A common eigenvector
+    the common eigenvector test (:attr:`Pencil.common`) and the eigenvector
+    points of the flag search share; a generic ``C`` forms none, since the
+    commutator bound of :attr:`Pencil.common` clears it and the first flag
+    of :func:`_flag_points` comes from the dodecic.  A common eigenvector
     ``v`` comes first: its flag is ``v``, then ``W`` times the 3x3 flag of
     ``W* C W`` for the orthonormal basis ``W`` of its complement that one
     SVD of the row ``v*`` gives.  Then come the flags that
-    :func:`_flag_points` carries, already gated at ``CERT_TOL`` on ``C``,
-    and last the unitary refined from the Schur basis of ``C`` (the ``qr``
-    of ``eig``'s eigenvector matrix) to ``1e-2 * tol``, when that
-    converges.
+    :func:`_flag_points` carries, already gated at ``CERT_TOL`` on ``C``.
+    Last, Gauss-Newton (:func:`_refine_unitary`) starts from the flags of
+    the best sheets over all the dodecic's roots (:func:`pencil._best_sheets`
+    of :attr:`Pencil._roots`, grown as one stack), smallest off-band
+    residual on ``C`` first, and each start that converges to ``1e-2 *
+    tol`` is yielded as ``refined``.  Near normal inputs these flags are
+    near flags that pass, where a Schur basis makes ``T`` diagonal and the
+    Jacobian loses rank.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
@@ -111,12 +114,14 @@ def _direct(pencil: Pencil, tol: float):
         w = np.conj(np.linalg.svd(np.conj(common[0])[None])[2][1:]).T
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
         yield np.conj(basis).T, "common_eigenvector_deflation"
-    for cand in _flag_points(pencil.unit):
+    unit = pencil.unit
+    for cand in _flag_points(unit):
         yield np.conj(cand.basis).T, "shortcut_dimW3" if cand.shortcut else "section_zero"
-    q = np.linalg.qr(np.linalg.eig(c)[1])[0]
-    u = _refine_unitary(c, np.conj(q).T, tol)
-    if u is not None:
-        yield u, "refined"
+    starts = np.conj(_flag_bases(unit.a, unit.astar, _best_sheets(unit, unit._roots)[1])).swapaxes(1, 2)
+    for i in np.argsort(_measure(unit.a, starts)[1]):
+        u = _refine_unitary(c, starts[i], tol)
+        if u is not None:
+            yield u, "refined"
 
 
 def _refine_unitary(a, u, tol: float):

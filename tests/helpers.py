@@ -3,8 +3,9 @@
 :func:`flag_residuals` is the two flag characterizations and
 :func:`projective_distance` the Fubini-Study distance of two points, each
 written out one step at a time, independently of the stacked kernels of
-``tridiag4``.  :func:`near_common` builds the inputs that sit near the
-set where ``A`` and ``A*`` share an eigenvector.
+``tridiag4``.  :func:`near_structured` builds the near-structured corpus
+and :func:`near_common` the inputs that sit near the set where ``A`` and
+``A*`` share an eigenvector.
 """
 
 import numpy as np
@@ -57,6 +58,23 @@ def projective_distance(u, v) -> float:
         raise ValueError("projective points must be nonzero")
     a, b = a / na, b / nb
     return float(min(1.0, np.linalg.norm(b - a * np.vdot(a, b))))
+
+
+def near_structured(kind, d, seed):
+    """``X + d*||X||*G/||G||`` for a structured ``X`` and a complex Gaussian ``G``."""
+    rng = np.random.default_rng([seed, 99])
+    if kind == "unitary":
+        x = random_unitary(4, rng)
+    elif kind == "normal":
+        q = random_unitary(4, rng)
+        x = q @ np.diag(random_gaussian(4, rng)[0]) @ np.conj(q).T
+    else:
+        g = random_gaussian(4, rng)
+        x = (g + np.conj(g).T) / 2
+        if kind == "skew_hermitian_plus_2i":
+            x = 1j * x + 2 * np.eye(4)
+    g = random_gaussian(4, rng)
+    return x + d * linalg.matrix_norm(x) * g / linalg.matrix_norm(g)
 
 
 def near_common(d, seed):

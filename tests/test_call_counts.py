@@ -8,16 +8,19 @@ commutator bound clears the common eigenvector test and whose first
 flag comes from the dodecic, before the eigenvector points; a
 Hermitian one, which the bound cannot clear, shares one between the
 common eigenvector test and the deflation.  On generic 4x4 Gaussians
-``classify`` centres once and shares one eigen-decomposition between
-its three tests.  Its nonsingularity test takes one SVD of ``A`` itself
-directly, which is not counted.
+``classify`` centres once and takes no eigen-decomposition: its
+eigenvalue gap comes from ``eigvals`` and the commutator bound clears
+its common eigenvector test.  Its nonsingularity test takes one SVD of
+``A`` itself directly, which is not counted.
 
 ``pencil._certify`` is wrapped the same way: ``section_zeros`` on a
 Gaussian gates the flag of the best of the dodecic's three
 best-conditioned roots alone and the other 11 as one stack, so it makes
 two calls for its 12 points.  Only then, and only when all 12 roots are
 there, are the rejected roots refined: one joint pass over all twelve
-(``pencil._refine_roots``) and one more gate.  A Gaussian solve stops
+(``pencil._refine_roots``) and one more gate.  A solve never runs that
+pass: when every flag point is rejected it goes on to Gauss-Newton from
+the flags of the best sheets.  A Gaussian solve stops
 at the first flag of its lazy candidate stream: one dodecic, the best
 sheets over its three best-conditioned roots alone, one gate of the
 best of them, and no root or unitary refinement.  The dodecic is kept on its
@@ -25,11 +28,11 @@ best of them, and no root or unitary refinement.  The dodecic is kept on its
 pencil forms it once.
 
 A ``tridiag`` request of the CLI prepares its input once: one
-``pencil._centred``, one common eigenvector test (``Pencil.common``)
-and one ``linalg.eigen``, which the screen's eigenvalue gap forms and
-the solve does not need, serve the genericity screen, the solve and ``--all-flags``
-alike, and with ``--all-flags`` the solve and the flag
-list share one dodecic and the best sheets over its three
+``pencil._centred`` and one common eigenvector test (``Pencil.common``)
+serve the genericity screen, the solve and ``--all-flags`` alike; it
+takes no ``linalg.eigen``, or one with ``--all-flags``, whose flag list
+screens the eigenvector points.  With ``--all-flags`` the solve and the
+flag list share one dodecic and the best sheets over its three
 best-conditioned roots (``Pencil._first_sheets``).  It takes three norms (the centring, ``||A||_2``
 and ``verify``'s), and under ``--json`` it never builds its text lines.
 ``run_experiments`` likewise centres and eigen-decomposes ``A`` once for
@@ -55,6 +58,8 @@ from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
 from tridiag4.tridiagonalize import tridiagonalize
+
+from helpers import near_structured
 
 SEEDS = range(10000, 10020)
 
@@ -104,13 +109,13 @@ def test_deflation_makes_one_eigen_call_and_two_norms(calls):
         assert calls == {"eigen": 1, "matrix_norm": 2}, seed
 
 
-def test_classify_makes_one_eigen_call_and_one_norm(calls):
+def test_classify_makes_no_eigen_call_and_one_norm(calls):
     for seed in SEEDS:
         a = make_matrix("gaussian", 4, seed)
         calls.update(eigen=0, matrix_norm=0)
         report = classify(a)
         assert report.in_generic_set and not report.common_eigenvectors, seed
-        assert calls == {"eigen": 1, "matrix_norm": 1}, seed
+        assert calls == {"eigen": 0, "matrix_norm": 1}, seed
 
 
 @pytest.fixture
@@ -210,6 +215,23 @@ def test_solve_takes_only_the_first_flag(monkeypatch):
         assert counts == {"_certify": 1, "_dodecic_roots": 1, "_refine_roots": 0, "_refine_unitary": 0}, seed
 
 
+@pytest.mark.parametrize(("kind", "d"), [("hermitian", 1e-3), ("hermitian", 1e-6), ("skew_hermitian_plus_2i", 1e-6)])
+def test_refined_solve_takes_no_joint_pass(kind, d, monkeypatch):
+    # every root is rejected near these inputs; the solve goes on to
+    # Gauss-Newton from the flags of the best sheets, and only the count
+    # refines the roots
+    calls = []
+    refine = pencil._refine_roots
+    monkeypatch.setattr(pencil, "_refine_roots", lambda *args: calls.append(1) or refine(*args))
+    for seed in range(10):
+        a = near_structured(kind, d, seed)
+        assert tridiagonalize(a).provenance == "refined", seed
+        assert calls == [], seed
+        section_zeros(Pencil(a))
+        assert calls == [1], seed
+        calls.clear()
+
+
 def test_solve_takes_sheets_over_three_roots(monkeypatch):
     # the sheets over the other nine roots are formed only when the stream is resumed
     sizes = []
@@ -289,7 +311,8 @@ def test_cli_request_prepares_once(flags, request_calls, capsys, tmp_path):
         report = tridiag_report(capsys, tmp_path, a, *flags)
         assert report["result"]["provenance"] == "section_zero", seed
         assert len(report.get("flags", [None] * 12)) == 12, seed
-        assert request_calls == {"eigen": 1, "matrix_norm": 3, "_centred": 1, "common": 1}, seed
+        # only the flag list screens the eigenvector points
+        assert request_calls == {"eigen": len(flags), "matrix_norm": 3, "_centred": 1, "common": 1}, seed
 
 
 def test_all_flags_request_forms_one_dodecic(dodecics, capsys, tmp_path):

@@ -184,7 +184,7 @@ class TestTridiag:
 
     def test_near_hermitian_reports_refined(self, capsys, tmp_path):
         # no flag point certifies this close to a Hermitian matrix, so the
-        # unitary is refined from the Schur basis
+        # unitary is refined from the flag of a best sheet
         validate = load_schema("report.schema.json")
         a = make_matrix("hermitian", 4, 3) + 1e-6 * make_matrix("gaussian", 4, 4)
         path = tmp_path / "m.json"

@@ -96,6 +96,23 @@ def test_only_pencil_builds_the_circle_grid():
     assert [name for name, tree in _modules().items() if refers_to_pi(tree)] == ["pencil.py"]
 
 
+def test_only_pencil_takes_eig():
+    # the general eig of a stack of pencil matrices lives in pencil.py; the
+    # solver refines from the flags it carries, not from a Schur basis
+    def calls_eig(tree):
+        return any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "eig"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+            and _name(node.func.value.value) == "np"
+            for node in ast.walk(tree)
+        )
+
+    assert [name for name, tree in _modules().items() if calls_eig(tree)] == ["pencil.py"]
+
+
 def test_counts_take_only_the_screen_from_genericity():
     # the Krylov sextic and the curve points live in pencil.py; degrees.py asks genericity.py for the screen alone
     imported = [

@@ -6,7 +6,7 @@ import pytest
 
 from tridiag4 import linalg, pencil
 from tridiag4.errors import Unsolved
-from tridiag4.generate import jordan_block, make_matrix, random_gaussian, random_unitary
+from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, _flag_bases, _measure, _passes, section_zeros
 from tridiag4.tridiagonalize import (
@@ -18,7 +18,7 @@ from tridiag4.tridiagonalize import (
     verify,
 )
 
-from helpers import flag_residuals, projective_distance
+from helpers import flag_residuals, near_structured, projective_distance
 
 N4 = jordan_block(4)
 SCALES = (1e-150, 1e-40, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e40, 1e150)
@@ -28,23 +28,6 @@ def solve_quiet(a, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return tridiagonalize(a, **kw)
-
-
-def near_structured(kind, d, seed):
-    """``X + d*||X||*G/||G||`` for a structured ``X`` and a complex Gaussian ``G``."""
-    rng = np.random.default_rng([seed, 99])
-    if kind == "unitary":
-        x = random_unitary(4, rng)
-    elif kind == "normal":
-        q = random_unitary(4, rng)
-        x = q @ np.diag(random_gaussian(4, rng)[0]) @ np.conj(q).T
-    else:
-        g = random_gaussian(4, rng)
-        x = (g + np.conj(g).T) / 2
-        if kind == "skew_hermitian_plus_2i":
-            x = 1j * x + 2 * np.eye(4)
-    g = random_gaussian(4, rng)
-    return x + d * linalg.matrix_norm(x) * g / linalg.matrix_norm(g)
 
 
 def flag_from_vector(a, v):
@@ -216,14 +199,27 @@ class TestDispatch:
 
 
 class TestSectionPath:
-    @pytest.mark.parametrize("d", [1e-1, 1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("d", [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9])
     @pytest.mark.parametrize("kind", ["hermitian", "normal", "unitary", "skew_hermitian_plus_2i"])
     def test_near_structured_solves(self, kind, d):
-        # near these inputs the flag points crowd together and no root of the
-        # dodecic certifies; the refinement of U from the Schur basis solves them
-        for seed in range(5):
+        # near these inputs the flag points crowd together and often no root
+        # of the dodecic certifies; Gauss-Newton from the flags of the best
+        # sheets solves them without the perturbation ladder
+        for seed in range(20):
             a = near_structured(kind, d, seed)
-            assert_gates(a, tridiagonalize(a), seed)
+            r = tridiagonalize(a)
+            assert_gates(a, r, seed)
+            assert r.provenance != "perturbed", seed
+
+    @pytest.mark.parametrize(("kind", "d", "seed"), [("hermitian", 1e-6, 9), ("hermitian", 1e-4, 31), ("skew_hermitian_plus_2i", 1e-2, 52)])
+    def test_near_structured_refined_from_a_flag(self, kind, d, seed):
+        # from a Schur basis, where T is nearly diagonal and the Jacobian
+        # nearly loses rank, the first two fell through to the ladder; the
+        # third fails from the best flag start and converges from the second
+        a = near_structured(kind, d, seed)
+        r = tridiagonalize(a)
+        assert (r.provenance, r.perturbation_used) == ("refined", 0.0)
+        assert_gates(a, r, seed)
 
     def test_gaussian_flags_well_below_the_gate(self):
         # the first flag comes from the best of three best-conditioned roots;
@@ -237,7 +233,7 @@ class TestSectionPath:
 
     def test_flag_points_over_a_tight_gate_are_skipped(self):
         # at tol = 1e-13 no flag of this Gaussian's 12 flag points meets the
-        # gate: the loop passes over all of them to the refined Schur basis
+        # gate: the loop passes over all of them to Gauss-Newton from them
         a = make_matrix("gaussian", 4, 6)
         p = Pencil(a)
         flags = [u for u, provenance in _direct(p, 1e-13) if provenance == "section_zero"]
