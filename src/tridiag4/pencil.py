@@ -27,14 +27,17 @@ solver's own gate (:func:`_certify`).  Only the count goes further: when
 a root is rejected, :func:`section_zeros` refines all twelve together by
 Aberth-Ehrlich steps on the dodecic's direct values (:func:`_refine_roots`)
 and gates the rejected ones again, where the solver starts Gauss-Newton
-from the flags of the best sheets instead.
+from the flags of the best sheets instead, the flags the gate already
+built.
 Every point reaches the gate with the kernel vector and ``sigma4`` it was
 found with: a sheet's eigenvector of ``N``, or an eigenvector point's
 singular vector from :attr:`Pencil.eigen`, whose ``sigma4`` the screen
 takes only where a determinant bound cannot clear it.  So the gate takes
 one SVD, the on-curve test's singular values.
-:func:`_flag_points` yields the accepted points, each with its flag, to
-the solver and to :func:`section_zeros`.
+:func:`_flag_points` is the one place the sheets' flags are built: it
+yields every gated row, accepted or not, with its flag, its off-band
+residual and its root, and the solver and :func:`section_zeros` each read
+that one stream.
 
 This module is the base line's one home: :func:`_base_points` forms the
 curve points over a stack of bases, ``_CIRCLE`` holds the circle grids,
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -158,9 +162,9 @@ class Pencil:
         """:func:`_dodecic_roots` of this pencil, read-only, taken on first use and kept.
 
         Read on a :attr:`unit`, as :func:`_dodecic_roots` requires, by
-        :func:`_flag_points`, by the solver's Gauss-Newton starts and by the
-        joint pass of :func:`section_zeros`: a solve and a count on the same
-        ``unit`` share this one dodecic.
+        :func:`_flag_points`, whose rows carry their index into it, and by
+        the joint pass of :func:`section_zeros`: a solve and a count on the
+        same ``unit`` share this one dodecic.
         """
         return _frozen(_dodecic_roots(self))
 
@@ -354,8 +358,8 @@ def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([q, _widest(q, _EYE[n])[0][:, :, None]], axis=2)
 
 
-def _certify(pencil: Pencil, t, v, sigma4) -> tuple[np.ndarray, list[SectionCandidate]]:
-    """The rows ``(t, v, sigma4)`` whose flags pass the gate: their mask, and a :class:`SectionCandidate` for each, in order.
+def _certify(pencil: Pencil, t, v, sigma4) -> tuple[np.ndarray, np.ndarray, list[SectionCandidate]]:
+    """The rows ``(t, v, sigma4)``, gated: the mask of those whose flags pass, every row's off-band residual, and a :class:`SectionCandidate` for every row, in order.
 
     Each row is a point ``t`` of a (k, 3) stack, a kernel vector ``v`` of
     the pencil there (k, 4), as the caller already holds it (an eigenvector
@@ -371,15 +375,17 @@ def _certify(pencil: Pencil, t, v, sigma4) -> tuple[np.ndarray, list[SectionCand
     ``shortcut`` marks a row with ``min(|T[2,1]|, |T[1,2]|) <= CERT_TOL``,
     where ``W2`` is invariant under A or A*.  A candidate's ``v`` is its
     flag's first column: ``v``, normalized and phase-fixed.  ``T`` and the
-    residuals are taken by :func:`_measure`, all rows as one stack.  An
-    empty stack gives an empty mask and ``[]``.
+    residuals are taken by :func:`_measure`, all rows as one stack.  A
+    rejected row keeps its flag and residual, so the solver can start
+    Gauss-Newton from it; its ``t`` is a placeholder when it is not
+    finite.  An empty stack gives an empty mask, no residuals and ``[]``.
     """
     ok, t, _ = _certify_on_curve(pencil, t)
     basis = _flag_bases(pencil.a, pencil.astar, v)
     tri, off, unitarity = _measure(pencil.a, np.conj(basis).swapaxes(1, 2))
     ok &= _passes(off, unitarity, CERT_TOL)
     shortcut = np.minimum(np.abs(tri[:, 2, 1]), np.abs(tri[:, 1, 2])) <= CERT_TOL
-    return ok, [SectionCandidate(t[i], basis[i, :, 0], float(sigma4[i]), basis[i], bool(shortcut[i])) for i in np.flatnonzero(ok)]
+    return ok, off, [SectionCandidate(t[i], basis[i, :, 0], float(sigma4[i]), basis[i], bool(shortcut[i])) for i in range(len(ok))]
 
 
 def _distinguished_seeds(pencil: Pencil):
@@ -582,7 +588,16 @@ def _best_sheets(pencil: Pencil, mu: np.ndarray):
 
 
 def _flag_points(pencil: Pencil):
-    """The flag points whose flags pass the gate, one at a time, each group gated by one :func:`_certify` stack.
+    """Every gated flag point, accepted or not, one row at a time, each group gated by one :func:`_certify` stack.
+
+    A row is ``(ok, off, cand, root)``: whether its flag passes the gate,
+    that flag's off-band residual on the pencil's ``A``, its
+    :class:`SectionCandidate` (the flag included) and its index into
+    :attr:`Pencil._roots`, None for an eigenvector point.  This is the one
+    place the sheets' flags are built: the solver yields the accepted rows
+    and starts Gauss-Newton from the dodecic's rows, and
+    :func:`section_zeros` counts the accepted ones and refines the
+    rejected roots.
 
     Over each root of the dodecic the candidate is the sheet with the
     smallest ``sigma4``.  First, of the three best-conditioned roots (the
@@ -594,14 +609,12 @@ def _flag_points(pencil: Pencil):
     measures how far ``W3`` is from dimension 3); the screen takes the SVD
     only of the points its determinant bound keeps (:func:`_section_score`
     with ``screen``), which on a Gaussian is usually none.  Then the other
-    11 roots, sorted by ``sigma4``.  The generator's return value is the
-    indices into :attr:`Pencil._roots` of the rejected roots, and ``[]``
-    when the dodecic is empty: :func:`section_zeros` alone refines them.
-    Deterministic, and lazy: the dodecic and the sheets over its first
-    three roots are formed once per pencil, on first use; the eigenvector
-    points, and with them :attr:`Pencil.eigen`, only when the first root's
-    candidate has been consumed; the sheets over the other nine roots only
-    when the eigenvector points have.
+    11 roots, sorted by ``sigma4``.  Deterministic, and lazy: the dodecic
+    and the sheets over its first three roots are formed once per pencil,
+    on first use; the eigenvector points, and with them
+    :attr:`Pencil.eigen`, only when the first root's row has been
+    consumed; the sheets over the other nine roots only when the
+    eigenvector points' rows have.
     ``pencil`` is that of a :func:`_centred` matrix, as :func:`_certify`
     and :func:`_dodecic_roots` require.
     """
@@ -609,21 +622,17 @@ def _flag_points(pencil: Pencil):
     if mu.size:
         sheets = pencil._first_sheets
         best = int(np.argmin(sheets[2]))
-        ok_first, first = _certify(pencil, *(x[[best]] for x in sheets))
-        yield from first
+        yield from zip(*_certify(pencil, *(x[[best]] for x in sheets)), [best])
     t, v = _distinguished_seeds(pencil)
     score = _section_score(pencil, v, screen=True)
     screened = score <= np.sqrt(CERT_TOL)
     if screened.any():
-        yield from _certify(pencil, t[screened], v[screened], score[screened])[1]
-    if mu.size == 0:
-        return []
-    sheets = [np.concatenate(x) for x in zip(sheets, _best_sheets(pencil, mu[_FIRST_ROOTS:]))]
-    order = np.argsort(sheets[2])
-    order = order[order != best]
-    ok_rest, rest = _certify(pencil, *(x[order] for x in sheets))
-    yield from rest
-    return np.concatenate([[best], order])[~np.concatenate([ok_first, ok_rest])]
+        yield from zip(*_certify(pencil, t[screened], v[screened], score[screened]), repeat(None))
+    if mu.size:
+        sheets = [np.concatenate(x) for x in zip(sheets, _best_sheets(pencil, mu[_FIRST_ROOTS:]))]
+        order = np.argsort(sheets[2])
+        order = order[order != best]
+        yield from zip(*_certify(pencil, *(x[order] for x in sheets)), order)
 
 
 def _centred(a: np.ndarray):
@@ -696,19 +705,19 @@ def section_zeros(pencil: Pencil):
 
     When :func:`_flag_points` rejects a root and the dodecic has all 12,
     all twelve are refined together (:func:`_refine_roots`) and the best
-    sheets over the rejected ones gated as one stack.  A dodecic of lower
+    sheets over the rejected ones, read from its rows in the order they
+    came, gated as one stack.  A dodecic of lower
     degree is left alone: on a nilpotent Jordan block it collapses to about
     ``mu^6``, and its refined roots certified 8 points where 2 are right.
     """
     _, scale, shift = pencil.centred
     unit = pencil.unit
-
-    def points():
-        rejected = yield from _flag_points(unit)
-        if len(rejected) and unit._roots.size == 12:
-            yield from _certify(unit, *_best_sheets(unit, _refine_roots(unit, unit._roots)[rejected]))[1]
-
-    cands = sorted(points(), key=lambda z: (z.sigma4, tuple(np.round(z.t, 9).view(float))))
+    rows = list(_flag_points(unit))
+    rejected = [root for ok, _, _, root in rows if not ok and root is not None]
+    if rejected and unit._roots.size == 12:
+        # the refined sheets' rows carry no root: nothing reads it past here
+        rows += zip(*_certify(unit, *_best_sheets(unit, _refine_roots(unit, unit._roots)[rejected])), repeat(None))
+    cands = sorted((cand for ok, _, cand, _ in rows if ok), key=lambda z: (z.sigma4, tuple(np.round(z.t, 9).view(float))))
     t = np.array([z.t for z in cands]).reshape(-1, 3)
     kept = _distinct(t)
     # only t moves to the pencil of A: v, sigma4 and the flag, which tridiagonalizes A too, stay

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import Unsolved
-from .pencil import _EYE, _FAR, Pencil, _best_sheets, _flag_bases, _flag_points, _frozen, _measure, _off_max, _passes
+from .pencil import _EYE, _FAR, Pencil, _flag_bases, _flag_points, _frozen, _measure, _off_max, _passes
 
 #: Step budget of the Gauss-Newton refinement of ``U`` (:func:`_refine_unitary`).
 REFINE_STEPS = 40
@@ -95,15 +95,15 @@ def _direct(pencil: Pencil, tol: float):
     of :func:`_flag_points` comes from the dodecic.  A common eigenvector
     ``v`` comes first: its flag is ``v``, then ``W`` times the 3x3 flag of
     ``W* C W`` for the orthonormal basis ``W`` of its complement that one
-    SVD of the row ``v*`` gives.  Then come the flags that
-    :func:`_flag_points` carries, already gated at ``CERT_TOL`` on ``C``.
-    Last, Gauss-Newton (:func:`_refine_unitary`) starts from the flags of
-    the best sheets over all the dodecic's roots (:func:`pencil._best_sheets`
-    of :attr:`Pencil._roots`, grown as one stack), smallest off-band
-    residual on ``C`` first, and each start that converges to ``1e-2 *
-    tol`` is yielded as ``refined``.  Near normal inputs these flags are
-    near flags that pass, where a Schur basis makes ``T`` diagonal and the
-    Jacobian loses rank.
+    SVD of the row ``v*`` gives.  Then come the flags of the rows that
+    :func:`_flag_points` accepts, gated at ``CERT_TOL`` on ``C``.  Last,
+    Gauss-Newton (:func:`_refine_unitary`) starts from the flags of its
+    dodecic rows, accepted or not: the best sheet over each of
+    :attr:`Pencil._roots`, whose flag and off-band residual on ``C`` the
+    stream already carries.  The smallest residual goes first, ties by root
+    index, and each start that converges to ``1e-2 * tol`` is yielded as
+    ``refined``.  Near normal inputs these flags are near flags that pass,
+    where a Schur basis makes ``T`` diagonal and the Jacobian loses rank.
     """
     c = pencil.centred[0]
     if c.shape[0] == 3:
@@ -114,12 +114,14 @@ def _direct(pencil: Pencil, tol: float):
         w = np.conj(np.linalg.svd(np.conj(common[0])[None])[2][1:]).T
         basis = np.column_stack([common[0], w @ _flag3(np.conj(w).T @ c @ w)])
         yield np.conj(basis).T, "common_eigenvector_deflation"
-    unit = pencil.unit
-    for cand in _flag_points(unit):
-        yield np.conj(cand.basis).T, "shortcut_dimW3" if cand.shortcut else "section_zero"
-    starts = np.conj(_flag_bases(unit.a, unit.astar, _best_sheets(unit, unit._roots)[1])).swapaxes(1, 2)
-    for i in np.argsort(_measure(unit.a, starts)[1]):
-        u = _refine_unitary(c, starts[i], tol)
+    starts = []
+    for ok, off, cand, root in _flag_points(pencil.unit):
+        if ok:
+            yield np.conj(cand.basis).T, "shortcut_dimW3" if cand.shortcut else "section_zero"
+        if root is not None:
+            starts.append((off, root, cand.basis))
+    for *_, basis in sorted(starts, key=lambda start: start[:2]):
+        u = _refine_unitary(c, np.conj(basis).T, tol)
         if u is not None:
             yield u, "refined"
 
@@ -180,7 +182,8 @@ def tridiagonalize(a, *, tol: float = 1e-8, seed: int = 42, force_path: str | No
 
     ``seed`` seeds the perturbation ladder's direction.  ``ValueError``
     on an ``A`` that :class:`Pencil` rejects (not finite, not square, or
-    n outside 1..4), on a ``tol`` that is not positive and finite, on a
+    n outside 1..4), on a ``tol`` that is not a positive and finite Python
+    or numpy real scalar (or is a ``bool``), on a
     ``seed`` that is not a Python or numpy integer of at least 0 (or is a
     ``bool``), whichever path the input takes, and
     on a ``force_path`` other than None and ``"perturb"``.  The returned
@@ -208,8 +211,8 @@ def _solve(pencil: Pencil, *, tol: float, seed: int, force_path: str | None = No
     """
     a = pencil.a
     n = a.shape[0]
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive and finite real number, got {tol!r}")
     seed = linalg.as_integer("seed", seed, 0)
     if force_path not in (None, "perturb"):
         raise ValueError(f"force_path must be None or 'perturb', got {force_path!r}")

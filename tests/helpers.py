@@ -5,8 +5,13 @@
 written out one step at a time, independently of the stacked kernels of
 ``tridiag4``.  :func:`near_structured` builds the near-structured corpus
 and :func:`near_common` the inputs that sit near the set where ``A`` and
-``A*`` share an eigenvector.
+``A*`` share an eigenvector.  :func:`code_lines` is the size measure the
+roadmap tracks ``src/`` by.
 """
+
+import ast
+import io
+import tokenize
 
 import numpy as np
 
@@ -91,3 +96,23 @@ def near_common(d, seed):
     a = q @ x @ np.conj(q).T
     g = random_gaussian(4, rng)
     return a + d * linalg.matrix_norm(a) * g / linalg.matrix_norm(g)
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: no docstring, comment or blank line counts.
+
+    A line counts when a token other than a comment, a line break or an
+    indentation change touches it (a string or bracket spanning lines counts
+    every line it spans), unless it lies in the docstring of the module, a
+    class or a function, as ``ast`` finds them.
+    """
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)

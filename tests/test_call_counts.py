@@ -20,7 +20,8 @@ two calls for its 12 points.  Only then, and only when all 12 roots are
 there, are the rejected roots refined: one joint pass over all twelve
 (``pencil._refine_roots``) and one more gate.  A solve never runs that
 pass: when every flag point is rejected it goes on to Gauss-Newton from
-the flags of the best sheets.  A Gaussian solve stops
+the flags of the best sheets, the ones its gate built, so it forms the
+sheet over each root once.  A Gaussian solve stops
 at the first flag of its lazy candidate stream: one dodecic, the best
 sheets over its three best-conditioned roots alone, one gate of the
 best of them, and no root or unitary refinement.  The dodecic is kept on its
@@ -230,6 +231,19 @@ def test_refined_solve_takes_no_joint_pass(kind, d, monkeypatch):
         section_zeros(Pencil(a))
         assert calls == [1], seed
         calls.clear()
+
+
+@pytest.mark.parametrize(("kind", "d"), [("hermitian", 1e-3), ("skew_hermitian_plus_2i", 1e-2)])
+def test_refined_solve_forms_each_sheet_once(kind, d, monkeypatch):
+    # the Gauss-Newton starts are the flags the gate built: the bases passed
+    # to _base_points are the three first roots and the other nine, once
+    sizes = []
+    base_points = pencil._base_points
+    monkeypatch.setattr(pencil, "_base_points", lambda p, bases, *args: sizes.append(len(bases)) or base_points(p, bases, *args))
+    for seed in range(10):
+        sizes.clear()
+        assert tridiagonalize(near_structured(kind, d, seed)).provenance == "refined", seed
+        assert sizes == [3, 9], seed
 
 
 def test_solve_takes_sheets_over_three_roots(monkeypatch):

@@ -74,6 +74,13 @@ def test_one_measurement_one_result():
     assert _callers("_unitarity") == ["pencil.py:_measure"]
 
 
+def test_only_the_flag_point_stream_builds_sheets():
+    # the best sheets and their flags are built in pencil.py alone: the solver
+    # reads its Gauss-Newton starts off the rows of pencil._flag_points
+    callers = _callers("_best_sheets")
+    assert callers and all(caller.startswith("pencil.py:") for caller in callers), callers
+
+
 def test_only_pencil_roots_circle_samples():
     # np.fft and np.roots turn circle samples into roots in one place, pencil._circle_roots
     def numpy_roots(tree):

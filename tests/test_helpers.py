@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import projective_distance
+from helpers import code_lines, projective_distance
 
 
 def test_projective_distance_phase_invariant():
@@ -24,3 +24,35 @@ def test_projective_distance_resolves_nearby_points():
     for angle in (1e-7, 1e-10):
         b = np.cos(angle) * v + np.sin(angle) * (0.6 - 0.8j) * x
         assert projective_distance(v, b) == pytest.approx(np.sin(angle), rel=1e-6)
+
+
+SNIPPET = '''"""A module docstring,
+over two lines."""
+
+import numpy as np  # a trailing comment
+
+
+class Point:
+    """A class docstring."""
+
+    x: float = 0.0
+
+
+def f(a,
+      b):
+    """A function docstring,
+
+    over three lines.
+    """
+    # a comment alone
+    s = """a string that is not a docstring,
+over two lines"""
+    return np.hypot(a, b), s
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    # import, class, x, def over two lines, s over two lines, return
+    assert code_lines(SNIPPET) == 8
+    assert code_lines("") == 0
+    assert code_lines('"""Only a docstring."""\n# and a comment\n') == 0

@@ -27,7 +27,7 @@ from tridiag4.pencil import (
     section_zeros,
 )
 
-from helpers import near_common, projective_distance
+from helpers import near_common, near_structured, projective_distance
 
 N4 = jordan_block(4)
 
@@ -397,14 +397,16 @@ class TestCertifyOnCurve:
 class TestCertify:
     @staticmethod
     def assert_stack_matches_rows(p, rows):
-        ok, stacked = _certify(p, *rows)
+        # every row comes back, accepted or not, with its residual and candidate
+        ok, off, stacked = _certify(p, *rows)
         single = [_certify(p, *(x[[i]] for x in rows)) for i in range(len(rows[0]))]
-        assert ok.tolist() == [bool(one_ok[0]) for one_ok, _ in single]
-        alone = [cands[0] for _, cands in single if cands]
-        assert len(stacked) == len(alone)
-        for got, want in zip(stacked, alone):
+        assert len(ok) == len(off) == len(stacked) == len(single)
+        assert ok.tolist() == [bool(one_ok[0]) for one_ok, _, _ in single]
+        for got, got_off, (_, one_off, (want,)) in zip(stacked, off, single):
+            assert abs(got_off - one_off[0]) <= 1e-15
             np.testing.assert_allclose(got.t, want.t, rtol=0, atol=1e-15)
             np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.basis, want.basis, rtol=0, atol=1e-15)
             assert abs(got.sigma4 - want.sigma4) <= 1e-15
             assert got.shortcut == want.shortcut
         return ok, stacked
@@ -420,7 +422,7 @@ class TestCertify:
         off_rows = (off, off_v, _section_score(q, off_v))
         rows = [np.concatenate([x[:6], y[:2], x[6:], y[2:]]) for x, y in zip(sheets, off_rows)]
         ok, stacked = self.assert_stack_matches_rows(q, rows)
-        assert len(stacked) == 12
+        assert len(stacked) == 16 and ok.sum() == 12
         assert not ok[6:8].any() and not ok[-2:].any()
 
     def test_stack_with_shortcut_points(self):
@@ -433,11 +435,11 @@ class TestCertify:
         v = linalg.canonical_projective(np.array([np.eye(4)[0], rng.standard_normal(4), np.eye(4)[3], rng.standard_normal(4)], dtype=complex))
         ok, stacked = self.assert_stack_matches_rows(Pencil(N4), (t, v, _section_score(Pencil(N4), v)))
         assert ok.tolist() == [True, False, True, False]
-        assert [c.shortcut for c in stacked] == [True, True]
+        assert [c.shortcut for c, keep in zip(stacked, ok) if keep] == [True, True]
 
     def test_empty_stack(self):
-        ok, cands = _certify(Pencil(N4), np.empty((0, 3)), np.empty((0, 4)), np.empty(0))
-        assert ok.shape == (0,) and cands == []
+        ok, off, cands = _certify(Pencil(N4), np.empty((0, 3)), np.empty((0, 4)), np.empty(0))
+        assert ok.shape == off.shape == (0,) and cands == []
 
 
 class TestSectionResidual:
@@ -592,6 +594,25 @@ class TestSectionZeros:
             assert sorted(np.argmin(gap, axis=1)) == list(range(12)), seed
             assert gap.min(axis=1).max() <= 1e-9, seed
 
+    @pytest.mark.parametrize(
+        ("a", "accepted"),
+        [(make_matrix("gaussian", 4, 0), 12), (near_structured("hermitian", 1e-3, 0), 0)],
+        ids=["gaussian", "near-hermitian"],
+    )
+    def test_flag_points_yield_every_root_once(self, a, accepted):
+        # accepted or not, the best sheet over each root comes once, with its
+        # index into the dodecic and the off-band residual of its own flag
+        unit = Pencil(a).unit
+        rows = list(pencil._flag_points(unit))
+        roots = [root for *_, root in rows if root is not None]
+        assert sorted(roots) == list(range(12)) and roots[0] < 3
+        assert sum(bool(ok) for ok, *_, root in rows if root is not None) == accepted
+        for ok, off, cand, _ in rows:
+            u = np.conj(cand.basis).T
+            np.testing.assert_allclose(off, _off_max(u @ unit.a @ cand.basis), rtol=1e-12, atol=1e-17)
+            if ok:
+                assert off <= 1e-8 and np.linalg.norm(u @ cand.basis - np.eye(4), 2) <= 1e-10
+
     def test_near_points_count_once(self, monkeypatch):
         # two candidates 1e-9 apart count once, with the smaller sigma4,
         # whichever comes first; one 1e-7 away counts apart (the cluster
@@ -612,8 +633,8 @@ class TestSectionZeros:
         assert 5e-10 < projective_distance(t, near) < 2e-9
         assert 5e-8 < projective_distance(t, apart) < 2e-7
         def flag_points(p):
-            yield from cands
-            return []  # no rejected root, so no joint pass
+            # every row accepted, so no rejected root and no joint pass
+            yield from ((True, 0.0, cand, None) for cand in cands)
 
         monkeypatch.setattr(pencil, "_flag_points", flag_points)
         zeros = section_zeros(Pencil(N4))  # centred already: the points come back as they went in

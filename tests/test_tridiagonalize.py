@@ -8,7 +8,7 @@ from tridiag4 import linalg, pencil
 from tridiag4.errors import Unsolved
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.genericity import classify
-from tridiag4.pencil import Pencil, _flag_bases, _measure, _passes, section_zeros
+from tridiag4.pencil import CERT_TOL, Pencil, _best_sheets, _flag_bases, _measure, _passes, section_zeros
 from tridiag4.tridiagonalize import (
     TridiagResult,
     _direct,
@@ -67,10 +67,18 @@ class TestDispatch:
         with pytest.raises(ValueError):
             tridiagonalize(np.ones(shape))
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    @pytest.mark.parametrize(
+        "tol",
+        [float("nan"), -1.0, 0.0, float("inf"), None, "1e-8", 1e-8 + 0j, [1e-8], np.array([1e-8]), True, np.bool_(True)],
+    )
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="tol"):
             tridiagonalize(make_matrix("gaussian", 4, 0), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.int64(1), np.float64(1e-8), np.float32(1e-6)], ids=["int", "numpy-int", "float64", "float32"])
+    def test_tol_takes_real_scalars(self, tol):
+        r = tridiagonalize(make_matrix("gaussian", 4, 0), tol=tol)
+        assert r.provenance == "section_zero" and r.off_residual <= tol
 
     @pytest.mark.parametrize("force_path", ["section", "Perturb", ""])
     def test_unknown_force_path_rejected(self, force_path):
@@ -242,6 +250,33 @@ class TestSectionPath:
         assert r.provenance == "refined"
         assert_gates(a, r, 6)
         assert r.off_residual <= 1e-13
+
+    @pytest.mark.parametrize(
+        ("a", "tol", "least"),
+        [
+            (near_structured("hermitian", 1e-3, 0), 1e-8, 1),
+            (near_structured("skew_hermitian_plus_2i", 1e-2, 52), 1e-8, 2),  # the first start does not converge
+            (make_matrix("gaussian", 4, 6), 1e-13, 1),  # every start is an accepted flag
+        ],
+        ids=["hermitian", "skew", "tight-gaussian"],
+    )
+    def test_gauss_newton_starts_are_the_best_sheets_flags(self, a, tol, least, monkeypatch):
+        # the starts the solve reads off its flag-point rows are, to the bit,
+        # the flags of the best sheets over all the dodecic's roots built
+        # from scratch as one stack, smallest off-band residual on C first
+        solver = sys.modules["tridiag4.tridiagonalize"]
+        starts, refine = [], solver._refine_unitary
+        monkeypatch.setattr(solver, "_refine_unitary", lambda c, u, t: starts.append(u) or refine(c, u, t))
+        assert tridiagonalize(a, tol=tol).provenance == "refined"
+        unit = Pencil(a).unit
+        ref = np.conj(_flag_bases(unit.a, unit.astar, _best_sheets(unit, unit._roots)[1])).swapaxes(1, 2)
+        off = _measure(unit.a, ref)[1]
+        ref = ref[np.argsort(off, kind="stable")]
+        assert least <= len(starts) <= 12
+        for got, want in zip(starts, ref):
+            assert np.array_equal(got, want)
+        if tol < CERT_TOL:
+            assert np.all(off <= CERT_TOL)
 
     def test_every_returned_result_passes_the_unitarity_gate(self):
         # on these near-scalar inputs an uncentred flag could meet the
