@@ -7,9 +7,11 @@ from one eigen-solve: the eigenvalues of -Q^-1 P for the pencil
 matrices P, Q at two points of each line, the roots of the hyperplane's
 Krylov sextic on the base line [1 : mu], and the roots of the
 flag-point dodecic on the same line.  The points of the first two
-counts are certified all at once, by one stacked SVD of their pencil
-matrices; the dodecic's roots count when their flags, grown as one
-stack, pass the solver's gate.
+counts are certified all at once: the line points by a bound from the
+closed-form cofactors of their pencil matrices, with an SVD only of
+those it leaves open, and the hyperplane points by one stacked SVD,
+whose kernel vectors they need; the dodecic's roots count when their
+flags, grown as one stack, pass the solver's gate.
 """
 
 from tridiag4 import Pencil, degree_of_det_curve, degree_of_kernel_curve, make_matrix, run_experiments, section_zeros

@@ -11,7 +11,10 @@ and the roots of the flag-point dodecic there.  The base line lives in
 sampled on ``pencil._CIRCLE``) and the curve points over its roots
 (:func:`pencil._base_points`) come from there, and this module imports
 only ``_classify`` from :mod:`tridiag4.genericity`.  The first two
-certify all of their points with one stacked SVD.  All read the caller's
+certify all of their points as one stack: the determinant-curve count
+by the cofactor bound of :func:`pencil._cofactor_bound`, with an SVD
+only of the points it leaves open, the kernel-curve count by one
+stacked SVD, whose kernel vectors it reads.  All read the caller's
 centred and normalized ``A`` (:attr:`Pencil.unit`), so no count depends
 on its scale or shift.
 """
@@ -76,7 +79,9 @@ def degree_of_det_curve(pencil: Pencil, lines: int = 10, seed: int = 0) -> int:
     on the centred and normalized ``A`` so that it depends on neither its
     scale nor its shift; the unit ``q`` and ``p`` of all lines are
     normalized as one stack, and their ``Q`` and ``P`` built as one,
-    solved as one and certified as one.  Reports the modal count over
+    solved as one and certified as one: by the cofactor bound
+    (:func:`pencil._cofactor_bound`), with one SVD of the points it leaves
+    open and none when it leaves none, as on a Gaussian.  Reports the modal count over
     the lines and warns when they disagree.  ``lines`` and ``seed`` are
     Python or numpy integers (not ``bool``), ``lines >= 1`` and ``seed >=
     0``; ``ValueError`` otherwise, or when the pencil is not 4x4.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .pencil import CERT_TOL, Pencil, _base_points, _krylov_roots, _unscale_point, pencil_matrix
+from .pencil import CERT_TOL, Pencil, _base_points, _cofactor_bound, _krylov_roots, _unscale_point, pencil_matrix
 
 
 @dataclass
@@ -81,6 +81,14 @@ def _pencil_rank(pencil: Pencil, seed: int):
     failing point, by base in the order above and by eigenvalue within a
     base.  ``quote`` gives the ratio that failed there on the pencil of
     ``C``: ``sigma1`` if it fired, otherwise ``sigma3/sigma1``.
+
+    A point fails when ``sigma1 <= 1e-14`` or ``sigma3 <= CERT_TOL*sigma1``.
+    The cofactor bound (:func:`pencil._cofactor_bound`) passes the points
+    where it proves ``sigma3 > 2*CERT_TOL*sigma1`` and ``sigma1 > 2e-14``,
+    and one SVD, none when it would be empty, takes the others: a point
+    the bound passes cannot fail, so the first failing point, its witness
+    and its quote are those of the SVD of every point.  On a Gaussian the
+    bound passes them all.
     """
     _, scale, shift = pencil.centred
     unit = pencil.unit
@@ -93,14 +101,17 @@ def _pencil_rank(pencil: Pencil, seed: int):
     bases = np.vstack([[[0.0, 1.0], [1.0, 1.0], [z, -1.0]], np.column_stack([np.ones_like(mu), mu])])
     t = _base_points(unit, bases, vectors=False)[0].reshape(-1, 3)
     t /= np.sqrt(t[:, 0].real ** 2 + 1.0 + t[:, 0].imag ** 2)[:, None]  # unit rows, since every base is unit
-    s = np.linalg.svd(pencil_matrix(unit, t), compute_uv=False)
+    m = pencil_matrix(unit, t)
+    low, rank3, _ = _cofactor_bound(m)
+    rows = np.flatnonzero(~(rank3 & (low > 2e-14)))
+    s = np.linalg.svd(m[rows], compute_uv=False) if rows.size else np.empty((0, 4))
     vanishes = s[:, 0] <= 1e-14
     fail = vanishes | (s[:, 2] <= CERT_TOL * s[:, 0])
     if not np.any(fail):
         return True, None, None
     i = np.argmax(fail)
     quote = f"sigma1 = {s[i, 0]:.2e}" if vanishes[i] else f"sigma3/sigma1 = {s[i, 2] / s[i, 0]:.2e}"
-    return False, _unscale_point(t[[i]], scale, shift)[0], quote
+    return False, _unscale_point(t[rows[[i]]], scale, shift)[0], quote
 
 
 def classify(a, seed: int = 0) -> GenericityReport:

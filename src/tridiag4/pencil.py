@@ -33,7 +33,10 @@ Every point reaches the gate with the kernel vector and ``sigma4`` it was
 found with: a sheet's eigenvector of ``N``, or an eigenvector point's
 singular vector from :attr:`Pencil.eigen`, whose ``sigma4`` the screen
 takes only where a determinant bound cannot clear it.  So the gate takes
-one SVD, the on-curve test's singular values.
+at most one SVD, the on-curve test's singular values: a one-row stack
+takes it, and a larger one only of the rows that a bound from the
+closed-form cofactors (:func:`_cofactor_bound`) leaves open, on a
+Gaussian none.
 :func:`_flag_points` is the one place the sheets' flags are built: it
 yields every gated row, accepted or not, with its flag, its off-band
 residual and its root, and the solver and :func:`section_zeros` each read
@@ -92,6 +95,36 @@ _FAR = {n: _frozen(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) >= 2) f
 #: The n-th roots of unity for n = 7 and 13, built once: where :func:`_krylov_roots`
 #: samples a Krylov sextic and :func:`_dodecic_roots` the dodecic.
 _CIRCLE = {n: _frozen(np.exp(2j * np.pi * np.arange(n) / n)) for n in (7, 13)}
+
+
+def _laplace_tables():
+    """The gathers of :func:`_cofactors`, over the 16 entries ``M[r, c] = m[4*r + c]`` of a 4x4 ``M``.
+
+    ``take`` (4, 24) reads the four entries of each 2x2 minor ``M[q, a]
+    M[q+1, b] - M[q, b] M[q+1, a]`` of the row pairs ``q = 0, 2``, over
+    every ordered column pair ``a != b``, so each minor is there with both
+    signs.  ``entries`` and ``minors`` (3, 16) read, for each cofactor
+    ``K[i, j]``, the three entries of row ``i ^ 1`` and the signed minors
+    of the other row pair that its Laplace expansion along that row
+    multiplies: the term of column ``c``, the ``k = c - (c > j)``-th of
+    the three left, has the sign ``(-1)^(i + j + k)``, since row ``i ^ 1``
+    comes first or third of the three rows left.
+    """
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    take = [[4 * q + a, 4 * q + 4 + b, 4 * q + b, 4 * q + 4 + a] for q in (0, 2) for a, b in pairs]
+    terms = []
+    for i, j, c in np.ndindex(4, 4, 4):
+        if c != j:
+            a, b = sorted({0, 1, 2, 3} - {j, c})
+            terms.append((4 * (i ^ 1) + c, 12 * (i < 2) + pairs.index((a, b) if (i + j + c - (c > j)) % 2 == 0 else (b, a))))
+    entries, minors = np.array(terms).reshape(16, 3, 2).T
+    return tuple(_frozen(np.ascontiguousarray(x)) for x in (np.array(take).T, entries, minors))
+
+
+_TAKE, _ENTRIES, _MINORS = _laplace_tables()
+
+#: The rounding allowance of :func:`_cofactor_bound`: 32 ulps of 1.
+_SLACK = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -268,12 +301,71 @@ def _section_score(pencil: Pencil, v: np.ndarray, screen: bool = False) -> np.nd
     return score
 
 
+def _cofactors(m: np.ndarray) -> np.ndarray:
+    """The cofactor matrices ``K`` (``adj M = K^T``) of a (k, 16) stack of 4x4 matrices ``M``, each read row by row, as a (k, 16) stack.
+
+    Closed form, with no LAPACK call: one gather, two products and a
+    difference give the 2x2 minors of the row pairs (0, 1) and (2, 3), each
+    with both signs, and each cofactor is the three-term Laplace expansion
+    along row ``i ^ 1`` of the 3x3 minor it is, gathered from those
+    (:func:`_laplace_tables`).
+    """
+    x = m[:, _TAKE]
+    minors = x[:, 0] * x[:, 1] - x[:, 2] * x[:, 3]
+    return np.add.reduce(m[:, _ENTRIES] * minors[:, _MINORS], axis=1)
+
+
+def _cofactor_bound(m: np.ndarray):
+    """What the cofactors prove of each matrix of a (k, 4, 4) stack without an SVD: ``(low, rank3, null)``.
+
+    ``low`` is a lower bound on ``sigma1``; ``rank3`` marks the matrices
+    with ``sigma3 > 2*CERT_TOL*sigma1`` for sure, and ``null`` those of
+    them with ``sigma4 <= CERT_TOL*sigma1/2`` as well.
+
+    For ``M`` with singular values ``s1 >= ... >= s4``, Frobenius norm
+    ``f`` and cofactor matrix ``K`` (:func:`_cofactors`): ``s1 <= f <= 2*s1``,
+    so ``low = f/2``; ``adj M = det(M) M^-1`` has the singular values
+    ``s1 s2 s3 s4 / s_i``, the products of three (by continuity where ``M``
+    is singular), so ``||K||_F <= 2*s1*s2*s3``; with ``|det M| = s1 s2 s3
+    s4`` this gives ``s3/s1 >= ||K||_F / (2 f^3)`` and ``s4/s1 <= 4|det M| /
+    (||K||_F f)``.  ``M`` is scaled to ``f = 1`` first, so the bound does
+    not depend on its scale: ``rank3`` is ``||K||_F > 4*CERT_TOL`` and
+    ``null`` adds ``8|det M| <= CERT_TOL*||K||_F``, with ``det M`` the
+    expansion along row 0.  Each side is widened by ``_SLACK`` (32 ulps of
+    1) for rounding.  With unit roundoff ``u``, a complex product is exact
+    to ``3u`` relative and a sum to ``u``, so a minor of rows ``q, q'`` is
+    within ``4u r_q r_q'`` (``r`` the row norms, ``sum r^2 = 1`` to within
+    ``40u``), a cofactor within ``9*sqrt(3) u r_p r_q r_q' < 16u r_p r_q
+    r_q'``, the whole ``K`` within ``8u`` in Frobenius norm, since the
+    squared row-norm products sum to at most 1/4, and its computed norm
+    within ``12u``; ``det M`` is within ``3u``, and ``f^3`` and ``f`` are 1
+    to within ``130u``, which moves ``4*CERT_TOL*f^3`` by less than ``1e-21``.
+    So a row proved here has the SVD's ``sigma3 > CERT_TOL*sigma1`` and
+    ``sigma4 <= CERT_TOL*sigma1`` with a factor 2 to spare, which covers
+    the scaling's rounding (an ulp per entry) and LAPACK's (a few ulps of
+    ``sigma1``): a caller that takes the SVD only of the other rows decides
+    every row as the SVD of all of them does.
+    """
+    m = m.reshape(-1, 16)
+    f = np.sqrt(np.vecdot(m, m).real)
+    m = m * (1 / np.maximum(f, 1e-300))[:, None]
+    k = _cofactors(m)
+    kf = np.sqrt(np.vecdot(k, k).real)
+    det = np.abs(np.vecdot(np.conj(m[:, :4]), k[:, :4]))
+    rank3 = kf > 4 * CERT_TOL + _SLACK
+    return f / 2, rank3, rank3 & (8 * (det + _SLACK) <= CERT_TOL * (kf - _SLACK))
+
+
 def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     """Membership test for the determinant curve at rank 3, for a (k, 3) stack of points.
 
-    One stacked SVD decides every row: it fails when it is zero or not
+    The singular values decide every row: it fails when it is zero or not
     finite, ``sigma1 = 0``, ``sigma3 <= CERT_TOL*sigma1`` or ``sigma4 >
-    CERT_TOL*sigma1``.  Returns ``(ok, t, v)``: the mask, the canonical
+    CERT_TOL*sigma1``.  With ``kernel=True`` one stacked SVD takes them
+    and the kernel vectors; without, the cofactor bound
+    (:func:`_cofactor_bound`) passes the rows it proves, and one stacked
+    SVD, none when it would be empty, decides the rest of the finite ones:
+    the same mask.  Returns ``(ok, t, v)``: the mask, the canonical
     rows and, with ``kernel=True`` only, their canonical kernel vectors.
     A failed row holds a placeholder.  Each row is divided by its largest
     modulus before its norm is taken, so nothing overflows.
@@ -283,9 +375,14 @@ def _certify_on_curve(pencil: Pencil, t, kernel: bool = False):
     ok = np.isfinite(big) & (big > 0)
     t = np.where(ok[:, None], t, 1.0) / np.where(ok, big, 1.0)[:, None]
     t = linalg.phase_fixed(t / np.sqrt(np.sum(t.real**2 + t.imag**2, axis=1))[:, None])
-    svd = np.linalg.svd(pencil_matrix(pencil, t), compute_uv=kernel)
-    s, v = (svd.S, linalg.phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
-    ok &= (s[:, 0] > 0) & (s[:, 2] > CERT_TOL * s[:, 0]) & (s[:, 3] <= CERT_TOL * s[:, 0])
+    m, v, rows = pencil_matrix(pencil, t), None, slice(None)
+    if kernel or len(m) == 1:  # one SVD of a single row costs less than the bound
+        svd = np.linalg.svd(m, compute_uv=kernel)
+        s, v = (svd.S, linalg.phase_fixed(np.conj(svd.Vh[:, -1]))) if kernel else (svd, None)
+    else:
+        rows = np.flatnonzero(ok & ~_cofactor_bound(m)[2])
+        s = np.linalg.svd(m[rows], compute_uv=False) if rows.size else np.empty((0, 4))
+    ok[rows] &= (s[:, 0] > 0) & (s[:, 2] > CERT_TOL * s[:, 0]) & (s[:, 3] <= CERT_TOL * s[:, 0])
     return ok, t, v
 
 
@@ -316,6 +413,11 @@ def _measure(a: np.ndarray, u: np.ndarray):
     return t, _off_max(t), _unitarity(u)
 
 
+def _norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The 2-norms along axis 1 of a complex stack: ``np.linalg.norm(x, axis=1, keepdims=keepdims)`` to the bit, without its Python dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=1, keepdims=keepdims))
+
+
 def _widest(q: np.ndarray, x: np.ndarray):
     """Per stack entry, the column of ``x`` that sticks out of ``span(q)`` most, projected out of it twice and normalized, with its residual.
 
@@ -325,7 +427,7 @@ def _widest(q: np.ndarray, x: np.ndarray):
     """
     p = _EYE[q.shape[1]] - q @ np.conj(q).swapaxes(1, 2)
     x = p @ (p @ x)
-    r = np.linalg.norm(x, axis=1)
+    r = _norms(x)
     rows, j = np.arange(len(x)), np.argmax(r, axis=1)
     r = r[rows, j]
     return x[rows, :, j] / np.maximum(r, 1e-300)[:, None], r
@@ -346,11 +448,11 @@ def _flag_bases(a: np.ndarray, astar: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     k, n = v.shape
     both = np.concatenate([a, astar])
-    q = linalg.phase_fixed(v / np.linalg.norm(v, axis=1, keepdims=True))[:, :, None]
+    q = linalg.phase_fixed(v / _norms(v, keepdims=True))[:, :, None]
     for j in range(1, n - 1):
         # [A; A*] Q as one product, its halves side by side: the columns A Q, then A* Q
         y = (both @ q).reshape(k, 2, n, j).swapaxes(1, 2).reshape(k, n, 2 * j)
-        x, r = _widest(q, y / np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300))
+        x, r = _widest(q, y / np.maximum(_norms(y, keepdims=True), 1e-300))
         closed = r <= 1e-13
         if closed.any():
             x[closed] = _widest(q[closed], _EYE[n])[0]
@@ -366,7 +468,9 @@ def _certify(pencil: Pencil, t, v, sigma4) -> tuple[np.ndarray, np.ndarray, list
     of ``N`` over a sheet's base, a singular vector of :attr:`Pencil.eigen`
     at an eigenvector point), and its ``sigma4`` (:func:`_section_score`),
     which only orders and reports the points.  A row passes
-    :func:`_certify_on_curve`, which takes singular values only, and the
+    :func:`_certify_on_curve`, which takes singular values only, and of a
+    stack of more than one row only where the cofactor bound leaves it
+    open (:func:`_cofactor_bound`), and the
     flag grown from ``v`` (:func:`_flag_bases`, all rows as one stack)
     passes :func:`_passes` at ``CERT_TOL``: the solver's own gate, so a
     point counts exactly when the solver would return its flag.

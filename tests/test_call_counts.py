@@ -43,7 +43,12 @@ its screen and its three counts, however many trials it runs.
 (it took seven on every seed while ``pencil._certify`` took a kernel
 vector and ``sigma4`` of its own, and up to six while it formed
 ``Pencil.eigen`` and screened the eigenvector points before its first
-flag), and each ``_certify`` call takes one.
+flag).  The on-curve test of a stack of more than one row takes the SVD
+only of the rows the cofactor bound (``pencil._cofactor_bound``) leaves
+open, and on these inputs it leaves none: a Gaussian's one-row first
+gate takes one SVD and its other 11 rows none, ``degree_of_det_curve``
+takes only the norm that centres ``A``, and ``classify`` that norm and
+its SVD of ``A``, its rank screen none.
 """
 
 import functools
@@ -54,7 +59,7 @@ import numpy as np
 import pytest
 
 from tridiag4 import cli, linalg, pencil
-from tridiag4.degrees import run_experiments
+from tridiag4.degrees import degree_of_det_curve, run_experiments
 from tridiag4.generate import jordan_block, make_matrix
 from tridiag4.genericity import classify
 from tridiag4.pencil import Pencil, section_zeros
@@ -140,21 +145,44 @@ def test_solve_takes_at_most_four_svds(svds):
 
 def test_certify_takes_one_svd(svds, monkeypatch):
     # the kernel vector and sigma4 come with each row, so only the on-curve
-    # test is left: on the sheets of Gaussians and the eigenvector points of N4
+    # test is left: the one-row gate of the first flag takes its SVD, and the
+    # cofactor bound clears every row of the larger stacks, the other 11
+    # sheets of a Gaussian and the eigenvector points and sheets of N4
     per_call = []
     certify = pencil._certify
 
     def counted(*args):
         before = len(svds)
         result = certify(*args)
-        per_call.append(len(svds) - before)
+        per_call.append((len(args[1]), len(svds) - before))
         return result
 
     monkeypatch.setattr(pencil, "_certify", counted)
-    for a in [make_matrix("gaussian", 4, seed) for seed in SEEDS] + [jordan_block(4)]:
-        section_zeros(Pencil(a))
-    assert len(per_call) >= 2 * len(SEEDS) + 1
-    assert set(per_call) == {1}
+    for seed in SEEDS:
+        per_call.clear()
+        section_zeros(Pencil(make_matrix("gaussian", 4, seed)))
+        assert per_call == [(1, 1), (11, 0)], seed
+    per_call.clear()
+    section_zeros(Pencil(jordan_block(4)))
+    assert per_call == [(1, 1), (8, 0), (5, 0)]
+
+
+def test_det_curve_takes_only_the_centring_svd(svds):
+    # the cofactor bound certifies all 40 line points, so the one SVD left is
+    # the norm that centres A
+    for seed in SEEDS:
+        svds.clear()
+        assert degree_of_det_curve(Pencil(make_matrix("gaussian", 4, seed))) == 4, seed
+        assert len(svds) == 1, seed
+
+
+def test_classify_takes_the_centring_and_s1_svds(svds):
+    # the rank screen's 36 points are cleared by the cofactor bound; the
+    # centring norm and the nonsingularity test's SVD of A are left
+    for seed in SEEDS:
+        svds.clear()
+        assert classify(make_matrix("gaussian", 4, seed)).in_generic_set, seed
+        assert len(svds) == 2, seed
 
 
 def test_section_zeros_certifies_in_two_stacks(monkeypatch):

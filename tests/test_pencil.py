@@ -4,14 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
-from tridiag4 import linalg, pencil
+from tridiag4 import degrees, genericity, linalg, pencil
+from tridiag4.errors import UnstableCountWarning
 from tridiag4.generate import jordan_block, make_matrix, random_unitary
 from tridiag4.pencil import (
+    CERT_TOL,
     Pencil,
     _best_sheets,
     _centred,
     _certify,
     _certify_on_curve,
+    _cofactor_bound,
+    _cofactors,
     _circle_roots,
     _distinct,
     _distinguished_seeds,
@@ -111,7 +115,7 @@ class TestPreparedOnce:
         solver = sys.modules["tridiag4.tridiagonalize"]
         p = Pencil(make_matrix("gaussian", 4, 3)).unit
         arrays = [*pencil._CIRCLE.values(), *pencil._PAIRS, *pencil._EYE.values(), *pencil._FAR.values()]
-        arrays += [solver._GENERATORS]
+        arrays += [pencil._TAKE, pencil._ENTRIES, pencil._MINORS, solver._GENERATORS]
         arrays += [p._ops, p._roots, *p._first_sheets]
         for x in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -365,11 +369,14 @@ class TestCertifyOnCurve:
                 np.testing.assert_allclose(v[i], linalg.canonical_projective(vecs[i % 4]), atol=1e-10)
 
     def test_mask_alone_skips_the_vectors(self):
-        p = Pencil(make_matrix("gaussian", 4, 3))
-        t, _ = self._stack(p, 3)
-        ok, tc, v = _certify_on_curve(p, t)
-        assert v is None
-        np.testing.assert_array_equal(ok, _certify_on_curve(p, t, kernel=True)[0])
+        # the values-only path decides by the cofactor bound and an SVD of the
+        # rows it leaves open, the kernel path by one SVD of every row
+        for seed in range(20):
+            p = Pencil(make_matrix("gaussian", 4, seed))
+            t, _ = self._stack(p, seed)
+            ok, tc, v = _certify_on_curve(p, t)
+            assert v is None
+            np.testing.assert_array_equal(ok, _certify_on_curve(p, t, kernel=True)[0])
 
     def test_degenerate_rows_rejected_without_warnings(self):
         p = Pencil(make_matrix("gaussian", 4, 0))
@@ -386,12 +393,104 @@ class TestCertifyOnCurve:
                 1e-300 * good,
             ]
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ok, tc, v = _certify_on_curve(p, t, kernel=True)
-        assert ok.tolist() == [True, False, False, False, False, False, True, True]
-        assert np.all(np.isfinite(tc)) and np.all(np.isfinite(v))
-        np.testing.assert_allclose(tc[[6, 7]], [tc[0], tc[0]], atol=1e-12)
+        for kernel in (True, False):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ok, tc, v = _certify_on_curve(p, t, kernel=kernel)
+            assert ok.tolist() == [True, False, False, False, False, False, True, True], kernel
+            assert np.all(np.isfinite(tc)) and (np.all(np.isfinite(v)) if kernel else v is None), kernel
+            np.testing.assert_allclose(tc[[6, 7]], [tc[0], tc[0]], atol=1e-12)
+
+
+class TestCofactorBound:
+    """:func:`_cofactor_bound` proves rank 3 from closed-form cofactors, and its callers take the SVD only of the rows it leaves open, with the same answers."""
+
+    def test_cofactors_are_the_transposed_adjugate(self):
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+        k = _cofactors(m.reshape(-1, 16)).reshape(-1, 4, 4)
+        adj_t = np.linalg.det(m)[:, None, None] * np.linalg.inv(m).swapaxes(1, 2)
+        f = np.linalg.norm(m, axis=(1, 2))
+        assert np.all(np.abs(k - adj_t).max(axis=(1, 2)) <= 1e-13 * f**3)
+
+    def test_adjugate_vanishes_against_curve_points(self):
+        # at a point of the determinant curve M adj M = det(M) I is 0, while adj M is not
+        rng = np.random.default_rng(32)
+        for seed in range(10):
+            p = Pencil(make_matrix("gaussian", 4, seed)).unit
+            mu = rng.standard_normal() + 1j * rng.standard_normal()
+            m = pencil_matrix(p, np.array([linalg.canonical_projective(t) for t, _ in curve_points(p, mu)]))
+            k = _cofactors(m.reshape(-1, 16)).reshape(-1, 4, 4)
+            f = np.linalg.norm(m, axis=(1, 2))
+            assert np.all(np.abs(m @ k.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-13 * f**4), seed
+            assert np.all(np.linalg.norm(k, axis=(1, 2)) >= 1e-6 * f**3), seed
+
+    def test_bound_clears_only_what_the_svd_passes(self):
+        # U diag(s) V* with s1 = 1 and sigma3, sigma4 on both sides of CERT_TOL
+        # and 2*CERT_TOL, at three scales
+        rng = np.random.default_rng(33)
+        grid = [
+            (1.0, s2, s3, s4)
+            for s2 in (1.0, 0.5, 1e-3)
+            for s3 in (0.99e-8, 1.01e-8, 1.99e-8, 2.01e-8, 1e-4, 0.3)
+            for s4 in (0.0, 1e-12, 0.49e-8, 0.51e-8, 0.99e-8, 1.01e-8)
+            if s4 <= s3 <= s2
+        ]
+        s = np.array(grid)
+        u, w = (np.array([random_unitary(4, rng) for _ in grid]) for _ in range(2))
+        base = (u * s[:, None, :]) @ np.conj(w).swapaxes(1, 2)
+        proved = []
+        for scale in (1e-150, 1.0, 1e150):
+            m = scale * base
+            low, rank3, null = _cofactor_bound(m)
+            sv = np.linalg.svd(m, compute_uv=False)
+            assert np.all(low <= sv[:, 0]), scale
+            assert np.all(sv[rank3, 2] > 1.99 * CERT_TOL * sv[rank3, 0]), scale
+            assert np.all(null <= rank3) and np.all(sv[null, 3] <= 0.51 * CERT_TOL * sv[null, 0]), scale
+            passes = (sv[:, 0] > 0) & (sv[:, 2] > CERT_TOL * sv[:, 0]) & (sv[:, 3] <= CERT_TOL * sv[:, 0])
+            assert np.all(passes[null]), scale
+            proved.append((rank3.tolist(), null.tolist()))
+        # the bound does not depend on the scale, and rows far from the thresholds clear
+        assert proved[0] == proved[1] == proved[2]
+        assert np.all(np.array(proved[1][0])[s[:, 2] >= 1e-4])
+        assert np.all(np.array(proved[1][1])[(s[:, 2] == 0.3) & (s[:, 3] <= 1e-12)])
+
+    @pytest.mark.parametrize("kind", ["gaussian", "hermitian", "n4", "j2_j2_plus_2i", "near_hermitian"])
+    def test_open_rows_answer_as_the_bound(self, kind, monkeypatch):
+        # a bound that leaves every row open sends them all to the SVD: the
+        # masks, the degree and the rank screen's witness and quote are the same
+        j2j2 = np.diag([2.0, 2.0, 2.0, 2.0]).astype(complex) + np.diag([1.0, 0.0, 1.0], 1)
+        a = {
+            "gaussian": make_matrix("gaussian", 4, 5),
+            "hermitian": make_matrix("hermitian", 4, 5),
+            "n4": N4,
+            "j2_j2_plus_2i": j2j2,
+            "near_hermitian": near_structured("hermitian", 1e-9, 0),
+        }[kind]
+
+        def answers():
+            masks = []
+            on_curve = pencil._certify_on_curve
+
+            def recorded(*args, **kwargs):
+                result = on_curve(*args, **kwargs)
+                masks.append(result[0].tolist())
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pencil, "_certify_on_curve", recorded)
+                patch.setattr(degrees, "_certify_on_curve", recorded)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UnstableCountWarning)
+                    degree = degrees.degree_of_det_curve(Pencil(a), lines=10, seed=0)
+                section_zeros(Pencil(a))
+            ok, witness, quote = genericity._pencil_rank(Pencil(a), 0)
+            return masks, degree, ok, None if witness is None else witness.tobytes(), quote
+
+        proved = answers()
+        for module in (pencil, genericity):
+            monkeypatch.setattr(module, "_cofactor_bound", lambda m: (np.zeros(len(m)), *[np.zeros(len(m), dtype=bool)] * 2))
+        assert answers() == proved
 
 
 class TestCertify:
